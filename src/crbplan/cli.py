@@ -223,6 +223,9 @@ def derive_dependent(
     return max(0.0, min(1.0, cap))
 
 
+_MAX_SWEEP_ROWS = 10**6
+
+
 def _sweep_values(args: argparse.Namespace) -> list[float]:
     start = args.start if args.start is not None else 0.0
     stop = args.stop if args.stop is not None else 1.0
@@ -231,8 +234,10 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
         math.isfinite(v) for v in (start, stop, step)
     ):
         raise _ConfigError(f"malformed sweep range [{start}, {stop}] step {step}")
-    count = int(round((stop - start) / step))
-    values = [start + i * step for i in range(count + 1)]
+    steps = (stop - start) / step
+    if not steps <= _MAX_SWEEP_ROWS - 1:  # also true when the quotient overflows
+        raise _ConfigError(f"sweep of {steps:.3g} steps exceeds {_MAX_SWEEP_ROWS} rows")
+    values = [start + i * step for i in range(int(round(steps)) + 1)]
     if values[-1] > stop + 1e-12:
         values.pop()
     return values

@@ -81,6 +81,17 @@ def test_plan_invalid_rho_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("setting", [("decentralized",), ("centralized", "--e2", "2")])
+def test_plan_infinite_alpha_exits_2(setting, capsys):
+    code = run_cli(
+        "plan", "--task", "t1", "--setting", *setting,
+        "--alpha", "inf", "--e1", "2", "--rho", "0.5",
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: alpha") and err.count("\n") == 1
+
+
 # --- bounds ---
 
 
@@ -149,6 +160,18 @@ def test_bounds_malformed_range_exits_2(capsys):
         "--sweep", "p_y", "--start", "1", "--stop", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "sweep_range", [("--step", "1e-300"), ("--start=-1e308", "--stop", "1e308", "--step", "1")]
+)
+def test_bounds_oversized_sweep_exits_2(sweep_range, capsys):
+    code = run_cli(
+        "bounds", "--task", "t1", "--setting", "decentralized",
+        "--alpha", "2", "--e1", "2", "--rho", "0.5", "--sweep", "p_y", *sweep_range,
+    )
+    assert code == 2
+    assert "exceeds 1000000 rows" in capsys.readouterr().err
 
 
 def test_bounds_unknown_sweep_variable_exits_2(capsys):

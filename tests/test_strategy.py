@@ -1,12 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from crbplan import (
+    InfeasibleScenario,
     InvalidScenario,
     LinearConstraintSet,
     Method,
+    PlanResult,
     ResourceBudget,
     SamplingPolicy,
     Scenario,
@@ -24,7 +27,13 @@ from crbplan import (
     plan_t3,
     validate,
 )
-from crbplan.strategy import Constraint
+from crbplan.strategy import (
+    FEASIBILITY_TOL,
+    Constraint,
+    _crb_t3_array,
+    _lexicographic_best,
+    _simplex_grid,
+)
 
 
 def model(rho, var_x=1.0, var_y=1.0):
@@ -47,6 +56,8 @@ def test_budget_rejects_negative_fields():
         ResourceBudget(-1.0, 2.0)
     with pytest.raises(InvalidScenario):
         ResourceBudget(1.0, -2.0)
+    with pytest.raises(InvalidScenario):
+        ResourceBudget(math.inf, 2.0)
 
 
 def test_scenario_e2_presence_matches_setting():
@@ -288,6 +299,74 @@ def test_plan_t3_centralized_interior_optimum():
                 continue  # no information about mu_x at all
             best = min(best, crb_t3(pol, m, Target.MU_X))
     assert result.objective_value <= best + 1e-5
+
+
+def _reference_plan_t3(scenario, m):
+    """plan_t3 with its coarse pass over the full 101^3 cube and every row."""
+    cons = constraints_for(scenario)
+    target = scenario.target
+    axis = np.linspace(0.0, 1.0, 101)
+    gx, gy, gj = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
+    mask = cons.feasibility_mask(gx, gy, gj)
+    if not mask.any():
+        raise InfeasibleScenario("no feasible grid point")
+    gx, gy, gj = gx[mask], gy[mask], gj[mask]
+    values = _crb_t3_array(gx, gy, gj, m, target)
+    best = values.min()
+    if math.isinf(best):
+        raise SingularEverywhere("infinite everywhere")
+    near = values <= best * (1.0 + 1e-9)
+    tie = any(c[near].max() - c[near].min() > 0.025 for c in (gx, gy, gj))
+    idx = _lexicographic_best(values, gx, gy, gj)
+    incumbent = np.array([gx[idx], gy[idx], gj[idx]])
+    for step in (1e-3, 1e-4, 1e-5):
+        axes = [np.clip(c + np.arange(-10, 11) * step, 0.0, 1.0) for c in incumbent]
+        rx, ry, rj = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+        keep = cons.feasibility_mask(rx, ry, rj)
+        rx, ry, rj = rx[keep], ry[keep], rj[keep]
+        idx = _lexicographic_best(_crb_t3_array(rx, ry, rj, m, target), rx, ry, rj)
+        incumbent = np.array([rx[idx], ry[idx], rj[idx]])
+    policy = SamplingPolicy.clamped(*incumbent)
+    if not cons.is_feasible(policy):
+        raise InfeasibleScenario("refined policy infeasible")
+    return PlanResult(policy, float(crb_t3(policy, m, target)), Method.GRID_REFINE, tie)
+
+
+def _outcome(planner, scenario, m):
+    try:
+        return planner(scenario, m)
+    except (InfeasibleScenario, SingularEverywhere) as exc:
+        return type(exc)
+
+
+def test_plan_t3_matches_full_cube_reference():
+    rng = random.Random(20220601)
+
+    def budget():
+        return rng.choice((0.0, math.inf)) if rng.random() < 0.3 else rng.uniform(0.0, 4.0)
+
+    for i in range(40):
+        alpha = 0.0 if i % 8 == 0 else rng.uniform(0.0, 4.0)
+        target = (Target.MU_X, Target.MU_Y)[i % 2]
+        if i % 4 < 2:
+            scenario = dec(Task.T3, alpha, budget(), target)
+        else:
+            scenario = cen(Task.T3, alpha, budget(), budget(), target)
+        m = validate((0, 0, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
+                      rng.uniform(-0.95, 0.95)))
+        expected = _outcome(_reference_plan_t3, scenario, m)
+        assert _outcome(plan_t3, scenario, m) == expected, scenario
+
+
+def test_simplex_grid_is_the_masked_cube_cached_and_read_only():
+    axis = np.linspace(0.0, 1.0, 101)
+    cube = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")])
+    mask = cube[0] + cube[1] + cube[2] <= 1.0 + FEASIBILITY_TOL
+    grid = _simplex_grid()
+    assert grid.shape == (3, 176851)
+    np.testing.assert_array_equal(axis.take(grid), cube[:, mask])
+    assert not grid.flags.writeable
+    assert _simplex_grid() is grid
 
 
 def test_plan_t3_policy_always_feasible():
