@@ -226,6 +226,13 @@ def derive_dependent(
 _MAX_SWEEP_ROWS = 10**6
 
 
+def _steps(start: float, stop: float, step: float) -> float:
+    steps = (stop - start) / step
+    if not steps <= _MAX_SWEEP_ROWS - 1:  # also true when the quotient overflows
+        raise _ConfigError(f"sweep of {steps:.3g} steps exceeds {_MAX_SWEEP_ROWS} rows")
+    return steps
+
+
 def _sweep_values(args: argparse.Namespace) -> list[float]:
     start = args.start if args.start is not None else 0.0
     stop = args.stop if args.stop is not None else 1.0
@@ -234,9 +241,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
         math.isfinite(v) for v in (start, stop, step)
     ):
         raise _ConfigError(f"malformed sweep range [{start}, {stop}] step {step}")
-    steps = (stop - start) / step
-    if not steps <= _MAX_SWEEP_ROWS - 1:  # also true when the quotient overflows
-        raise _ConfigError(f"sweep of {steps:.3g} steps exceeds {_MAX_SWEEP_ROWS} rows")
+    steps = _steps(start, stop, step)
     values = [start + i * step for i in range(int(round(steps)) + 1)]
     if values[-1] > stop + 1e-12:
         values.pop()
@@ -403,7 +408,7 @@ _PLAN_COLUMNS = ["rho", "e1", "e2", "p_x", "p_y", "p_xy", "crb", "tie"]
 
 
 def _frange(stop: float, step: float, start: float = 0.0) -> list[float]:
-    count = int(round((stop - start) / step))
+    count = int(round(_steps(start, stop, step)))
     return [start + i * step for i in range(count + 1)]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegeneratePolicy, MissingStratum
 from .fisher import SamplingPolicy
-from .model import MultivariateModel, ObservationModel
+from .model import Axis, MultivariateModel, ObservationModel
 
 
 class EstimatorKind(Enum):
@@ -60,9 +60,25 @@ class CollectedData:
         return self.joint.shape[0]
 
     def joint_means(self) -> tuple[float, float]:
-        if self.n_joint == 0:
-            raise MissingStratum("no joint observations")
-        return float(self.joint[:, 0].mean()), float(self.joint[:, 1].mean())
+        return _joint_means(self.joint[:, 0], self.joint[:, 1])
+
+
+def _mean(values: np.ndarray) -> float:
+    # numpy's own mean is this sum over this count, bit for bit, at half the
+    # call overhead.
+    return float(values.sum()) / values.shape[0]
+
+
+def _joint_means(joint_x: np.ndarray, joint_y: np.ndarray) -> tuple[float, float]:
+    if joint_x.shape[0] == 0:
+        raise MissingStratum("no joint observations")
+    return _mean(joint_x), _mean(joint_y)
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"estimate must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -76,12 +92,30 @@ class Estimate:
     n_joint: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"estimate must be finite, got {self.value}")
+        _finite(self.value)
 
 
 def _slope(model: ObservationModel) -> float:
     return model.rho * model.sigma_y / model.sigma_x
+
+
+def _estimate(value: float, kind: EstimatorKind, data: CollectedData) -> Estimate:
+    return Estimate(value, kind, data.n_marginal_x, data.n_marginal_y, data.n_joint)
+
+
+def delta1_value(marginal_y, joint_x, joint_y, model: ObservationModel) -> float:
+    """:func:`delta1` from bare stratum arrays (the one copy of its formula)."""
+    if marginal_y.shape[0] == 0:
+        raise MissingStratum("delta1 needs stand-alone Y observations")
+    if joint_x.shape[0] == 0:
+        raise MissingStratum("delta1 needs joint observations")
+    rho2 = model.rho * model.rho
+    ybar1 = _mean(marginal_y)
+    xbar, ybar = _joint_means(joint_x, joint_y)
+    value = ((1.0 - rho2) * ybar1 + ybar - _slope(model) * (xbar - model.mu_x)) / (
+        2.0 - rho2
+    )
+    return _finite(value)
 
 
 def delta1(data: CollectedData, model: ObservationModel) -> Estimate:
@@ -96,19 +130,8 @@ def delta1(data: CollectedData, model: ObservationModel) -> Estimate:
     Raises:
         MissingStratum: either observation group is empty.
     """
-    if data.n_marginal_y == 0:
-        raise MissingStratum("delta1 needs stand-alone Y observations")
-    if data.n_joint == 0:
-        raise MissingStratum("delta1 needs joint observations")
-    rho2 = model.rho * model.rho
-    ybar1 = float(data.marginal_y.mean())
-    xbar, ybar = data.joint_means()
-    value = ((1.0 - rho2) * ybar1 + ybar - _slope(model) * (xbar - model.mu_x)) / (
-        2.0 - rho2
-    )
-    return Estimate(
-        value, EstimatorKind.DELTA1, data.n_marginal_x, data.n_marginal_y, data.n_joint
-    )
+    value = delta1_value(data.marginal_y, data.joint[:, 0], data.joint[:, 1], model)
+    return _estimate(value, EstimatorKind.DELTA1, data)
 
 
 def var_delta1(policy: SamplingPolicy, model: ObservationModel) -> float:
@@ -130,6 +153,12 @@ def var_delta1(policy: SamplingPolicy, model: ObservationModel) -> float:
     return lead * (shrink / policy.p_y + 1.0 / policy.p_xy) * (policy.p_y + policy.p_xy)
 
 
+def delta2_value(joint_x, joint_y, model: ObservationModel) -> float:
+    """:func:`delta2` from bare joint columns (the one copy of its formula)."""
+    xbar, ybar = _joint_means(joint_x, joint_y)
+    return _finite(ybar - _slope(model) * (xbar - model.mu_x))
+
+
 def delta2(data: CollectedData, model: ObservationModel) -> Estimate:
     """Regression-adjusted joint mean ``ybar - slope (xbar - mu_x)``.
 
@@ -139,47 +168,35 @@ def delta2(data: CollectedData, model: ObservationModel) -> Estimate:
     Raises:
         MissingStratum: no joint observations.
     """
-    xbar, ybar = data.joint_means()
-    value = ybar - _slope(model) * (xbar - model.mu_x)
-    return Estimate(
-        value, EstimatorKind.DELTA2, data.n_marginal_x, data.n_marginal_y, data.n_joint
-    )
+    value = delta2_value(data.joint[:, 0], data.joint[:, 1], model)
+    return _estimate(value, EstimatorKind.DELTA2, data)
 
 
-def _pooled_mean(data: CollectedData, column: int, marginal) -> float:
-    values = [marginal, data.joint[:, column]]
-    total = sum(v.shape[0] for v in values)
-    if total == 0:
-        return math.nan
-    return float(np.concatenate(values).mean())
+def pooled_mean(marginal, joint_column, axis: Axis) -> float:
+    """Mean of every value of one coordinate, stand-alone and joint.
+
+    Raises:
+        MissingStratum: no value of that coordinate was observed.
+    """
+    value = math.nan
+    if marginal.shape[0] + joint_column.shape[0] > 0:
+        value = _mean(np.concatenate((marginal, joint_column)))
+    if math.isnan(value):
+        article = "an" if axis is Axis.X else "a"
+        raise MissingStratum(f"no observations contain {article} {axis.name} value")
+    return _finite(value)
 
 
 def sample_mean_x(data: CollectedData) -> Estimate:
     """Mean of every X value seen (stand-alone and joint)."""
-    value = _pooled_mean(data, 0, data.marginal_x)
-    if math.isnan(value):
-        raise MissingStratum("no observations contain an X value")
-    return Estimate(
-        value,
-        EstimatorKind.SAMPLE_MEAN,
-        data.n_marginal_x,
-        data.n_marginal_y,
-        data.n_joint,
-    )
+    value = pooled_mean(data.marginal_x, data.joint[:, 0], Axis.X)
+    return _estimate(value, EstimatorKind.SAMPLE_MEAN, data)
 
 
 def sample_mean_y(data: CollectedData) -> Estimate:
     """Mean of every Y value seen (stand-alone and joint)."""
-    value = _pooled_mean(data, 1, data.marginal_y)
-    if math.isnan(value):
-        raise MissingStratum("no observations contain a Y value")
-    return Estimate(
-        value,
-        EstimatorKind.SAMPLE_MEAN,
-        data.n_marginal_x,
-        data.n_marginal_y,
-        data.n_joint,
-    )
+    value = pooled_mean(data.marginal_y, data.joint[:, 1], Axis.Y)
+    return _estimate(value, EstimatorKind.SAMPLE_MEAN, data)
 
 
 def sample_mean_estimates(data: CollectedData) -> tuple[Estimate, Estimate]:

@@ -21,7 +21,11 @@ exactly, which is what :func:`audit_resources` verifies empirically.
 
 All randomness is derived per replication from (master seed, replication
 index), so reports are bit-identical across runs and across any partitioning
-of replications over workers.
+of replications over workers.  ``_draw_replication`` alone fixes the order of
+a replication's draws.  :func:`run` takes each stratum straight from it, with
+no slot arrays and no :func:`collect_replication`; :func:`replay_slots`
+scatters the same draws back to their slots, so :func:`write_trace` shows
+exactly the data :func:`run` consumed.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ from .errors import DegeneratePolicy, InfeasiblePolicy, MissingStratum, Singular
 from .estimators import (
     CollectedData,
     EstimatorKind,
-    delta1,
-    delta2,
-    sample_mean_x,
-    sample_mean_y,
+    delta1_value,
+    delta2_value,
+    pooled_mean,
     var_delta1,
 )
 from .fisher import SamplingPolicy, Target, Task, crb_t1, crb_t3
@@ -210,6 +213,32 @@ _KIND_CODES = (
 )
 
 
+def _slot_edges(policy: SamplingPolicy) -> np.ndarray:
+    """Cumulative probabilities of the marginal-X, marginal-Y and joint slots.
+
+    A slot whose uniform draw is u takes the first kind whose edge exceeds u
+    (idle past the last).  Components the policy tolerates just below 0
+    count as 0, so the edges never decrease.
+    """
+    return np.cumsum(np.maximum(policy.as_tuple(), 0.0))
+
+
+def _draw_replication(model: ObservationModel, edges: np.ndarray, slots: int, rng):
+    """The draw order of one replication, the only place that defines it.
+
+    Draws the slot uniforms, then the X marginals, the Y marginals and the
+    joint pairs, each stratum into its own array.  Returns ``(kinds, counts,
+    marginal_x, marginal_y, joint_x, joint_y)``: per-slot kind codes
+    indexing :data:`_KIND_CODES` and the per-kind slot counts.
+    """
+    kinds = edges.searchsorted(rng.random(slots), "right")
+    counts = np.bincount(kinds, minlength=4).tolist()
+    marginal_x = sample_marginal(model, Axis.X, rng, size=counts[0])
+    marginal_y = sample_marginal(model, Axis.Y, rng, size=counts[1])
+    joint_x, joint_y = sample_joint(model, rng, size=counts[2])
+    return kinds, counts, marginal_x, marginal_y, joint_x, joint_y
+
+
 def replay_slots(
     model: ObservationModel,
     policy: SamplingPolicy,
@@ -220,30 +249,17 @@ def replay_slots(
 
     Returns ``(kinds, x, y)``: an int array of codes indexing
     ``(marginal_x, marginal_y, joint, idle)`` and per-slot coordinate values
-    (NaN where the coordinate was not observed).  The draw order is fixed
-    (slot types, X marginals, Y marginals, joint pairs), so the same
-    generator state always reproduces the same stream.
+    (NaN where the coordinate was not observed).  The draws are those of
+    ``_draw_replication``, scattered back to their slots; :func:`run` skips
+    this scatter, so this slot-level view serves ``write_trace`` and tests.
     """
-    u = rng.random(slots)
-    edge_x = policy.p_x
-    edge_y = policy.p_x + policy.p_y
-    edge_j = policy.p_x + policy.p_y + policy.p_xy
-    kinds = np.full(slots, 3, dtype=np.int8)
-    is_x = u < edge_x
-    is_y = (u >= edge_x) & (u < edge_y)
-    is_j = (u >= edge_y) & (u < edge_j)
-    kinds[is_x] = 0
-    kinds[is_y] = 1
-    kinds[is_j] = 2
-
-    x = np.full(slots, math.nan)
-    y = np.full(slots, math.nan)
-    x[is_x] = sample_marginal(model, Axis.X, rng, size=int(is_x.sum()))
-    y[is_y] = sample_marginal(model, Axis.Y, rng, size=int(is_y.sum()))
-    jx, jy = sample_joint(model, rng, size=int(is_j.sum()))
-    x[is_j] = jx
-    y[is_j] = jy
-    return kinds, x, y
+    kinds, _, mx, my, jx, jy = _draw_replication(model, _slot_edges(policy), slots, rng)
+    x, y = np.full((2, slots), math.nan)
+    x[kinds == 0] = mx
+    y[kinds == 1] = my
+    x[kinds == 2] = jx
+    y[kinds == 2] = jy
+    return kinds.astype(np.int8), x, y
 
 
 def collect_replication(
@@ -253,32 +269,20 @@ def collect_replication(
     rng: np.random.Generator,
 ) -> tuple[CollectedData, dict[str, int]]:
     """Run one replication and group its observations by kind."""
-    kinds, x, y = replay_slots(model, policy, slots, rng)
-    is_x, is_y, is_j = kinds == 0, kinds == 1, kinds == 2
-    data = CollectedData(
-        marginal_x=x[is_x],
-        marginal_y=y[is_y],
-        joint=np.column_stack([x[is_j], y[is_j]]),
-    )
-    counts = {
-        ObservationKind.MARGINAL_X.value: int(is_x.sum()),
-        ObservationKind.MARGINAL_Y.value: int(is_y.sum()),
-        ObservationKind.JOINT.value: int(is_j.sum()),
-        ObservationKind.IDLE.value: int((kinds == 3).sum()),
-    }
-    return data, counts
+    _, counts, mx, my, jx, jy = _draw_replication(model, _slot_edges(policy), slots, rng)
+    data = CollectedData(marginal_x=mx, marginal_y=my, joint=np.column_stack([jx, jy]))
+    return data, {kind.value: n for kind, n in zip(_KIND_CODES, counts)}
 
 
-def _apply_estimator(
-    kind: EstimatorKind, data: CollectedData, model: ObservationModel, target: Target
-) -> float:
+def _stratum_estimator(kind: EstimatorKind, model: ObservationModel, target: Target):
+    """The estimator as a function of one replication's four stratum arrays."""
     if kind is EstimatorKind.DELTA1:
-        return delta1(data, model).value
+        return lambda mx, my, jx, jy: delta1_value(my, jx, jy, model)
     if kind is EstimatorKind.DELTA2:
-        return delta2(data, model).value
+        return lambda mx, my, jx, jy: delta2_value(jx, jy, model)
     if target is Target.MU_X:
-        return sample_mean_x(data).value
-    return sample_mean_y(data).value
+        return lambda mx, my, jx, jy: pooled_mean(mx, jx, Axis.X)
+    return lambda mx, my, jx, jy: pooled_mean(my, jy, Axis.Y)
 
 
 def default_estimator(scenario: Scenario, policy: SamplingPolicy) -> EstimatorKind:
@@ -333,6 +337,10 @@ def run(config: SimulationConfig) -> SimulationReport:
     would corrupt the variance comparison).  With fewer than two usable
     replications the empirical variance is NaN.
 
+    Each replication is one pass: ``_draw_replication`` draws every stratum
+    into its own array and the estimator's formula reads those arrays, with
+    no slot arrays, :class:`CollectedData` or :class:`Estimate` in between.
+
     Raises:
         InfeasiblePolicy: the policy violates the scenario's constraints.
         MissingStratum: every replication was excluded.
@@ -342,24 +350,20 @@ def run(config: SimulationConfig) -> SimulationReport:
     if violated:
         raise InfeasiblePolicy(f"policy violates constraints: {violated}")
 
-    totals = {kind.value: 0 for kind in ObservationKind}
+    edges = _slot_edges(config.policy)
+    estimate = _stratum_estimator(config.estimator, config.model, config.scenario.target)
+    counted = [0, 0, 0, 0]
     estimates = []
     excluded = 0
     for rep in range(config.replications):
         rng = replication_rng(config.master_seed, rep)
-        data, counts = collect_replication(
-            config.model, config.policy, config.slots, rng
-        )
-        for key, value in counts.items():
-            totals[key] += value
+        _, counts, *strata = _draw_replication(config.model, edges, config.slots, rng)
+        counted = [total + n for total, n in zip(counted, counts)]
         try:
-            estimates.append(
-                _apply_estimator(
-                    config.estimator, data, config.model, config.scenario.target
-                )
-            )
+            estimates.append(estimate(*strata))
         except MissingStratum:
             excluded += 1
+    totals = {kind.value: n for kind, n in zip(_KIND_CODES, counted)}
 
     if not estimates:
         raise MissingStratum(
@@ -475,9 +479,10 @@ TRACE_HEADER = "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
 def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
     """Dump one replication's slot-by-slot stream as CSV (debugging aid).
 
-    Because replication streams are derived from (master seed, index), the
-    trace reproduces exactly the data that :func:`run` consumed for that
-    replication.
+    Because replication streams are derived from (master seed, index) and
+    :func:`replay_slots` scatters the draws of ``_draw_replication``, which
+    :func:`run` reads directly, the trace reproduces exactly the data that
+    :func:`run` consumed for that replication.
     """
     if not 0 <= replication < config.replications:
         raise ValueError(f"replication must be in [0, {config.replications})")

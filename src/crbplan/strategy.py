@@ -57,6 +57,11 @@ class Method(Enum):
     GRID_REFINE = "grid_refine"
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < math.inf:
+        raise InvalidScenario(f"alpha must be finite and >= 0, got {alpha}")
+
+
 @dataclass(frozen=True)
 class ResourceBudget:
     """Cost ratio and per-actor budgets.
@@ -71,8 +76,7 @@ class ResourceBudget:
     e2: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < math.inf:
-            raise InvalidScenario(f"alpha must be finite and >= 0, got {self.alpha}")
+        _check_alpha(self.alpha)
         if not self.e1 >= 0.0:
             raise InvalidScenario(f"e1 must be >= 0, got {self.e1}")
         if self.e2 is not None and not self.e2 >= 0.0:
@@ -196,8 +200,7 @@ def joint_priority_threshold(alpha: float, setting: Setting) -> float:
     sample costs twice a marginal one regardless of ``alpha``; the threshold
     is the cost-ratio-1 special case, sqrt(1/2).
     """
-    if not alpha >= 0.0:
-        raise InvalidScenario(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     if setting is Setting.CENTRALIZED:
         return math.sqrt(0.5)
     return math.sqrt(alpha / (alpha + 1.0))
@@ -245,8 +248,7 @@ def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> Pla
     return the feasible optimum with the smallest p_xy (fewest communicated
     samples) and flag ``tie``.
     """
-    if not alpha >= 0.0:
-        raise InvalidScenario(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     if not e1 >= 0.0:
         raise InvalidScenario(f"e1 must be >= 0, got {e1}")
     thr2 = alpha / (alpha + 1.0)

@@ -174,6 +174,15 @@ def test_bounds_oversized_sweep_exits_2(sweep_range, capsys):
     assert "exceeds 1000000 rows" in capsys.readouterr().err
 
 
+def test_sweep_preset_grid_over_row_cap_exits_2(tmp_path, capsys):
+    # fig1c sweeps e1 over [0, alpha + 1.5] in steps of 0.05: 2e10 rows here
+    out = tmp_path / "fig1c.csv"
+    assert run_cli("sweep", "--figure", "fig1c", "--alpha", "1e9", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: sweep of 2e+10 steps exceeds 1000000 rows\n"
+    assert not out.exists()
+
+
 def test_bounds_unknown_sweep_variable_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(

@@ -1,10 +1,13 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from crbplan import (
     Actor,
+    Axis,
+    CollectedData,
     EstimatorKind,
     InfeasiblePolicy,
     MissingStratum,
@@ -14,19 +17,32 @@ from crbplan import (
     Scenario,
     Setting,
     SimulationConfig,
+    SimulationReport,
+    Target,
     Task,
     audit_resources,
     collect_replication,
     constraints_for,
     default_estimator,
     delta1,
+    delta2,
     plan_t1_closed_form,
     replication_rng,
     run,
+    sample_joint,
+    sample_marginal,
+    sample_mean_x,
+    sample_mean_y,
     validate,
     write_trace,
 )
-from crbplan.simulator import slot_costs
+from crbplan.simulator import (
+    CostShare,
+    ResourceLedger,
+    _analytic_crb,
+    _analytic_estimator_variance,
+    slot_costs,
+)
 
 
 def model(rho=0.5, mu_x=0.0, mu_y=0.0):
@@ -72,6 +88,135 @@ def test_replication_streams_worker_independent():
     assert report.empirical_variance_per_slot == pytest.approx(
         cfg.slots * estimates.var(ddof=1), rel=1e-12
     )
+
+
+# --- byte identity of the one-pass kernel ---
+
+
+def _reference_run(config):
+    """Slot-level copy of the replication loop ``run`` used before its
+    one-pass kernel: slot arrays with NaN gaps, boolean-mask gathering into
+    ``CollectedData`` and the public estimators, then the same aggregation."""
+    policy, model = config.policy, config.model
+    totals = {kind.value: 0 for kind in ObservationKind}
+    estimates, excluded = [], 0
+    for rep in range(config.replications):
+        rng = replication_rng(config.master_seed, rep)
+        u = rng.random(config.slots)
+        edge_x = policy.p_x
+        edge_y = policy.p_x + policy.p_y
+        edge_j = policy.p_x + policy.p_y + policy.p_xy
+        is_x = u < edge_x
+        is_y = (u >= edge_x) & (u < edge_y)
+        is_j = (u >= edge_y) & (u < edge_j)
+        x = np.full(config.slots, math.nan)
+        y = np.full(config.slots, math.nan)
+        x[is_x] = sample_marginal(model, Axis.X, rng, size=int(is_x.sum()))
+        y[is_y] = sample_marginal(model, Axis.Y, rng, size=int(is_y.sum()))
+        jx, jy = sample_joint(model, rng, size=int(is_j.sum()))
+        x[is_j] = jx
+        y[is_j] = jy
+        data = CollectedData(x[is_x], y[is_y], np.column_stack([x[is_j], y[is_j]]))
+        for kind, mask in [("marginal_x", is_x), ("marginal_y", is_y), ("joint", is_j)]:
+            totals[kind] += int(mask.sum())
+        totals["idle"] += int((~(is_x | is_y | is_j)).sum())
+        try:
+            if config.estimator is EstimatorKind.DELTA1:
+                estimates.append(delta1(data, model).value)
+            elif config.estimator is EstimatorKind.DELTA2:
+                estimates.append(delta2(data, model).value)
+            elif config.scenario.target is Target.MU_X:
+                estimates.append(sample_mean_x(data).value)
+            else:
+                estimates.append(sample_mean_y(data).value)
+        except MissingStratum:
+            excluded += 1
+    if not estimates:
+        raise MissingStratum(
+            f"all {config.replications} replications lacked a required stratum"
+        )
+    estimates = np.asarray(estimates)
+    variance = math.nan
+    if estimates.size >= 2:
+        variance = float(config.slots * estimates.var(ddof=1))
+    table = slot_costs(config.scenario)
+    shares = []
+    for actor in Actor:
+        obs = tx = rx = 0.0
+        for kind in ObservationKind:
+            share = table[kind].get(actor, CostShare())
+            n = totals[kind.value]
+            obs += n * share.observation
+            tx += n * share.transmit
+            rx += n * share.receive
+        shares.append(CostShare(obs, tx, rx))
+    ledger = ResourceLedger(*shares, config.slots * config.replications).per_slot()
+    return SimulationReport(
+        mean_estimate=float(estimates.mean()),
+        empirical_variance_per_slot=variance,
+        analytic_crb=_analytic_crb(config),
+        analytic_estimator_variance=_analytic_estimator_variance(config),
+        ledger=ledger,
+        slot_counts=totals,
+        replications_used=len(estimates),
+        replications_excluded=excluded,
+        slots_per_replication=config.slots,
+        master_seed=config.master_seed,
+    )
+
+
+def _identity_configs(count=84):
+    """Seeded configurations over every estimator, target, task and setting,
+    with slots from 1 to 1000 and zero strata that exclude replications."""
+    rng = np.random.default_rng(20261018)
+    kinds = list(EstimatorKind)
+    configs = []
+    for i in range(count):
+        task = (Task.T1, Task.T2, Task.T3)[i % 3]
+        setting = (Setting.DECENTRALIZED, Setting.CENTRALIZED)[(i // 3) % 2]
+        estimator = kinds[(i // 6) % 3]
+        target = (Target.MU_X, Target.MU_Y)[(i // 18) % 2] if task is Task.T3 else None
+        p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])[:3]
+        if setting is Setting.DECENTRALIZED and task is not Task.T3:
+            p[0] = 0.0  # the t1/t2 learner never samples X alone
+        if i % 4 == 0:
+            p[rng.integers(3)] = 0.0
+        if i % 8 == 1:
+            p[1] = 0.02  # rare stand-alone Y: many delta1 exclusions
+        alpha = float(rng.uniform(0.0, 3.0))
+        e2 = math.inf if setting is Setting.CENTRALIZED else None
+        scenario = Scenario(task, setting, ResourceBudget(alpha, math.inf, e2), target)
+        m = validate((rng.normal(0, 3), rng.normal(0, 3), rng.uniform(0.2, 4),
+                      rng.uniform(0.2, 4), rng.uniform(-0.95, 0.95)))
+        slots = (1, 5, 37, 100, 1000)[i % 5]
+        configs.append(SimulationConfig(
+            scenario, m, SamplingPolicy(*p), estimator, slots, 20, int(rng.integers(2**32))
+        ))
+    # every replication lacks stand-alone Y observations
+    configs.append(t1_config(SamplingPolicy(0, 0.0, 0.6), slots=37, reps=9, seed=3,
+                             estimator=EstimatorKind.DELTA1))
+    return configs
+
+
+def test_run_matches_slot_level_reference_exactly():
+    outcomes = {"report": 0, "excluded": 0, "all_excluded": 0}
+    for index, cfg in enumerate(_identity_configs()):
+        try:
+            want = _reference_run(cfg)
+        except MissingStratum as exc:
+            with pytest.raises(MissingStratum, match=str(exc)):
+                run(cfg)
+            outcomes["all_excluded"] += 1
+            continue
+        got = run(cfg)
+        # astuple compares fields as a tuple does, so a shared NaN compares
+        # equal; repr also tells -0.0 from 0.0
+        assert astuple(got) == astuple(want), index
+        assert repr(got) == repr(want), index
+        outcomes["report"] += 1
+        outcomes["excluded"] += got.replications_excluded > 0
+    assert outcomes["report"] >= 60, outcomes
+    assert outcomes["excluded"] >= 5 and outcomes["all_excluded"] >= 1, outcomes
 
 
 # --- feasibility gate ---

@@ -132,6 +132,26 @@ def test_threshold_centralized_is_sqrt_half():
     assert value == joint_priority_threshold(1, Setting.DECENTRALIZED)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alpha: joint_priority_threshold(alpha, Setting.DECENTRALIZED),
+        lambda alpha: joint_priority_threshold(alpha, Setting.CENTRALIZED),
+        lambda alpha: plan_t1_closed_form(alpha, 2.0, model(0.5)),
+    ],
+    ids=["threshold_decentralized", "threshold_centralized", "closed_form"],
+)
+def test_direct_calls_reject_alpha_like_budget(call, alpha):
+    # the same rule and message as ResourceBudget, which the CLI goes through
+    message = f"alpha must be finite and >= 0, got {alpha}"
+    with pytest.raises(InvalidScenario, match=message) as budget:
+        ResourceBudget(alpha, 2.0)
+    with pytest.raises(InvalidScenario) as direct:
+        call(alpha)
+    assert str(direct.value) == str(budget.value)
+
+
 # --- closed-form planner ---
 
 
