@@ -112,15 +112,18 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise _ConfigError(f"missing required flag(s): {flags}")
 
 
-def _build_model(args: argparse.Namespace) -> ObservationModel:
-    _require(args, "rho")
+def _build_model(args: argparse.Namespace, rho: float | None = None) -> ObservationModel:
+    """The model of the flags; figure presets pass the ``rho`` they sweep."""
+    if rho is None:
+        _require(args, "rho")
+        rho = args.rho
     return validate(
         {
             "mu_x": args.mu_x if args.mu_x is not None else 0.0,
             "mu_y": args.mu_y if args.mu_y is not None else 0.0,
             "var_x": args.var_x if args.var_x is not None else 1.0,
             "var_y": args.var_y if args.var_y is not None else 1.0,
-            "rho": args.rho,
+            "rho": rho,
         }
     )
 
@@ -439,16 +442,6 @@ def _plan_row(scenario, model, result) -> dict:
     }
 
 
-def _model_with_rho(args, rho: float) -> ObservationModel:
-    return ObservationModel(
-        args.mu_x if args.mu_x is not None else 0.0,
-        args.mu_y if args.mu_y is not None else 0.0,
-        args.var_x if args.var_x is not None else 1.0,
-        args.var_y if args.var_y is not None else 1.0,
-        rho,
-    )
-
-
 def _fig1a(args):
     """Decentralized prioritization boundary: critical |rho| versus alpha."""
     rows = [
@@ -466,7 +459,7 @@ def _fig1b(args):
     alpha = args.alpha if args.alpha is not None else 2.0
     rho = args.rho if args.rho is not None else 0.5
     moderate = args.e1 if args.e1 is not None else 2.0
-    model = _model_with_rho(args, rho)
+    model = _build_model(args, rho)
     rows = []
     for e1 in (math.inf, moderate, 0.8):
         scenario = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(alpha, e1))
@@ -488,7 +481,7 @@ def _fig1c(args):
     ]
     rows = []
     for regime, rho in regimes:
-        model = _model_with_rho(args, rho)
+        model = _build_model(args, rho)
         for e1 in _frange(alpha + 1.5, 0.05):
             result = plan_t1_closed_form(alpha, e1, model)
             rows.append(
@@ -509,7 +502,7 @@ def _fig2a(args):
     alpha = args.alpha if args.alpha is not None else 2.0
     rho = args.rho if args.rho is not None else 0.5
     constrained = args.e1 if args.e1 is not None else 2.0
-    model = _model_with_rho(args, rho)
+    model = _build_model(args, rho)
     rows = []
     for e1 in (math.inf, constrained):
         scenario = Scenario(
@@ -527,7 +520,7 @@ def _fig2bc(args, e1_default: float):
     e1 = args.e1 if args.e1 is not None else e1_default
     rows = []
     for rho in (0.5, 0.8):  # below / above the centralized threshold sqrt(1/2)
-        model = _model_with_rho(args, rho)
+        model = _build_model(args, rho)
         for e2 in _frange(4.5, 0.05):
             scenario = Scenario(
                 Task.T1, Setting.CENTRALIZED, ResourceBudget(alpha, e1, e2)
@@ -564,7 +557,7 @@ def _fig3(args):
     rho = args.rho if args.rho is not None else 0.8
     e1 = args.e1 if args.e1 is not None else 2.0
     e2 = args.e2 if args.e2 is not None else 2.0
-    model = _model_with_rho(args, rho)
+    model = _build_model(args, rho)
     rows = []
     for budget in (ResourceBudget(alpha, math.inf, math.inf), ResourceBudget(alpha, e1, e2)):
         scenario = Scenario(Task.T3, Setting.CENTRALIZED, budget, Target.MU_X)
@@ -579,7 +572,7 @@ def _fig4a(args):
     e2 = args.e2 if args.e2 is not None else 2.0
     rows = []
     for rho in (0.5, 0.7, 0.9):
-        model = _model_with_rho(args, rho)
+        model = _build_model(args, rho)
         scenario = Scenario(
             Task.T3, Setting.CENTRALIZED, ResourceBudget(alpha, e1, e2), Target.MU_X
         )
@@ -594,7 +587,7 @@ def _fig4b(args):
     e2 = args.e2 if args.e2 is not None else 2.0
     rows = []
     for rho in _frange(0.95, 0.01):
-        model = _model_with_rho(args, rho)
+        model = _build_model(args, rho)
         scenario = Scenario(
             Task.T3, Setting.CENTRALIZED, ResourceBudget(alpha, e1, e2), Target.MU_X
         )
@@ -607,7 +600,7 @@ def _fig4c(args):
     """Relaxed budgets: bound versus symmetric marginal share."""
     alpha = args.alpha if args.alpha is not None else 2.0
     rho = args.rho if args.rho is not None else 0.8
-    model = _model_with_rho(args, rho)
+    model = _build_model(args, rho)
     rows = []
     for e in (2.0, args.e1 if args.e1 is not None else 4.0):
         scenario = Scenario(

@@ -135,9 +135,6 @@ class Matrix2:
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         return abs(self.a12 - self.a21) <= tol
 
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2.from_array(self.as_array() @ other.as_array())
-
 
 def info_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     """Per-slot Fisher information about the Y mean (task t1).

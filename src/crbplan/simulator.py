@@ -21,11 +21,13 @@ exactly, which is what :func:`audit_resources` verifies empirically.
 
 All randomness is derived per replication from (master seed, replication
 index), so reports are bit-identical across runs and across any partitioning
-of replications over workers.  ``_draw_replication`` alone fixes the order of
-a replication's draws.  :func:`run` takes each stratum straight from it, with
-no slot arrays and no :func:`collect_replication`; :func:`replay_slots`
-scatters the same draws back to their slots, so :func:`write_trace` shows
-exactly the data :func:`run` consumed.
+of replications over workers.  :func:`run` seeds its streams in one
+vectorized pass, equal to :func:`replication_rng`'s bit for bit.
+``_draw_replication`` alone fixes the order of a replication's draws.
+:func:`run` takes each stratum straight from it, with no slot arrays and no
+:func:`collect_replication`; :func:`replay_slots` scatters the same draws
+back to their slots, so :func:`write_trace` shows exactly the data
+:func:`run` consumed.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ from .model import (
     Observation,
     ObservationKind,
     ObservationModel,
+    _replication_rngs,
+    joint_from_normals,
+    marginal_from_normals,
     replication_rng,
-    sample_joint,
-    sample_marginal,
 )
 from .strategy import Scenario, Setting, constraints_for
 
@@ -226,16 +229,21 @@ def _slot_edges(policy: SamplingPolicy) -> np.ndarray:
 def _draw_replication(model: ObservationModel, edges: np.ndarray, slots: int, rng):
     """The draw order of one replication, the only place that defines it.
 
-    Draws the slot uniforms, then the X marginals, the Y marginals and the
-    joint pairs, each stratum into its own array.  Returns ``(kinds, counts,
-    marginal_x, marginal_y, joint_x, joint_y)``: per-slot kind codes
-    indexing :data:`_KIND_CODES` and the per-kind slot counts.
+    Draws the slot uniforms, then one block of standard normals: the X
+    marginals, the Y marginals, the joint pairs' z1 and their z2, the same
+    stream as :func:`sample_marginal` twice and :func:`sample_joint` would
+    draw.  Returns ``(kinds, counts, marginal_x, marginal_y, joint_x,
+    joint_y)``: per-slot kind codes indexing :data:`_KIND_CODES`, the
+    per-kind slot counts and each stratum in its own array.
     """
     kinds = edges.searchsorted(rng.random(slots), "right")
     counts = np.bincount(kinds, minlength=4).tolist()
-    marginal_x = sample_marginal(model, Axis.X, rng, size=counts[0])
-    marginal_y = sample_marginal(model, Axis.Y, rng, size=counts[1])
-    joint_x, joint_y = sample_joint(model, rng, size=counts[2])
+    n_x, n_y, n_joint = counts[:3]
+    z = rng.standard_normal(n_x + n_y + 2 * n_joint)
+    marginal_x = marginal_from_normals(model, Axis.X, z[:n_x])
+    marginal_y = marginal_from_normals(model, Axis.Y, z[n_x : n_x + n_y])
+    z1 = z[n_x + n_y : n_x + n_y + n_joint]
+    joint_x, joint_y = joint_from_normals(model, z1, z[n_x + n_y + n_joint :])
     return kinds, counts, marginal_x, marginal_y, joint_x, joint_y
 
 
@@ -340,6 +348,9 @@ def run(config: SimulationConfig) -> SimulationReport:
     Each replication is one pass: ``_draw_replication`` draws every stratum
     into its own array and the estimator's formula reads those arrays, with
     no slot arrays, :class:`CollectedData` or :class:`Estimate` in between.
+    The replications' generators come from ``_replication_rngs``, which
+    seeds them in vectorized blocks with the streams of
+    :func:`replication_rng`.
 
     Raises:
         InfeasiblePolicy: the policy violates the scenario's constraints.
@@ -355,8 +366,7 @@ def run(config: SimulationConfig) -> SimulationReport:
     counted = [0, 0, 0, 0]
     estimates = []
     excluded = 0
-    for rep in range(config.replications):
-        rng = replication_rng(config.master_seed, rep)
+    for rng in _replication_rngs(config.master_seed, 0, config.replications):
         _, counts, *strata = _draw_replication(config.model, edges, config.slots, rng)
         counted = [total + n for total, n in zip(counted, counts)]
         try:

@@ -36,13 +36,13 @@ from crbplan import (
     plan_linear,
     plan_t1_closed_form,
     plan_t3,
-    replication_rng,
     run,
     sample_mean_estimates,
     validate,
     var_delta1,
 )
 from crbplan.cli import main as cli_main
+from crbplan.model import _replication_rngs
 
 
 @contextmanager
@@ -190,8 +190,8 @@ def test_criterion_4_unbiasedness():
                 m = model(rho, mu_x=mu_x, mu_y=1.0)
                 seed = int(1000 * mu_x + 100 * rho) + 5
                 values = {"delta1": [], "delta2": [], "mean_x": [], "mean_y": []}
-                for rep in range(reps):
-                    rng = replication_rng(seed, rep)
+                # the streams of replication_rng(seed, rep), seeded in blocks
+                for rng in _replication_rngs(seed, 0, reps):
                     data, _ = collect_replication(m, policy, slots, rng)
                     values["delta1"].append(delta1(data, m).value)
                     values["delta2"].append(delta2(data, m).value)

@@ -222,6 +222,20 @@ def test_simulate_fresh_seed_printed(capsys):
     assert int(seed_lines[0].split("=")[1]) >= 0
 
 
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code = run_cli(*SIM_ARGS[:-1], "-1", "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == (
+        "policy from planner: p_x=0 p_y=0.5 p_xy=0.5 crb=0.857142857 "
+        "method=closed_form tie=false\n"
+        "seed=-1\n"
+    )
+    assert captured.err == "error: expected non-negative integer\n"
+    assert not out.exists()
+
+
 def test_simulate_planner_policy_passes_audit(capsys):
     # no policy flags: the planner's policy is used and must audit clean
     code = run_cli(*SIM_ARGS)

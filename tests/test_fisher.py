@@ -207,7 +207,7 @@ def test_invert_product_is_identity():
     for _ in range(100):
         a = rng.uniform(-2, 2, size=(2, 2))
         m = Matrix2.from_array(a @ a.T + 0.1 * np.eye(2))  # PD, well conditioned
-        product = (m @ invert_2x2(m)).as_array()
+        product = m.as_array() @ invert_2x2(m).as_array()
         np.testing.assert_allclose(product, np.eye(2), atol=1e-10)
 
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -192,6 +192,10 @@ def _identity_configs(count=84):
         configs.append(SimulationConfig(
             scenario, m, SamplingPolicy(*p), estimator, slots, 20, int(rng.integers(2**32))
         ))
+    # master seeds of two, three and four SeedSequence words; the CLI's
+    # fresh seeds are 63-bit
+    for index, seed in zip((3, 10, 17, 29), (2**40 + 3, 2**63 - 25, 2**64 + 7, 2**100 + 5)):
+        configs.append(replace(configs[index], master_seed=seed))
     # every replication lacks stand-alone Y observations
     configs.append(t1_config(SamplingPolicy(0, 0.0, 0.6), slots=37, reps=9, seed=3,
                              estimator=EstimatorKind.DELTA1))
@@ -217,6 +221,14 @@ def test_run_matches_slot_level_reference_exactly():
         outcomes["excluded"] += got.replications_excluded > 0
     assert outcomes["report"] >= 60, outcomes
     assert outcomes["excluded"] >= 5 and outcomes["all_excluded"] >= 1, outcomes
+
+
+def test_run_rejects_negative_seed_like_seed_sequence():
+    cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=10, reps=3, seed=-1)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.SeedSequence((-1, 0))
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        run(cfg)
 
 
 # --- feasibility gate ---
