@@ -39,6 +39,7 @@ from .fisher import (
     SamplingPolicy,
     Target,
     Task,
+    crb,
     crb_t1,
     crb_t3,
     empirical_fim,
@@ -60,7 +61,6 @@ from .model import (
     validate,
 )
 from .simulator import (
-    Actor,
     AuditResult,
     ResourceLedger,
     SimulationConfig,
@@ -72,6 +72,7 @@ from .simulator import (
     write_trace,
 )
 from .strategy import (
+    Actor,
     Constraint,
     LinearConstraintSet,
     Method,

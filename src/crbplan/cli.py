@@ -6,7 +6,7 @@ also be supplied through a JSON config file (``--config``); explicit flags
 win over file values.
 
 Exit codes: 0 success, 2 invalid configuration or malformed input, 3 the
-requested bound is degenerate (infinite everywhere).
+requested bound is degenerate (infinite everywhere, e.g. a zero budget).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from . import simulator, strategy
 from .errors import CrbPlanError, SingularEverywhere
 from .estimators import EstimatorKind
-from .fisher import SamplingPolicy, Target, Task, crb_t1, crb_t3
+from .fisher import SamplingPolicy, Target, Task, crb
 from .model import ObservationModel, validate
 from .simulator import SimulationConfig, audit_resources, default_estimator
 from .strategy import (
@@ -251,15 +251,6 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
     return values
 
 
-def _crb_at(scenario: Scenario, model: ObservationModel, policy: SamplingPolicy) -> float:
-    try:
-        if scenario.task is Task.T3:
-            return crb_t3(policy, model, scenario.target)
-        return crb_t1(policy, model)
-    except CrbPlanError:
-        return math.inf
-
-
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.sweep not in _SWEEPABLE:
         raise _ConfigError(f"--sweep must be one of {_SWEEPABLE}")
@@ -268,15 +259,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     values = _sweep_values(args)
 
     rows = []
-    if args.sweep in _DEPENDENT:
-        dependent = _DEPENDENT[args.sweep]
-        cons = constraints_for(scenario)
+    scen, m, cons = scenario, model, constraints_for(scenario)
+    dependent = _DEPENDENT.get(args.sweep)
+    if dependent is None:
+        policy = _policy_from_args(args) or SamplingPolicy()
+    else:
         fixed_all = {
             name: getattr(args, name) or 0.0
             for name in ("p_x", "p_y", "p_xy")
             if name not in (args.sweep, dependent)
         }
-        for v in values:
+    for v in values:
+        if dependent is not None:
             fixed = dict(fixed_all)
             fixed[args.sweep] = v
             fixed[dependent] = derive_dependent(cons, fixed, dependent)
@@ -287,41 +281,29 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     {"sweep_var": args.sweep, "value": v, "crb": math.inf, "feasible": False}
                 )
                 continue
-            rows.append(
-                {
-                    "sweep_var": args.sweep,
-                    "value": v,
-                    "crb": _crb_at(scenario, model, policy),
-                    "feasible": cons.is_feasible(policy),
-                }
-            )
-    else:
-        policy = _policy_from_args(args) or SamplingPolicy()
-        for v in values:
-            if args.sweep == "rho":
-                try:
-                    m = ObservationModel(model.mu_x, model.mu_y, model.var_x, model.var_y, v)
-                except CrbPlanError as exc:
-                    raise _ConfigError(f"rho sweep leaves the valid range: {exc}") from exc
-                scen = scenario
+        elif args.sweep == "rho":
+            try:
+                m = ObservationModel(model.mu_x, model.mu_y, model.var_x, model.var_y, v)
+            except CrbPlanError as exc:
+                raise _ConfigError(f"rho sweep leaves the valid range: {exc}") from exc
+        else:
+            budget = scenario.budget
+            if args.sweep == "e1":
+                budget = ResourceBudget(budget.alpha, v, budget.e2)
             else:
-                m = model
-                budget = scenario.budget
-                if args.sweep == "e1":
-                    budget = ResourceBudget(budget.alpha, v, budget.e2)
-                else:
-                    if scenario.setting is not Setting.CENTRALIZED:
-                        raise _ConfigError("e2 sweeps require --setting centralized")
-                    budget = ResourceBudget(budget.alpha, budget.e1, v)
-                scen = Scenario(scenario.task, scenario.setting, budget, scenario.target)
-            rows.append(
-                {
-                    "sweep_var": args.sweep,
-                    "value": v,
-                    "crb": _crb_at(scen, m, policy),
-                    "feasible": constraints_for(scen).is_feasible(policy),
-                }
-            )
+                if scenario.setting is not Setting.CENTRALIZED:
+                    raise _ConfigError("e2 sweeps require --setting centralized")
+                budget = ResourceBudget(budget.alpha, budget.e1, v)
+            scen = Scenario(scenario.task, scenario.setting, budget, scenario.target)
+            cons = constraints_for(scen)
+        rows.append(
+            {
+                "sweep_var": args.sweep,
+                "value": v,
+                "crb": crb(scen.task, scen.target, policy, m),
+                "feasible": cons.is_feasible(policy),
+            }
+        )
 
     _write_rows(["sweep_var", "value", "crb", "feasible"], rows, args.format or "csv", args.out)
     return 0
@@ -350,8 +332,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:
         seed = secrets.randbits(63)
-    print(f"seed={seed}")
-
     config = SimulationConfig(
         scenario=scenario,
         model=model,
@@ -361,6 +341,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         replications=args.reps if args.reps is not None else 2000,
         master_seed=seed,
     )
+    print(f"seed={seed}")
     report = simulator.run(config)
     if args.trace:
         simulator.write_trace(config, args.trace)
@@ -415,7 +396,7 @@ def _frange(stop: float, step: float, start: float = 0.0) -> list[float]:
     return [start + i * step for i in range(count + 1)]
 
 
-def _eval_row(scenario, model, p_x, p_y, p_xy) -> dict:
+def _eval_row(scenario, cons, model, p_x, p_y, p_xy) -> dict:
     policy = SamplingPolicy(p_x, p_y, p_xy)
     return {
         "rho": model.rho,
@@ -424,8 +405,8 @@ def _eval_row(scenario, model, p_x, p_y, p_xy) -> dict:
         "p_x": p_x,
         "p_y": p_y,
         "p_xy": p_xy,
-        "crb": _crb_at(scenario, model, policy),
-        "feasible": constraints_for(scenario).is_feasible(policy),
+        "crb": crb(scenario.task, scenario.target, policy, model),
+        "feasible": cons.is_feasible(policy),
     }
 
 
@@ -466,7 +447,7 @@ def _fig1b(args):
         cons = constraints_for(scenario)
         for p_y in _frange(1.0, 0.01):
             p_xy = derive_dependent(cons, {"p_x": 0.0, "p_y": p_y}, "p_xy")
-            rows.append(_eval_row(scenario, model, 0.0, p_y, p_xy))
+            rows.append(_eval_row(scenario, cons, model, 0.0, p_y, p_xy))
     return _EVAL_COLUMNS, rows
 
 
@@ -511,7 +492,7 @@ def _fig2a(args):
         cons = constraints_for(scenario)
         for p_x in _frange(1.0, 0.01):
             p_xy = derive_dependent(cons, {"p_x": p_x, "p_y": 0.0}, "p_xy")
-            rows.append(_eval_row(scenario, model, p_x, 0.0, p_xy))
+            rows.append(_eval_row(scenario, cons, model, p_x, 0.0, p_xy))
     return _EVAL_COLUMNS, rows
 
 
@@ -547,7 +528,7 @@ def _symmetric_t3_rows(scenario, model):
     rows = []
     for p_x in _frange(0.5, 0.005):
         p_xy = derive_dependent(cons, {"p_x": p_x, "p_y": p_x}, "p_xy")
-        rows.append(_eval_row(scenario, model, p_x, p_x, p_xy))
+        rows.append(_eval_row(scenario, cons, model, p_x, p_x, p_xy))
     return rows
 
 

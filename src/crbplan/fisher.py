@@ -176,16 +176,23 @@ def fim_t2(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
     )
 
 
-def fim_t3(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
-    """Information matrix for (mu_x, mu_y) when both means are unknown (t3).
+def fim_t3_entries(p_x, p_y, p_xy, model: ObservationModel):
+    """The t3 information entries ``(i11, i22, cross)`` at (p_x, p_y, p_xy).
 
     Joint slots couple the two means through the correlation; marginal slots
-    feed only their own diagonal entry.
+    feed only their own diagonal entry.  Plain operators only, so the same
+    expressions serve floats and numpy arrays, bit for bit.
     """
     shrink = 1.0 - model.rho * model.rho
-    i11 = policy.p_x / model.var_x + policy.p_xy / (shrink * model.var_x)
-    i22 = policy.p_y / model.var_y + policy.p_xy / (shrink * model.var_y)
-    cross = -model.rho * policy.p_xy / (shrink * model.sigma_x * model.sigma_y)
+    i11 = p_x / model.var_x + p_xy / (shrink * model.var_x)
+    i22 = p_y / model.var_y + p_xy / (shrink * model.var_y)
+    cross = -model.rho * p_xy / (shrink * model.sigma_x * model.sigma_y)
+    return i11, i22, cross
+
+
+def fim_t3(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
+    """Information matrix for (mu_x, mu_y) when both means are unknown (t3)."""
+    i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model)
     return Matrix2(i11, cross, cross, i22)
 
 
@@ -220,6 +227,21 @@ def crb_t3(policy: SamplingPolicy, model: ObservationModel, target: Target) -> f
         )
     inv = invert_2x2(fim)
     return inv.a11 if target is Target.MU_X else inv.a22
+
+
+def crb(task: Task, target: Target, policy: SamplingPolicy, model: ObservationModel) -> float:
+    """The task's per-slot bound on ``target`` at ``policy``; inf where none exists.
+
+    Tasks t1 and t2 bound the Y mean (:func:`crb_t1`, ``target`` unused) and
+    t3 the target mean (:func:`crb_t3`); where those raise because the policy
+    carries no information about the mean, this returns ``math.inf``.
+    """
+    try:
+        if task is Task.T3:
+            return crb_t3(policy, model, target)
+        return crb_t1(policy, model)
+    except (DegeneratePolicy, SingularMatrix):
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,10 @@
 
 Each slot independently draws its type from the policy (marginal-X,
 marginal-Y, joint, or idle); observations are generated from the model and
-costs are charged according to the scenario:
-
-* Decentralized, one unknown mean (learner at the Y sensor): a marginal-Y
-  slot costs the Y sensor 1 observation unit; a joint slot costs the Y
-  sensor 1 + alpha (observe, receive X's sample) and the X sensor 1 + alpha
-  (observe, transmit).
-* Decentralized, two unknown means: each sensor pays 1 + 2 alpha on a joint
-  slot (observe, transmit its own sample, receive the other's) and 1 for
-  its own marginal slot.
-* Centralized: every observing sensor pays 1 + alpha per observation it
-  makes (observe, forward to the data center); the data center pays alpha
-  per sample received, hence 2 alpha on joint slots.
-
-Idle slots cost nothing and contribute no data.  Expected per-slot cost per
-actor then reproduces the scenario's budget constraint left-hand side
-exactly, which is what :func:`audit_resources` verifies empirically.
+each actor is charged per slot from :func:`crbplan.strategy.slot_costs`,
+which reads the same cost table as the scenario's budget rows.  Expected
+per-slot cost per actor therefore equals each budget row's left-hand side,
+which is what :func:`audit_resources` verifies empirically.
 
 All randomness is derived per replication from (master seed, replication
 index), so reports are bit-identical across runs and across any partitioning
@@ -34,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import DegeneratePolicy, InfeasiblePolicy, MissingStratum, SingularMatrix
+from .errors import InfeasiblePolicy, MissingStratum
 from .estimators import (
     CollectedData,
     EstimatorKind,
@@ -47,7 +34,7 @@ from .estimators import (
     pooled_mean,
     var_delta1,
 )
-from .fisher import SamplingPolicy, Target, Task, crb_t1, crb_t3
+from .fisher import SamplingPolicy, Target, Task, crb
 from .model import (
     GENERATOR_NAME,
     Axis,
@@ -59,61 +46,14 @@ from .model import (
     marginal_from_normals,
     replication_rng,
 )
-from .strategy import Scenario, Setting, constraints_for
-
-
-class Actor(Enum):
-    SENSOR_X = "sensor_x"
-    SENSOR_Y = "sensor_y"
-    DATA_CENTER = "data_center"
-
-
-@dataclass(frozen=True)
-class CostShare:
-    """One actor's spending in a single slot, split by activity."""
-
-    observation: float = 0.0
-    transmit: float = 0.0
-    receive: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.observation + self.transmit + self.receive
-
-
-_NO_COST = CostShare()
-
-
-def slot_costs(scenario: Scenario) -> dict[ObservationKind, dict[Actor, CostShare]]:
-    """Per-slot cost table: what each actor pays for each slot type."""
-    alpha = scenario.budget.alpha
-    table: dict[ObservationKind, dict[Actor, CostShare]] = {
-        kind: {} for kind in ObservationKind
-    }
-    if scenario.setting is Setting.DECENTRALIZED:
-        if scenario.task in (Task.T1, Task.T2):
-            # Learner sits at the Y sensor; joint slots ship the X sample over.
-            table[ObservationKind.MARGINAL_Y][Actor.SENSOR_Y] = CostShare(1.0)
-            table[ObservationKind.JOINT][Actor.SENSOR_Y] = CostShare(1.0, 0.0, alpha)
-            table[ObservationKind.JOINT][Actor.SENSOR_X] = CostShare(1.0, alpha, 0.0)
-            # Unreachable under planner policies (p_x = 0); charged as if the
-            # stand-alone X sample were still forwarded to the learner.
-            table[ObservationKind.MARGINAL_X][Actor.SENSOR_X] = CostShare(1.0, alpha, 0.0)
-            table[ObservationKind.MARGINAL_X][Actor.SENSOR_Y] = CostShare(0.0, 0.0, alpha)
-        else:
-            table[ObservationKind.MARGINAL_X][Actor.SENSOR_X] = CostShare(1.0)
-            table[ObservationKind.MARGINAL_Y][Actor.SENSOR_Y] = CostShare(1.0)
-            table[ObservationKind.JOINT][Actor.SENSOR_X] = CostShare(1.0, alpha, alpha)
-            table[ObservationKind.JOINT][Actor.SENSOR_Y] = CostShare(1.0, alpha, alpha)
-    else:
-        table[ObservationKind.MARGINAL_X][Actor.SENSOR_X] = CostShare(1.0, alpha, 0.0)
-        table[ObservationKind.MARGINAL_X][Actor.DATA_CENTER] = CostShare(0.0, 0.0, alpha)
-        table[ObservationKind.MARGINAL_Y][Actor.SENSOR_Y] = CostShare(1.0, alpha, 0.0)
-        table[ObservationKind.MARGINAL_Y][Actor.DATA_CENTER] = CostShare(0.0, 0.0, alpha)
-        table[ObservationKind.JOINT][Actor.SENSOR_X] = CostShare(1.0, alpha, 0.0)
-        table[ObservationKind.JOINT][Actor.SENSOR_Y] = CostShare(1.0, alpha, 0.0)
-        table[ObservationKind.JOINT][Actor.DATA_CENTER] = CostShare(0.0, 0.0, 2.0 * alpha)
-    return table
+from .strategy import (
+    Actor,
+    CostShare,
+    Scenario,
+    Setting,
+    constraints_for,
+    slot_costs,
+)
 
 
 @dataclass(frozen=True)
@@ -170,6 +110,8 @@ class SimulationConfig:
             raise ValueError("slots must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -309,16 +251,6 @@ def default_estimator(scenario: Scenario, policy: SamplingPolicy) -> EstimatorKi
     return EstimatorKind.SAMPLE_MEAN
 
 
-def _analytic_crb(config: SimulationConfig) -> float:
-    try:
-        if config.scenario.task is Task.T3:
-            return crb_t3(config.policy, config.model, config.scenario.target)
-        return crb_t1(config.policy, config.model)
-    except (SingularMatrix, DegeneratePolicy):
-        # No finite bound exists for this policy/target combination.
-        return math.inf
-
-
 def _analytic_estimator_variance(config: SimulationConfig) -> float | None:
     policy, model = config.policy, config.model
     if config.estimator is EstimatorKind.DELTA1:
@@ -392,7 +324,7 @@ def run(config: SimulationConfig) -> SimulationReport:
     for actor in Actor:
         obs = tx = rx = 0.0
         for kind in ObservationKind:
-            share = table[kind].get(actor, _NO_COST)
+            share = table[kind][actor]
             n = totals[kind.value]
             obs += n * share.observation
             tx += n * share.transmit
@@ -407,7 +339,9 @@ def run(config: SimulationConfig) -> SimulationReport:
     return SimulationReport(
         mean_estimate=mean_estimate,
         empirical_variance_per_slot=variance_per_slot,
-        analytic_crb=_analytic_crb(config),
+        analytic_crb=crb(
+            config.scenario.task, config.scenario.target, config.policy, config.model
+        ),
         analytic_estimator_variance=_analytic_estimator_variance(config),
         ledger=ledger,
         slot_counts=totals,
@@ -463,7 +397,7 @@ def audit_resources(report: SimulationReport, scenario: Scenario) -> AuditResult
     checks = []
     for actor, budget in actors:
         kind_cost = {
-            kind: table[kind].get(actor, _NO_COST).total for kind in ObservationKind
+            kind: table[kind][actor].total for kind in ObservationKind
         }
         mean_cost = report.ledger.for_actor(actor).total
         second_moment = sum(freqs[k] * kind_cost[k] ** 2 for k in ObservationKind)
@@ -513,7 +447,7 @@ def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
             slot=slot,
         )
         costs = [
-            table[kind].get(actor, _NO_COST).total
+            table[kind][actor].total
             for actor in (Actor.SENSOR_X, Actor.SENSOR_Y, Actor.DATA_CENTER)
         ]
         lines.append(

@@ -2,8 +2,10 @@
 
 Each scenario induces a small linear constraint set over the slot-type
 probabilities (p_x, p_y, p_xy): the simplex, nonnegativity, per-sensor
-budgets, and (centralized only) a data-center budget.  Observation cost is 1
-unit; each transmission or reception costs ``alpha`` units.
+budgets, and (centralized only) a data-center budget.  :data:`COST_TABLE` is
+the one cost model: each budget row and the simulator's ledger derive from
+it.  An observation costs 1 unit; each transmission or reception costs
+``alpha`` units.
 
 Three solvers cover the three objective shapes:
 
@@ -37,10 +39,11 @@ from .fisher import (
     SamplingPolicy,
     Target,
     Task,
-    crb_t1,
+    crb,
     crb_t3,
+    fim_t3_entries,
 )
-from .model import ObservationModel
+from .model import ObservationKind, ObservationModel
 
 FEASIBILITY_TOL = 1e-9
 _TIE_REL = 1e-9
@@ -139,6 +142,85 @@ class LinearConstraintSet:
         return mask
 
 
+class Actor(Enum):
+    SENSOR_X = "sensor_x"
+    SENSOR_Y = "sensor_y"
+    DATA_CENTER = "data_center"
+
+
+@dataclass(frozen=True)
+class CostShare:
+    """One actor's spending in a single slot, split by activity."""
+
+    observation: float = 0.0
+    transmit: float = 0.0
+    receive: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return self.observation + self.transmit + self.receive
+
+
+_FREE = (0.0, 0.0, 0.0)
+
+#: The cost model, the only place it is written: per setting family, each
+#: charged actor's (observations, transmissions, receptions) in one
+#: marginal-X, one marginal-Y and one joint slot.  Idle slots cost nothing.
+COST_TABLE = {
+    # The learner sits at S_y; a joint slot ships the X sample over to it.
+    "decentralized_one_mean": {
+        Actor.SENSOR_X: ((1.0, 0.0, 0.0), _FREE, (1.0, 1.0, 0.0)),
+        Actor.SENSOR_Y: (_FREE, (1.0, 0.0, 0.0), (1.0, 0.0, 1.0)),
+    },
+    # Both sensors learn; a joint slot exchanges the samples both ways.
+    "decentralized_two_means": {
+        Actor.SENSOR_X: ((1.0, 0.0, 0.0), _FREE, (1.0, 1.0, 1.0)),
+        Actor.SENSOR_Y: (_FREE, (1.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+    },
+    # Sensors forward every sample to the data center.
+    "centralized": {
+        Actor.SENSOR_X: ((1.0, 1.0, 0.0), _FREE, (1.0, 1.0, 0.0)),
+        Actor.SENSOR_Y: (_FREE, (1.0, 1.0, 0.0), (1.0, 1.0, 0.0)),
+        Actor.DATA_CENTER: ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 2.0)),
+    },
+}
+_BUDGET_ROWS = {
+    Actor.SENSOR_X: ("sensor_x_budget", "e1"),
+    Actor.SENSOR_Y: ("sensor_y_budget", "e1"),
+    Actor.DATA_CENTER: ("dc_budget", "e2"),
+}
+_PAID_KINDS = (ObservationKind.MARGINAL_X, ObservationKind.MARGINAL_Y, ObservationKind.JOINT)
+_ACTORS = tuple(Actor)  # iterating a tuple is several times faster than the Enum
+
+#: Each family's budget rows as (name, budget field, per-kind (observations,
+#: communications)), so that a row costs three multiply-adds to price.
+_ROW_TERMS = {
+    family: tuple(
+        (*_BUDGET_ROWS[actor], tuple((obs, tx + rx) for obs, tx, rx in counts))
+        for actor, counts in costs.items()
+    )
+    for family, costs in COST_TABLE.items()
+}
+
+
+def _family(scenario: Scenario) -> str:
+    if scenario.setting is Setting.CENTRALIZED:
+        return "centralized"
+    return "decentralized_two_means" if scenario.task is Task.T3 else "decentralized_one_mean"
+
+
+def slot_costs(scenario: Scenario) -> dict[ObservationKind, dict[Actor, CostShare]]:
+    """The ledger's view of :data:`COST_TABLE`: every actor's
+    :class:`CostShare` per slot kind, communication priced at ``alpha``."""
+    alpha = scenario.budget.alpha
+    free = CostShare()
+    table = {kind: dict.fromkeys(_ACTORS, free) for kind in ObservationKind}
+    for actor, counts in COST_TABLE[_family(scenario)].items():
+        for kind, (obs, tx, rx) in zip(_PAID_KINDS, counts):
+            table[kind][actor] = CostShare(obs, alpha * tx, alpha * rx)
+    return table
+
+
 _BASE_ROWS = (
     Constraint("nonneg_p_x", (-1.0, 0.0, 0.0), 0.0),
     Constraint("nonneg_p_y", (0.0, -1.0, 0.0), 0.0),
@@ -150,44 +232,21 @@ _BASE_ROWS = (
 def constraints_for(scenario: Scenario) -> LinearConstraintSet:
     """The scenario's full constraint system.
 
-    Decentralized, one unknown mean (t1/t2): each sensor pays for its own
-    observations, and a joint observation additionally ships the X sample to
-    the learner at the Y sensor, so ``p_z + (alpha + 1) p_xy <= e1``.
-    Marginal-X slots add no information about the Y mean, so ``p_x = 0`` is
-    pinned.
-
-    Decentralized, two unknown means (t3): joint observations are exchanged
-    in both directions, costing each sensor ``1 + 2 alpha`` per joint slot:
-    ``p_z + (2 alpha + 1) p_xy <= e1``.
-
-    Centralized (all tasks): sensors forward every sample to the data
-    center, ``(alpha + 1)(p_z + p_xy) <= e1``, and the data center pays per
-    reception, ``alpha (p_x + p_y + 2 p_xy) <= e2``.
+    Nonnegativity and the simplex, then one budget row per actor that
+    :data:`COST_TABLE` charges: ``sum_kind (obs + alpha (tx + rx)) p_kind``
+    is at most ``e1`` for a sensor and ``e2`` for the data center.  In the
+    decentralized one-mean tasks (t1/t2) marginal-X slots add no
+    information about the Y mean, so ``p_x = 0`` is pinned as well.
     """
-    alpha = scenario.budget.alpha
-    e1 = scenario.budget.e1
+    budget = scenario.budget
+    alpha = budget.alpha
+    family = _family(scenario)
     rows = list(_BASE_ROWS)
-    if scenario.setting is Setting.DECENTRALIZED:
-        if scenario.task in (Task.T1, Task.T2):
-            rows.append(Constraint("sensor_x_budget", (1.0, 0.0, alpha + 1.0), e1))
-            rows.append(Constraint("sensor_y_budget", (0.0, 1.0, alpha + 1.0), e1))
-            rows.append(Constraint("no_marginal_x", (1.0, 0.0, 0.0), 0.0))
-        else:
-            rows.append(
-                Constraint("sensor_x_budget", (1.0, 0.0, 2.0 * alpha + 1.0), e1)
-            )
-            rows.append(
-                Constraint("sensor_y_budget", (0.0, 1.0, 2.0 * alpha + 1.0), e1)
-            )
-    else:
-        e2 = scenario.budget.e2
-        rows.append(
-            Constraint("sensor_x_budget", (alpha + 1.0, 0.0, alpha + 1.0), e1)
-        )
-        rows.append(
-            Constraint("sensor_y_budget", (0.0, alpha + 1.0, alpha + 1.0), e1)
-        )
-        rows.append(Constraint("dc_budget", (alpha, alpha, 2.0 * alpha), e2))
+    for name, field, ((ox, cx), (oy, cy), (oj, cj)) in _ROW_TERMS[family]:
+        coeffs = (ox + alpha * cx, oy + alpha * cy, oj + alpha * cj)
+        rows.append(Constraint(name, coeffs, getattr(budget, field)))
+    if family == "decentralized_one_mean":
+        rows.append(Constraint("no_marginal_x", (1.0, 0.0, 0.0), 0.0))
     return LinearConstraintSet(tuple(rows))
 
 
@@ -224,12 +283,6 @@ class PlanResult:
             "method": self.method.value,
             "tie": self.tie,
         }
-
-
-def _t1_objective(policy: SamplingPolicy, model: ObservationModel) -> float:
-    if policy.p_y <= 0.0 and policy.p_xy <= 0.0:
-        return math.inf
-    return crb_t1(policy, model)
 
 
 def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> PlanResult:
@@ -276,29 +329,29 @@ def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> Pla
         tie = True  # budget and simplex faces coincide
 
     policy = SamplingPolicy.clamped(0.0, p_y, p_xy)
-    return PlanResult(policy, _t1_objective(policy, model), Method.CLOSED_FORM, tie)
+    objective = crb(Task.T1, Target.MU_Y, policy, model)
+    return PlanResult(policy, objective, Method.CLOSED_FORM, tie)
 
 
 def enumerate_vertices(constraints: LinearConstraintSet) -> list[tuple[float, float, float]]:
     """All feasible vertices of the constraint polytope.
 
-    Intersects every triple of (finite-bound) constraint boundaries and
-    keeps the solutions satisfying the whole system to the feasibility
-    tolerance.  Near-duplicate vertices arising from different triples are
-    collapsed.
+    Intersects every triple of (finite-bound) constraint boundaries, in one
+    batched solve, and keeps the solutions satisfying the whole system to
+    the feasibility tolerance.  Near-duplicate vertices arising from
+    different triples are collapsed, the first triple's copy kept.
     """
     rows = [r for r in constraints.rows if math.isfinite(r.bound)]
+    triples = list(itertools.combinations(rows, 3))
+    a = np.array([[r.coeffs for r in t] for t in triples], dtype=float).reshape(-1, 3, 3)
+    b = np.array([[r.bound for r in t] for t in triples], dtype=float).reshape(-1, 3, 1)
+    with np.errstate(all="ignore"):  # LU divides by subnormal pivots (alpha ~ 1e-320)
+        regular = ~(np.abs(np.linalg.det(a)) < 1e-12)
+    v = np.linalg.solve(a[regular], b[regular])[..., 0]
+    v = v[constraints.feasibility_mask(v[:, 0], v[:, 1], v[:, 2])]
     seen: dict[tuple[float, float, float], tuple[float, float, float]] = {}
-    for triple in itertools.combinations(rows, 3):
-        a = np.array([r.coeffs for r in triple], dtype=float)
-        b = np.array([r.bound for r in triple], dtype=float)
-        if abs(np.linalg.det(a)) < 1e-12:
-            continue
-        v = np.linalg.solve(a, b)
-        if not constraints.feasibility_mask(v[0], v[1], v[2]):
-            continue
-        key = tuple(np.round(v, 9))
-        seen.setdefault(key, (float(v[0]), float(v[1]), float(v[2])))
+    for key, vertex in zip(np.round(v, 9).tolist(), v.tolist()):
+        seen.setdefault(tuple(key), tuple(vertex))
     return list(seen.values())
 
 
@@ -340,7 +393,8 @@ def plan_linear(scenario: Scenario, model: ObservationModel) -> PlanResult:
     coeffs = (0.0, 1.0 / model.var_y, 1.0 / (shrink * model.var_y))
     vertex, _, tie = maximize_linear(constraints_for(scenario), coeffs)
     policy = SamplingPolicy.clamped(*vertex)
-    return PlanResult(policy, _t1_objective(policy, model), Method.VERTEX_ENUM, tie)
+    objective = crb(scenario.task, scenario.target, policy, model)
+    return PlanResult(policy, objective, Method.VERTEX_ENUM, tie)
 
 
 def _crb_t3_array(p_x, p_y, p_xy, model: ObservationModel, target: Target):
@@ -350,11 +404,7 @@ def _crb_t3_array(p_x, p_y, p_xy, model: ObservationModel, target: Target):
     occur at p_xy = 0, where the matrix is diagonal) fall back to the
     decoupled scalar bound, inf when the target coordinate is never observed.
     """
-    rho = model.rho
-    boost = 1.0 / (1.0 - rho * rho)
-    i11 = (p_x + p_xy * boost) / model.var_x
-    i22 = (p_y + p_xy * boost) / model.var_y
-    i12 = -rho * p_xy * boost / (model.sigma_x * model.sigma_y)
+    i11, i22, i12 = fim_t3_entries(p_x, p_y, p_xy, model)
     det = i11 * i22 - i12 * i12
     own = i11 if target is Target.MU_X else i22
     other = i22 if target is Target.MU_X else i11
@@ -374,6 +424,7 @@ def _lexicographic_best(values, p_x, p_y, p_xy):
     return near[order[0]]
 
 
+_SINGULAR_EVERYWHERE = "target bound is infinite over the entire feasible region"
 _COARSE_STEP = 0.01
 _REFINE_STEPS = (1e-3, 1e-4, 1e-5)
 
@@ -420,9 +471,7 @@ def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
     values = _crb_t3_array(gx, gy, gj, model, target)
     best = values.min()
     if math.isinf(best):
-        raise SingularEverywhere(
-            "target bound is infinite over the entire feasible region"
-        )
+        raise SingularEverywhere(_SINGULAR_EVERYWHERE)
     near = values <= best * (1.0 + _TIE_REL)
     tie = any(
         coords[near].max() - coords[near].min() > 2.5 * _COARSE_STEP
@@ -455,9 +504,17 @@ def plan(scenario: Scenario, model: ObservationModel) -> PlanResult:
 
     Decentralized t1/t2 uses the closed form, centralized t1/t2 the vertex
     enumerator, and t3 the grid planner.
+
+    Raises:
+        SingularEverywhere: the bound is infinite over the whole feasible
+            region (e.g. a zero budget), for every task.
     """
     if scenario.task is Task.T3:
-        return plan_t3(scenario, model)
-    if scenario.setting is Setting.DECENTRALIZED:
-        return plan_t1_closed_form(scenario.budget.alpha, scenario.budget.e1, model)
-    return plan_linear(scenario, model)
+        result = plan_t3(scenario, model)
+    elif scenario.setting is Setting.DECENTRALIZED:
+        result = plan_t1_closed_form(scenario.budget.alpha, scenario.budget.e1, model)
+    else:
+        result = plan_linear(scenario, model)
+    if math.isinf(result.objective_value):
+        raise SingularEverywhere(_SINGULAR_EVERYWHERE)
+    return result

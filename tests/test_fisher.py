@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from crbplan import (
     SingularMatrix,
     Target,
     Task,
+    crb,
     crb_t1,
     crb_t3,
     empirical_fim,
@@ -241,6 +244,24 @@ def test_crb_t3_inverse_diagonal_bound():
             assert bound == pytest.approx(1.0 / f.a11, rel=1e-12)
         else:
             assert bound > 1.0 / f.a11
+
+
+def test_crb_is_the_task_bound_or_inf():
+    # the one "bound, or inf" evaluator: equal to crb_t1/crb_t3 where they
+    # return, inf exactly where they raise
+    for policy, m in random_cases(seed=27):
+        x_only = SamplingPolicy(policy.p_x, 0.0, 0.0)
+        for p in (policy, x_only, SamplingPolicy(0.0, policy.p_y, 0.0)):
+            for task in Task:
+                for target in Target:
+                    try:
+                        want = crb_t3(p, m, target) if task is Task.T3 else crb_t1(p, m)
+                    except (DegeneratePolicy, SingularMatrix):
+                        want = math.inf
+                    assert crb(task, target, p, m) == want
+    assert crb(Task.T1, Target.MU_Y, SamplingPolicy(0.4, 0, 0), model()) == math.inf
+    assert crb(Task.T3, Target.MU_X, SamplingPolicy(0, 0.4, 0), model()) == math.inf
+    assert crb(Task.T3, Target.MU_Y, SamplingPolicy(0, 0.4, 0), model()) == 2.5
 
 
 # --- empirical oracle ---

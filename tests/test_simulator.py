@@ -23,6 +23,7 @@ from crbplan import (
     audit_resources,
     collect_replication,
     constraints_for,
+    crb,
     default_estimator,
     delta1,
     delta2,
@@ -39,7 +40,6 @@ from crbplan import (
 from crbplan.simulator import (
     CostShare,
     ResourceLedger,
-    _analytic_crb,
     _analytic_estimator_variance,
     slot_costs,
 )
@@ -154,7 +154,9 @@ def _reference_run(config):
     return SimulationReport(
         mean_estimate=float(estimates.mean()),
         empirical_variance_per_slot=variance,
-        analytic_crb=_analytic_crb(config),
+        analytic_crb=crb(
+            config.scenario.task, config.scenario.target, config.policy, config.model
+        ),
         analytic_estimator_variance=_analytic_estimator_variance(config),
         ledger=ledger,
         slot_counts=totals,
@@ -224,11 +226,11 @@ def test_run_matches_slot_level_reference_exactly():
 
 
 def test_run_rejects_negative_seed_like_seed_sequence():
-    cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=10, reps=3, seed=-1)
+    # SeedSequence rejects a negative seed; the config does so first, by name
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
         np.random.SeedSequence((-1, 0))
-    with pytest.raises(ValueError, match="^expected non-negative integer$"):
-        run(cfg)
+    with pytest.raises(ValueError, match="^master_seed must be >= 0, got -1$"):
+        t1_config(SamplingPolicy(0, 0.5, 0.5), slots=10, reps=3, seed=-1)
 
 
 # --- feasibility gate ---
@@ -274,14 +276,14 @@ def test_expected_cost_equals_constraint_lhs():
         Setting.DECENTRALIZED: ResourceBudget(1.7, 10.0),
         Setting.CENTRALIZED: ResourceBudget(1.7, 10.0, 10.0),
     }
-    policy = SamplingPolicy(0.15, 0.25, 0.35)
-    t1_policy = SamplingPolicy(0.0, 0.25, 0.35)
+    # p_x > 0 in decentralized t1/t2 too: the rows and the ledger read one
+    # cost table, so they agree even off the no_marginal_x pin
+    pol = SamplingPolicy(0.15, 0.25, 0.35)
     for setting, budget in budgets.items():
         for task in (Task.T1, Task.T2, Task.T3):
             scenario = Scenario(task, setting, budget)
             cons = constraints_for(scenario)
             table = slot_costs(scenario)
-            pol = t1_policy if (setting is Setting.DECENTRALIZED and task is not Task.T3) else policy
             probs = {
                 ObservationKind.MARGINAL_X: pol.p_x,
                 ObservationKind.MARGINAL_Y: pol.p_y,
@@ -306,6 +308,28 @@ def test_expected_cost_equals_constraint_lhs():
                 assert expected_cost == pytest.approx(
                     rows[0].value(*pol.as_tuple()), rel=1e-12
                 ), (setting, task, actor)
+
+
+def test_slot_costs_price_the_rows_counts():
+    # the ledger and the budget rows read one cost table: a marginal-X slot
+    # in decentralized t1/t2 costs S_x its observation and S_y nothing
+    scenario = Scenario(Task.T2, Setting.DECENTRALIZED, ResourceBudget(0.1, 2.0))
+    table = slot_costs(scenario)
+    free = CostShare()
+    assert table[ObservationKind.MARGINAL_X] == {
+        Actor.SENSOR_X: CostShare(1.0, 0.0, 0.0),
+        Actor.SENSOR_Y: free,
+        Actor.DATA_CENTER: free,
+    }
+    assert table[ObservationKind.JOINT] == {
+        Actor.SENSOR_X: CostShare(1.0, 0.1, 0.0),
+        Actor.SENSOR_Y: CostShare(1.0, 0.0, 0.1),
+        Actor.DATA_CENTER: free,
+    }
+    assert table[ObservationKind.IDLE] == dict.fromkeys(Actor, free)
+    centralized = Scenario(Task.T3, Setting.CENTRALIZED, ResourceBudget(0.1, 2.0, 2.0))
+    joint = slot_costs(centralized)[ObservationKind.JOINT]
+    assert joint[Actor.DATA_CENTER] == CostShare(0.0, 0.0, 0.2)
 
 
 def test_ledger_matches_counts():

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crbplan import (
     InfeasibleScenario,
@@ -18,6 +20,7 @@ from crbplan import (
     Target,
     Task,
     constraints_for,
+    crb,
     crb_t3,
     joint_priority_threshold,
     maximize_linear,
@@ -28,6 +31,7 @@ from crbplan import (
     validate,
 )
 from crbplan.strategy import (
+    _BASE_ROWS,
     FEASIBILITY_TOL,
     Constraint,
     _crb_t3_array,
@@ -113,6 +117,52 @@ def test_constraints_origin_always_feasible():
         cen(Task.T3, 1, math.inf, math.inf),
     ):
         assert constraints_for(scenario).is_feasible(SamplingPolicy(0, 0, 0))
+
+
+def _hand_written_rows(scenario):
+    """The budget rows as they were written by hand before the cost table,
+    kept here as the reference for the rows derived from it."""
+    alpha, e1, e2 = scenario.budget.alpha, scenario.budget.e1, scenario.budget.e2
+    if scenario.setting is Setting.CENTRALIZED:
+        return [
+            ("sensor_x_budget", (alpha + 1.0, 0.0, alpha + 1.0), e1),
+            ("sensor_y_budget", (0.0, alpha + 1.0, alpha + 1.0), e1),
+            ("dc_budget", (alpha, alpha, 2.0 * alpha), e2),
+        ]
+    if scenario.task is Task.T3:
+        return [
+            ("sensor_x_budget", (1.0, 0.0, 2.0 * alpha + 1.0), e1),
+            ("sensor_y_budget", (0.0, 1.0, 2.0 * alpha + 1.0), e1),
+        ]
+    return [
+        ("sensor_x_budget", (1.0, 0.0, alpha + 1.0), e1),
+        ("sensor_y_budget", (0.0, 1.0, alpha + 1.0), e1),
+        ("no_marginal_x", (1.0, 0.0, 0.0), 0.0),
+    ]
+
+
+_BUDGETS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(alpha=0.1, e1=1.0, e2=1.0, task=Task.T3, setting=Setting.DECENTRALIZED)
+@example(alpha=0.1, e1=1.0, e2=1.0, task=Task.T1, setting=Setting.CENTRALIZED)
+@given(
+    alpha=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 1e6), st.just(0.1)),
+    e1=_BUDGETS,
+    e2=_BUDGETS,
+    task=st.sampled_from(Task),
+    setting=st.sampled_from(Setting),
+)
+def test_derived_rows_equal_hand_written_rows_bit_for_bit(alpha, e1, e2, task, setting):
+    # at alpha = 0.1, (1 + alpha) + alpha != 2 alpha + 1: rows must price
+    # obs + alpha (tx + rx), not sum the ledger's shares
+    centralized = setting is Setting.CENTRALIZED
+    scenario = Scenario(task, setting, ResourceBudget(alpha, e1, e2 if centralized else None))
+    rows = constraints_for(scenario).rows
+    assert rows[:4] == _BASE_ROWS
+    derived = [(r.name, r.coeffs, r.bound) for r in rows[4:]]
+    assert repr(derived) == repr(_hand_written_rows(scenario))
 
 
 # --- prioritization threshold ---
@@ -256,6 +306,33 @@ def test_plan_linear_agreement_smoke():
                     assert a.policy.p_xy == pytest.approx(b.policy.p_xy, abs=1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@example(alpha=2.0, e1=2.0, rho=math.sqrt(2 / 3), var_y=1.0)
+@example(alpha=2.0, e1=3.0, rho=0.5, var_y=1.0)
+@example(alpha=0.0, e1=1.0, rho=0.0, var_y=1.0)
+@given(
+    alpha=st.floats(0.0, 4.0),
+    e1=st.one_of(st.floats(0.0, 6.0), st.sampled_from([0.0, 1.0, math.inf])),
+    rho=st.floats(-0.999, 0.999),
+    var_y=st.floats(0.01, 100.0),
+)
+def test_closed_form_matches_plan_linear(alpha, e1, rho, var_y):
+    # Compared as information 1/crb, within rel 1e-9 plus what the
+    # enumerator's feasibility tolerance lets its vertices move: it accepts
+    # rows violated by FEASIBILITY_TOL (alpha = 1e-9, e1 = 1 takes p_xy = 1)
+    # and ties values 1e-15 apart (e1 = 1e-45 gives the origin, crb = inf).
+    m = validate((0, 0, 1.0, var_y, rho))
+    closed = plan_t1_closed_form(alpha, e1, m)
+    linear = plan_linear(dec(Task.T1, alpha, e1), m)
+    info_c, info_l = 1.0 / closed.objective_value, 1.0 / linear.objective_value
+    slack = 2.0 * FEASIBILITY_TOL / ((1.0 - rho * rho) * var_y)
+    assert abs(info_c - info_l) <= 1e-9 * max(info_c, info_l) + slack
+    if not (closed.tie or linear.tie):
+        assert closed.policy.as_tuple() == pytest.approx(
+            linear.policy.as_tuple(), abs=2.0 * FEASIBILITY_TOL
+        )
+
+
 def test_plan_linear_threshold_jump_bracketed():
     alpha, e1 = 2.0, 2.0
     rho_star = joint_priority_threshold(alpha, Setting.DECENTRALIZED)
@@ -359,6 +436,21 @@ def _outcome(planner, scenario, m):
         return type(exc)
 
 
+def test_crb_t3_array_equals_scalar_crb_bit_for_bit():
+    # the grid and fisher.crb read the same t3 information entries
+    rng = np.random.default_rng(20221018)
+    for rho, var_x, var_y in ((0.0, 1.0, 1.0), (0.8, 2.0, 0.5), (-0.95, 0.3, 4.0)):
+        m = model(rho, var_x, var_y)
+        p = rng.dirichlet(np.ones(4), size=400)[:, :3]
+        p[::5, 2] = 0.0  # no joint slots: the singular, decoupled branch
+        p[::15, 0] = 0.0  # ... with mu_x unobserved there: inf
+        for target in Target:
+            got = _crb_t3_array(p[:, 0], p[:, 1], p[:, 2], m, target).tolist()
+            want = [crb(Task.T3, target, SamplingPolicy(*row), m) for row in p.tolist()]
+            assert got == want
+            assert math.inf in want or target is Target.MU_Y
+
+
 def test_plan_t3_matches_full_cube_reference():
     rng = random.Random(20220601)
 
@@ -420,6 +512,25 @@ def test_plan_dispatcher_routes_by_scenario():
     assert plan(dec(Task.T1, 2, 2), m).method is Method.CLOSED_FORM
     assert plan(cen(Task.T2, 2, 2, 2), m).method is Method.VERTEX_ENUM
     assert plan(cen(Task.T3, 2, 2, 2), m).method is Method.GRID_REFINE
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [dec(Task.T1, 2, 0), dec(Task.T2, 0.5, 0), cen(Task.T1, 2, 2, 0), cen(Task.T2, 2, 1, 0)],
+    ids=["t1_dec_e1", "t2_dec_e1", "t1_cen_e2", "t2_cen_e2"],
+)
+def test_plan_raises_singular_everywhere_at_zero_budget_for_every_task(scenario):
+    # one rule for every task, as plan_t3 does; the planners themselves
+    # still return crb = inf, which the figure presets print
+    m = model(0.5)
+    with pytest.raises(SingularEverywhere, match="infinite over the entire feasible region"):
+        plan(scenario, m)
+    direct = (
+        plan_linear(scenario, m)
+        if scenario.setting is Setting.CENTRALIZED
+        else plan_t1_closed_form(scenario.budget.alpha, 0.0, m)
+    )
+    assert direct.objective_value == math.inf
 
 
 def test_t2_planning_reuses_t1_solution():
