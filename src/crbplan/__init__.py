@@ -82,7 +82,6 @@ from .strategy import (
     Setting,
     constraints_for,
     joint_priority_threshold,
-    maximize_linear,
     plan,
     plan_linear,
     plan_t1_closed_form,

@@ -153,12 +153,14 @@ def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     of :func:`info_t1`.
 
     Raises:
-        DegeneratePolicy: p_y = p_xy = 0 (no information about the Y mean).
+        DegeneratePolicy: p_y = p_xy = 0, or so near it that the information
+            about the Y mean underflows to 0.
     """
-    if policy.p_y <= 0.0 and policy.p_xy <= 0.0:
-        raise DegeneratePolicy("p_y = p_xy = 0 yields no information about mu_y")
     shrink = 1.0 - model.rho * model.rho
-    return (shrink * model.var_y) / (shrink * policy.p_y + policy.p_xy)
+    information = shrink * policy.p_y + policy.p_xy
+    if not information > 0.0:
+        raise DegeneratePolicy("p_y = p_xy = 0 yields no information about mu_y")
+    return (shrink * model.var_y) / information
 
 
 def fim_t2(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
@@ -207,26 +209,23 @@ def invert_2x2(m: Matrix2) -> Matrix2:
 def crb_t3(policy: SamplingPolicy, model: ObservationModel, target: Target) -> float:
     """Per-slot bound on the requested mean when both means are unknown.
 
-    Computed by numerically inverting :func:`fim_t3` and reading the (1,1)
-    entry for MU_X or the (2,2) entry for MU_Y.  A singular t3 matrix can
-    only arise without joint samples (p_xy = 0), where it is diagonal and
-    the two means decouple; the target's bound then exists on its own,
-    ``1 / I_target``, as long as some slot type observes that coordinate.
+    The target's entry of the inverse of :func:`fim_t3`, computed as the
+    reciprocal of the Schur complement ``I_own - I_cross^2 / I_other``,
+    which does not underflow for tiny policies as the determinant does.
+    Without joint samples the cross term vanishes and the two means
+    decouple: the bound is ``1 / I_own`` as long as some slot type observes
+    the target coordinate.
 
     Raises:
         SingularMatrix: no information about the target mean at all (e.g.
             p_x = p_xy = 0 with target MU_X).
     """
     fim = fim_t3(policy, model)
-    diag = fim.a11 if target is Target.MU_X else fim.a22
-    if abs(fim.det) <= DET_EPS:
-        if diag > DET_EPS:
-            return 1.0 / diag
-        raise SingularMatrix(
-            f"no slot type observes the {target.value} coordinate"
-        )
-    inv = invert_2x2(fim)
-    return inv.a11 if target is Target.MU_X else inv.a22
+    own, other = (fim.a11, fim.a22) if target is Target.MU_X else (fim.a22, fim.a11)
+    schur = own - fim.a12 * (fim.a12 / other) if other > 0.0 else own
+    if schur > 0.0:
+        return 1.0 / schur
+    raise SingularMatrix(f"no slot type observes the {target.value} coordinate")
 
 
 def crb(task: Task, target: Target, policy: SamplingPolicy, model: ObservationModel) -> float:

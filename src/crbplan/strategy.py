@@ -7,21 +7,21 @@ the one cost model: each budget row and the simulator's ledger derive from
 it.  An observation costs 1 unit; each transmission or reception costs
 ``alpha`` units.
 
-Three solvers cover the three objective shapes:
+Two planners cover the objective shapes:
 
 * ``plan_t1_closed_form`` -- the piecewise rule for one unknown mean in the
   decentralized setting, driven by whether the squared correlation clears
   ``alpha / (alpha + 1)``.
-* ``plan_linear`` -- exact vertex enumeration for the linear information
-  objective of tasks t1/t2 (any setting).  With at most 8 constraints in 3
-  variables the candidate vertex count is tiny, so no LP solver is needed.
-* ``plan_t3`` -- coarse grid plus local refinement for the ratio objective
-  of task t3 (an entry of the inverse information matrix).
+* ``plan_linear`` (t1/t2) and ``plan_t3`` -- one exact solver: a short list
+  of candidate policies that must hold an optimum, then the best feasible
+  one.  Every bound is homogeneous of degree -1 in the policy, so an
+  optimum lies on a face of a row with a positive bound.  The t1/t2 bound
+  is 1/linear, so the vertices suffice; the t3 bound is convex, so the
+  vertices plus its stationary points inside edges suffice.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,24 +29,21 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    InfeasibleScenario,
-    InvalidScenario,
-    SingularEverywhere,
-)
+from .errors import InvalidScenario, SingularEverywhere
 from .fisher import (
-    DET_EPS,
     SamplingPolicy,
     Target,
     Task,
     crb,
-    crb_t3,
     fim_t3_entries,
 )
 from .model import ObservationKind, ObservationModel
 
 FEASIBILITY_TOL = 1e-9
-_TIE_REL = 1e-9
+#: Candidates this close, relative to the larger one, are the same policy.
+_SAME_REL = 1e-9
+#: Objective values this close, relative to the best, tie.
+_TIE_REL = 1e-12
 
 
 class Setting(Enum):
@@ -57,12 +54,14 @@ class Setting(Enum):
 class Method(Enum):
     CLOSED_FORM = "closed_form"
     VERTEX_ENUM = "vertex_enum"
-    GRID_REFINE = "grid_refine"
+    FACE_ENUM = "face_enum"
 
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha < math.inf:
         raise InvalidScenario(f"alpha must be finite and >= 0, got {alpha}")
+    if math.isinf(1.0 + 2.0 * alpha):
+        raise InvalidScenario(f"alpha {alpha} overflows the budget row coefficient 1 + 2 alpha")
 
 
 @dataclass(frozen=True)
@@ -333,177 +332,150 @@ def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> Pla
     return PlanResult(policy, objective, Method.CLOSED_FORM, tie)
 
 
-def enumerate_vertices(constraints: LinearConstraintSet) -> list[tuple[float, float, float]]:
-    """All feasible vertices of the constraint polytope.
+def _feasible(points, constraints: LinearConstraintSet):
+    """The points that satisfy every row once negative coordinates are
+    clipped to 0.  Clipping raises a budget row's load, so it comes before
+    the test, which then holds for the policy actually returned."""
+    with np.errstate(all="ignore"):  # far-off candidates overflow a load and fail
+        points = np.maximum(points, 0.0)
+        return points[constraints.feasibility_mask(*points.T)]
 
-    Intersects every triple of (finite-bound) constraint boundaries, in one
-    batched solve, and keeps the solutions satisfying the whole system to
-    the feasibility tolerance.  Near-duplicate vertices arising from
-    different triples are collapsed, the first triple's copy kept.
+
+def _first_copies(points):
+    """Mask of the first copy of each point; two points are copies when they
+    differ by at most ``_SAME_REL`` of the larger one's largest coordinate."""
+    size = np.abs(points).max(axis=1)
+    gap = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2)
+    same = gap <= _SAME_REL * np.maximum(size[:, None], size[None, :])
+    return ~np.tril(same, -1).any(axis=1)
+
+
+def _vertices(constraints: LinearConstraintSet):
+    """The polytope's distinct feasible vertices, k x 3.
+
+    Intersects every triple of finite-bound row planes in one batched solve;
+    of the copies of a vertex that several triples find, the first stays.
     """
     rows = [r for r in constraints.rows if math.isfinite(r.bound)]
-    triples = list(itertools.combinations(rows, 3))
-    a = np.array([[r.coeffs for r in t] for t in triples], dtype=float).reshape(-1, 3, 3)
-    b = np.array([[r.bound for r in t] for t in triples], dtype=float).reshape(-1, 3, 1)
+    c = np.array([r.coeffs for r in rows], dtype=float).reshape(-1, 3)
+    b = np.array([r.bound for r in rows], dtype=float)
+    triples = np.array(list(itertools.combinations(range(len(b)), 3))).reshape(-1, 3)
     with np.errstate(all="ignore"):  # LU divides by subnormal pivots (alpha ~ 1e-320)
-        regular = ~(np.abs(np.linalg.det(a)) < 1e-12)
-    v = np.linalg.solve(a[regular], b[regular])[..., 0]
-    v = v[constraints.feasibility_mask(v[:, 0], v[:, 1], v[:, 2])]
-    seen: dict[tuple[float, float, float], tuple[float, float, float]] = {}
-    for key, vertex in zip(np.round(v, 9).tolist(), v.tolist()):
-        seen.setdefault(tuple(key), tuple(vertex))
-    return list(seen.values())
+        regular = ~(np.abs(np.linalg.det(c[triples])) < 1e-12)
+    points = np.linalg.solve(c[triples][regular], b[triples][regular][..., None])[..., 0]
+    vertices = _feasible(points, constraints)
+    return vertices[_first_copies(vertices)]
 
 
-def maximize_linear(
-    constraints: LinearConstraintSet, coeffs: tuple[float, float, float]
-) -> tuple[tuple[float, float, float], float, bool]:
-    """Maximize a linear objective over the polytope by vertex enumeration.
-
-    Returns the optimal vertex, its objective value, and whether the optimum
-    is attained at more than one vertex (within relative 1e-12).  Ties are
-    broken toward the smallest p_xy, then p_x, then p_y.
-    """
-    vertices = enumerate_vertices(constraints)
-    if not vertices:
-        raise InfeasibleScenario("constraint polytope has no vertices")
-    values = [
-        coeffs[0] * v[0] + coeffs[1] * v[1] + coeffs[2] * v[2] for v in vertices
-    ]
-    best = max(values)
-    tol = max(1e-12 * abs(best), 1e-15)
-    near = [v for v, val in zip(vertices, values) if val >= best - tol]
-    tie = any(
-        max(abs(a - b) for a, b in zip(u, w)) > 1e-9
-        for u, w in itertools.combinations(near, 2)
-    )
-    pick = min(near, key=lambda v: (v[2], v[0], v[1]))
-    return pick, best, tie
-
-
-def plan_linear(scenario: Scenario, model: ObservationModel) -> PlanResult:
-    """Exact planner for the linear information objective of tasks t1/t2.
-
-    Maximizes the per-slot information about the Y mean over the scenario's
-    polytope via vertex enumeration; applies to both settings.
-    """
-    if scenario.task is Task.T3:
-        raise InvalidScenario("plan_linear handles tasks t1/t2 only")
-    shrink = 1.0 - model.rho * model.rho
-    coeffs = (0.0, 1.0 / model.var_y, 1.0 / (shrink * model.var_y))
-    vertex, _, tie = maximize_linear(constraints_for(scenario), coeffs)
-    policy = SamplingPolicy.clamped(*vertex)
-    objective = crb(scenario.task, scenario.target, policy, model)
-    return PlanResult(policy, objective, Method.VERTEX_ENUM, tie)
+def enumerate_vertices(constraints: LinearConstraintSet) -> list[tuple[float, float, float]]:
+    """All feasible vertices of the constraint polytope, to the feasibility
+    tolerance."""
+    return [tuple(v) for v in _vertices(constraints).tolist()]
 
 
 def _crb_t3_array(p_x, p_y, p_xy, model: ObservationModel, target: Target):
-    """Vectorized t3 bound matching :func:`crbplan.fisher.crb_t3`.
+    """:func:`crbplan.fisher.crb_t3` over arrays, bit for bit; inf where it
+    raises."""
+    i11, i22, cross = fim_t3_entries(p_x, p_y, p_xy, model)
+    own, other = (i11, i22) if target is Target.MU_X else (i22, i11)
+    with np.errstate(all="ignore"):  # 1/tiny is inf, as Python's float division gives
+        schur = np.where(other > 0.0, own - cross * (cross / other), own)
+        return np.where(schur > 0.0, 1.0 / schur, math.inf)
 
-    Regular points use the inverse-matrix entry; singular points (which only
-    occur at p_xy = 0, where the matrix is diagonal) fall back to the
-    decoupled scalar bound, inf when the target coordinate is never observed.
+
+def _t3_edge_points(vertices, rho: float, target: Target):
+    """The stationary points of the standardized t3 bound inside the segments
+    between pairs of vertices, which include the polytope's edges.
+
+    With ``a = 1/(1 - rho^2)`` the standardized information matrix ``J`` has
+    determinant ``p'Bp`` and the target's bound numerator ``n.p``.  On the
+    segment ``u + t d`` the bound is ``(a0 + a1 t) / (q0 + 2 q1 t + q2 t^2)``,
+    stationary where ``a1 q2 t^2 + 2 a0 q2 t + 2 a0 q1 - a1 q0 = 0``.  Facet
+    interiors need no candidates: the bound ``e'J(p)^-1 e`` stays constant
+    along the direction ``d`` with ``J(d) J(p)^-1 e = 0``, which lies in a
+    facet wherever the bound is stationary on it, so an optimum inside a
+    facet slides along ``d`` to an edge.
     """
-    i11, i22, i12 = fim_t3_entries(p_x, p_y, p_xy, model)
-    det = i11 * i22 - i12 * i12
-    own = i11 if target is Target.MU_X else i22
-    other = i22 if target is Target.MU_X else i11
-    out = np.full(np.shape(det), math.inf)
-    singular = det <= DET_EPS
-    np.divide(other, det, out=out, where=~singular)
-    np.divide(1.0, own, out=out, where=singular & (own > DET_EPS))
-    return out
-
-
-def _lexicographic_best(values, p_x, p_y, p_xy):
-    """Index of the smallest value, ties broken by (p_xy, p_x, p_y)."""
-    best = values.min()
-    tol = max(_TIE_REL * abs(best), 1e-15)
-    near = np.flatnonzero(values <= best + tol)
-    order = np.lexsort((p_y[near], p_x[near], p_xy[near]))
-    return near[order[0]]
+    a = 1.0 / (1.0 - rho * rho)
+    n = np.array([0.0, 1.0, a] if target is Target.MU_X else [1.0, 0.0, a])
+    quad = 0.5 * np.array([[0.0, 1.0, a], [1.0, 0.0, a], [a, a, 2.0 * a]])
+    size = np.abs(vertices).max()  # t is scale-free: find it where nothing underflows
+    i, j = np.triu_indices(len(vertices), 1)
+    with np.errstate(all="ignore"):  # no real root in (0, 1): inf or nan t, dropped
+        u, d = vertices[i] / size, (vertices[j] - vertices[i]) / size
+        a0, a1 = u @ n, d @ n
+        q0, q1, q2 = (np.einsum("ki,ij,kj->k", x, quad, y) for x, y in ((u, u), (u, d), (d, d)))
+        lead, half, const = a1 * q2, a0 * q2, 2.0 * a0 * q1 - a1 * q0
+        # the cancellation-free roots of lead t^2 + 2 half t + const
+        s = -(half + np.copysign(np.sqrt(half * half - lead * const), half))
+        t = np.stack([s / lead, const / s])
+        return size * (u + t[..., None] * d)[(t > 0.0) & (t < 1.0)]
 
 
 _SINGULAR_EVERYWHERE = "target bound is infinite over the entire feasible region"
-_COARSE_STEP = 0.01
-_REFINE_STEPS = (1e-3, 1e-4, 1e-5)
 
 
-@functools.cache
-def _simplex_grid():
-    """Read-only 3 x N indices (i, j, k) of the coarse grid with i + j + k <= n.
+def _solve(scenario: Scenario, model: ObservationModel, candidates, method: Method) -> PlanResult:
+    """The best of ``candidates``, feasible policies that include an optimum.
 
-    In meshgrid ``"ij"`` order, as uint8: 0.5 MB held for the module's life.
+    t1/t2 candidates are scored by their standardized information, t3 ones
+    by their bound on the unit-variance model: optimal policies do not
+    depend on the variances.  Values within ``_TIE_REL`` of the best tie
+    (``tie`` says whether distinct candidates do), and the tie goes to the
+    smallest ``p_xy`` (the fewest communicated samples), then ``p_x``, then
+    ``p_y``.
+
+    Raises:
+        SingularEverywhere: every candidate's t3 bound is infinite.
     """
-    n = int(round(1.0 / _COARSE_STEP))
-    idx = np.arange(n + 1)
-    grid = np.array(np.nonzero(idx[:, None, None] + idx[:, None] + idx <= n), np.uint8)
-    grid.setflags(write=False)
-    return grid
+    if scenario.task is Task.T3:
+        unit = ObservationModel(0.0, 0.0, 1.0, 1.0, model.rho)
+        values = _crb_t3_array(*candidates.T, unit, scenario.target)
+    else:
+        values = -(candidates @ (0.0, 1.0, 1.0 / (1.0 - model.rho * model.rho)))
+    best = values.min()
+    if best == math.inf:  # t3 only: t1/t2 planners report crb=inf at zero information
+        raise SingularEverywhere(_SINGULAR_EVERYWHERE)
+    near = candidates[values <= best + _TIE_REL * abs(best)]
+    tie = int(_first_copies(near).sum()) > 1
+    pick = near[np.lexsort((near[:, 1], near[:, 0], near[:, 2]))[0]]
+    policy = SamplingPolicy.clamped(*pick)
+    return PlanResult(policy, crb(scenario.task, scenario.target, policy, model), method, tie)
+
+
+def plan_linear(scenario: Scenario, model: ObservationModel) -> PlanResult:
+    """Exact planner for tasks t1/t2 in either setting: the bound is the
+    reciprocal of a linear form in the policy, so the best vertex is optimal."""
+    if scenario.task is Task.T3:
+        raise InvalidScenario("plan_linear handles tasks t1/t2 only")
+    vertices = np.array(enumerate_vertices(constraints_for(scenario))).reshape(-1, 3)
+    return _solve(scenario, model, vertices, Method.VERTEX_ENUM)
 
 
 def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
-    """Grid-with-refinement planner for two unknown means.
+    """Exact planner for two unknown means, by face enumeration.
 
-    Minimizes the target entry of the inverse information matrix over the
-    feasible polytope: a coarse pass at step 0.01 (which catches the
-    boundary optima this objective exhibits), then three local refinements
-    shrinking the step tenfold each round down to 1e-5.  ``tie`` is set when
-    the coarse pass finds near-optimal policies spread across distant grid
-    cells, as happens on the flat valley of the unconstrained problem.
+    The bound is matrix-fractional in an information matrix affine in the
+    policy, hence convex: the best vertex or stationary point inside an edge
+    (:func:`_t3_edge_points`) is optimal.
 
     Raises:
-        SingularEverywhere: the bound is infinite over the whole feasible
-            region (e.g. a zero budget).
+        SingularEverywhere: the standardized bound is infinite over the
+            whole feasible region (e.g. a zero budget).
     """
     if scenario.task is not Task.T3:
         raise InvalidScenario("plan_t3 handles task t3 only")
     cons = constraints_for(scenario)
-    target = scenario.target
-
-    # Simplex grid points satisfy the nonnegativity and simplex rows exactly.
-    axis = np.linspace(0.0, 1.0, int(round(1.0 / _COARSE_STEP)) + 1)
-    gx, gy, gj = axis.take(_simplex_grid())
-    mask = LinearConstraintSet(cons.rows[len(_BASE_ROWS):]).feasibility_mask(gx, gy, gj)
-    if not mask.any():
-        raise InfeasibleScenario("no feasible grid point")
-    gx, gy, gj = gx[mask], gy[mask], gj[mask]
-    values = _crb_t3_array(gx, gy, gj, model, target)
-    best = values.min()
-    if math.isinf(best):
-        raise SingularEverywhere(_SINGULAR_EVERYWHERE)
-    near = values <= best * (1.0 + _TIE_REL)
-    tie = any(
-        coords[near].max() - coords[near].min() > 2.5 * _COARSE_STEP
-        for coords in (gx, gy, gj)
-    )
-    idx = _lexicographic_best(values, gx, gy, gj)
-    incumbent = np.array([gx[idx], gy[idx], gj[idx]])
-
-    for step in _REFINE_STEPS:
-        offsets = np.arange(-10, 11) * step
-        axes = [np.clip(incumbent[i] + offsets, 0.0, 1.0) for i in range(3)]
-        rx, ry, rj = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-        m = cons.feasibility_mask(rx, ry, rj)
-        rx, ry, rj = rx[m], ry[m], rj[m]
-        vals = _crb_t3_array(rx, ry, rj, model, target)
-        idx = _lexicographic_best(vals, rx, ry, rj)
-        incumbent = np.array([rx[idx], ry[idx], rj[idx]])
-
-    policy = SamplingPolicy.clamped(*incumbent)
-    if not cons.is_feasible(policy):
-        raise InfeasibleScenario(
-            f"refined policy violates {cons.violations(policy)}"
-        )
-    objective = float(crb_t3(policy, model, target))
-    return PlanResult(policy, objective, Method.GRID_REFINE, tie)
+    vertices = _vertices(cons)
+    edges = _feasible(_t3_edge_points(vertices, model.rho, scenario.target), cons)
+    return _solve(scenario, model, np.concatenate([vertices, edges]), Method.FACE_ENUM)
 
 
 def plan(scenario: Scenario, model: ObservationModel) -> PlanResult:
     """Dispatch to the right planner for the scenario.
 
     Decentralized t1/t2 uses the closed form, centralized t1/t2 the vertex
-    enumerator, and t3 the grid planner.
+    enumerator, and t3 face enumeration.
 
     Raises:
         SingularEverywhere: the bound is infinite over the whole feasible

@@ -45,7 +45,7 @@ def test_plan_t3_centralized_interior(capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "method=grid_refine" in out
+    assert "method=face_enum" in out
     values = dict(pair.split("=") for pair in out.split())
     assert float(values["p_x"]) > 0
     assert float(values["p_y"]) > 0
@@ -76,6 +76,31 @@ def test_plan_degenerate_exits_3(capsys):
         "--alpha", "2", "--e1", "0", "--rho", "0.5",
     )
     assert code == 3
+
+
+def test_plan_alpha_overflowing_the_budget_rows_exits_2(capsys):
+    # 1 + 2 alpha is inf at alpha = 1e308, though alpha itself is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "plan", "--task", "t3", "--setting", "decentralized",
+            "--alpha", "1e308", "--e1", "1", "--rho", "0.5",
+        )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: alpha 1e+308 overflows the budget row coefficient 1 + 2 alpha\n"
+
+
+def test_plan_tiny_dc_budget_keeps_its_finite_bound(capsys):
+    # vertices 1e-12 from the origin are distinct policies, not copies of it
+    code = run_cli(
+        "plan", "--task", "t1", "--setting", "centralized",
+        "--alpha", "1", "--e1", "1", "--e2", "1e-12", "--rho", "0.5",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "p_x=0 p_y=1e-12 p_xy=0 crb=1e+12 method=vertex_enum tie=false\n"
+    )
 
 
 _SINGULAR = "error: target bound is infinite over the entire feasible region\n"
@@ -508,9 +533,10 @@ def _number(low, high):
     return st.one_of(st.floats(low, high), extremes).map(repr)
 
 
-# Valid variances stay within [1e-6, 1e6]. Beyond it two open defects
-# listed in CHANGES.md (FOUND) show: a subnormal variance overflows the t3
-# grid, and from about 1e7 the absolute DET_EPS misjudges singularity.
+# Valid variances stay within [1e-6, 1e6]. Beyond it an open defect listed
+# in CHANGES.md (FOUND) shows: at var_y = 2.2e-311 the t3 information
+# overflows, and fisher.crb reads the decoupled bound for mu_x and inf for
+# mu_y.
 _VARIANCE = st.one_of(
     st.floats(1e-6, 1e6), st.sampled_from([0.0, -1.0, math.inf, math.nan])
 ).map(repr)

@@ -232,6 +232,17 @@ def test_crb_t3_singular_policy():
         crb_t3(SamplingPolicy(0, 1, 0), model(rho=0.5), Target.MU_X)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e7, 1e12])
+def test_crb_t3_is_the_inverse_entry_at_any_variance_scale(scale):
+    # a regular matrix whose determinant, 1/(var_x var_y) times a standardized
+    # one, is far below round-off for O(1) entries
+    m = model(rho=0.8, var_x=scale, var_y=scale)
+    policy = SamplingPolicy(0.3, 0.3, 0.3)
+    inverse = np.linalg.inv(fim_t3(policy, m).as_array())
+    assert crb_t3(policy, m, Target.MU_X) == pytest.approx(inverse[0, 0], rel=1e-12)
+    assert crb_t3(policy, m, Target.MU_Y) / scale == pytest.approx(85 / 63, rel=1e-12)
+
+
 def test_crb_t3_inverse_diagonal_bound():
     # [I^-1]_11 >= 1/I_11, equality iff the cross term vanishes
     for policy, m in random_cases(seed=26):

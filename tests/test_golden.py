@@ -23,11 +23,11 @@ GOLDEN = {
     "sweep_fig2c": "184457e530792c8372057a07bec2e3d091b5f964ef52ebfb057cca77e0dd0f6b",
     "sweep_fig3": "b89476f4f22f157edf83ca2f88550f2a844cd6fcefcf93c5b30a395b5d6964f5",
     "sweep_fig4a": "84e070d76fa2b239365e0ba946141e46212081337a4167e187862963fb90e4c3",
-    "sweep_fig4b": "bdd40a96c1fd498fadb4f3c771eddc35062c5bece7a08e7b60885a1b4b9522c7",
+    "sweep_fig4b": "a184425545b4402159a3dbbf61168a1f1e5e486a95537826aabe592848c85fe4",
     "sweep_fig4c": "f694c4641792bdbdc68cbdffdee747226985f3c3557123e802da4c9d2718ba6d",
     "readme_plan": "be05975de042607a19b9040e4ebafbe9f1abe092238e197c087cc39e0d2ad69e",
     "readme_bounds": "04d30e676061676837637570c7c95d6be8ddddebc1b944066d20b6dc271febd7",
-    "simulate_t3": "76639be5e789a5cca5eb6f83a4cd9b85c4c6541ad89e83d2dad2fd5cd6e5f254",
+    "simulate_t3": "2d56c470d4b3a5b8ad9a0cd6b525e8a29bab90c0acd54f6acd2711f9464945df",
 }
 
 COMMANDS = {

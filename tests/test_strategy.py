@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,11 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crbplan import (
-    InfeasibleScenario,
     InvalidScenario,
-    LinearConstraintSet,
     Method,
-    PlanResult,
     ResourceBudget,
     SamplingPolicy,
     Scenario,
@@ -23,7 +21,6 @@ from crbplan import (
     crb,
     crb_t3,
     joint_priority_threshold,
-    maximize_linear,
     plan,
     plan_linear,
     plan_t1_closed_form,
@@ -34,9 +31,12 @@ from crbplan.strategy import (
     _BASE_ROWS,
     FEASIBILITY_TOL,
     Constraint,
+    LinearConstraintSet,
     _crb_t3_array,
-    _lexicographic_best,
-    _simplex_grid,
+    _feasible,
+    _t3_edge_points,
+    _vertices,
+    enumerate_vertices,
 )
 
 
@@ -275,19 +275,13 @@ def test_plan_linear_centralized_dc_bound():
 
 
 def test_plan_linear_proves_marginal_x_useless():
-    # rebuild the t1 polytope WITHOUT the p_x = 0 row: the optimizer must
+    # the centralized t1 polytope has no p_x = 0 row: the optimizer must
     # discover p_x = 0 on its own since p_x consumes budget without reward
     scenario = cen(Task.T1, 2, 2, 2)
-    rows = tuple(
-        r for r in constraints_for(scenario).rows if r.name != "no_marginal_x"
-    )
-    m = model(0.6)
-    shrink = 1 - m.rho**2
-    vertex, value, _ = maximize_linear(
-        LinearConstraintSet(rows), (0.0, 1.0 / m.var_y, 1.0 / (shrink * m.var_y))
-    )
-    assert vertex[0] == pytest.approx(0.0, abs=1e-12)
-    assert value > 0
+    assert "no_marginal_x" not in [r.name for r in constraints_for(scenario).rows]
+    result = plan_linear(scenario, model(0.6))
+    assert result.policy.p_x == pytest.approx(0.0, abs=1e-12)
+    assert math.isfinite(result.objective_value)
 
 
 def test_plan_linear_agreement_smoke():
@@ -333,6 +327,79 @@ def test_closed_form_matches_plan_linear(alpha, e1, rho, var_y):
         )
 
 
+def _dense_feasible_sample(scenario, rng, n=3000):
+    """n random feasible policies: Dirichlet directions, a third of them with
+    one coordinate zeroed, each pushed along its ray to the polytope's
+    boundary, where every optimum lies."""
+    d = rng.dirichlet(np.ones(3), size=n)
+    d[np.arange(n // 3), rng.integers(0, 3, n // 3)] = 0.0
+    rows = [r for r in constraints_for(scenario).rows if math.isfinite(r.bound)]
+    for row in rows:  # a zero budget on non-negative coefficients pins them
+        if row.bound == 0.0 and min(row.coeffs) >= 0.0:
+            d[:, np.array(row.coeffs) > 0.0] = 0.0
+    scale = np.full(n, math.inf)
+    for row in rows:
+        load = d @ row.coeffs
+        with np.errstate(over="ignore"):  # a huge bound over a tiny load: no limit
+            limit = row.bound / np.where(load > 0.0, load, 1.0)
+        np.minimum(scale, limit, out=scale, where=load > 0.0)
+    scale[np.isinf(scale)] = 0.0  # an all-pinned direction: the origin
+    return [SamplingPolicy.clamped(*p) for p in (d * scale[:, None]).tolist()]
+
+
+def _brute_force_linear_bound(scenario, m):
+    """The least bound over every intersection of three row planes that is
+    feasible once clipped to p >= 0, one scalar solve and one fisher.crb
+    call at a time."""
+    cons = constraints_for(scenario)
+    rows = [r for r in cons.rows if math.isfinite(r.bound)]
+    best = math.inf
+    for triple in itertools.combinations(rows, 3):
+        a = np.array([r.coeffs for r in triple])
+        with np.errstate(all="ignore"):  # subnormal alpha
+            if not abs(np.linalg.det(a)) >= 1e-12:
+                continue
+        p = np.maximum(np.linalg.solve(a, [r.bound for r in triple]), 0.0)
+        if all(r.value(*p) <= r.bound + FEASIBILITY_TOL for r in rows):
+            policy = SamplingPolicy.clamped(*p)
+            best = min(best, crb(scenario.task, scenario.target, policy, m))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@example(task=Task.T1, centralized=False, alpha=1.0, e1=2.4e-45, e2=0.0, rho=0.5)
+@example(task=Task.T1, centralized=True, alpha=1.0, e1=1.0, e2=1e-12, rho=0.5)
+@example(task=Task.T2, centralized=True, alpha=0.0, e1=1.0, e2=1.0, rho=0.0)
+@given(
+    task=st.sampled_from([Task.T1, Task.T2]),
+    centralized=st.booleans(),
+    alpha=st.one_of(st.floats(0.0, 4.0), st.just(0.0)),
+    e1=_BUDGETS,
+    e2=_BUDGETS,
+    rho=st.one_of(st.floats(-0.99, 0.99), st.just(0.0)),
+)
+def test_plan_linear_agrees_with_brute_force(task, centralized, alpha, e1, e2, rho):
+    scenario = cen(task, alpha, e1, e2) if centralized else dec(task, alpha, e1)
+    m = model(rho)
+    result = plan_linear(scenario, m)
+    assert constraints_for(scenario).is_feasible(result.policy)
+    brute = _brute_force_linear_bound(scenario, m)
+    assert result.objective_value == pytest.approx(brute, rel=1e-9)
+    rng = np.random.default_rng(5)
+    sample = min(crb(task, Target.MU_Y, p, m) for p in _dense_feasible_sample(scenario, rng, 500))
+    assert result.objective_value <= sample * (1.0 + 1e-12)
+
+
+def test_plan_linear_keeps_a_tiny_budget_vertex():
+    # vertices 2.4e-45 apart are distinct; the closed form gives the same bound
+    m = model(0.5)
+    result = plan_linear(dec(Task.T1, 1.0, 2.4e-45), m)
+    assert result.objective_value == pytest.approx(
+        plan_t1_closed_form(1.0, 2.4e-45, m).objective_value, rel=1e-12
+    )
+    assert result.objective_value == pytest.approx(4.1667e44, rel=1e-4)
+
+
 def test_plan_linear_threshold_jump_bracketed():
     alpha, e1 = 2.0, 2.0
     rho_star = joint_priority_threshold(alpha, Setting.DECENTRALIZED)
@@ -358,7 +425,7 @@ def test_plan_linear_infeasible_guard_unreachable():
     assert math.isinf(result.objective_value)
 
 
-# --- t3 grid planner ---
+# --- t3 face-enumeration planner ---
 
 
 def test_plan_t3_unconstrained_flat_optimum():
@@ -366,7 +433,7 @@ def test_plan_t3_unconstrained_flat_optimum():
         result = plan_t3(dec(Task.T3, 2, math.inf, Target.MU_X), model(rho))
         assert result.objective_value == pytest.approx(1.0, abs=1e-4)
         assert result.tie
-        assert result.method is Method.GRID_REFINE
+        assert result.method is Method.FACE_ENUM
 
 
 def test_plan_t3_zero_budget_degenerate():
@@ -398,46 +465,8 @@ def test_plan_t3_centralized_interior_optimum():
     assert result.objective_value <= best + 1e-5
 
 
-def _reference_plan_t3(scenario, m):
-    """plan_t3 with its coarse pass over the full 101^3 cube and every row."""
-    cons = constraints_for(scenario)
-    target = scenario.target
-    axis = np.linspace(0.0, 1.0, 101)
-    gx, gy, gj = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
-    mask = cons.feasibility_mask(gx, gy, gj)
-    if not mask.any():
-        raise InfeasibleScenario("no feasible grid point")
-    gx, gy, gj = gx[mask], gy[mask], gj[mask]
-    values = _crb_t3_array(gx, gy, gj, m, target)
-    best = values.min()
-    if math.isinf(best):
-        raise SingularEverywhere("infinite everywhere")
-    near = values <= best * (1.0 + 1e-9)
-    tie = any(c[near].max() - c[near].min() > 0.025 for c in (gx, gy, gj))
-    idx = _lexicographic_best(values, gx, gy, gj)
-    incumbent = np.array([gx[idx], gy[idx], gj[idx]])
-    for step in (1e-3, 1e-4, 1e-5):
-        axes = [np.clip(c + np.arange(-10, 11) * step, 0.0, 1.0) for c in incumbent]
-        rx, ry, rj = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-        keep = cons.feasibility_mask(rx, ry, rj)
-        rx, ry, rj = rx[keep], ry[keep], rj[keep]
-        idx = _lexicographic_best(_crb_t3_array(rx, ry, rj, m, target), rx, ry, rj)
-        incumbent = np.array([rx[idx], ry[idx], rj[idx]])
-    policy = SamplingPolicy.clamped(*incumbent)
-    if not cons.is_feasible(policy):
-        raise InfeasibleScenario("refined policy infeasible")
-    return PlanResult(policy, float(crb_t3(policy, m, target)), Method.GRID_REFINE, tie)
-
-
-def _outcome(planner, scenario, m):
-    try:
-        return planner(scenario, m)
-    except (InfeasibleScenario, SingularEverywhere) as exc:
-        return type(exc)
-
-
 def test_crb_t3_array_equals_scalar_crb_bit_for_bit():
-    # the grid and fisher.crb read the same t3 information entries
+    # the t3 planner and fisher.crb read the same t3 information entries
     rng = np.random.default_rng(20221018)
     for rho, var_x, var_y in ((0.0, 1.0, 1.0), (0.8, 2.0, 0.5), (-0.95, 0.3, 4.0)):
         m = model(rho, var_x, var_y)
@@ -451,7 +480,39 @@ def test_crb_t3_array_equals_scalar_crb_bit_for_bit():
             assert math.inf in want or target is Target.MU_Y
 
 
-def test_plan_t3_matches_full_cube_reference():
+def _full_cube_grid_bound(scenario, m):
+    """The bound of the former grid planner, with its coarse pass over the
+    full 101^3 cube: step 0.01, then three tenfold refinements of +-10
+    steps around the incumbent, ties to the smallest (p_xy, p_x, p_y); inf
+    where no grid point has a finite bound."""
+    cons = constraints_for(scenario)
+
+    def best(px, py, pxy):
+        keep = cons.feasibility_mask(px, py, pxy)
+        px, py, pxy = px[keep], py[keep], pxy[keep]
+        values = _crb_t3_array(px, py, pxy, m, scenario.target)
+        near = np.flatnonzero(values <= values.min() + max(1e-9 * values.min(), 1e-15))
+        i = near[np.lexsort((py[near], px[near], pxy[near]))[0]]
+        return values[i], np.array([px[i], py[i], pxy[i]])
+
+    axis = np.linspace(0.0, 1.0, 101)
+    value, incumbent = best(*(g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")))
+    if math.isinf(value):
+        return value
+    for step in (1e-3, 1e-4, 1e-5):
+        axes = [np.clip(c + np.arange(-10, 11) * step, 0.0, 1.0) for c in incumbent]
+        value, incumbent = best(*(g.ravel() for g in np.meshgrid(*axes, indexing="ij")))
+    return crb_t3(SamplingPolicy.clamped(*incumbent), m, scenario.target)
+
+
+def _plan_t3_or_none(scenario, m):
+    try:
+        return plan_t3(scenario, m)
+    except SingularEverywhere:
+        return None
+
+
+def _seeded_t3_scenarios():
     rng = random.Random(20220601)
 
     def budget():
@@ -466,19 +527,147 @@ def test_plan_t3_matches_full_cube_reference():
             scenario = cen(Task.T3, alpha, budget(), budget(), target)
         m = validate((0, 0, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
                       rng.uniform(-0.95, 0.95)))
-        expected = _outcome(_reference_plan_t3, scenario, m)
-        assert _outcome(plan_t3, scenario, m) == expected, scenario
+        yield scenario, m
 
 
-def test_simplex_grid_is_the_masked_cube_cached_and_read_only():
-    axis = np.linspace(0.0, 1.0, 101)
-    cube = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")])
-    mask = cube[0] + cube[1] + cube[2] <= 1.0 + FEASIBILITY_TOL
-    grid = _simplex_grid()
-    assert grid.shape == (3, 176851)
-    np.testing.assert_array_equal(axis.take(grid), cube[:, mask])
-    assert not grid.flags.writeable
-    assert _simplex_grid() is grid
+def test_plan_t3_is_never_worse_than_the_full_cube_grid():
+    for scenario, m in _seeded_t3_scenarios():
+        grid = _full_cube_grid_bound(scenario, m)
+        result = _plan_t3_or_none(scenario, m)
+        bound = math.inf if result is None else result.objective_value
+        assert bound <= grid * (1.0 + 1e-12), scenario
+
+
+def _check_t3_beats_the_sample(scenario, m, rng):
+    sample = min(crb(Task.T3, scenario.target, p, m) for p in _dense_feasible_sample(scenario, rng))
+    result = _plan_t3_or_none(scenario, m)
+    if result is None:
+        assert sample == math.inf, scenario
+        return
+    assert constraints_for(scenario).is_feasible(result.policy)
+    assert result.objective_value == crb(Task.T3, scenario.target, result.policy, m)
+    assert result.objective_value <= sample * (1.0 + 1e-12), scenario
+
+
+def test_plan_t3_beats_a_dense_feasible_sample_on_the_seeded_scenarios():
+    rng = np.random.default_rng(7)
+    for scenario, m in _seeded_t3_scenarios():
+        _check_t3_beats_the_sample(scenario, m, rng)
+
+
+_T3_BUDGETS = st.one_of(
+    st.floats(0.0, 4.0), st.floats(1e-4, 0.05), st.sampled_from([0.0, math.inf])
+)
+_SCENARIO_DRAW = dict(
+    centralized=st.booleans(),
+    alpha=st.one_of(st.floats(0.0, 4.0), st.just(0.0)),
+    e1=_T3_BUDGETS,
+    e2=_T3_BUDGETS,
+    target=st.sampled_from(Target),
+    rho=st.one_of(st.floats(-0.99, 0.99), st.just(0.0)),
+)
+
+
+def _t3_scenario(centralized, alpha, e1, e2, target):
+    if centralized:
+        return cen(Task.T3, alpha, e1, e2, target)
+    return dec(Task.T3, alpha, e1, target)
+
+
+@settings(max_examples=60, deadline=None)
+@example(centralized=True, alpha=2.0, e1=0.02, e2=5.0, target=Target.MU_X, rho=0.5)
+@example(centralized=False, alpha=0.58, e1=0.11, e2=0.0, target=Target.MU_Y, rho=-0.82)
+@example(centralized=False, alpha=2.0, e1=math.inf, e2=0.0, target=Target.MU_X, rho=0.0)
+@given(**_SCENARIO_DRAW)
+def test_plan_t3_beats_a_dense_feasible_sample(centralized, alpha, e1, e2, target, rho):
+    scenario = _t3_scenario(centralized, alpha, e1, e2, target)
+    _check_t3_beats_the_sample(scenario, model(rho), np.random.default_rng(11))
+
+
+def _standardized_t3(rho, target):
+    """``n`` and ``B`` of the standardized bound ``n.p / p'Bp``."""
+    a = 1.0 / (1.0 - rho * rho)
+    n = np.array([0.0, 1.0, a] if target is Target.MU_X else [1.0, 0.0, a])
+    return n, 0.5 * np.array([[0.0, 1.0, a], [1.0, 0.0, a], [a, a, 2.0 * a]])
+
+
+@pytest.mark.parametrize("target", Target)
+@pytest.mark.parametrize(
+    "p, rho",
+    [((0.2, 0.1, 0.15), 0.8), ((0.1, 0.3, 0.2), 0.5), ((0.3, 0.2, 0.1), 0.9),
+     ((0.25, 0.25, 0.05), -0.6), ((0.05, 0.1, 0.3), 0.3)],
+)
+def test_plan_t3_candidates_reach_an_optimum_inside_a_facet(p, rho, target):
+    # a row tangent to the bound's level set at an interior p makes p optimal
+    # inside that row's facet; vertices and edge points must reach its bound
+    p = np.array(p)
+    n, quad = _standardized_t3(rho, target)
+    num, den = n @ p, p @ quad @ p
+    gradient = n / den - num * 2.0 * (quad @ p) / den**2
+    row = Constraint("tangent", tuple(-gradient), -gradient @ p)
+    cons = LinearConstraintSet(_BASE_ROWS + (row,))
+    vertices = _vertices(cons)
+    candidates = np.concatenate([vertices, _feasible(_t3_edge_points(vertices, rho, target), cons)])
+    unit = validate((0, 0, 1.0, 1.0, rho))
+    assert _crb_t3_array(*candidates.T, unit, target).min() <= num / den * (1.0 + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@example(centralized=True, alpha=2.0, e1=2.0, e2=2.0, target=Target.MU_X, rho=0.8)
+# a determinant below 1e-14 here once made fisher.crb read the decoupled bound
+@example(centralized=True, alpha=0.8125, e1=1.0, e2=1e-4, target=Target.MU_X, rho=0.875)
+@given(**_SCENARIO_DRAW)
+def test_plan_t3_frank_wolfe_gap_is_round_off(centralized, alpha, e1, e2, target, rho):
+    # f is convex, so f(p*) - f* <= max_v grad f(p*).(p* - v) over the
+    # vertices v: a certificate that does not rest on the candidate list
+    scenario = _t3_scenario(centralized, alpha, e1, e2, target)
+    result = _plan_t3_or_none(scenario, model(rho))
+    if result is None:
+        return
+    # the gap over the bound is the same at s p* and s v for every s > 0
+    scale = max(result.policy.as_tuple())
+    p = np.array(result.policy.as_tuple()) / scale
+    vertices = np.array(enumerate_vertices(constraints_for(scenario))) / scale
+    n, quad = _standardized_t3(rho, target)
+    num, den = n @ p, p @ quad @ p
+    if not den > 1e-9:
+        return  # a singular matrix, where the bound is not differentiable
+    value, gradient = num / den, n / den - num * 2.0 * (quad @ p) / den**2
+    assert ((p - vertices) @ gradient).max() <= 1e-9 * value
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    **_SCENARIO_DRAW,
+    var_x=st.floats(0.1, 10.0),
+    var_y=st.floats(0.1, 10.0),
+    k=st.integers(-6, 6),
+)
+def test_plan_t3_policy_is_scale_free(centralized, alpha, e1, e2, target, rho, var_x, var_y, k):
+    scenario = _t3_scenario(centralized, alpha, e1, e2, target)
+    base, scaled = (
+        _plan_t3_or_none(scenario, validate((0, 0, var_x * s, var_y * s, rho)))
+        for s in (1.0, 10.0**k)
+    )
+    assert (base is None) == (scaled is None)
+    assert base is None or base.policy == scaled.policy
+
+
+@pytest.mark.parametrize(
+    "scenario, rho, bound",
+    [
+        # a budget thinner than the former grid's 0.01 step
+        (cen(Task.T3, 2.0, 0.02, 5.0, Target.MU_X), 0.5, 139.95),
+        # an optimum on a slanted binding sensor row
+        (dec(Task.T3, 0.58, 0.11, Target.MU_Y), -0.82, 13.188),
+    ],
+    ids=["budget_below_grid", "slanted_face"],
+)
+def test_plan_t3_finds_the_optimum_the_grid_missed(scenario, rho, bound):
+    m = validate((0.3, -0.2, 1.0, 1.5, rho))
+    result = plan_t3(scenario, m)
+    assert result.objective_value == pytest.approx(bound, rel=1e-4)
+    assert constraints_for(scenario).is_feasible(result.policy)
 
 
 def test_plan_t3_policy_always_feasible():
@@ -511,7 +700,7 @@ def test_plan_dispatcher_routes_by_scenario():
     m = model(0.5)
     assert plan(dec(Task.T1, 2, 2), m).method is Method.CLOSED_FORM
     assert plan(cen(Task.T2, 2, 2, 2), m).method is Method.VERTEX_ENUM
-    assert plan(cen(Task.T3, 2, 2, 2), m).method is Method.GRID_REFINE
+    assert plan(cen(Task.T3, 2, 2, 2), m).method is Method.FACE_ENUM
 
 
 @pytest.mark.parametrize(
