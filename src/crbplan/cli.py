@@ -246,7 +246,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
         raise _ConfigError(f"malformed sweep range [{start}, {stop}] step {step}")
     steps = _steps(start, stop, step)
     values = [start + i * step for i in range(int(round(steps)) + 1)]
-    if values[-1] > stop + 1e-12:
+    if values[-1] > stop + 1e-12 * max(abs(start), abs(stop)):  # past rounding
         values.pop()
     return values
 

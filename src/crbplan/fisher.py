@@ -10,6 +10,10 @@ Closed forms cover the three estimation tasks:
 * t3 -- both means unknown, everything else known: full symmetric 2x2 matrix
   with cross term ``-rho p_xy / ((1 - rho^2) sigma_x sigma_y)``.
 
+Bounds are computed in standardized units, ``I = V^-1/2 J(rho, p) V^-1/2``
+with ``V = diag(var_x, var_y)``, and multiplied by the target's variance
+last, so they stay right at any variance whose bound is representable.
+
 ``empirical_fim`` estimates the same matrices from simulated data using
 central finite differences of the exact log-density, so it never shares code
 with the closed forms it is used to check.
@@ -26,12 +30,8 @@ import numpy as np
 from .errors import DegeneratePolicy, InvalidPolicy, SingularMatrix
 from .model import ObservationModel, sample_joint
 
-#: Absolute determinant threshold below which a 2x2 matrix is treated as
-#: singular; chosen at the scale of double-precision round-off for O(1)
-#: entries.
-DET_EPS = 1e-14
-
 _POLICY_TOL = 1e-12
+_CLAMP_TOL = 1e-9
 
 
 class Task(Enum):
@@ -40,10 +40,6 @@ class Task(Enum):
     T1 = "t1"  # mean of Y unknown; correlation known
     T2 = "t2"  # mean of Y and correlation unknown
     T3 = "t3"  # both means unknown
-
-    @property
-    def n_parameters(self) -> int:
-        return 1 if self is Task.T1 else 2
 
 
 class Target(Enum):
@@ -76,22 +72,21 @@ class SamplingPolicy:
             )
 
     @classmethod
-    def clamped(cls, p_x: float, p_y: float, p_xy: float, tol: float = 1e-9):
-        """Snap solver output within ``tol`` of the bounds onto them.
+    def clamped(cls, p_x: float, p_y: float, p_xy: float):
+        """Snap solver output within 1e-9 of the bounds onto them.
 
-        Violations beyond ``tol`` still raise: this is for cleaning up
+        Violations beyond 1e-9 still raise: this is for cleaning up
         floating-point residue from optimizers, not for repairing bad input.
         """
         values = []
-        for v in (p_x, p_y, p_xy):
-            v = float(v)
-            if not -tol <= v <= 1.0 + tol:
-                raise InvalidPolicy(f"component {v} outside [0, 1] by more than {tol}")
+        for v in map(float, (p_x, p_y, p_xy)):
+            if not -_CLAMP_TOL <= v <= 1.0 + _CLAMP_TOL:
+                raise InvalidPolicy(f"component {v} outside [0, 1] by more than {_CLAMP_TOL}")
             values.append(min(1.0, max(0.0, v)))
         total = sum(values)
         if total > 1.0:
-            if total > 1.0 + tol:
-                raise InvalidPolicy(f"components sum to {total} > 1 by more than {tol}")
+            if total > 1.0 + _CLAMP_TOL:
+                raise InvalidPolicy(f"components sum to {total} > 1 by more than {_CLAMP_TOL}")
             values = [v / total for v in values]
         return cls(*values)
 
@@ -149,8 +144,8 @@ def info_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
 def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     """Per-slot Cramer-Rao bound on unbiased estimators of the Y mean.
 
-    Equals ``(1 - rho^2) var_y / ((1 - rho^2) p_y + p_xy)``, the reciprocal
-    of :func:`info_t1`.
+    Equals ``var_y (1 - rho^2) / ((1 - rho^2) p_y + p_xy)``, the reciprocal
+    of :func:`info_t1`, with the variance applied last.
 
     Raises:
         DegeneratePolicy: p_y = p_xy = 0, or so near it that the information
@@ -160,7 +155,7 @@ def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     information = shrink * policy.p_y + policy.p_xy
     if not information > 0.0:
         raise DegeneratePolicy("p_y = p_xy = 0 yields no information about mu_y")
-    return (shrink * model.var_y) / information
+    return model.var_y * (shrink / information)
 
 
 def fim_t2(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
@@ -178,53 +173,53 @@ def fim_t2(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
     )
 
 
-def fim_t3_entries(p_x, p_y, p_xy, model: ObservationModel):
-    """The t3 information entries ``(i11, i22, cross)`` at (p_x, p_y, p_xy).
+def fim_t3_entries(p_x, p_y, p_xy, rho: float):
+    """The standardized (unit-variance) t3 information ``(i11, i22, cross)``.
 
     Joint slots couple the two means through the correlation; marginal slots
     feed only their own diagonal entry.  Plain operators only, so the same
     expressions serve floats and numpy arrays, bit for bit.
     """
-    shrink = 1.0 - model.rho * model.rho
-    i11 = p_x / model.var_x + p_xy / (shrink * model.var_x)
-    i22 = p_y / model.var_y + p_xy / (shrink * model.var_y)
-    cross = -model.rho * p_xy / (shrink * model.sigma_x * model.sigma_y)
-    return i11, i22, cross
+    shrink = 1.0 - rho * rho
+    joint = p_xy / shrink
+    return p_x + joint, p_y + joint, -rho * p_xy / shrink
 
 
 def fim_t3(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
-    """Information matrix for (mu_x, mu_y) when both means are unknown (t3)."""
-    i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model)
-    return Matrix2(i11, cross, cross, i22)
+    """Information matrix for (mu_x, mu_y) when both means are unknown (t3):
+    the standardized entries divided by the variances."""
+    i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model.rho)
+    cross /= model.sigma_x * model.sigma_y
+    return Matrix2(i11 / model.var_x, cross, cross, i22 / model.var_y)
 
 
 def invert_2x2(m: Matrix2) -> Matrix2:
-    """Invert via the adjugate; raises SingularMatrix when |det| <= 1e-14."""
+    """Invert via the adjugate; raises SingularMatrix when ``|det| <= 1e-14
+    (|a11 a22| + |a12 a21|)``, a determinant lost to cancellation."""
     d = m.det
-    if abs(d) <= DET_EPS:
-        raise SingularMatrix(f"determinant {d} is below {DET_EPS}")
+    if abs(d) <= 1e-14 * (abs(m.a11 * m.a22) + abs(m.a12 * m.a21)):
+        raise SingularMatrix(f"determinant {d} is round-off of its terms")
     return Matrix2(m.a22 / d, -m.a12 / d, -m.a21 / d, m.a11 / d)
 
 
 def crb_t3(policy: SamplingPolicy, model: ObservationModel, target: Target) -> float:
     """Per-slot bound on the requested mean when both means are unknown.
 
-    The target's entry of the inverse of :func:`fim_t3`, computed as the
-    reciprocal of the Schur complement ``I_own - I_cross^2 / I_other``,
-    which does not underflow for tiny policies as the determinant does.
-    Without joint samples the cross term vanishes and the two means
-    decouple: the bound is ``1 / I_own`` as long as some slot type observes
-    the target coordinate.
+    The target's entry of the inverse of :func:`fim_t3`: its variance over
+    the Schur complement ``J_own - J_cross^2 / J_other`` of the standardized
+    matrix, which does not underflow for tiny policies as the determinant
+    does.  Without joint slots the means decouple: ``var / J_own``.
 
     Raises:
         SingularMatrix: no information about the target mean at all (e.g.
             p_x = p_xy = 0 with target MU_X).
     """
-    fim = fim_t3(policy, model)
-    own, other = (fim.a11, fim.a22) if target is Target.MU_X else (fim.a22, fim.a11)
-    schur = own - fim.a12 * (fim.a12 / other) if other > 0.0 else own
+    i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model.rho)
+    on_x = target is Target.MU_X
+    own, other, var = (i11, i22, model.var_x) if on_x else (i22, i11, model.var_y)
+    schur = own - cross * (cross / other) if other > 0.0 else own
     if schur > 0.0:
-        return 1.0 / schur
+        return var / schur
     raise SingularMatrix(f"no slot type observes the {target.value} coordinate")
 
 
@@ -329,13 +324,9 @@ def empirical_fim_with_stderr(
         )
         return out
 
-    dim = task.n_parameters
-    if task is Task.T1:
-        theta0 = [model.mu_y]
-    elif task is Task.T2:
-        theta0 = [model.mu_y, model.rho]
-    else:
-        theta0 = [model.mu_x, model.mu_y]
+    theta0 = {Task.T1: [model.mu_y], Task.T2: [model.mu_y, model.rho],
+              Task.T3: [model.mu_x, model.mu_y]}[task]
+    dim = len(theta0)
 
     scores = np.zeros((dim, n))
     for j in range(dim):

@@ -225,10 +225,6 @@ class MultivariateModel:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @property
-    def cholesky_factor(self) -> np.ndarray:
-        return self._chol
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` vectors as mean + L z with L the Cholesky factor."""
         z = rng.standard_normal((n, self.dim))

@@ -128,6 +128,7 @@ class SimulationReport:
     replications_excluded: int
     slots_per_replication: int
     master_seed: int
+    policy: SamplingPolicy  # the audit's slot-kind probabilities; not a record field
     generator: str = GENERATOR_NAME
 
     def as_record(self) -> dict:
@@ -349,6 +350,7 @@ def run(config: SimulationConfig) -> SimulationReport:
         replications_excluded=excluded,
         slots_per_replication=config.slots,
         master_seed=config.master_seed,
+        policy=config.policy,
     )
 
 
@@ -381,38 +383,27 @@ def audit_resources(report: SimulationReport, scenario: Scenario) -> AuditResult
 
     A check passes when ``slack = budget - mean_cost`` is no worse than
     minus three standard errors of the slot-type mixture (budgets constrain
-    expectations, so sampling noise must be tolerated, not violations).
-    Failures are results, not exceptions.
+    expectations, so sampling noise must be tolerated, not violations).  The
+    per-slot cost variance ``sum_k p_k c_k^2 - (sum_k p_k c_k)^2`` comes from
+    the policy's kind probabilities, which are known by design, so a kind
+    that never occurred in the run still counts.  Failures are results, not
+    exceptions.
     """
     table = slot_costs(scenario)
-    total_slots = report.ledger.slots
-    freqs = {
-        kind: report.slot_counts[kind.value] / total_slots for kind in ObservationKind
-    }
-
+    probs = dict(zip(_KIND_CODES, (*report.policy.as_tuple(), report.policy.p_idle)))
     actors = [(Actor.SENSOR_X, scenario.budget.e1), (Actor.SENSOR_Y, scenario.budget.e1)]
     if scenario.setting is Setting.CENTRALIZED:
         actors.append((Actor.DATA_CENTER, scenario.budget.e2))
-
     checks = []
     for actor, budget in actors:
-        kind_cost = {
-            kind: table[kind][actor].total for kind in ObservationKind
-        }
+        costs = [(probs[kind], table[kind][actor].total) for kind in ObservationKind]
+        expected = sum(p * c for p, c in costs)
+        variance = max(0.0, sum(p * c**2 for p, c in costs) - expected**2)
+        stderr = math.sqrt(variance / report.ledger.slots)
         mean_cost = report.ledger.for_actor(actor).total
-        second_moment = sum(freqs[k] * kind_cost[k] ** 2 for k in ObservationKind)
-        variance = max(0.0, second_moment - mean_cost**2)
-        stderr = math.sqrt(variance / total_slots)
         slack = budget - mean_cost
         checks.append(
-            ConstraintAudit(
-                actor=actor.value,
-                budget=budget,
-                mean_cost_per_slot=mean_cost,
-                slack=slack,
-                stderr=stderr,
-                passed=slack >= -3.0 * stderr,
-            )
+            ConstraintAudit(actor.value, budget, mean_cost, slack, stderr, slack >= -3.0 * stderr)
         )
     return AuditResult(tuple(checks), all(c.passed for c in checks))
 

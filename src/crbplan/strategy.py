@@ -2,10 +2,10 @@
 
 Each scenario induces a small linear constraint set over the slot-type
 probabilities (p_x, p_y, p_xy): the simplex, nonnegativity, per-sensor
-budgets, and (centralized only) a data-center budget.  :data:`COST_TABLE` is
-the one cost model: each budget row and the simulator's ledger derive from
-it.  An observation costs 1 unit; each transmission or reception costs
-``alpha`` units.
+budgets, and (centralized only) a data-center budget; every row holds by the
+one scale-free rule of :func:`_limit`.  :data:`COST_TABLE` is the one cost
+model: each budget row and the simulator's ledger derive from it.  An
+observation costs 1 unit; each transmission or reception costs ``alpha``.
 
 Two planners cover the objective shapes:
 
@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .fisher import (
 )
 from .model import ObservationKind, ObservationModel
 
-FEASIBILITY_TOL = 1e-9
 #: Candidates this close, relative to the larger one, are the same policy.
 _SAME_REL = 1e-9
 #: Objective values this close, relative to the best, tie.
@@ -114,31 +114,56 @@ class Constraint:
     bound: float
 
     def value(self, p_x: float, p_y: float, p_xy: float) -> float:
-        c = self.coeffs
-        return c[0] * p_x + c[1] * p_y + c[2] * p_xy
+        return _load(self.coeffs, p_x, p_y, p_xy)
 
-    def slack(self, policy: SamplingPolicy) -> float:
-        return self.bound - self.value(*policy.as_tuple())
+
+def _load(c, p_x, p_y, p_xy):
+    """``c.p`` in one fixed order, so floats and numpy arrays agree bit for bit."""
+    return c[0] * p_x + c[1] * p_y + c[2] * p_xy
+
+
+def _limit(bound, abs_load):
+    """The one feasibility rule: a row ``c.p <= b`` holds at ``p`` when
+    ``c.p <= b + 1e-9 (|b| + |c|.|p|)``, a componentwise backward-error test
+    (Oettli and Prager): moving each coefficient and the bound by 1e-9 of
+    itself makes the row hold.  A zero or tiny bound then admits rounding of
+    the load only, at every scale of alpha.  Plain operators: floats and
+    numpy arrays alike."""
+    return bound + 1e-9 * (abs(bound) + abs_load)
 
 
 @dataclass(frozen=True)
 class LinearConstraintSet:
     rows: tuple[Constraint, ...]
 
-    def violations(self, policy: SamplingPolicy, tol: float = FEASIBILITY_TOL):
-        return [row.name for row in self.rows if row.slack(policy) < -tol]
+    @cached_property
+    def _finite(self):
+        """The finite-bound rows as arrays ``C`` and ``b``."""
+        rows = [r for r in self.rows if math.isfinite(r.bound)]
+        c = np.array([r.coeffs for r in rows], dtype=float).reshape(-1, 3)
+        return c, np.array([r.bound for r in rows], dtype=float)
 
-    def is_feasible(self, policy: SamplingPolicy, tol: float = FEASIBILITY_TOL) -> bool:
-        return not self.violations(policy, tol)
+    @cached_property
+    def _terms(self):
+        """Each row's name, coefficients, bound and absolute coefficients."""
+        return [(r.name, r.coeffs, r.bound, tuple(map(abs, r.coeffs))) for r in self.rows]
 
-    def feasibility_mask(self, p_x, p_y, p_xy, tol: float = FEASIBILITY_TOL):
-        """Vectorized membership test over arrays of candidate policies."""
-        mask = np.ones(np.shape(p_x), dtype=bool)
-        for row in self.rows:
-            if math.isinf(row.bound):
-                continue
-            mask &= row.value(p_x, p_y, p_xy) <= row.bound + tol
-        return mask
+    def violations(self, policy: SamplingPolicy) -> list[str]:
+        p_x, p_y, p_xy = policy.as_tuple()
+        q_x, q_y, q_xy = abs(p_x), abs(p_y), abs(p_xy)
+        return [name for name, c, b, a in self._terms
+                if not _load(c, p_x, p_y, p_xy) <= _limit(b, _load(a, q_x, q_y, q_xy))]
+
+    def is_feasible(self, policy: SamplingPolicy) -> bool:
+        return not self.violations(policy)
+
+    def feasibility_mask(self, p_x, p_y, p_xy):
+        """:meth:`is_feasible` over arrays of policies, bit for bit; a point with
+        a non-finite component fails."""
+        c, b = self._finite
+        p = [np.asarray(v, dtype=float)[..., None] for v in (p_x, p_y, p_xy)]
+        holds = _load(c.T, *p) <= _limit(b, _load(np.abs(c.T), *map(np.abs, p)))
+        return holds.all(axis=-1) & np.isfinite(p[0] + p[1] + p[2])[..., 0]  # no inf, nan
 
 
 class Actor(Enum):
@@ -320,7 +345,7 @@ def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> Pla
         p_y = 1.0 - p_xy
 
     tie = False
-    if abs(rho2 - thr2) <= 1e-12 and 1e-12 < e1 < alpha + 1.0 - 1e-12:
+    if abs(rho2 - thr2) <= 1e-12 and 0.0 < e1 < (alpha + 1.0) * (1.0 - 1e-12):
         tie = True  # objective parallel to the budget face
     if abs(model.rho) <= 1e-15 and e1 > 1.0 + 1e-12:
         tie = True  # rho = 0: joint and marginal slots equally informative
@@ -353,30 +378,29 @@ def _first_copies(points):
 def _vertices(constraints: LinearConstraintSet):
     """The polytope's distinct feasible vertices, k x 3.
 
-    Intersects every triple of finite-bound row planes in one batched solve;
-    of the copies of a vertex that several triples find, the first stays.
+    Intersects every triple of finite-bound row planes with a nonzero LU
+    determinant in one batched solve, with no cut-off: a nearly singular
+    triple's point stays only if it is feasible, and then it is a harmless
+    extra candidate.  Of the copies of a vertex, the first stays.
     """
-    rows = [r for r in constraints.rows if math.isfinite(r.bound)]
-    c = np.array([r.coeffs for r in rows], dtype=float).reshape(-1, 3)
-    b = np.array([r.bound for r in rows], dtype=float)
+    c, b = constraints._finite
     triples = np.array(list(itertools.combinations(range(len(b)), 3))).reshape(-1, 3)
     with np.errstate(all="ignore"):  # LU divides by subnormal pivots (alpha ~ 1e-320)
-        regular = ~(np.abs(np.linalg.det(c[triples])) < 1e-12)
+        regular = np.abs(np.linalg.det(c[triples])) > 0.0  # false at nan: an inf and a 0 pivot
     points = np.linalg.solve(c[triples][regular], b[triples][regular][..., None])[..., 0]
     vertices = _feasible(points, constraints)
     return vertices[_first_copies(vertices)]
 
 
 def enumerate_vertices(constraints: LinearConstraintSet) -> list[tuple[float, float, float]]:
-    """All feasible vertices of the constraint polytope, to the feasibility
-    tolerance."""
+    """All feasible vertices of the constraint polytope."""
     return [tuple(v) for v in _vertices(constraints).tolist()]
 
 
-def _crb_t3_array(p_x, p_y, p_xy, model: ObservationModel, target: Target):
-    """:func:`crbplan.fisher.crb_t3` over arrays, bit for bit; inf where it
-    raises."""
-    i11, i22, cross = fim_t3_entries(p_x, p_y, p_xy, model)
+def _crb_t3_array(p_x, p_y, p_xy, rho: float, target: Target):
+    """The standardized t3 bound over arrays: :func:`crbplan.fisher.crb_t3`
+    at unit variances, bit for bit; inf where it raises."""
+    i11, i22, cross = fim_t3_entries(p_x, p_y, p_xy, rho)
     own, other = (i11, i22) if target is Target.MU_X else (i22, i11)
     with np.errstate(all="ignore"):  # 1/tiny is inf, as Python's float division gives
         schur = np.where(other > 0.0, own - cross * (cross / other), own)
@@ -419,18 +443,16 @@ def _solve(scenario: Scenario, model: ObservationModel, candidates, method: Meth
     """The best of ``candidates``, feasible policies that include an optimum.
 
     t1/t2 candidates are scored by their standardized information, t3 ones
-    by their bound on the unit-variance model: optimal policies do not
-    depend on the variances.  Values within ``_TIE_REL`` of the best tie
-    (``tie`` says whether distinct candidates do), and the tie goes to the
-    smallest ``p_xy`` (the fewest communicated samples), then ``p_x``, then
-    ``p_y``.
+    by their standardized bound: optimal policies do not depend on the
+    variances.  Values within ``_TIE_REL`` of the best tie (``tie`` says
+    whether distinct candidates do), and the tie goes to the smallest
+    ``p_xy`` (the fewest communicated samples), then ``p_x``, then ``p_y``.
 
     Raises:
         SingularEverywhere: every candidate's t3 bound is infinite.
     """
     if scenario.task is Task.T3:
-        unit = ObservationModel(0.0, 0.0, 1.0, 1.0, model.rho)
-        values = _crb_t3_array(*candidates.T, unit, scenario.target)
+        values = _crb_t3_array(*candidates.T, model.rho, scenario.target)
     else:
         values = -(candidates @ (0.0, 1.0, 1.0 / (1.0 - model.rho * model.rho)))
     best = values.min()

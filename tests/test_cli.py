@@ -109,6 +109,10 @@ _ZERO_BUDGETS = {
     "t2_decentralized_e1": ("--task", "t2", "--setting", "decentralized", "--e1", "0"),
     "t1_centralized_e2": ("--task", "t1", "--setting", "centralized", "--e1", "2", "--e2", "0"),
     "t2_centralized_e2": ("--task", "t2", "--setting", "centralized", "--e1", "1", "--e2", "0"),
+    # a zero data-center row admits rounding only, not p_y = 4e-10
+    "t1_centralized_e2_tiny_e1": (
+        "--task", "t1", "--setting", "centralized", "--e1", "1.2e-9", "--e2", "0"
+    ),
 }
 
 
@@ -119,6 +123,17 @@ def test_plan_zero_budget_exits_3_like_t3(flags, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == _SINGULAR
+
+
+def test_plan_t3_subnormal_variance_scales_the_bound(capsys):
+    code = run_cli(
+        "plan", "--task", "t3", "--setting", "decentralized",
+        "--alpha", "0.5", "--e1", "1", "--rho", "0.5", "--var-x", "1e-310",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "p_x=1 p_y=0 p_xy=0 crb=1e-310 method=face_enum tie=false\n"
+    )
 
 
 @pytest.mark.parametrize("flags", list(_ZERO_BUDGETS.values()), ids=list(_ZERO_BUDGETS))
@@ -213,6 +228,34 @@ def test_bounds_rho_sweep_with_fixed_policy(tmp_path):
     crbs = [float(r["crb"]) for r in rows]
     assert crbs[0] == pytest.approx(1.0)  # rho = 0
     assert all(a >= b for a, b in zip(crbs, crbs[1:]))  # correlation helps
+
+
+@pytest.mark.parametrize("target, crb", [("mu-x", "1.3368984"), ("mu-y", "2.94117647e-311")])
+def test_bounds_t3_row_at_a_subnormal_variance(target, crb, capsys):
+    # the mu_x bound does not depend on var_y: 1.3368984 as at var_y = 1
+    code = run_cli(
+        "bounds", "--task", "t3", "--setting", "decentralized", "--alpha", "0",
+        "--e1", "1", "--rho", "0.5", "--var-y", "2.2e-311", "--target", target,
+        "--sweep", "p_x", "--start", "0.3", "--stop", "0.3", "--step", "0.1",
+        "--p-y", "0.3", "--p-xy", "0.3",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == f"sweep_var,value,crb,feasible\np_x,0.3,{crb},true\n"
+
+
+@pytest.mark.parametrize(
+    "stop, step, last", [("1e-13", "3.5e-14", "7e-14"), ("1", "0.35", "0.7")], ids=["tiny", "unit"]
+)
+def test_bounds_sweep_ends_at_stop_at_every_scale(stop, step, last, capsys):
+    # start + 3 step lies past stop by 5 % of it at both scales
+    code = run_cli(
+        "bounds", "--task", "t1", "--setting", "decentralized", "--alpha", "2",
+        "--e1", "2", "--rho", "0.5", "--p-y", "0.5", "--p-xy", "0.5",
+        "--sweep", "rho", "--start", "0", "--stop", stop, "--step", step,
+    )
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0
+    assert [row.split(",")[1] for row in rows] == ["0", step, last]
 
 
 def test_bounds_malformed_range_exits_2(capsys):
@@ -533,12 +576,10 @@ def _number(low, high):
     return st.one_of(st.floats(low, high), extremes).map(repr)
 
 
-# Valid variances stay within [1e-6, 1e6]. Beyond it an open defect listed
-# in CHANGES.md (FOUND) shows: at var_y = 2.2e-311 the t3 information
-# overflows, and fisher.crb reads the decoupled bound for mu_x and inf for
-# mu_y.
+# the full positive normal range, and the O(1) values the figures use
+_NORMAL = st.floats(sys.float_info.min, sys.float_info.max)
 _VARIANCE = st.one_of(
-    st.floats(1e-6, 1e6), st.sampled_from([0.0, -1.0, math.inf, math.nan])
+    st.floats(1e-6, 1e6), _NORMAL, st.sampled_from([0.0, -1.0, math.inf, math.nan])
 ).map(repr)
 
 
@@ -549,7 +590,7 @@ def _plan_or_bounds_argv(draw):
     for flag, values in [
         ("--task", st.sampled_from(["t1", "t2", "t3"])),
         ("--setting", st.sampled_from(["decentralized", "centralized"])),
-        ("--alpha", _number(0.0, 5.0)),
+        ("--alpha", st.one_of(_number(0.0, 5.0), _NORMAL.map(repr))),
         ("--e1", _number(0.0, 8.0)),
         ("--e2", _number(0.0, 8.0)),
         ("--rho", _number(-1.0, 1.0)),

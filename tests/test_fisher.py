@@ -205,6 +205,30 @@ def test_invert_rejects_singular():
         invert_2x2(Matrix2.diagonal(1.0, 0.0))
 
 
+def test_invert_judges_singularity_at_the_matrix_scale():
+    # the determinant of this regular matrix is 8.4e-15, since its entries
+    # scale as 1/var
+    f = fim_t3(SamplingPolicy(0.3, 0.3, 0.3), model(rho=0.8, var_x=1e7, var_y=1e7))
+    np.testing.assert_allclose(
+        invert_2x2(f).as_array(), np.linalg.inv(f.as_array()), rtol=1e-12
+    )
+    with pytest.raises(SingularMatrix):
+        invert_2x2(Matrix2(1e-8, 1e-8, 1e-8, 1e-8))
+
+
+@pytest.mark.parametrize(
+    "target, want", [(Target.MU_X, 1.3368984), (Target.MU_Y, 2.94117647e-311)]
+)
+def test_crb_t3_at_a_subnormal_variance(target, want):
+    # standardized entries, the variance applied last: no overflow in the
+    # information, and the mu_x bound does not depend on var_y
+    m = model(rho=0.5, var_y=2.2e-311)
+    value = crb_t3(SamplingPolicy(0.3, 0.3, 0.4), m, target)
+    assert value == pytest.approx(want, rel=1e-7)
+    unit = crb_t3(SamplingPolicy(0.3, 0.3, 0.4), model(rho=0.5), target)
+    assert value == (unit if target is Target.MU_X else 2.2e-311 * unit)
+
+
 def test_invert_product_is_identity():
     rng = np.random.default_rng(25)
     for _ in range(100):

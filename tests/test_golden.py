@@ -3,7 +3,9 @@ README examples and one small seeded simulation.
 
 The digests were recorded before the cost table and the CRB evaluator were
 unified, so any refactor that changes a byte of these outputs fails here.
-A deliberate output change must update the digest and say so in CHANGES.md.
+A deliberate output change must update the digest and say so in CHANGES.md:
+``simulate_t3`` was re-recorded when the audit began to take its standard
+errors from the policy, which moved only its ``stderr=`` values.
 """
 
 import contextlib
@@ -27,7 +29,7 @@ GOLDEN = {
     "sweep_fig4c": "f694c4641792bdbdc68cbdffdee747226985f3c3557123e802da4c9d2718ba6d",
     "readme_plan": "be05975de042607a19b9040e4ebafbe9f1abe092238e197c087cc39e0d2ad69e",
     "readme_bounds": "04d30e676061676837637570c7c95d6be8ddddebc1b944066d20b6dc271febd7",
-    "simulate_t3": "2d56c470d4b3a5b8ad9a0cd6b525e8a29bab90c0acd54f6acd2711f9464945df",
+    "simulate_t3": "ebe83671d8bc125c22090221b1514bba4a6e72d7a43b7fccedb38f398eb53281",
 }
 
 COMMANDS = {

@@ -164,6 +164,7 @@ def _reference_run(config):
         replications_excluded=excluded,
         slots_per_replication=config.slots,
         master_seed=config.master_seed,
+        policy=config.policy,
     )
 
 
@@ -439,6 +440,22 @@ def test_audit_marginal_only_policy():
     audit = audit_resources(report, cfg.scenario)
     assert audit.passed
     assert audit.for_actor(Actor.SENSOR_Y).mean_cost_per_slot == pytest.approx(1.0)
+
+
+def test_audit_stderr_comes_from_the_policy():
+    # stand-alone Y at probability 5e-6 never occurs in these 10^4 slots; the
+    # observed frequencies would give stderr 0 and fail a budget the policy
+    # keeps in expectation (its expected cost is e1 = 2.99999 exactly)
+    scenario = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(2.0, 2.99999))
+    policy = SamplingPolicy(0.0, 5e-6, 1.0 - 5e-6)
+    report = run(SimulationConfig(scenario, model(), policy, EstimatorKind.DELTA2, 100, 100, 1))
+    assert report.slot_counts["marginal_y"] == 0
+    audit = audit_resources(report, scenario)
+    assert audit.passed
+    check = audit.for_actor(Actor.SENSOR_Y)
+    # Var = E[c^2] - E[c]^2 over costs 1 (p = 5e-6) and 3: 4 p (1 - p)
+    assert check.stderr == pytest.approx(math.sqrt(4 * 5e-6 * (1 - 5e-6) / 10_000), rel=1e-9)
+    assert "policy" not in report.as_record()
 
 
 def test_audit_flags_budget_overrun():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from crbplan import (
 )
 from crbplan.strategy import (
     _BASE_ROWS,
-    FEASIBILITY_TOL,
     Constraint,
     LinearConstraintSet,
     _crb_t3_array,
@@ -117,6 +117,40 @@ def test_constraints_origin_always_feasible():
         cen(Task.T3, 1, math.inf, math.inf),
     ):
         assert constraints_for(scenario).is_feasible(SamplingPolicy(0, 0, 0))
+
+
+def test_feasibility_rule_is_relative_to_each_coefficient():
+    # a row holds to 1e-9 (|b| + |c|.|p|): rounding of its own load, at any scale
+    cons = constraints_for(dec(Task.T1, 1.0, 1.0))
+    assert cons.is_feasible(SamplingPolicy(0.0, 1.0, 0.0))
+    assert "no_marginal_x" in cons.violations(SamplingPolicy(1e-17, 0.5, 0.0))
+    assert "no_marginal_x" in cons.violations(SamplingPolicy(2.4e-45, 2.4e-45, 0.0))
+    # a tiny data-center row: 1e-9 of its own size, not 1e-9 absolute
+    tiny = constraints_for(cen(Task.T1, 1e-13, 10.0, 1e-14))
+    assert tiny.is_feasible(SamplingPolicy(0.0, 0.1, 0.0))
+    assert "dc_budget" in tiny.violations(SamplingPolicy(0.0, 0.1 * (1 + 1e-8), 0.0))
+    assert "dc_budget" in tiny.violations(SamplingPolicy(0.0, 0.0, 1.0))
+    # a huge alpha: the joint cost 2e9 + 1 does not hide the observation cost
+    # 1, which a normwise rule, 1e-9 (|b| + |c|_1 |p|_inf), would
+    wide = constraints_for(dec(Task.T3, 1e9, 0.5))
+    assert wide.is_feasible(SamplingPolicy(0.5 * (1 + 1e-10), 0.0, 0.0))
+    assert "sensor_x_budget" in wide.violations(SamplingPolicy(1.0, 0.0, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scenario=st.builds(
+        cen, st.sampled_from(Task), st.floats(0.0, 4.0), _budget_draw := st.one_of(
+            st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-14, math.inf])
+        ), _budget_draw,
+    ),
+    p=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_feasibility_mask_is_is_feasible_vectorized(scenario, p):
+    cons = constraints_for(scenario)
+    p = [v / max(1.0, sum(p)) for v in p]
+    mask = cons.feasibility_mask(*(np.array([v]) for v in p))
+    assert mask.tolist() == [cons.is_feasible(SamplingPolicy(*p))]
 
 
 def _hand_written_rows(scenario):
@@ -312,18 +346,22 @@ def test_plan_linear_agreement_smoke():
 )
 def test_closed_form_matches_plan_linear(alpha, e1, rho, var_y):
     # Compared as information 1/crb, within rel 1e-9 plus what the
-    # enumerator's feasibility tolerance lets its vertices move: it accepts
-    # rows violated by FEASIBILITY_TOL (alpha = 1e-9, e1 = 1 takes p_xy = 1)
-    # and ties values 1e-15 apart (e1 = 1e-45 gives the origin, crb = inf).
+    # feasibility rule lets a vertex overshoot: each row holds to 1e-9 (|b| +
+    # |c|.|p|), which for these nonnegative rows and policies relaxes a bound
+    # by at most 2e-9 of itself (alpha = 2e-9, e1 = 1 takes p_xy = 1), and
+    # the information, homogeneous in the bounds, grows by as much.
     m = validate((0, 0, 1.0, var_y, rho))
     closed = plan_t1_closed_form(alpha, e1, m)
     linear = plan_linear(dec(Task.T1, alpha, e1), m)
     info_c, info_l = 1.0 / closed.objective_value, 1.0 / linear.objective_value
-    slack = 2.0 * FEASIBILITY_TOL / ((1.0 - rho * rho) * var_y)
-    assert abs(info_c - info_l) <= 1e-9 * max(info_c, info_l) + slack
-    if not (closed.tie or linear.tie):
+    rel = 3e-9
+    assert abs(info_c - info_l) <= rel * max(info_c, info_l)
+    # at info 0 (e1 = 5e-324 underflows p_xy = e1 / (alpha + 1)) every
+    # policy is as good as any other
+    if not (closed.tie or linear.tie or info_c == 0.0):
+        size = max(closed.policy.as_tuple())
         assert closed.policy.as_tuple() == pytest.approx(
-            linear.policy.as_tuple(), abs=2.0 * FEASIBILITY_TOL
+            linear.policy.as_tuple(), rel=0.0, abs=rel * size
         )
 
 
@@ -350,17 +388,21 @@ def _dense_feasible_sample(scenario, rng, n=3000):
 def _brute_force_linear_bound(scenario, m):
     """The least bound over every intersection of three row planes that is
     feasible once clipped to p >= 0, one scalar solve and one fisher.crb
-    call at a time."""
+    call at a time.  A triple counts when its determinant is not zero; a
+    finite point satisfies a row when c.p - b <= 1e-9 (|b| + |c|.|p|)."""
     cons = constraints_for(scenario)
     rows = [r for r in cons.rows if math.isfinite(r.bound)]
     best = math.inf
     for triple in itertools.combinations(rows, 3):
         a = np.array([r.coeffs for r in triple])
         with np.errstate(all="ignore"):  # subnormal alpha
-            if not abs(np.linalg.det(a)) >= 1e-12:
+            if not abs(np.linalg.det(a)) > 0.0:
                 continue
-        p = np.maximum(np.linalg.solve(a, [r.bound for r in triple]), 0.0)
-        if all(r.value(*p) <= r.bound + FEASIBILITY_TOL for r in rows):
+            p = np.maximum(np.linalg.solve(a, [r.bound for r in triple]), 0.0)
+        if np.isfinite(p).all() and all(
+            r.value(*p) - r.bound <= 1e-9 * (abs(r.bound) + np.abs(r.coeffs) @ np.abs(p))
+            for r in rows
+        ):
             policy = SamplingPolicy.clamped(*p)
             best = min(best, crb(scenario.task, scenario.target, policy, m))
     return best
@@ -398,6 +440,36 @@ def test_plan_linear_keeps_a_tiny_budget_vertex():
         plan_t1_closed_form(1.0, 2.4e-45, m).objective_value, rel=1e-12
     )
     assert result.objective_value == pytest.approx(4.1667e44, rel=1e-4)
+    assert not result.tie  # p_x = 2.4e-45 breaks the pinned no_marginal_x row
+
+
+@pytest.mark.parametrize("task, target", [(Task.T1, None), (Task.T3, Target.MU_X)])
+def test_tiny_dc_budget_is_not_overspent(task, target):
+    # alpha = 1e-13: the data-center row (1e-13, 1e-13, 2e-13) . p <= 1e-14;
+    # p_xy = 1 loads it 20-fold, the marginal share 0.1 exactly
+    scenario = cen(task, 1e-13, 10.0, 1e-14, target)
+    result = (plan_t3 if task is Task.T3 else plan_linear)(scenario, model(0.5))
+    marginal = result.policy.p_x if task is Task.T3 else result.policy.p_y
+    assert marginal == pytest.approx(0.1, rel=1e-12)
+    assert result.policy.p_xy == 0.0
+    assert result.objective_value == pytest.approx(10.0, rel=1e-12)
+    assert constraints_for(scenario).is_feasible(result.policy)
+
+
+def test_zero_dc_budget_leaves_no_information():
+    # e2 = 0 pins every slot kind the data center pays for; p_y = 6e-10 is
+    # not rounding of 0
+    result = plan_linear(cen(Task.T1, 1.0, 1.2e-9, 0.0), model(0.5))
+    assert result.objective_value == math.inf
+    assert result.policy.as_tuple() == (0.0, 0.0, 0.0)
+
+
+def test_closed_form_tie_at_a_tiny_budget():
+    # at the threshold the whole budget face is optimal for every e1 > 0,
+    # as the vertex enumerator reports
+    m = model(math.sqrt(2 / 3))
+    assert plan_t1_closed_form(2.0, 1e-13, m).tie
+    assert plan_linear(dec(Task.T1, 2.0, 1e-13), m).tie
 
 
 def test_plan_linear_threshold_jump_bracketed():
@@ -468,14 +540,14 @@ def test_plan_t3_centralized_interior_optimum():
 def test_crb_t3_array_equals_scalar_crb_bit_for_bit():
     # the t3 planner and fisher.crb read the same t3 information entries
     rng = np.random.default_rng(20221018)
-    for rho, var_x, var_y in ((0.0, 1.0, 1.0), (0.8, 2.0, 0.5), (-0.95, 0.3, 4.0)):
-        m = model(rho, var_x, var_y)
+    for rho in (0.0, 0.8, -0.95):
+        unit = model(rho)
         p = rng.dirichlet(np.ones(4), size=400)[:, :3]
         p[::5, 2] = 0.0  # no joint slots: the singular, decoupled branch
         p[::15, 0] = 0.0  # ... with mu_x unobserved there: inf
         for target in Target:
-            got = _crb_t3_array(p[:, 0], p[:, 1], p[:, 2], m, target).tolist()
-            want = [crb(Task.T3, target, SamplingPolicy(*row), m) for row in p.tolist()]
+            got = _crb_t3_array(p[:, 0], p[:, 1], p[:, 2], rho, target).tolist()
+            want = [crb(Task.T3, target, SamplingPolicy(*row), unit) for row in p.tolist()]
             assert got == want
             assert math.inf in want or target is Target.MU_Y
 
@@ -490,7 +562,7 @@ def _full_cube_grid_bound(scenario, m):
     def best(px, py, pxy):
         keep = cons.feasibility_mask(px, py, pxy)
         px, py, pxy = px[keep], py[keep], pxy[keep]
-        values = _crb_t3_array(px, py, pxy, m, scenario.target)
+        values = _crb_t3_array(px, py, pxy, m.rho, scenario.target)
         near = np.flatnonzero(values <= values.min() + max(1e-9 * values.min(), 1e-15))
         i = near[np.lexsort((py[near], px[near], pxy[near]))[0]]
         return values[i], np.array([px[i], py[i], pxy[i]])
@@ -608,8 +680,7 @@ def test_plan_t3_candidates_reach_an_optimum_inside_a_facet(p, rho, target):
     cons = LinearConstraintSet(_BASE_ROWS + (row,))
     vertices = _vertices(cons)
     candidates = np.concatenate([vertices, _feasible(_t3_edge_points(vertices, rho, target), cons)])
-    unit = validate((0, 0, 1.0, 1.0, rho))
-    assert _crb_t3_array(*candidates.T, unit, target).min() <= num / den * (1.0 + 1e-12)
+    assert _crb_t3_array(*candidates.T, rho, target).min() <= num / den * (1.0 + 1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -636,21 +707,44 @@ def test_plan_t3_frank_wolfe_gap_is_round_off(centralized, alpha, e1, e2, target
     assert ((p - vertices) @ gradient).max() <= 1e-9 * value
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
+@example(task=Task.T3, centralized=True, alpha=2.0, e1=2.0, e2=2.0, target=Target.MU_X,
+         rho=0.8, var_x=1.0, var_y=1.0, k=-100)
+@example(task=Task.T1, centralized=False, alpha=1.0, e1=2.4e-45, e2=0.0, target=Target.MU_Y,
+         rho=0.5, var_x=1.0, var_y=1.0, k=100)
 @given(
+    task=st.sampled_from(Task),
     **_SCENARIO_DRAW,
     var_x=st.floats(0.1, 10.0),
     var_y=st.floats(0.1, 10.0),
-    k=st.integers(-6, 6),
+    k=st.integers(-100, 100),
 )
-def test_plan_t3_policy_is_scale_free(centralized, alpha, e1, e2, target, rho, var_x, var_y, k):
-    scenario = _t3_scenario(centralized, alpha, e1, e2, target)
-    base, scaled = (
-        _plan_t3_or_none(scenario, validate((0, 0, var_x * s, var_y * s, rho)))
-        for s in (1.0, 10.0**k)
-    )
-    assert (base is None) == (scaled is None)
-    assert base is None or base.policy == scaled.policy
+def test_every_planner_is_scale_free(
+    task, centralized, alpha, e1, e2, target, rho, var_x, var_y, k
+):
+    # I(p) = V^-1/2 J(rho, p) V^-1/2: scaling both variances leaves every
+    # optimal policy alone and scales the bound, wherever it is representable
+    if task is Task.T3:
+        scenario = _t3_scenario(centralized, alpha, e1, e2, target)
+        planners = [_plan_t3_or_none]
+    elif centralized:
+        scenario = cen(task, alpha, e1, e2)
+        planners = [plan_linear]
+    else:
+        scenario = dec(task, alpha, e1)
+        planners = [plan_linear, lambda s, m: plan_t1_closed_form(alpha, e1, m)]
+    scale = 10.0**k
+    for planner in planners:
+        base, scaled = (
+            planner(scenario, validate((0, 0, var_x * s, var_y * s, rho))) for s in (1.0, scale)
+        )
+        assert (base is None) == (scaled is None)
+        if base is None:
+            continue
+        assert base.policy == scaled.policy and base.tie == scaled.tie
+        want = base.objective_value * scale
+        if sys.float_info.min <= want < math.inf:
+            assert scaled.objective_value == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -738,5 +832,10 @@ def test_t2_planning_reuses_t1_solution():
 
 def test_constraint_slack_evaluation():
     row = Constraint("sensor_y_budget", (0.0, 1.0, 3.0), 2.0)
-    assert row.slack(SamplingPolicy(0, 0.5, 0.5)) == pytest.approx(0.0)
+    assert row.bound - row.value(0.0, 0.5, 0.5) == 0.0
     assert row.value(0.0, 1.0, 0.0) == 1.0
+    # at p_xy = 0.6 the row admits a load up to 2 + 1e-9 (|b| + |c|.|p|)
+    # = 2 + 4e-9
+    rows = LinearConstraintSet((row,))
+    assert rows.violations(SamplingPolicy(0, 0.2, 0.6 + 1e-10)) == []
+    assert rows.violations(SamplingPolicy(0, 0.2, 0.6 + 1e-8)) == ["sensor_y_budget"]
