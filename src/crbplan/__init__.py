@@ -9,6 +9,7 @@ all of it with reproducible CSV/JSONL output.
 """
 
 from .errors import (
+    BoundOverflow,
     CorrelationOutOfRange,
     CrbPlanError,
     DegeneratePolicy,

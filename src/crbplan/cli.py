@@ -5,8 +5,9 @@ and writes byte-identical output files on repeated invocations.  Flags may
 also be supplied through a JSON config file (``--config``); explicit flags
 win over file values.
 
-Exit codes: 0 success, 2 invalid configuration or malformed input, 3 the
-requested bound is degenerate (infinite everywhere, e.g. a zero budget).
+Exit codes: 0 success, 2 invalid configuration or malformed input
+(including a bound too large to represent), 3 the requested bound is
+degenerate (infinite everywhere, e.g. a zero budget).
 """
 
 from __future__ import annotations

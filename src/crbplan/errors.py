@@ -45,5 +45,9 @@ class SingularEverywhere(CrbPlanError, ValueError):
     """The target bound is infinite over the entire feasible region."""
 
 
+class BoundOverflow(CrbPlanError, ValueError):
+    """The standardized bound is finite but the variance times it overflows."""
+
+
 class InfeasiblePolicy(CrbPlanError, ValueError):
     """A simulation policy violates the scenario's constraints."""

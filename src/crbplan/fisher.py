@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegeneratePolicy, InvalidPolicy, SingularMatrix
+from .errors import BoundOverflow, DegeneratePolicy, InvalidPolicy, SingularMatrix
 from .model import ObservationModel, sample_joint
 
 _POLICY_TOL = 1e-12
@@ -127,9 +127,6 @@ class Matrix2:
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=float)
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return abs(self.a12 - self.a21) <= tol
-
 
 def info_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     """Per-slot Fisher information about the Y mean (task t1).
@@ -150,12 +147,25 @@ def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     Raises:
         DegeneratePolicy: p_y = p_xy = 0, or so near it that the information
             about the Y mean underflows to 0.
+        BoundOverflow: the standardized bound is finite but var_y times it
+            is not.
     """
     shrink = 1.0 - model.rho * model.rho
     information = shrink * policy.p_y + policy.p_xy
     if not information > 0.0:
         raise DegeneratePolicy("p_y = p_xy = 0 yields no information about mu_y")
-    return model.var_y * (shrink / information)
+    standardized = shrink / information
+    return _representable(model.var_y * standardized, model.var_y, standardized)
+
+
+def _representable(bound: float, var: float, standardized: float) -> float:
+    """``bound``, ``var`` applied to ``standardized``; raises
+    :class:`BoundOverflow` where only the product is infinite."""
+    if bound == math.inf and standardized < math.inf:
+        raise BoundOverflow(
+            f"bound overflows: variance {var:g} times standardized bound {standardized:g}"
+        )
+    return bound
 
 
 def fim_t2(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
@@ -213,14 +223,16 @@ def crb_t3(policy: SamplingPolicy, model: ObservationModel, target: Target) -> f
     Raises:
         SingularMatrix: no information about the target mean at all (e.g.
             p_x = p_xy = 0 with target MU_X).
+        BoundOverflow: the standardized bound ``1 / schur`` is finite but
+            the variance over the Schur complement is not.
     """
     i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model.rho)
     on_x = target is Target.MU_X
     own, other, var = (i11, i22, model.var_x) if on_x else (i22, i11, model.var_y)
     schur = own - cross * (cross / other) if other > 0.0 else own
-    if schur > 0.0:
-        return var / schur
-    raise SingularMatrix(f"no slot type observes the {target.value} coordinate")
+    if not schur > 0.0:
+        raise SingularMatrix(f"no slot type observes the {target.value} coordinate")
+    return _representable(var / schur, var, 1.0 / schur)
 
 
 def crb(task: Task, target: Target, policy: SamplingPolicy, model: ObservationModel) -> float:
@@ -228,7 +240,9 @@ def crb(task: Task, target: Target, policy: SamplingPolicy, model: ObservationMo
 
     Tasks t1 and t2 bound the Y mean (:func:`crb_t1`, ``target`` unused) and
     t3 the target mean (:func:`crb_t3`); where those raise because the policy
-    carries no information about the mean, this returns ``math.inf``.
+    carries no information about the mean, this returns ``math.inf``.  A
+    :class:`BoundOverflow` passes through: that bound exists but is not
+    representable.
     """
     try:
         if task is Task.T3:

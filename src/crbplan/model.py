@@ -6,16 +6,13 @@ a joint observation (both coordinates, drawn from the correlated pair), or
 nothing (idle).  Model values are validated once, are immutable afterwards,
 and are safe to share across threads; all randomness flows through an
 explicit ``numpy.random.Generator`` so every draw is replayable from a seed.
-:func:`replication_rng` defines each replication's stream; ``run`` seeds
-its streams in one vectorized pass (``_replication_rngs``), equal to
-:func:`replication_rng`'s bit for bit.
+:func:`replication_rng` defines the stream of each block of
+:data:`REPLICATION_BLOCK` replications.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -231,133 +228,21 @@ class MultivariateModel:
         return self.mean + z @ self._chol.T
 
 
-def replication_rng(master_seed: int, replication: int) -> np.random.Generator:
-    """Generator for one simulation replication.
+# Replications per stream: replication r draws from stream r // REPLICATION_BLOCK,
+# straight after the replications before it in that block.
+REPLICATION_BLOCK = 1024
 
-    Derived from (master seed, replication index) so concurrent replications
-    own independent streams and any partitioning of replications across
-    workers reproduces the exact same draws.  This is the reference
-    definition; ``_replication_rngs`` seeds many of these streams at once.
+
+def replication_rng(master_seed: int, block: int) -> np.random.Generator:
+    """Generator for one block of :data:`REPLICATION_BLOCK` replications.
+
+    Derived from (master seed, block index), so every block owns an
+    independent stream and any split of whole blocks over workers reproduces
+    the exact same draws.
     """
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((master_seed, replication)))
+        np.random.PCG64(np.random.SeedSequence((master_seed, block)))
     )
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): hashmix
-# multiplies by the A sequence while mixing entropy into the pool and by the
-# B sequence while generating output words.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_WORD = 0xFFFFFFFF
-_SEED_BLOCK = 1024  # replications seeded per vectorized pass
-
-
-def _int_words(n: int) -> list[int]:
-    """``n`` as SeedSequence reads it: little-endian uint32 words, ``[0]`` for 0."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _WORD]
-    while n := n >> 32:
-        words.append(n & _WORD)
-    return words
-
-
-@functools.cache
-def _hash_constants(init: int, mult: int, calls: int):
-    """The xor and multiply constants of ``calls`` successive hashmix calls,
-    as read-only uint32 columns: call i xors with constant i and multiplies
-    by constant i + 1.  They depend only on the entropy length."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _WORD)
-    consts = np.array(consts, dtype=np.uint32)[:, None]
-    consts.flags.writeable = False
-    return consts[:-1], consts[1:]
-
-
-def _hashmix(values, xor, mult):
-    values = (values ^ xor) * mult
-    return values ^ (values >> 16)
-
-
-def _mix(x, y):
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> 16)
-
-
-def _pcg64_seed_words(master: list[int], start: int, stop: int) -> np.ndarray:
-    """Row r - start is ``SeedSequence((master_seed, r)).generate_state(4,
-    np.uint64)`` for each r in [start, stop), ``master`` the seed's words.
-
-    [start, stop) lies between two multiples of 2**32, so its indices share
-    their high words and every entropy tuple has the same length.  Each
-    SeedSequence round then runs once over a (4, n) pool of uint32 arrays.
-    """
-    words = master + [start & _WORD] + (_int_words(start >> 32) if start >> 32 else [])
-    entropy = np.zeros((max(len(words), 4), stop - start), np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(master)] += np.arange(stop - start, dtype=np.uint32)
-    extra = len(words) - 4
-
-    # mix_entropy: hash the first words into the 4-word pool, mix every pool
-    # word into every other, then mix each remaining word into every pool word.
-    xor, mult = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(extra, 0))
-    pool = _hashmix(entropy[:4], xor[:4], mult[:4])
-    call = 4
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        mixed = _hashmix(pool[src], xor[call : call + 3], mult[call : call + 3])
-        pool[dst] = _mix(pool[dst], mixed)
-        call += 3
-    for src in range(4, 4 + extra):
-        mixed = _hashmix(entropy[src], xor[call : call + 4], mult[call : call + 4])
-        pool = _mix(pool, mixed)
-        call += 4
-
-    # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
-    # paired little-endian into uint64s.
-    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
-    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mult).astype(np.uint64)
-    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
-
-
-class _SeedWords:
-    """A seed sequence whose PCG64 seed words are already computed.
-
-    :func:`_replication_rngs` registers it as numpy's ``ISeedSequence`` on
-    use: importing ``numpy.random`` with this module would cost every
-    import about 25 ms and 6 MB, which planning never needs.
-    """
-
-    def __init__(self, words: np.ndarray) -> None:
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._words  # PCG64 asks for exactly these: 4 uint64 words
-
-
-def _replication_rngs(master_seed: int, start: int, stop: int):
-    """Yield ``replication_rng(master_seed, r)`` for r in [start, stop).
-
-    The streams equal :func:`replication_rng`'s bit for bit, and any split
-    of the replications into windows gives the same streams.  SeedSequence's
-    words are computed for up to ``_SEED_BLOCK`` replications in one
-    vectorized pass, so a stream costs one ``PCG64`` instead of a
-    ``SeedSequence`` and a ``PCG64``.  A negative seed raises SeedSequence's
-    ``ValueError`` before the first stream.
-    """
-    master = _int_words(master_seed)
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    while start < stop:
-        # a block ends at the next multiple of 2**32, where indices gain a word
-        end = min(stop, start + _SEED_BLOCK, ((start >> 32) + 1) << 32)
-        for words in _pcg64_seed_words(master, start, end):
-            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
-        start = end
 
 
 GENERATOR_NAME = "pcg64"

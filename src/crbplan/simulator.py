@@ -7,15 +7,15 @@ which reads the same cost table as the scenario's budget rows.  Expected
 per-slot cost per actor therefore equals each budget row's left-hand side,
 which is what :func:`audit_resources` verifies empirically.
 
-All randomness is derived per replication from (master seed, replication
-index), so reports are bit-identical across runs and across any partitioning
-of replications over workers.  :func:`run` seeds its streams in one
-vectorized pass, equal to :func:`replication_rng`'s bit for bit.
-``_draw_replication`` alone fixes the order of a replication's draws.
-:func:`run` takes each stratum straight from it, with no slot arrays and no
-:func:`collect_replication`; :func:`replay_slots` scatters the same draws
-back to their slots, so :func:`write_trace` shows exactly the data
-:func:`run` consumed.
+All randomness is derived per block of :data:`REPLICATION_BLOCK`
+replications from (master seed, block index): replication r draws from
+stream r // REPLICATION_BLOCK, straight after the replications before it in
+that block.  Reports are therefore bit-identical across runs and across any
+split of whole blocks over workers.  ``_draw_replication`` alone fixes the
+order of a replication's draws.  :func:`run` takes each stratum straight
+from it, with no slot arrays and no :func:`collect_replication`;
+:func:`replay_slots` scatters the same draws back to their slots, so
+:func:`write_trace` shows exactly the data :func:`run` consumed.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ from .estimators import (
 from .fisher import SamplingPolicy, Target, Task, crb
 from .model import (
     GENERATOR_NAME,
+    REPLICATION_BLOCK,
     Axis,
-    Observation,
     ObservationKind,
     ObservationModel,
-    _replication_rngs,
     joint_from_normals,
     marginal_from_normals,
     replication_rng,
@@ -281,9 +280,8 @@ def run(config: SimulationConfig) -> SimulationReport:
     Each replication is one pass: ``_draw_replication`` draws every stratum
     into its own array and the estimator's formula reads those arrays, with
     no slot arrays, :class:`CollectedData` or :class:`Estimate` in between.
-    The replications' generators come from ``_replication_rngs``, which
-    seeds them in vectorized blocks with the streams of
-    :func:`replication_rng`.
+    Each block of :data:`REPLICATION_BLOCK` replications shares one
+    :func:`replication_rng` stream, drawn in replication order.
 
     Raises:
         InfeasiblePolicy: the policy violates the scenario's constraints.
@@ -299,7 +297,9 @@ def run(config: SimulationConfig) -> SimulationReport:
     counted = [0, 0, 0, 0]
     estimates = []
     excluded = 0
-    for rng in _replication_rngs(config.master_seed, 0, config.replications):
+    for rep in range(config.replications):
+        if rep % REPLICATION_BLOCK == 0:
+            rng = replication_rng(config.master_seed, rep // REPLICATION_BLOCK)
         _, counts, *strata = _draw_replication(config.model, edges, config.slots, rng)
         counted = [total + n for total, n in zip(counted, counts)]
         try:
@@ -414,36 +414,28 @@ TRACE_HEADER = "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
 def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
     """Dump one replication's slot-by-slot stream as CSV (debugging aid).
 
-    Because replication streams are derived from (master seed, index) and
-    :func:`replay_slots` scatters the draws of ``_draw_replication``, which
-    :func:`run` reads directly, the trace reproduces exactly the data that
+    Opens the replication's block stream, discards the replications before
+    it in that block with ``_draw_replication`` and scatters its own draws
+    with :func:`replay_slots`, so the trace reproduces exactly the data that
     :func:`run` consumed for that replication.
     """
     if not 0 <= replication < config.replications:
         raise ValueError(f"replication must be in [0, {config.replications})")
-    rng = replication_rng(config.master_seed, replication)
+    block, offset = divmod(replication, REPLICATION_BLOCK)
+    rng = replication_rng(config.master_seed, block)
+    edges = _slot_edges(config.policy)
+    for _ in range(offset):
+        _draw_replication(config.model, edges, config.slots, rng)
     kinds, x, y = replay_slots(config.model, config.policy, config.slots, rng)
     table = slot_costs(config.scenario)
 
-    def fmt(v: float | None) -> str:
-        return "" if v is None else f"{v:.9g}"
+    def fmt(v: float) -> str:
+        return "" if math.isnan(v) else f"{v:.9g}"
 
     lines = [TRACE_HEADER]
-    for slot in range(config.slots):
-        kind = _KIND_CODES[kinds[slot]]
-        obs = Observation(
-            kind=kind,
-            x=None if math.isnan(x[slot]) else float(x[slot]),
-            y=None if math.isnan(y[slot]) else float(y[slot]),
-            slot=slot,
-        )
-        costs = [
-            table[kind][actor].total
-            for actor in (Actor.SENSOR_X, Actor.SENSOR_Y, Actor.DATA_CENTER)
-        ]
-        lines.append(
-            f"{obs.slot},{obs.kind.value},{fmt(obs.x)},{fmt(obs.y)},"
-            f"{costs[0]:.9g},{costs[1]:.9g},{costs[2]:.9g}"
-        )
+    for slot, (code, vx, vy) in enumerate(zip(kinds, x.tolist(), y.tolist())):
+        kind = _KIND_CODES[code]
+        costs = ",".join(f"{table[kind][actor].total:.9g}" for actor in Actor)
+        lines.append(f"{slot},{kind.value},{fmt(vx)},{fmt(vy)},{costs}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -136,6 +136,45 @@ def test_plan_t3_subnormal_variance_scales_the_bound(capsys):
     )
 
 
+_OVERFLOWS = {
+    # standardized bounds 1e10, finite; only the variance times them overflows
+    "plan_t1": (
+        "plan", "--task", "t1", "--setting", "decentralized",
+        "--alpha", "1", "--e1", "1e-10", "--rho", "0.5", "--var-y", "1e300",
+    ),
+    "plan_t3": (
+        "plan", "--task", "t3", "--setting", "decentralized", "--target", "mu-x",
+        "--alpha", "1", "--e1", "1e-10", "--rho", "0.5", "--var-x", "1e300",
+    ),
+    "bounds_t1": (
+        "bounds", "--task", "t1", "--setting", "decentralized",
+        "--alpha", "1", "--e1", "1e-10", "--rho", "0.5", "--var-y", "1e300",
+        "--sweep", "p_y", "--start", "0", "--stop", "1e-10", "--step", "5e-11",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_OVERFLOWS.values()), ids=list(_OVERFLOWS))
+def test_overflowing_bound_exits_2(argv, capsys):
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bound overflows: variance 1e+300 times")
+    assert captured.err.count("\n") == 1
+
+
+def test_bounds_row_without_information_still_reads_inf(capsys):
+    # p_y = p_xy = 0 has no bound at all, which no variance can overflow
+    code = run_cli(
+        "bounds", "--task", "t1", "--setting", "decentralized",
+        "--alpha", "1", "--e1", "0", "--rho", "0.5", "--var-y", "1e300",
+        "--sweep", "p_y", "--start", "0", "--stop", "0", "--step", "5e-11",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == "sweep_var,value,crb,feasible\np_y,0,inf,true\n"
+
+
 @pytest.mark.parametrize("flags", list(_ZERO_BUDGETS.values()), ids=list(_ZERO_BUDGETS))
 def test_simulate_planner_zero_budget_exits_3(flags, tmp_path, capsys):
     out = tmp_path / "report.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crbplan import (
+    BoundOverflow,
     DegeneratePolicy,
     InvalidPolicy,
     Matrix2,
@@ -180,7 +181,7 @@ def test_fim_t3_cross_term_iff_rho_and_joint():
 def test_fims_are_symmetric_psd():
     for policy, m in random_cases(seed=24):
         for f in (fim_t2(policy, m), fim_t3(policy, m)):
-            assert f.is_symmetric(1e-12)
+            assert f.a12 == f.a21  # both entries are one computed value
             eigenvalues = np.linalg.eigvalsh(f.as_array())
             assert eigenvalues.min() >= -1e-10
 
@@ -227,6 +228,18 @@ def test_crb_t3_at_a_subnormal_variance(target, want):
     assert value == pytest.approx(want, rel=1e-7)
     unit = crb_t3(SamplingPolicy(0.3, 0.3, 0.4), model(rho=0.5), target)
     assert value == (unit if target is Target.MU_X else 2.2e-311 * unit)
+
+
+@pytest.mark.parametrize("task", [Task.T1, Task.T3])
+def test_overflowing_bound_raises_through_crb(task):
+    # the standardized bound 1/p = 1e10 is finite; var 1e300 times it is not
+    m = model(rho=0.0, var_x=1e300, var_y=1e300)
+    policy = SamplingPolicy(0.0, 1e-10, 0.0)
+    with pytest.raises(BoundOverflow, match="^bound overflows: variance 1e\\+300 times"):
+        crb(task, Target.MU_Y, policy, m)
+    # no information at all is still no bound, not an overflow
+    assert crb(task, Target.MU_Y, SamplingPolicy(1e-10, 0.0, 0.0), m) == math.inf
+    assert crb(task, Target.MU_Y, policy, model(rho=0.0, var_y=1e290)) == pytest.approx(1e300)
 
 
 def test_invert_product_is_identity():

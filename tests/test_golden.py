@@ -5,7 +5,10 @@ The digests were recorded before the cost table and the CRB evaluator were
 unified, so any refactor that changes a byte of these outputs fails here.
 A deliberate output change must update the digest and say so in CHANGES.md:
 ``simulate_t3`` was re-recorded when the audit began to take its standard
-errors from the policy, which moved only its ``stderr=`` values.
+errors from the policy, which moved only its ``stderr=`` values, and again
+when replications began to share one stream per block of
+``REPLICATION_BLOCK``, which moved every simulated value.
+``simulate_two_blocks`` spans the first block boundary.
 """
 
 import contextlib
@@ -29,7 +32,8 @@ GOLDEN = {
     "sweep_fig4c": "f694c4641792bdbdc68cbdffdee747226985f3c3557123e802da4c9d2718ba6d",
     "readme_plan": "be05975de042607a19b9040e4ebafbe9f1abe092238e197c087cc39e0d2ad69e",
     "readme_bounds": "04d30e676061676837637570c7c95d6be8ddddebc1b944066d20b6dc271febd7",
-    "simulate_t3": "ebe83671d8bc125c22090221b1514bba4a6e72d7a43b7fccedb38f398eb53281",
+    "simulate_t3": "30eabc3eea7cffb8549265d7d9ead826787dbcfb5bd7366fb890b3bd1711aa46",
+    "simulate_two_blocks": "e10a0424c11aa06302b39e28e5a11982dd21b8996b2f5f6cf2e171d2de689dc2",
 }
 
 COMMANDS = {
@@ -52,6 +56,11 @@ COMMANDS = {
     "simulate_t3": (
         "simulate --task t3 --setting decentralized --alpha 0.1 --e1 0.6 "
         "--rho 0.9 --target mu-x --slots 100 --reps 50 --seed 13"
+    ).split(),
+    # 1100 replications: all of block 0 and the start of block 1
+    "simulate_two_blocks": (
+        "simulate --task t1 --setting decentralized --alpha 2 --e1 2 "
+        "--rho 0.5 --slots 10 --reps 1100 --seed 13"
     ).split(),
 }
 

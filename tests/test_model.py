@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from crbplan import (
@@ -20,7 +18,6 @@ from crbplan import (
     sample_marginal,
     validate,
 )
-from crbplan.model import _SEED_BLOCK, _replication_rngs
 
 N_BIG = 10**6
 
@@ -180,59 +177,3 @@ def test_replication_rng_streams():
     np.testing.assert_array_equal(a, b)
     assert np.max(np.abs(a - c)) > 1e-12
 
-
-# --- block seeding of replication streams ---
-
-_MASTER_SEEDS = st.one_of(
-    st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**96]),
-    st.integers(0, 2**200),
-)
-# window starts near 0, around the two-word boundary 2**32 and far past it
-_STARTS = st.one_of(
-    st.integers(0, 2**12),
-    st.integers(2**32 - 16, 2**32 + 4),
-    st.integers(0, 2**70),
-)
-
-
-def _assert_same_streams(rngs, master, start):
-    for rep, rng in enumerate(rngs, start):
-        reference = replication_rng(master, rep)
-        assert rng.bit_generator.state == reference.bit_generator.state, rep
-        assert rng.standard_normal(3).tobytes() == reference.standard_normal(3).tobytes()
-
-
-@settings(max_examples=80, deadline=None)
-@given(master=_MASTER_SEEDS, start=_STARTS, length=st.integers(0, 24))
-def test_block_seeding_equals_replication_rng(master, start, length):
-    rngs = list(_replication_rngs(master, start, start + length))
-    assert len(rngs) == length
-    _assert_same_streams(rngs, master, start)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    master=_MASTER_SEEDS,
-    start=st.sampled_from([0, 2**32 - 20]),
-    cuts=st.lists(st.integers(0, 40), max_size=5),
-)
-def test_block_seeding_is_independent_of_the_split(master, start, cuts):
-    bounds = sorted({0, 40, *cuts})
-    pieces = [
-        rng.bit_generator.state
-        for lo, hi in zip(bounds, bounds[1:])
-        for rng in _replication_rngs(master, start + lo, start + hi)
-    ]
-    whole = [rng.bit_generator.state for rng in _replication_rngs(master, start, start + 40)]
-    assert pieces == whole
-
-
-def test_block_seeding_across_seed_blocks():
-    # more than two vectorized passes, each starting where the last ended
-    stop = 2 * _SEED_BLOCK + 5
-    _assert_same_streams(list(_replication_rngs(2**64 + 7, 0, stop)), 2**64 + 7, 0)
-
-
-def test_block_seeding_rejects_negative_seed_like_seed_sequence():
-    with pytest.raises(ValueError, match="^expected non-negative integer$"):
-        next(_replication_rngs(-1, 0, 1))

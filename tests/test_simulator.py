@@ -37,6 +37,7 @@ from crbplan import (
     validate,
     write_trace,
 )
+from crbplan.model import REPLICATION_BLOCK
 from crbplan.simulator import (
     CostShare,
     ResourceLedger,
@@ -74,16 +75,20 @@ def test_run_changes_with_seed():
 
 
 def test_replication_streams_worker_independent():
-    # aggregating per-replication estimates computed "on two workers" in a
-    # different order reproduces run()'s aggregate exactly
-    cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=300, reps=20)
+    # aggregating per-replication estimates computed block by block "on three
+    # workers" in reversed order reproduces run()'s aggregate exactly
+    reps = 2 * REPLICATION_BLOCK + 5
+    cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=30, reps=reps)
     report = run(cfg)
     values = {}
-    for rep in list(range(10, 20)) + list(range(0, 10)):  # worker 2 first
-        rng = replication_rng(cfg.master_seed, rep)
-        data, _ = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
-        values[rep] = delta1(data, cfg.model).value
-    estimates = np.array([values[rep] for rep in range(20)])
+    for block in reversed(range(3)):  # the last worker first
+        rng = replication_rng(cfg.master_seed, block)
+        start = block * REPLICATION_BLOCK
+        for rep in range(start, min(reps, start + REPLICATION_BLOCK)):
+            data, _ = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
+            values[rep] = delta1(data, cfg.model).value
+    assert report.replications_used == reps
+    estimates = np.array([values[rep] for rep in range(reps)])
     assert report.mean_estimate == pytest.approx(estimates.mean(), rel=1e-15)
     assert report.empirical_variance_per_slot == pytest.approx(
         cfg.slots * estimates.var(ddof=1), rel=1e-12
@@ -101,7 +106,8 @@ def _reference_run(config):
     totals = {kind.value: 0 for kind in ObservationKind}
     estimates, excluded = [], 0
     for rep in range(config.replications):
-        rng = replication_rng(config.master_seed, rep)
+        if rep % REPLICATION_BLOCK == 0:  # one stream per block, drawn in order
+            rng = replication_rng(config.master_seed, rep // REPLICATION_BLOCK)
         u = rng.random(config.slots)
         edge_x = policy.p_x
         edge_y = policy.p_x + policy.p_y
@@ -199,6 +205,8 @@ def _identity_configs(count=84):
     # fresh seeds are 63-bit
     for index, seed in zip((3, 10, 17, 29), (2**40 + 3, 2**63 - 25, 2**64 + 7, 2**100 + 5)):
         configs.append(replace(configs[index], master_seed=seed))
+    # replications on both sides of the first block boundary
+    configs.append(replace(configs[7], slots=5, replications=REPLICATION_BLOCK + 3))
     # every replication lacks stand-alone Y observations
     configs.append(t1_config(SamplingPolicy(0, 0.0, 0.6), slots=37, reps=9, seed=3,
                              estimator=EstimatorKind.DELTA1))
@@ -491,22 +499,31 @@ def test_audit_centralized_includes_dc():
 
 
 def test_trace_reproduces_replication(tmp_path):
-    cfg = t1_config(SamplingPolicy(0, 0.4, 0.4), slots=50, reps=3, seed=37)
-    path = tmp_path / "trace.csv"
-    write_trace(cfg, path, replication=1)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
-    assert len(lines) == cfg.slots + 1
+    cfg = t1_config(
+        SamplingPolicy(0, 0.4, 0.4), slots=50, reps=REPLICATION_BLOCK + 2, seed=37
+    )
+    # one replication in the first block, one just past the boundary
+    for replication in (1, REPLICATION_BLOCK + 1):
+        path = tmp_path / "trace.csv"
+        write_trace(cfg, path, replication=replication)
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
+        assert len(lines) == cfg.slots + 1
 
-    # regenerate replication 1 and compare observation values
-    rng = replication_rng(cfg.master_seed, 1)
-    data, counts = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
-    joint_rows = [line.split(",") for line in lines[1:] if line.split(",")[1] == "joint"]
-    assert len(joint_rows) == counts[ObservationKind.JOINT.value]
-    traced = np.array([[float(r[2]), float(r[3])] for r in joint_rows])
-    np.testing.assert_allclose(traced, data.joint, rtol=1e-6)
-    # joint slots cost S_x and S_y 1 + alpha each, nothing at the DC
-    assert all(r[4] == "3" and r[5] == "3" and r[6] == "0" for r in joint_rows)
+        # regenerate the replication from its block's stream, after the
+        # replications before it in that block, and compare observation values
+        block, offset = divmod(replication, REPLICATION_BLOCK)
+        rng = replication_rng(cfg.master_seed, block)
+        for _ in range(offset + 1):
+            data, counts = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
+        joint_rows = [line.split(",") for line in lines[1:] if line.split(",")[1] == "joint"]
+        assert len(joint_rows) == counts[ObservationKind.JOINT.value]
+        traced = np.array([[float(r[2]), float(r[3])] for r in joint_rows])
+        np.testing.assert_allclose(traced, data.joint, rtol=1e-6)
+        y_rows = [line.split(",") for line in lines[1:] if line.split(",")[1] == "marginal_y"]
+        np.testing.assert_allclose([float(r[3]) for r in y_rows], data.marginal_y, rtol=1e-6)
+        # joint slots cost S_x and S_y 1 + alpha each, nothing at the DC
+        assert all(r[4] == "3" and r[5] == "3" and r[6] == "0" for r in joint_rows)
 
 
 def test_trace_rejects_bad_replication(tmp_path):
