@@ -24,13 +24,10 @@ from .errors import (
     SingularMatrix,
 )
 from .estimators import (
-    CollectedData,
-    Estimate,
     EstimatorKind,
     delta1,
     delta2,
     mle_gradient_check,
-    sample_mean_estimates,
     sample_mean_x,
     sample_mean_y,
     var_delta1,
@@ -53,7 +50,6 @@ from .fisher import (
 from .model import (
     Axis,
     MultivariateModel,
-    Observation,
     ObservationKind,
     ObservationModel,
     replication_rng,

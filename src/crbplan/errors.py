@@ -46,7 +46,7 @@ class SingularEverywhere(CrbPlanError, ValueError):
 
 
 class BoundOverflow(CrbPlanError, ValueError):
-    """The standardized bound is finite but the variance times it overflows."""
+    """The information is positive but the bound is not representable."""
 
 
 class InfeasiblePolicy(CrbPlanError, ValueError):

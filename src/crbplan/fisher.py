@@ -147,8 +147,8 @@ def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     Raises:
         DegeneratePolicy: p_y = p_xy = 0, or so near it that the information
             about the Y mean underflows to 0.
-        BoundOverflow: the standardized bound is finite but var_y times it
-            is not.
+        BoundOverflow: the information is positive but the bound, standardized
+            or times var_y, is not representable.
     """
     shrink = 1.0 - model.rho * model.rho
     information = shrink * policy.p_y + policy.p_xy
@@ -159,11 +159,13 @@ def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
 
 
 def _representable(bound: float, var: float, standardized: float) -> float:
-    """``bound``, ``var`` applied to ``standardized``; raises
-    :class:`BoundOverflow` where only the product is infinite."""
-    if bound == math.inf and standardized < math.inf:
+    """``bound``, ``var`` applied to ``standardized`` at positive information;
+    raises :class:`BoundOverflow` where that bound is not representable."""
+    if bound == math.inf:
         raise BoundOverflow(
             f"bound overflows: variance {var:g} times standardized bound {standardized:g}"
+            if standardized < math.inf
+            else "bound overflows: the information is positive but too small to invert"
         )
     return bound
 
@@ -223,8 +225,8 @@ def crb_t3(policy: SamplingPolicy, model: ObservationModel, target: Target) -> f
     Raises:
         SingularMatrix: no information about the target mean at all (e.g.
             p_x = p_xy = 0 with target MU_X).
-        BoundOverflow: the standardized bound ``1 / schur`` is finite but
-            the variance over the Schur complement is not.
+        BoundOverflow: ``schur`` is positive but ``1 / schur`` or the
+            variance over it is not representable.
     """
     i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model.rho)
     on_x = target is Target.MU_X

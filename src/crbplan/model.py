@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -69,11 +70,12 @@ class ObservationModel:
                 f"|rho| must be <= {RHO_LIMIT!r}, got {self.rho}"
             )
 
-    @property
+    # once per model, outside the fields that equality and hashing read
+    @cached_property
     def sigma_x(self) -> float:
         return math.sqrt(self.var_x)
 
-    @property
+    @cached_property
     def sigma_y(self) -> float:
         return math.sqrt(self.var_y)
 
@@ -114,31 +116,6 @@ def validate(params) -> ObservationModel:
     if len(values) != 5:
         raise ValueError(f"expected 5 model parameters, got {len(values)}")
     return ObservationModel(*(float(v) for v in values))
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One slot's outcome: which coordinates were measured and their values."""
-
-    kind: ObservationKind
-    x: float | None
-    y: float | None
-    slot: int
-
-    def __post_init__(self) -> None:
-        has_x, has_y = self.x is not None, self.y is not None
-        expected = {
-            ObservationKind.MARGINAL_X: (True, False),
-            ObservationKind.MARGINAL_Y: (False, True),
-            ObservationKind.JOINT: (True, True),
-            ObservationKind.IDLE: (False, False),
-        }[self.kind]
-        if (has_x, has_y) != expected:
-            raise ValueError(
-                f"{self.kind.value} observation must have x/y presence {expected}"
-            )
-        if self.slot < 0:
-            raise ValueError("slot index must be nonnegative")
 
 
 def sample_joint(model: ObservationModel, rng: np.random.Generator, size=None):

@@ -12,8 +12,9 @@ replications from (master seed, block index): replication r draws from
 stream r // REPLICATION_BLOCK, straight after the replications before it in
 that block.  Reports are therefore bit-identical across runs and across any
 split of whole blocks over workers.  ``_draw_replication`` alone fixes the
-order of a replication's draws.  :func:`run` takes each stratum straight
-from it, with no slot arrays and no :func:`collect_replication`;
+order of a replication's draws and returns each stratum in its own array,
+the arguments every estimator takes; :func:`run` and
+:func:`collect_replication` hand them over as they are, and
 :func:`replay_slots` scatters the same draws back to their slots, so
 :func:`write_trace` shows exactly the data :func:`run` consumed.
 """
@@ -27,11 +28,11 @@ import numpy as np
 
 from .errors import InfeasiblePolicy, MissingStratum
 from .estimators import (
-    CollectedData,
     EstimatorKind,
-    delta1_value,
-    delta2_value,
-    pooled_mean,
+    delta1,
+    delta2,
+    sample_mean_x,
+    sample_mean_y,
     var_delta1,
 )
 from .fisher import SamplingPolicy, Target, Task, crb
@@ -217,22 +218,12 @@ def collect_replication(
     policy: SamplingPolicy,
     slots: int,
     rng: np.random.Generator,
-) -> tuple[CollectedData, dict[str, int]]:
-    """Run one replication and group its observations by kind."""
-    _, counts, mx, my, jx, jy = _draw_replication(model, _slot_edges(policy), slots, rng)
-    data = CollectedData(marginal_x=mx, marginal_y=my, joint=np.column_stack([jx, jy]))
-    return data, {kind.value: n for kind, n in zip(_KIND_CODES, counts)}
-
-
-def _stratum_estimator(kind: EstimatorKind, model: ObservationModel, target: Target):
-    """The estimator as a function of one replication's four stratum arrays."""
-    if kind is EstimatorKind.DELTA1:
-        return lambda mx, my, jx, jy: delta1_value(my, jx, jy, model)
-    if kind is EstimatorKind.DELTA2:
-        return lambda mx, my, jx, jy: delta2_value(jx, jy, model)
-    if target is Target.MU_X:
-        return lambda mx, my, jx, jy: pooled_mean(mx, jx, Axis.X)
-    return lambda mx, my, jx, jy: pooled_mean(my, jy, Axis.Y)
+) -> tuple[tuple[np.ndarray, ...], dict[str, int]]:
+    """Run one replication: ``(strata, counts)``, the arrays ``(marginal_x,
+    marginal_y, joint_x, joint_y)`` every estimator takes and the slot count
+    of each kind by name."""
+    _, counts, *strata = _draw_replication(model, _slot_edges(policy), slots, rng)
+    return tuple(strata), {kind.value: n for kind, n in zip(_KIND_CODES, counts)}
 
 
 def default_estimator(scenario: Scenario, policy: SamplingPolicy) -> EstimatorKind:
@@ -278,8 +269,8 @@ def run(config: SimulationConfig) -> SimulationReport:
     replications the empirical variance is NaN.
 
     Each replication is one pass: ``_draw_replication`` draws every stratum
-    into its own array and the estimator's formula reads those arrays, with
-    no slot arrays, :class:`CollectedData` or :class:`Estimate` in between.
+    into its own array and the estimator reads those arrays, with no slot
+    arrays in between.
     Each block of :data:`REPLICATION_BLOCK` replications shares one
     :func:`replication_rng` stream, drawn in replication order.
 
@@ -293,7 +284,10 @@ def run(config: SimulationConfig) -> SimulationReport:
         raise InfeasiblePolicy(f"policy violates constraints: {violated}")
 
     edges = _slot_edges(config.policy)
-    estimate = _stratum_estimator(config.estimator, config.model, config.scenario.target)
+    if config.estimator is EstimatorKind.SAMPLE_MEAN:
+        estimate = sample_mean_x if config.scenario.target is Target.MU_X else sample_mean_y
+    else:
+        estimate = delta1 if config.estimator is EstimatorKind.DELTA1 else delta2
     counted = [0, 0, 0, 0]
     estimates = []
     excluded = 0
@@ -303,7 +297,7 @@ def run(config: SimulationConfig) -> SimulationReport:
         _, counts, *strata = _draw_replication(config.model, edges, config.slots, rng)
         counted = [total + n for total, n in zip(counted, counts)]
         try:
-            estimates.append(estimate(*strata))
+            estimates.append(estimate(*strata, config.model))
         except MissingStratum:
             excluded += 1
     totals = {kind.value: n for kind, n in zip(_KIND_CODES, counted)}

@@ -449,7 +449,8 @@ def _solve(scenario: Scenario, model: ObservationModel, candidates, method: Meth
     ``p_xy`` (the fewest communicated samples), then ``p_x``, then ``p_y``.
 
     Raises:
-        SingularEverywhere: every candidate's t3 bound is infinite.
+        SingularEverywhere: no t3 candidate carries information.
+        BoundOverflow: some do, but every standardized t3 bound overflows.
     """
     if scenario.task is Task.T3:
         values = _crb_t3_array(*candidates.T, model.rho, scenario.target)
@@ -457,6 +458,9 @@ def _solve(scenario: Scenario, model: ObservationModel, candidates, method: Meth
         values = -(candidates @ (0.0, 1.0, 1.0 / (1.0 - model.rho * model.rho)))
     best = values.min()
     if best == math.inf:  # t3 only: t1/t2 planners report crb=inf at zero information
+        unit = ObservationModel(0.0, 0.0, 1.0, 1.0, model.rho)
+        for pick in candidates:  # raises BoundOverflow where the information is positive
+            crb(scenario.task, scenario.target, SamplingPolicy.clamped(*pick), unit)
         raise SingularEverywhere(_SINGULAR_EVERYWHERE)
     near = candidates[values <= best + _TIE_REL * abs(best)]
     tie = int(_first_copies(near).sum()) > 1
@@ -482,8 +486,8 @@ def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
     (:func:`_t3_edge_points`) is optimal.
 
     Raises:
-        SingularEverywhere: the standardized bound is infinite over the
-            whole feasible region (e.g. a zero budget).
+        SingularEverywhere: no policy carries information (e.g. a zero budget).
+        BoundOverflow: some does, but every standardized bound overflows.
     """
     if scenario.task is not Task.T3:
         raise InvalidScenario("plan_t3 handles task t3 only")
@@ -502,6 +506,7 @@ def plan(scenario: Scenario, model: ObservationModel) -> PlanResult:
     Raises:
         SingularEverywhere: the bound is infinite over the whole feasible
             region (e.g. a zero budget), for every task.
+        BoundOverflow: the best policy's bound is not representable.
     """
     if scenario.task is Task.T3:
         result = plan_t3(scenario, model)

@@ -38,7 +38,8 @@ from crbplan import (
     plan_t3,
     replication_rng,
     run,
-    sample_mean_estimates,
+    sample_mean_x,
+    sample_mean_y,
     validate,
     var_delta1,
 )
@@ -193,12 +194,11 @@ def test_criterion_4_unbiasedness():
                 # one stream per replication, each opened by its own index
                 for rep in range(reps):
                     rng = replication_rng(seed, rep)
-                    data, _ = collect_replication(m, policy, slots, rng)
-                    values["delta1"].append(delta1(data, m).value)
-                    values["delta2"].append(delta2(data, m).value)
-                    mx, my = sample_mean_estimates(data)
-                    values["mean_x"].append(mx.value)
-                    values["mean_y"].append(my.value)
+                    strata, _ = collect_replication(m, policy, slots, rng)
+                    values["delta1"].append(delta1(*strata, m))
+                    values["delta2"].append(delta2(*strata, m))
+                    values["mean_x"].append(sample_mean_x(*strata, m))
+                    values["mean_y"].append(sample_mean_y(*strata, m))
                 truth = {"delta1": m.mu_y, "delta2": m.mu_y,
                          "mean_x": m.mu_x, "mean_y": m.mu_y}
                 for name, vals in values.items():

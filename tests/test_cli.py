@@ -136,31 +136,48 @@ def test_plan_t3_subnormal_variance_scales_the_bound(capsys):
     )
 
 
+_PRODUCT = "variance 1e+300 times standardized bound "
+_UNINVERTIBLE = "the information is positive but too small to invert"
 _OVERFLOWS = {
     # standardized bounds 1e10, finite; only the variance times them overflows
-    "plan_t1": (
+    "plan_t1": (_PRODUCT, (
         "plan", "--task", "t1", "--setting", "decentralized",
         "--alpha", "1", "--e1", "1e-10", "--rho", "0.5", "--var-y", "1e300",
-    ),
-    "plan_t3": (
+    )),
+    "plan_t3": (_PRODUCT, (
         "plan", "--task", "t3", "--setting", "decentralized", "--target", "mu-x",
         "--alpha", "1", "--e1", "1e-10", "--rho", "0.5", "--var-x", "1e300",
-    ),
-    "bounds_t1": (
+    )),
+    "bounds_t1": (_PRODUCT, (
         "bounds", "--task", "t1", "--setting", "decentralized",
         "--alpha", "1", "--e1", "1e-10", "--rho", "0.5", "--var-y", "1e300",
         "--sweep", "p_y", "--start", "0", "--stop", "1e-10", "--step", "5e-11",
-    ),
+    )),
+    # a subnormal budget: the information is positive, the standardized
+    # bound itself overflows
+    "plan_t1_subnormal": (_UNINVERTIBLE, (
+        "plan", "--task", "t1", "--setting", "decentralized",
+        "--alpha", "1", "--e1", "1e-310", "--rho", "0.5",
+    )),
+    "plan_t3_subnormal": (_UNINVERTIBLE, (
+        "plan", "--task", "t3", "--setting", "decentralized",
+        "--alpha", "1", "--e1", "1e-310", "--rho", "0.5",
+    )),
+    "bounds_t1_subnormal": (_UNINVERTIBLE, (
+        "bounds", "--task", "t1", "--setting", "decentralized",
+        "--alpha", "1", "--e1", "1e-310", "--rho", "0.5",
+        "--sweep", "p_y", "--start", "0", "--stop", "1e-310", "--step", "1e-310",
+    )),
 }
 
 
-@pytest.mark.parametrize("argv", list(_OVERFLOWS.values()), ids=list(_OVERFLOWS))
-def test_overflowing_bound_exits_2(argv, capsys):
+@pytest.mark.parametrize("message, argv", list(_OVERFLOWS.values()), ids=list(_OVERFLOWS))
+def test_overflowing_bound_exits_2(message, argv, capsys):
     code = run_cli(*argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: bound overflows: variance 1e+300 times")
+    assert captured.err.startswith(f"error: bound overflows: {message}")
     assert captured.err.count("\n") == 1
 
 

@@ -240,6 +240,9 @@ def test_overflowing_bound_raises_through_crb(task):
     # no information at all is still no bound, not an overflow
     assert crb(task, Target.MU_Y, SamplingPolicy(1e-10, 0.0, 0.0), m) == math.inf
     assert crb(task, Target.MU_Y, policy, model(rho=0.0, var_y=1e290)) == pytest.approx(1e300)
+    # a subnormal policy: the information is positive, its inverse overflows
+    with pytest.raises(BoundOverflow, match="^bound overflows: the information is positive"):
+        crb(task, Target.MU_Y, SamplingPolicy(0.0, 1e-310, 0.0), model(rho=0.0))
 
 
 def test_invert_product_is_identity():

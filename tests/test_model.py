@@ -9,8 +9,6 @@ from crbplan import (
     CorrelationOutOfRange,
     MultivariateModel,
     NonPositiveVariance,
-    Observation,
-    ObservationKind,
     ObservationModel,
     SingularCovariance,
     replication_rng,
@@ -69,6 +67,11 @@ def test_derived_covariance():
     cov = m.covariance_matrix()
     # positive definite by construction
     np.linalg.cholesky(cov)
+    # the square roots are computed once and kept out of equality and hashing
+    m = validate((0, 0, 2, 3, 0.5))
+    assert (m.sigma_x, m.sigma_y) == (math.sqrt(2.0), math.sqrt(3.0))
+    fresh = validate((0, 0, 2, 3, 0.5))
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
 
 
 def test_sample_joint_independent_at_zero_rho():
@@ -138,18 +141,6 @@ def test_sampling_is_deterministic_given_seed():
     c = sample_marginal(m, Axis.Y, np.random.default_rng(11), size=100)
     d = sample_marginal(m, Axis.Y, np.random.default_rng(11), size=100)
     np.testing.assert_array_equal(c, d)
-
-
-def test_observation_kind_field_consistency():
-    Observation(ObservationKind.MARGINAL_X, x=1.0, y=None, slot=0)
-    Observation(ObservationKind.JOINT, x=1.0, y=2.0, slot=3)
-    Observation(ObservationKind.IDLE, x=None, y=None, slot=1)
-    with pytest.raises(ValueError):
-        Observation(ObservationKind.MARGINAL_X, x=None, y=1.0, slot=0)
-    with pytest.raises(ValueError):
-        Observation(ObservationKind.JOINT, x=1.0, y=None, slot=0)
-    with pytest.raises(ValueError):
-        Observation(ObservationKind.IDLE, x=0.0, y=None, slot=0)
 
 
 def test_multivariate_model_requires_symmetry():

@@ -1,0 +1,25 @@
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_tour_runs_as_written():
+    # the quick tour's only Python block, executed verbatim; its comments
+    # claim the plan, the simulated variance and the audit checked below
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", text, re.S).group(1)
+    tour = {}
+    exec(compile(block, str(README), "exec"), tour)
+    result, report, audit = tour["result"], tour["report"], tour["audit"]
+    assert (result.policy.p_y, result.policy.p_xy) == (0.5, 0.5)
+    assert result.objective_value == pytest.approx(6 / 7, rel=1e-12)
+    assert report.empirical_variance_per_slot == pytest.approx(6 / 7, rel=0.05)
+    assert audit.passed
+    # one replication of 1000 slots: delta1's standard error is sqrt(6/7/1000)
+    assert sum(tour["counts"].values()) == 1000
+    assert isinstance(tour["estimate"], float)
+    assert abs(tour["estimate"]) <= 5 * math.sqrt(6 / 7 / 1000)

@@ -7,7 +7,6 @@ import pytest
 from crbplan import (
     Actor,
     Axis,
-    CollectedData,
     EstimatorKind,
     InfeasiblePolicy,
     MissingStratum,
@@ -85,8 +84,8 @@ def test_replication_streams_worker_independent():
         rng = replication_rng(cfg.master_seed, block)
         start = block * REPLICATION_BLOCK
         for rep in range(start, min(reps, start + REPLICATION_BLOCK)):
-            data, _ = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
-            values[rep] = delta1(data, cfg.model).value
+            strata, _ = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
+            values[rep] = delta1(*strata, cfg.model)
     assert report.replications_used == reps
     estimates = np.array([values[rep] for rep in range(reps)])
     assert report.mean_estimate == pytest.approx(estimates.mean(), rel=1e-15)
@@ -101,7 +100,7 @@ def test_replication_streams_worker_independent():
 def _reference_run(config):
     """Slot-level copy of the replication loop ``run`` used before its
     one-pass kernel: slot arrays with NaN gaps, boolean-mask gathering into
-    ``CollectedData`` and the public estimators, then the same aggregation."""
+    the stratum arrays and the estimators, then the same aggregation."""
     policy, model = config.policy, config.model
     totals = {kind.value: 0 for kind in ObservationKind}
     estimates, excluded = [], 0
@@ -122,19 +121,19 @@ def _reference_run(config):
         jx, jy = sample_joint(model, rng, size=int(is_j.sum()))
         x[is_j] = jx
         y[is_j] = jy
-        data = CollectedData(x[is_x], y[is_y], np.column_stack([x[is_j], y[is_j]]))
+        strata = (x[is_x], y[is_y], x[is_j], y[is_j])
         for kind, mask in [("marginal_x", is_x), ("marginal_y", is_y), ("joint", is_j)]:
             totals[kind] += int(mask.sum())
         totals["idle"] += int((~(is_x | is_y | is_j)).sum())
         try:
             if config.estimator is EstimatorKind.DELTA1:
-                estimates.append(delta1(data, model).value)
+                estimates.append(delta1(*strata, model))
             elif config.estimator is EstimatorKind.DELTA2:
-                estimates.append(delta2(data, model).value)
+                estimates.append(delta2(*strata, model))
             elif config.scenario.target is Target.MU_X:
-                estimates.append(sample_mean_x(data).value)
+                estimates.append(sample_mean_x(*strata, model))
             else:
-                estimates.append(sample_mean_y(data).value)
+                estimates.append(sample_mean_y(*strata, model))
         except MissingStratum:
             excluded += 1
     if not estimates:
@@ -515,13 +514,15 @@ def test_trace_reproduces_replication(tmp_path):
         block, offset = divmod(replication, REPLICATION_BLOCK)
         rng = replication_rng(cfg.master_seed, block)
         for _ in range(offset + 1):
-            data, counts = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
+            (_, marginal_y, joint_x, joint_y), counts = collect_replication(
+                cfg.model, cfg.policy, cfg.slots, rng
+            )
         joint_rows = [line.split(",") for line in lines[1:] if line.split(",")[1] == "joint"]
         assert len(joint_rows) == counts[ObservationKind.JOINT.value]
         traced = np.array([[float(r[2]), float(r[3])] for r in joint_rows])
-        np.testing.assert_allclose(traced, data.joint, rtol=1e-6)
+        np.testing.assert_allclose(traced, np.column_stack([joint_x, joint_y]), rtol=1e-6)
         y_rows = [line.split(",") for line in lines[1:] if line.split(",")[1] == "marginal_y"]
-        np.testing.assert_allclose([float(r[3]) for r in y_rows], data.marginal_y, rtol=1e-6)
+        np.testing.assert_allclose([float(r[3]) for r in y_rows], marginal_y, rtol=1e-6)
         # joint slots cost S_x and S_y 1 + alpha each, nothing at the DC
         assert all(r[4] == "3" and r[5] == "3" and r[6] == "0" for r in joint_rows)
 

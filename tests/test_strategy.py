@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crbplan import (
+    BoundOverflow,
     InvalidScenario,
     Method,
     ResourceBudget,
@@ -338,6 +340,7 @@ def test_plan_linear_agreement_smoke():
 @example(alpha=2.0, e1=2.0, rho=math.sqrt(2 / 3), var_y=1.0)
 @example(alpha=2.0, e1=3.0, rho=0.5, var_y=1.0)
 @example(alpha=0.0, e1=1.0, rho=0.0, var_y=1.0)
+@example(alpha=0.0, e1=2.2e-309, rho=0.0, var_y=1.0)  # the standardized bound overflows
 @given(
     alpha=st.floats(0.0, 4.0),
     e1=st.one_of(st.floats(0.0, 6.0), st.sampled_from([0.0, 1.0, math.inf])),
@@ -351,14 +354,23 @@ def test_closed_form_matches_plan_linear(alpha, e1, rho, var_y):
     # by at most 2e-9 of itself (alpha = 2e-9, e1 = 1 takes p_xy = 1), and
     # the information, homogeneous in the bounds, grows by as much.
     m = validate((0, 0, 1.0, var_y, rho))
-    closed = plan_t1_closed_form(alpha, e1, m)
-    linear = plan_linear(dec(Task.T1, alpha, e1), m)
-    info_c, info_l = 1.0 / closed.objective_value, 1.0 / linear.objective_value
+    # a subnormal budget leaves no finite bound: the information underflows
+    # to 0 (crb=inf) or is positive with a bound that overflows; either way
+    # both planners must say so, so an overflow counts as information 0
+    plans = []
+    for planner in (lambda: plan_t1_closed_form(alpha, e1, m),
+                    lambda: plan_linear(dec(Task.T1, alpha, e1), m)):
+        try:
+            plans.append(planner())
+        except BoundOverflow:
+            plans.append(None)
+    closed, linear = plans
+    info_c, info_l = (0.0 if p is None else 1.0 / p.objective_value for p in plans)
     rel = 3e-9
     assert abs(info_c - info_l) <= rel * max(info_c, info_l)
     # at info 0 (e1 = 5e-324 underflows p_xy = e1 / (alpha + 1)) every
     # policy is as good as any other
-    if not (closed.tie or linear.tie or info_c == 0.0):
+    if not (info_c == 0.0 or closed.tie or linear.tie):
         size = max(closed.policy.as_tuple())
         assert closed.policy.as_tuple() == pytest.approx(
             linear.policy.as_tuple(), rel=0.0, abs=rel * size
@@ -385,14 +397,26 @@ def _dense_feasible_sample(scenario, rng, n=3000):
     return [SamplingPolicy.clamped(*p) for p in (d * scale[:, None]).tolist()]
 
 
+def _least_sampled_bound(scenario, m, rng, n=3000):
+    """The least bound over :func:`_dense_feasible_sample`; a bound that
+    overflows (a subnormal budget) counts as inf."""
+    best = math.inf
+    for p in _dense_feasible_sample(scenario, rng, n):
+        with contextlib.suppress(BoundOverflow):
+            best = min(best, crb(scenario.task, scenario.target, p, m))
+    return best
+
+
 def _brute_force_linear_bound(scenario, m):
     """The least bound over every intersection of three row planes that is
     feasible once clipped to p >= 0, one scalar solve and one fisher.crb
     call at a time.  A triple counts when its determinant is not zero; a
-    finite point satisfies a row when c.p - b <= 1e-9 (|b| + |c|.|p|)."""
+    finite point satisfies a row when c.p - b <= 1e-9 (|b| + |c|.|p|).
+    Raises BoundOverflow when no bound is finite but some point carries
+    information."""
     cons = constraints_for(scenario)
     rows = [r for r in cons.rows if math.isfinite(r.bound)]
-    best = math.inf
+    best, overflow = math.inf, None
     for triple in itertools.combinations(rows, 3):
         a = np.array([r.coeffs for r in triple])
         with np.errstate(all="ignore"):  # subnormal alpha
@@ -404,7 +428,12 @@ def _brute_force_linear_bound(scenario, m):
             for r in rows
         ):
             policy = SamplingPolicy.clamped(*p)
-            best = min(best, crb(scenario.task, scenario.target, policy, m))
+            try:
+                best = min(best, crb(scenario.task, scenario.target, policy, m))
+            except BoundOverflow as exc:
+                overflow = exc
+    if best == math.inf and overflow:
+        raise overflow
     return best
 
 
@@ -412,6 +441,7 @@ def _brute_force_linear_bound(scenario, m):
 @example(task=Task.T1, centralized=False, alpha=1.0, e1=2.4e-45, e2=0.0, rho=0.5)
 @example(task=Task.T1, centralized=True, alpha=1.0, e1=1.0, e2=1e-12, rho=0.5)
 @example(task=Task.T2, centralized=True, alpha=0.0, e1=1.0, e2=1.0, rho=0.0)
+@example(task=Task.T1, centralized=False, alpha=0.0, e1=5e-324, e2=0.0, rho=0.0)
 @given(
     task=st.sampled_from([Task.T1, Task.T2]),
     centralized=st.booleans(),
@@ -423,12 +453,17 @@ def _brute_force_linear_bound(scenario, m):
 def test_plan_linear_agrees_with_brute_force(task, centralized, alpha, e1, e2, rho):
     scenario = cen(task, alpha, e1, e2) if centralized else dec(task, alpha, e1)
     m = model(rho)
+    try:
+        brute = _brute_force_linear_bound(scenario, m)
+    except BoundOverflow:  # a subnormal budget: every informative bound overflows
+        with pytest.raises(BoundOverflow):
+            plan_linear(scenario, m)
+        return
     result = plan_linear(scenario, m)
     assert constraints_for(scenario).is_feasible(result.policy)
-    brute = _brute_force_linear_bound(scenario, m)
     assert result.objective_value == pytest.approx(brute, rel=1e-9)
     rng = np.random.default_rng(5)
-    sample = min(crb(task, Target.MU_Y, p, m) for p in _dense_feasible_sample(scenario, rng, 500))
+    sample = _least_sampled_bound(scenario, m, rng, 500)
     assert result.objective_value <= sample * (1.0 + 1e-12)
 
 
@@ -577,10 +612,12 @@ def _full_cube_grid_bound(scenario, m):
     return crb_t3(SamplingPolicy.clamped(*incumbent), m, scenario.target)
 
 
-def _plan_t3_or_none(scenario, m):
+def _plan_or_none(scenario, m, planner=plan_t3):
+    """The plan, or None where no bound is finite: none carries information,
+    or every informative one overflows (a subnormal budget)."""
     try:
-        return plan_t3(scenario, m)
-    except SingularEverywhere:
+        return planner(scenario, m)
+    except (SingularEverywhere, BoundOverflow):
         return None
 
 
@@ -605,14 +642,14 @@ def _seeded_t3_scenarios():
 def test_plan_t3_is_never_worse_than_the_full_cube_grid():
     for scenario, m in _seeded_t3_scenarios():
         grid = _full_cube_grid_bound(scenario, m)
-        result = _plan_t3_or_none(scenario, m)
+        result = _plan_or_none(scenario, m)
         bound = math.inf if result is None else result.objective_value
         assert bound <= grid * (1.0 + 1e-12), scenario
 
 
 def _check_t3_beats_the_sample(scenario, m, rng):
-    sample = min(crb(Task.T3, scenario.target, p, m) for p in _dense_feasible_sample(scenario, rng))
-    result = _plan_t3_or_none(scenario, m)
+    sample = _least_sampled_bound(scenario, m, rng)
+    result = _plan_or_none(scenario, m)
     if result is None:
         assert sample == math.inf, scenario
         return
@@ -692,7 +729,7 @@ def test_plan_t3_frank_wolfe_gap_is_round_off(centralized, alpha, e1, e2, target
     # f is convex, so f(p*) - f* <= max_v grad f(p*).(p* - v) over the
     # vertices v: a certificate that does not rest on the candidate list
     scenario = _t3_scenario(centralized, alpha, e1, e2, target)
-    result = _plan_t3_or_none(scenario, model(rho))
+    result = _plan_or_none(scenario, model(rho))
     if result is None:
         return
     # the gap over the bound is the same at s p* and s v for every s > 0
@@ -726,7 +763,7 @@ def test_every_planner_is_scale_free(
     # optimal policy alone and scales the bound, wherever it is representable
     if task is Task.T3:
         scenario = _t3_scenario(centralized, alpha, e1, e2, target)
-        planners = [_plan_t3_or_none]
+        planners = [plan_t3]
     elif centralized:
         scenario = cen(task, alpha, e1, e2)
         planners = [plan_linear]
@@ -736,10 +773,13 @@ def test_every_planner_is_scale_free(
     scale = 10.0**k
     for planner in planners:
         base, scaled = (
-            planner(scenario, validate((0, 0, var_x * s, var_y * s, rho))) for s in (1.0, scale)
+            _plan_or_none(scenario, validate((0, 0, var_x * s, var_y * s, rho)), planner)
+            for s in (1.0, scale)
         )
-        assert (base is None) == (scaled is None)
-        if base is None:
+        if base is None or scaled is None:
+            # no bound at either scale, or only one scale's bound overflows
+            kept = base or scaled
+            assert kept is None or kept.objective_value * (scale if base else 1 / scale) == math.inf
             continue
         assert base.policy == scaled.policy and base.tie == scaled.tie
         want = base.objective_value * scale
