@@ -9,14 +9,32 @@ errors from the policy, which moved only its ``stderr=`` values, and again
 when replications began to share one stream per block of
 ``REPLICATION_BLOCK``, which moved every simulated value.
 ``simulate_two_blocks`` spans the first block boundary.
+
+The ``bounds_*``, ``jsonl_*`` and ``preset_*`` digests and
+:data:`PLANNER_DIGEST` pin the sweep evaluator and the planners on every
+sweep variable, task and setting, on rows that cross invalid, infeasible
+and zero-information policies, and on non-default figure flags.
 """
 
 import contextlib
 import hashlib
 import io
+import math
+import random
 
 import pytest
 
+from crbplan import (
+    CrbPlanError,
+    ResourceBudget,
+    Scenario,
+    Setting,
+    Target,
+    Task,
+    plan_linear,
+    plan_t3,
+    validate,
+)
 from crbplan.cli import main
 
 GOLDEN = {
@@ -34,6 +52,29 @@ GOLDEN = {
     "readme_bounds": "04d30e676061676837637570c7c95d6be8ddddebc1b944066d20b6dc271febd7",
     "simulate_t3": "30eabc3eea7cffb8549265d7d9ead826787dbcfb5bd7366fb890b3bd1711aa46",
     "simulate_two_blocks": "e10a0424c11aa06302b39e28e5a11982dd21b8996b2f5f6cf2e171d2de689dc2",
+    "bounds_t1_centralized_p_xy": "1d56f970d2993f1faf84a56a06b2f38c10d8695fcfdf63801684e7b4ed6675a9",
+    "bounds_t1_decentralized_e1": "f798d810a7cd0ae68006956ac4e6e7c40090afbacb9037dc8d8cdfeaf59e61c5",
+    "bounds_t2_centralized_e1_inf_e2": "99d741a106d5ce6ccdad35f163d8db6be70cded1b2f184f997ab59e6ad2ee63e",
+    "bounds_t2_centralized_p_y": "e4f093c33a64ce92d67936cafb7a298381be4e2a9dbd2aded53e84f7e097b656",
+    "bounds_t2_decentralized_rho": "f79b3b85bcbedbb7e79efa6330204c701d6c7a9c90535798706f61ede4d005df",
+    "bounds_t3_centralized_e2": "c57c4563b07d9b4d1eaa741eed00b31bbf3d68f048d83f17a647c4050dbf9f63",
+    "bounds_t3_centralized_p_y": "e26b465e629811f610aea2af3d3958e29b6ab06c88849253437224fcfdc8b005",
+    "bounds_t3_centralized_rho": "ffdc0673bae7c6e88466cea002bc612696ea3d8e5cfae6b069e8e06d4b7da6d2",
+    "bounds_t3_decentralized_e1": "e0cacd2107e8684a6dd798894c20cc57bc7a5b0211e67cb761a2db2572f6005d",
+    "bounds_t3_decentralized_p_x": "1ccc442850435c336a0f3472ba685391b6247125b75dd20ba12e62e74f9c8029",
+    "bounds_t3_zero_information": "9e19879aba6c632846182ec8df6e0eb93a458370695fc74d281e616e77f748b9",
+    "jsonl_bounds": "b25a02627404a2acae3665eddfab09e30d8206a756db12d0718d78271458f09f",
+    "jsonl_sweep_fig1b": "24d514260d524402638c24c45cb5d5b15cea9438f902c30dd6574f301ec53aa7",
+    "jsonl_sweep_fig4b": "2522a997ec322219a62eaae0f582ffa953b30d9d7d4ad18166403eda2653ecbe",
+    "preset_fig1b_alpha_rho": "6b537293eb6e53e5b68adb067ae9ff0d5d2e23384bd6b3f7c9931f3865380fb0",
+    "preset_fig1c_alpha": "f44c931c84d13ac2a8d6c63c5bcdb09840c0971ab49b9596f3e56689b302ec6d",
+    "preset_fig2a_alpha_e1": "9e5c405f5c7426b552accb890cf715496a1d0581cf20a23f7bf11b120e8279c6",
+    "preset_fig2b_e1_inf": "1a587e2e3f923c1bad28a3a48dbfd3f0221ac899414cde1caaa01520835dd439",
+    "preset_fig2c_alpha": "f89d122e0daa3eef28d8ea13ef63f2b1c13fa43a07ee6df5fa101baab7276b34",
+    "preset_fig3_budgets": "ec087768fb6f3ca6fff8d04fc893ae0adf83a3502bc2ac5347cd6e50d87acdc3",
+    "preset_fig4a_budgets": "3a91acd9293c80600b25bf5c3357b62a06efc6a6a53ed4f73087595fcc2b4537",
+    "preset_fig4b_alpha_0": "d1ef02c64c07612f7b73c182bb9b8a2c6c00a6abee432557844f18f04aecf1e9",
+    "preset_fig4c_alpha_e1": "f68fa5e6057731fef2ad8f45d297c64ceab27125386291ed2bb65636eebb7fb3",
 }
 
 COMMANDS = {
@@ -62,6 +103,70 @@ COMMANDS = {
         "simulate --task t1 --setting decentralized --alpha 2 --e1 2 "
         "--rho 0.5 --slots 10 --reps 1100 --seed 13"
     ).split(),
+    # bounds sweeps of every variable across tasks and settings
+    "bounds_t2_centralized_p_y": (
+        "bounds --task t2 --setting centralized --alpha 1.5 --e1 2 --e2 1.2 "
+        "--rho -0.6 --var-y 2.5 --sweep p_y --start 0 --stop 1 --step 0.02"
+    ).split(),
+    # p_x + 0.3 passes 1 from p_x = 0.7 on: InvalidPolicy rows read inf,false
+    "bounds_t3_decentralized_p_x": (
+        "bounds --task t3 --setting decentralized --target mu-y --alpha 0.7 "
+        "--e1 1.3 --rho 0.8 --p-y 0.3 --sweep p_x --start 0 --stop 1.1 --step 0.05"
+    ).split(),
+    "bounds_t1_centralized_p_xy": (
+        "bounds --task t1 --setting centralized --alpha 2 --e1 1 --e2 3 --rho 0.5 "
+        "--p-x 0.2 --sweep p_xy --start 0 --stop 1.2 --step 0.05"
+    ).split(),
+    "bounds_t3_centralized_p_y": (
+        "bounds --task t3 --setting centralized --target mu-x --alpha 1 --e1 1.5 "
+        "--e2 1.8 --rho -0.3 --p-x 0.25 --var-x 3 --sweep p_y --start 0 --stop 1 --step 0.04"
+    ).split(),
+    "bounds_t3_centralized_rho": (
+        "bounds --task t3 --setting centralized --target mu-x --alpha 1 --e1 2 --e2 2 "
+        "--var-x 2 --var-y 0.5 --rho 0 --p-x 0.2 --p-y 0.3 --p-xy 0.4 "
+        "--sweep rho --start -0.95 --stop 0.95 --step 0.05"
+    ).split(),
+    "bounds_t2_decentralized_rho": (
+        "bounds --task t2 --setting decentralized --alpha 3 --e1 2 --rho 0 "
+        "--p-y 0.1 --p-xy 0.6 --sweep rho --start -0.9 --stop 0.9 --step 0.03"
+    ).split(),
+    "bounds_t1_decentralized_e1": (
+        "bounds --task t1 --setting decentralized --alpha 2 --e1 1 --rho 0.5 "
+        "--p-y 0.3 --p-xy 0.4 --sweep e1 --start 0 --stop 3 --step 0.1"
+    ).split(),
+    "bounds_t3_decentralized_e1": (
+        "bounds --task t3 --setting decentralized --target mu-y --alpha 0.4 --e1 1 "
+        "--rho 0.7 --p-x 0.2 --p-y 0.1 --p-xy 0.3 --sweep e1 --start 0 --stop 2 --step 0.05"
+    ).split(),
+    "bounds_t3_centralized_e2": (
+        "bounds --task t3 --setting centralized --target mu-x --alpha 1 --e1 2 --e2 0.5 "
+        "--rho 0.6 --p-x 0.25 --p-y 0.25 --p-xy 0.3 --sweep e2 --start 0 --stop 4 --step 0.25"
+    ).split(),
+    "bounds_t2_centralized_e1_inf_e2": (
+        "bounds --task t2 --setting centralized --alpha 0.5 --e1 1 --e2 inf "
+        "--rho -0.4 --p-y 0.5 --p-xy 0.2 --sweep e1 --start 0 --stop 1.5 --step 0.1"
+    ).split(),
+    # p_y >= 0.5 leaves no budget for joint slots: mu_x rows without information
+    "bounds_t3_zero_information": (
+        "bounds --task t3 --setting decentralized --target mu-x --alpha 1 --e1 0.5 "
+        "--rho 0.5 --sweep p_y --start 0 --stop 1 --step 0.1"
+    ).split(),
+    "jsonl_bounds": (
+        "bounds --task t3 --setting decentralized --target mu-x --alpha 1 --e1 0.5 "
+        "--rho 0.5 --sweep p_y --start 0 --stop 1 --step 0.1 --format jsonl"
+    ).split(),
+    "jsonl_sweep_fig1b": "sweep --figure fig1b --format jsonl".split(),
+    "jsonl_sweep_fig4b": "sweep --figure fig4b --format jsonl".split(),
+    # figure presets at non-default flags
+    "preset_fig1b_alpha_rho": "sweep --figure fig1b --alpha 0.5 --rho 0.9".split(),
+    "preset_fig1c_alpha": "sweep --figure fig1c --alpha 0.5".split(),
+    "preset_fig2a_alpha_e1": "sweep --figure fig2a --alpha 1 --e1 1.2 --var-x 2".split(),
+    "preset_fig2b_e1_inf": "sweep --figure fig2b --e1 inf".split(),
+    "preset_fig2c_alpha": "sweep --figure fig2c --alpha 3 --var-y 0.5".split(),
+    "preset_fig3_budgets": "sweep --figure fig3 --e1 1.5 --e2 2.5 --rho 0.6".split(),
+    "preset_fig4a_budgets": "sweep --figure fig4a --rho 0.3 --e2 1.5 --var-x 4".split(),
+    "preset_fig4b_alpha_0": "sweep --figure fig4b --alpha 0".split(),
+    "preset_fig4c_alpha_e1": "sweep --figure fig4c --alpha 1 --e1 3".split(),
 }
 
 
@@ -72,3 +177,42 @@ def test_stdout_matches_golden_digest(name):
         code = main(COMMANDS[name])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[name]
+
+
+def _budget_value(rng: random.Random, high: float) -> float:
+    draw = rng.random()
+    return math.inf if draw < 0.15 else 0.0 if draw < 0.25 else rng.uniform(0.0, high)
+
+
+def _planner_records(n: int = 500, seed: int = 11) -> list[str]:
+    """``plan_linear``/``plan_t3`` on ``n`` seeded scenarios of every task,
+    setting and target, with inf and 0 budgets mixed in: one line each, the
+    plan's record or the name of the error it raised."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(n):
+        task = rng.choice(list(Task))
+        setting = rng.choice(list(Setting))
+        alpha = rng.choice([0.0, rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-3.0, 2.0)])
+        e1 = _budget_value(rng, 2.0 * alpha + 2.0)
+        e2 = _budget_value(rng, 2.0 * alpha + 3.0) if setting is Setting.CENTRALIZED else None
+        target = rng.choice(list(Target)) if task is Task.T3 else None
+        rho = rng.choice([0.0, rng.uniform(-0.99, 0.99)])
+        model = validate((0.0, 0.0, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rho))
+        scenario = Scenario(task, setting, ResourceBudget(alpha, e1, e2), target)
+        planner = plan_t3 if task is Task.T3 else plan_linear
+        try:
+            record = planner(scenario, model).as_record()
+        except CrbPlanError as exc:
+            record = type(exc).__name__
+        lines.append(f"{scenario!r} {model!r} {record!r}")
+    return lines
+
+
+#: sha256 of :func:`_planner_records`, recorded before the planners were batched.
+PLANNER_DIGEST = "89f2ba16c6302427db6e07044c1a22636ccdfc93fed930853d9c461f5f5ea360"
+
+
+def test_planner_records_match_golden_digest():
+    text = "\n".join(_planner_records()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANNER_DIGEST
