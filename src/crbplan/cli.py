@@ -5,6 +5,11 @@ and writes byte-identical output files on repeated invocations.  Flags may
 also be supplied through a JSON config file (``--config``); explicit flags
 win over file values.
 
+The ``sweep`` presets are data (:data:`_PRESETS`): curves, axis, grid and
+columns.  A ``bounds`` sweep and each preset curve are one array pass, the
+bound evaluator :func:`_evaluate` or one stack of plans
+(:func:`crbplan.strategy.plan_stack`).
+
 Exit codes: 0 success, 2 invalid configuration or malformed input
 (including a bound too large to represent), 3 the requested bound is
 degenerate (infinite everywhere, e.g. a zero budget).
@@ -13,16 +18,20 @@ degenerate (infinite everywhere, e.g. a zero budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import secrets
 import sys
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import simulator, strategy
 from .errors import CrbPlanError, SingularEverywhere
 from .estimators import EstimatorKind
-from .fisher import SamplingPolicy, Target, Task, crb
-from .model import ObservationModel, validate
+from .fisher import SamplingPolicy, Target, Task, crb_array, policy_mask
+from .model import RHO_LIMIT, ObservationModel, validate
 from .simulator import SimulationConfig, audit_resources, default_estimator
 from .strategy import (
     LinearConstraintSet,
@@ -31,8 +40,8 @@ from .strategy import (
     Setting,
     constraints_for,
     joint_priority_threshold,
+    plan_stack,
     plan_t1_closed_form,
-    plan_t3,
 )
 
 
@@ -204,27 +213,49 @@ _DEPENDENT = {"p_y": "p_xy", "p_x": "p_xy", "p_xy": "p_y"}
 _P_INDEX = {"p_x": 0, "p_y": 1, "p_xy": 2}
 
 
-def derive_dependent(
-    cons: LinearConstraintSet, fixed: dict[str, float], dependent: str
-) -> float:
+def derive_dependent(cons: LinearConstraintSet, fixed: dict, dependent: str):
     """Largest value of one probability the constraint system allows.
 
-    Holds the other two components at ``fixed`` and pushes the dependent one
-    against every constraint with a positive coefficient on it (budget rows
-    and the simplex); clamps at 0.
+    Holds the other two components at ``fixed`` (numbers or arrays) and
+    pushes the dependent one against every constraint with a positive
+    coefficient on it (budget rows and the simplex); clamps to [0, 1].  Plain
+    operators in one order, and Python's ``min`` and ``max`` written as
+    ``where``: an array of fixed values gives each row's scalar result.
     """
     idx = _P_INDEX[dependent]
     p = [fixed.get("p_x", 0.0), fixed.get("p_y", 0.0), fixed.get("p_xy", 0.0)]
+    j, k = (n for n in range(3) if n != idx)
     cap = math.inf
-    for row in cons.rows:
-        c = row.coeffs[idx]
-        if c <= 0.0 or math.isinf(row.bound):
-            continue
-        residual = row.bound - sum(
-            row.coeffs[j] * p[j] for j in range(3) if j != idx
-        )
-        cap = min(cap, residual / c)
-    return max(0.0, min(1.0, cap))
+    with np.errstate(all="ignore"):  # far-off fixed values overflow a load
+        for row in cons.rows:
+            c = row.coeffs[idx]
+            if c <= 0.0 or math.isinf(row.bound):
+                continue
+            residual = row.bound - (0.0 + row.coeffs[j] * p[j] + row.coeffs[k] * p[k])
+            cap = np.where(residual / c < cap, residual / c, cap)
+    cap = np.where(cap < 1.0, cap, 1.0)
+    return np.where(cap > 0.0, cap, 0.0)
+
+
+def _evaluate(scenario: Scenario, model: ObservationModel, p: dict, rho=None, e1=None, e2=None):
+    """One curve as arrays: the bound and the feasibility of each row's
+    policy ``p`` (arrays of ``p_x``, ``p_y``, ``p_xy``), at correlations
+    ``rho`` and budgets ``e1``, ``e2`` where a sweep gives them.  A row whose
+    components make no valid :class:`SamplingPolicy` reads ``inf`` and
+    infeasible.  Each value equals the scalar :func:`crbplan.fisher.crb` and
+    :meth:`is_feasible`, bit for bit; the lists hold Python floats and bools.
+
+    Raises:
+        BoundOverflow: at the first valid row whose bound overflows.
+    """
+    p_x, p_y, p_xy = np.broadcast_arrays(*(np.asarray(p[n], dtype=float) for n in _P_INDEX))
+    with np.errstate(all="ignore"):  # as Python floats: inf + -inf is nan, no warning
+        valid = policy_mask(p_x, p_y, p_xy)
+        x, y, xy = (np.where(valid, v, 0.0) for v in (p_x, p_y, p_xy))  # invalid: no information
+        rho = model.rho if rho is None else rho
+        bound = crb_array(scenario.task, scenario.target, x, y, xy, rho, model.var_x, model.var_y)
+        feasible = valid & strategy._feasibility(scenario, np.stack([x, y, xy], axis=-1), e1, e2)
+    return bound.tolist(), feasible.tolist()
 
 
 _MAX_SWEEP_ROWS = 10**6
@@ -257,56 +288,38 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise _ConfigError(f"--sweep must be one of {_SWEEPABLE}")
     model = _build_model(args)
     scenario = _build_scenario(args)
-    values = _sweep_values(args)
-
-    rows = []
-    scen, m, cons = scenario, model, constraints_for(scenario)
-    dependent = _DEPENDENT.get(args.sweep)
-    if dependent is None:
-        policy = _policy_from_args(args) or SamplingPolicy()
+    values = np.array(_sweep_values(args))
+    sweep, sweeps = args.sweep, {}
+    dependent = _DEPENDENT.get(sweep)
+    if dependent is not None:
+        p = {name: getattr(args, name) or 0.0 for name in _P_INDEX}
+        p[sweep] = values
+        p[dependent] = derive_dependent(constraints_for(scenario), p, dependent)
     else:
-        fixed_all = {
-            name: getattr(args, name) or 0.0
-            for name in ("p_x", "p_y", "p_xy")
-            if name not in (args.sweep, dependent)
-        }
-    for v in values:
-        if dependent is not None:
-            fixed = dict(fixed_all)
-            fixed[args.sweep] = v
-            fixed[dependent] = derive_dependent(cons, fixed, dependent)
-            try:
-                policy = SamplingPolicy(fixed["p_x"], fixed["p_y"], fixed["p_xy"])
-            except CrbPlanError:
-                rows.append(
-                    {"sweep_var": args.sweep, "value": v, "crb": math.inf, "feasible": False}
-                )
-                continue
-        elif args.sweep == "rho":
-            try:
-                m = ObservationModel(model.mu_x, model.mu_y, model.var_x, model.var_y, v)
-            except CrbPlanError as exc:
-                raise _ConfigError(f"rho sweep leaves the valid range: {exc}") from exc
-        else:
-            budget = scenario.budget
-            if args.sweep == "e1":
-                budget = ResourceBudget(budget.alpha, v, budget.e2)
-            else:
-                if scenario.setting is not Setting.CENTRALIZED:
-                    raise _ConfigError("e2 sweeps require --setting centralized")
-                budget = ResourceBudget(budget.alpha, budget.e1, v)
-            scen = Scenario(scenario.task, scenario.setting, budget, scenario.target)
-            cons = constraints_for(scen)
-        rows.append(
-            {
-                "sweep_var": args.sweep,
-                "value": v,
-                "crb": crb(scen.task, scen.target, policy, m),
-                "feasible": cons.is_feasible(policy),
-            }
-        )
-
-    _write_rows(["sweep_var", "value", "crb", "feasible"], rows, args.format or "csv", args.out)
+        p = dict(zip(_P_INDEX, (_policy_from_args(args) or SamplingPolicy()).as_tuple()))
+        if sweep == "e2" and scenario.setting is not Setting.CENTRALIZED:
+            raise _ConfigError("e2 sweeps require --setting centralized")
+        if sweep != "rho":  # the values ascend: only the first can be negative
+            ResourceBudget(**{**vars(scenario.budget), sweep: values[0].item()})
+        sweeps[sweep] = values
+    # a correlation out of range ends the sweep; the rows before it still
+    # raise their own errors first
+    inside = np.abs(values) <= RHO_LIMIT if sweep == "rho" else np.full(values.shape, True)
+    rows = len(values) if inside.all() else int(np.argmin(inside))
+    crbs, feasible = _evaluate(
+        scenario, model, {n: np.broadcast_to(v, values.shape)[:rows] for n, v in p.items()},
+        **{n: v[:rows] for n, v in sweeps.items()},
+    )
+    if rows < len(values):
+        try:
+            ObservationModel(model.mu_x, model.mu_y, model.var_x, model.var_y, values[rows].item())
+        except CrbPlanError as exc:
+            raise _ConfigError(f"rho sweep leaves the valid range: {exc}") from exc
+    out = [
+        {"sweep_var": sweep, "value": v, "crb": c, "feasible": f}
+        for v, c, f in zip(values.tolist(), crbs, feasible)
+    ]
+    _write_rows(["sweep_var", "value", "crb", "feasible"], out, args.format or "csv", args.out)
     return 0
 
 
@@ -392,223 +405,161 @@ _EVAL_COLUMNS = ["rho", "e1", "e2", "p_x", "p_y", "p_xy", "crb", "feasible"]
 _PLAN_COLUMNS = ["rho", "e1", "e2", "p_x", "p_y", "p_xy", "crb", "tie"]
 
 
-def _frange(stop: float, step: float, start: float = 0.0) -> list[float]:
-    count = int(round(_steps(start, stop, step)))
-    return [start + i * step for i in range(count + 1)]
+def _frange(stop: float, step: float) -> list[float]:
+    return [i * step for i in range(int(round(_steps(0.0, stop, step))) + 1)]
 
 
-def _eval_row(scenario, cons, model, p_x, p_y, p_xy) -> dict:
-    policy = SamplingPolicy(p_x, p_y, p_xy)
-    return {
-        "rho": model.rho,
-        "e1": scenario.budget.e1,
-        "e2": scenario.budget.e2,
-        "p_x": p_x,
-        "p_y": p_y,
-        "p_xy": p_xy,
-        "crb": crb(scenario.task, scenario.target, policy, model),
-        "feasible": cons.is_feasible(policy),
-    }
+def _preset_scenario(preset, fields: dict) -> Scenario:
+    e2 = fields["e2"] if preset.setting is Setting.CENTRALIZED else None
+    budget = ResourceBudget(fields["alpha"], fields["e1"], e2)
+    return Scenario(preset.task, preset.setting, budget, preset.target)
 
 
-def _plan_row(scenario, model, result) -> dict:
-    return {
-        "rho": model.rho,
-        "e1": scenario.budget.e1,
-        "e2": scenario.budget.e2,
-        "p_x": result.policy.p_x,
-        "p_y": result.policy.p_y,
-        "p_xy": result.policy.p_xy,
-        "crb": result.objective_value,
-        "tie": result.tie,
-    }
+def _budget_columns(scenario: Scenario, model: ObservationModel) -> dict:
+    return {"rho": model.rho, "e1": scenario.budget.e1, "e2": scenario.budget.e2}
 
 
-def _fig1a(args):
-    """Decentralized prioritization boundary: critical |rho| versus alpha."""
-    rows = [
-        {
-            "alpha": a,
-            "rho_star": joint_priority_threshold(a, Setting.DECENTRALIZED),
-        }
-        for a in _frange(6.0, 0.05)
-    ]
-    return ["alpha", "rho_star"], rows
+def _threshold_rows(args, preset, fields, model, grid):
+    """The decentralized joint-priority threshold at each alpha."""
+    return [{"alpha": a, "rho_star": joint_priority_threshold(a, Setting.DECENTRALIZED)} for a in grid]
 
 
-def _fig1b(args):
-    """Bound versus p_y for one unknown mean, three sensor budgets."""
-    alpha = args.alpha if args.alpha is not None else 2.0
-    rho = args.rho if args.rho is not None else 0.5
-    moderate = args.e1 if args.e1 is not None else 2.0
-    model = _build_model(args, rho)
+def _closed_form_rows(args, preset, fields, model, grid):
+    """The decentralized t1 closed-form plan at each e1."""
     rows = []
-    for e1 in (math.inf, moderate, 0.8):
-        scenario = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(alpha, e1))
-        cons = constraints_for(scenario)
-        for p_y in _frange(1.0, 0.01):
-            p_xy = derive_dependent(cons, {"p_x": 0.0, "p_y": p_y}, "p_xy")
-            rows.append(_eval_row(scenario, cons, model, 0.0, p_y, p_xy))
-    return _EVAL_COLUMNS, rows
-
-
-def _fig1c(args):
-    """Optimal joint-sampling share versus budget, by correlation regime."""
-    alpha = args.alpha if args.alpha is not None else 2.0
-    thr = joint_priority_threshold(alpha, Setting.DECENTRALIZED)
-    regimes = [
-        ("below", math.sqrt(0.5 * thr * thr)),
-        ("at", thr),
-        ("above", math.sqrt(thr * thr + 0.5 * (1.0 - thr * thr))),
-    ]
-    rows = []
-    for regime, rho in regimes:
-        model = _build_model(args, rho)
-        for e1 in _frange(alpha + 1.5, 0.05):
-            result = plan_t1_closed_form(alpha, e1, model)
-            rows.append(
-                {
-                    "regime": regime,
-                    "rho": rho,
-                    "e1": e1,
-                    "p_y": result.policy.p_y,
-                    "p_xy": result.policy.p_xy,
-                    "tie": result.tie,
-                }
-            )
-    return ["regime", "rho", "e1", "p_y", "p_xy", "tie"], rows
-
-
-def _fig2a(args):
-    """Two unknown means, decentralized: bound versus p_x, two budgets."""
-    alpha = args.alpha if args.alpha is not None else 2.0
-    rho = args.rho if args.rho is not None else 0.5
-    constrained = args.e1 if args.e1 is not None else 2.0
-    model = _build_model(args, rho)
-    rows = []
-    for e1 in (math.inf, constrained):
-        scenario = Scenario(
-            Task.T3, Setting.DECENTRALIZED, ResourceBudget(alpha, e1), Target.MU_X
-        )
-        cons = constraints_for(scenario)
-        for p_x in _frange(1.0, 0.01):
-            p_xy = derive_dependent(cons, {"p_x": p_x, "p_y": 0.0}, "p_xy")
-            rows.append(_eval_row(scenario, cons, model, p_x, 0.0, p_xy))
-    return _EVAL_COLUMNS, rows
-
-
-def _fig2bc(args, e1_default: float):
-    alpha = args.alpha if args.alpha is not None else 2.0
-    e1 = args.e1 if args.e1 is not None else e1_default
-    rows = []
-    for rho in (0.5, 0.8):  # below / above the centralized threshold sqrt(1/2)
-        model = _build_model(args, rho)
-        for e2 in _frange(4.5, 0.05):
-            scenario = Scenario(
-                Task.T1, Setting.CENTRALIZED, ResourceBudget(alpha, e1, e2)
-            )
-            result = strategy.plan_linear(scenario, model)
-            rows.append(_plan_row(scenario, model, result))
-    return _PLAN_COLUMNS, rows
-
-
-def _fig2b(args):
-    """Centralized, one unknown mean: optimal policy versus DC budget,
-    sensor budget active."""
-    return _fig2bc(args, e1_default=1.5)
-
-
-def _fig2c(args):
-    """Same as fig2b with the sensor budget inactive (e1 >= alpha + 1)."""
-    alpha = args.alpha if args.alpha is not None else 2.0
-    return _fig2bc(args, e1_default=alpha + 1.0)
-
-
-def _symmetric_t3_rows(scenario, model):
-    cons = constraints_for(scenario)
-    rows = []
-    for p_x in _frange(0.5, 0.005):
-        p_xy = derive_dependent(cons, {"p_x": p_x, "p_y": p_x}, "p_xy")
-        rows.append(_eval_row(scenario, cons, model, p_x, p_x, p_xy))
+    for e1 in grid:
+        result = plan_t1_closed_form(fields["alpha"], e1, model)
+        rows.append({"regime": fields["regime"], "rho": model.rho, "e1": e1,
+                     "p_y": result.policy.p_y, "p_xy": result.policy.p_xy, "tie": result.tie})
     return rows
 
 
-def _fig3(args):
-    """Centralized, two unknown means: bound versus symmetric marginal share."""
-    alpha = args.alpha if args.alpha is not None else 2.0
-    rho = args.rho if args.rho is not None else 0.8
-    e1 = args.e1 if args.e1 is not None else 2.0
-    e2 = args.e2 if args.e2 is not None else 2.0
-    model = _build_model(args, rho)
-    rows = []
-    for budget in (ResourceBudget(alpha, math.inf, math.inf), ResourceBudget(alpha, e1, e2)):
-        scenario = Scenario(Task.T3, Setting.CENTRALIZED, budget, Target.MU_X)
-        rows.extend(_symmetric_t3_rows(scenario, model))
-    return _EVAL_COLUMNS, rows
+def _eval_rows(args, preset, fields, model, grid):
+    """The bound of the policy whose ``axis`` components run over the grid
+    (others 0, ``p_xy`` as large as the budget allows), in one array pass."""
+    scenario = _preset_scenario(preset, fields)
+    grid = np.array(grid)
+    p = {"p_x": 0.0, "p_y": 0.0, **dict.fromkeys(preset.axis, grid)}
+    p["p_xy"] = derive_dependent(constraints_for(scenario), p, "p_xy")
+    crbs, feasible = _evaluate(scenario, model, p)
+    fixed = _budget_columns(scenario, model)
+    policies = zip(*(np.broadcast_to(p[n], grid.shape).tolist() for n in _P_INDEX))
+    return [
+        {**fixed, "p_x": x, "p_y": y, "p_xy": xy, "crb": c, "feasible": f}
+        for (x, y, xy), c, f in zip(policies, crbs, feasible)
+    ]
 
 
-def _fig4a(args):
-    """Stringent budgets: bound versus symmetric marginal share, by rho."""
-    alpha = args.alpha if args.alpha is not None else 2.0
-    e1 = args.e1 if args.e1 is not None else 2.0
-    e2 = args.e2 if args.e2 is not None else 2.0
-    rows = []
-    for rho in (0.5, 0.7, 0.9):
-        model = _build_model(args, rho)
-        scenario = Scenario(
-            Task.T3, Setting.CENTRALIZED, ResourceBudget(alpha, e1, e2), Target.MU_X
-        )
-        rows.extend(_symmetric_t3_rows(scenario, model))
-    return _EVAL_COLUMNS, rows
+def _plan_rows(args, preset, fields, model, grid):
+    """The plan with the ``axis`` field on the grid, as one plan stack."""
+    rows_fields = [{**fields, preset.axis: v} for v in grid]
+    models = [_build_model(args, f["rho"]) if model is None else model for f in rows_fields]
+    scenarios = [_preset_scenario(preset, f) for f in rows_fields]
+    return [
+        {**_budget_columns(scenario, model), "p_x": result.policy.p_x, "p_y": result.policy.p_y,
+         "p_xy": result.policy.p_xy, "crb": result.objective_value, "tie": result.tie}
+        for scenario, model, result in zip(scenarios, models, plan_stack(scenarios, models))
+    ]
 
 
-def _fig4b(args):
-    """Optimal two-unknown-means policy versus correlation."""
-    alpha = args.alpha if args.alpha is not None else 2.0
-    e1 = args.e1 if args.e1 is not None else 2.0
-    e2 = args.e2 if args.e2 is not None else 2.0
-    rows = []
-    for rho in _frange(0.95, 0.01):
-        model = _build_model(args, rho)
-        scenario = Scenario(
-            Task.T3, Setting.CENTRALIZED, ResourceBudget(alpha, e1, e2), Target.MU_X
-        )
-        result = plan_t3(scenario, model)
-        rows.append(_plan_row(scenario, model, result))
-    return _PLAN_COLUMNS, rows
+class _Preset(NamedTuple):
+    """A figure preset as data: each curve's rows come from ``rows`` over
+    the ``grid``, ``(stop, step)`` from 0, of its ``axis``.  ``defaults``
+    gives each flag the preset reads, for when it is not passed; each curve
+    overrides fields (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``).  A
+    default, curve field or grid stop may be a callable of the flags
+    resolved before it."""
+
+    rows: Callable
+    columns: list[str]
+    axis: str | tuple[str, ...]
+    grid: tuple
+    defaults: dict = {}
+    curves: tuple = ({},)
+    task: Task = Task.T1
+    setting: Setting = Setting.DECENTRALIZED
+    target: Target | None = None
 
 
-def _fig4c(args):
-    """Relaxed budgets: bound versus symmetric marginal share."""
-    alpha = args.alpha if args.alpha is not None else 2.0
-    rho = args.rho if args.rho is not None else 0.8
-    model = _build_model(args, rho)
-    rows = []
-    for e in (2.0, args.e1 if args.e1 is not None else 4.0):
-        scenario = Scenario(
-            Task.T3, Setting.CENTRALIZED, ResourceBudget(alpha, e, e), Target.MU_X
-        )
-        rows.extend(_symmetric_t3_rows(scenario, model))
-    return _EVAL_COLUMNS, rows
+def _value(v, flags: dict):
+    return v(flags) if callable(v) else v
 
 
-_FIGURES = {
-    "fig1a": _fig1a,
-    "fig1b": _fig1b,
-    "fig1c": _fig1c,
-    "fig2a": _fig2a,
-    "fig2b": _fig2b,
-    "fig2c": _fig2c,
-    "fig3": _fig3,
-    "fig4a": _fig4a,
-    "fig4b": _fig4b,
-    "fig4c": _fig4c,
+def _threshold(flags: dict) -> float:
+    return joint_priority_threshold(flags["alpha"], Setting.DECENTRALIZED)
+
+
+_T3_CENTRALIZED = {"task": Task.T3, "setting": Setting.CENTRALIZED, "target": Target.MU_X}
+_BUDGETS_2 = {"alpha": 2.0, "e1": 2.0, "e2": 2.0}
+_PRESETS = {
+    # decentralized prioritization boundary: critical |rho| versus alpha
+    "fig1a": _Preset(_threshold_rows, ["alpha", "rho_star"], "alpha", (6.0, 0.05)),
+    # bound versus p_y for one unknown mean, three sensor budgets
+    "fig1b": _Preset(
+        _eval_rows, _EVAL_COLUMNS, ("p_y",), (1.0, 0.01), {"alpha": 2.0, "rho": 0.5, "e1": 2.0},
+        ({"e1": math.inf}, {}, {"e1": 0.8}),
+    ),
+    # optimal joint-sampling share versus budget, by correlation regime
+    "fig1c": _Preset(
+        _closed_form_rows, ["regime", "rho", "e1", "p_y", "p_xy", "tie"], "e1",
+        (lambda f: f["alpha"] + 1.5, 0.05), {"alpha": 2.0, "thr": _threshold},
+        (
+            {"regime": "below", "rho": lambda f: math.sqrt(0.5 * f["thr"] * f["thr"])},
+            {"regime": "at", "rho": lambda f: f["thr"]},
+            {"regime": "above", "rho": lambda f: math.sqrt(
+                f["thr"] * f["thr"] + 0.5 * (1.0 - f["thr"] * f["thr"]))},
+        ),
+    ),
+    # two unknown means, decentralized: bound versus p_x, two budgets
+    "fig2a": _Preset(
+        _eval_rows, _EVAL_COLUMNS, ("p_x",), (1.0, 0.01), {"alpha": 2.0, "rho": 0.5, "e1": 2.0},
+        ({"e1": math.inf}, {}), Task.T3, Setting.DECENTRALIZED, Target.MU_X,
+    ),
+    # centralized, one unknown mean: optimal policy versus DC budget, rho
+    # below / above the centralized threshold sqrt(1/2); sensor budget active
+    "fig2b": _Preset(
+        _plan_rows, _PLAN_COLUMNS, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": 1.5},
+        ({"rho": 0.5}, {"rho": 0.8}), setting=Setting.CENTRALIZED,
+    ),
+    # the same with the sensor budget inactive (e1 >= alpha + 1)
+    "fig2c": _Preset(
+        _plan_rows, _PLAN_COLUMNS, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": lambda f: f["alpha"] + 1.0},
+        ({"rho": 0.5}, {"rho": 0.8}), setting=Setting.CENTRALIZED,
+    ),
+    # centralized, two unknown means: bound versus symmetric marginal share
+    "fig3": _Preset(
+        _eval_rows, _EVAL_COLUMNS, ("p_x", "p_y"), (0.5, 0.005), {**_BUDGETS_2, "rho": 0.8},
+        ({"e1": math.inf, "e2": math.inf}, {}), **_T3_CENTRALIZED,
+    ),
+    # stringent budgets: bound versus symmetric marginal share, by rho
+    "fig4a": _Preset(
+        _eval_rows, _EVAL_COLUMNS, ("p_x", "p_y"), (0.5, 0.005), _BUDGETS_2,
+        ({"rho": 0.5}, {"rho": 0.7}, {"rho": 0.9}), **_T3_CENTRALIZED,
+    ),
+    # optimal two-unknown-means policy versus correlation
+    "fig4b": _Preset(_plan_rows, _PLAN_COLUMNS, "rho", (0.95, 0.01), _BUDGETS_2, **_T3_CENTRALIZED),
+    # relaxed budgets: bound versus symmetric marginal share
+    "fig4c": _Preset(
+        _eval_rows, _EVAL_COLUMNS, ("p_x", "p_y"), (0.5, 0.005), {"alpha": 2.0, "rho": 0.8, "e1": 4.0},
+        ({"e1": 2.0, "e2": 2.0}, {"e2": lambda f: f["e1"]}), **_T3_CENTRALIZED,
+    ),
 }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    header, rows = _FIGURES[args.figure](args)
-    _write_rows(header, rows, args.format or "csv", args.out)
+    preset = _PRESETS[args.figure]
+    flags = {}
+    for name, default in preset.defaults.items():
+        given = getattr(args, name, None)
+        flags[name] = given if given is not None else _value(default, flags)
+    rows = []
+    for curve in preset.curves:  # one array pass per curve
+        fields = {**flags, **{k: _value(v, flags) for k, v in curve.items()}}
+        model = _build_model(args, fields["rho"]) if "rho" in fields else None
+        stop, step = preset.grid
+        grid = _frange(_value(stop, flags), step)
+        rows.extend(preset.rows(args, preset, fields, model, grid))
+    _write_rows(preset.columns, rows, args.format or "csv", args.out)
     return 0
 
 
@@ -617,7 +568,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and config-file values go on the parsed namespace."""
     parser = argparse.ArgumentParser(
         prog="crbplan",
         description=(
@@ -629,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="solve for the bound-minimizing policy")
     _add_common_flags(p_plan)
-    p_plan.set_defaults(func=cmd_plan)
 
     p_bounds = sub.add_parser("bounds", help="sweep one variable and emit the bound")
     _add_common_flags(p_bounds)
@@ -640,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--p-x", type=float, dest="p_x")
     p_bounds.add_argument("--p-y", type=float, dest="p_y")
     p_bounds.add_argument("--p-xy", type=float, dest="p_xy")
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run with resource audit")
     _add_common_flags(p_sim)
@@ -654,22 +606,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--slots", type=int)
     p_sim.add_argument("--reps", type=int)
     p_sim.add_argument("--trace", help="write one replication's slot trace CSV here")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="emit plot-ready data for a named figure")
     _add_common_flags(p_sweep)
-    p_sweep.add_argument("--figure", required=True, choices=sorted(_FIGURES))
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--figure", required=True, choices=sorted(_PRESETS))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a function rebound on this module (a wrapper) runs
+    command = globals()[f"cmd_{args.command}"]
     try:
         _apply_config_file(args)
-        return args.func(args)
+        return command(args)
     except SingularEverywhere as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -31,7 +31,6 @@ from .errors import BoundOverflow, DegeneratePolicy, InvalidPolicy, SingularMatr
 from .model import ObservationModel, sample_joint
 
 _POLICY_TOL = 1e-12
-_CLAMP_TOL = 1e-9
 
 
 class Task(Enum):
@@ -49,6 +48,17 @@ class Target(Enum):
     MU_Y = "mu_y"
 
 
+def _in_unit(v):
+    """A policy component's range check; plain operators, so floats and
+    numpy arrays alike (nan fails)."""
+    return (-_POLICY_TOL <= v) & (v <= 1.0 + _POLICY_TOL)
+
+
+def policy_mask(p_x, p_y, p_xy):
+    """:class:`SamplingPolicy`'s checks over arrays of components."""
+    return _in_unit(p_x) & _in_unit(p_y) & _in_unit(p_xy) & (p_x + p_y + p_xy <= 1.0 + _POLICY_TOL)
+
+
 @dataclass(frozen=True)
 class SamplingPolicy:
     """Per-slot probabilities of marginal-X, marginal-Y, and joint sampling.
@@ -64,7 +74,7 @@ class SamplingPolicy:
     def __post_init__(self) -> None:
         for name in ("p_x", "p_y", "p_xy"):
             v = getattr(self, name)
-            if not (-_POLICY_TOL <= v <= 1.0 + _POLICY_TOL):
+            if not _in_unit(v):
                 raise InvalidPolicy(f"{name} must lie in [0, 1], got {v}")
         if self.p_x + self.p_y + self.p_xy > 1.0 + _POLICY_TOL:
             raise InvalidPolicy(
@@ -73,20 +83,26 @@ class SamplingPolicy:
 
     @classmethod
     def clamped(cls, p_x: float, p_y: float, p_xy: float):
-        """Snap solver output within 1e-9 of the bounds onto them.
+        """Snap solver output onto [0, 1] and the simplex: clip each
+        component, then rescale a sum above 1.
 
-        Violations beyond 1e-9 still raise: this is for cleaning up
-        floating-point residue from optimizers, not for repairing bad input.
+        The slack is the simplex row's under the one feasibility rule
+        (:func:`crbplan.strategy._limit`), ``1e-9 (1 + sum |p|)``, so every
+        point the planners' feasibility test admits snaps.  Input off by more
+        still raises: this cleans up floating-point residue from optimizers,
+        it does not repair bad input.
         """
+        given = (float(p_x), float(p_y), float(p_xy))
+        slack = 1e-9 * (1.0 + (abs(given[0]) + abs(given[1]) + abs(given[2])))
         values = []
-        for v in map(float, (p_x, p_y, p_xy)):
-            if not -_CLAMP_TOL <= v <= 1.0 + _CLAMP_TOL:
-                raise InvalidPolicy(f"component {v} outside [0, 1] by more than {_CLAMP_TOL}")
+        for v in given:
+            if not -slack <= v <= 1.0 + slack:
+                raise InvalidPolicy(f"component {v} outside [0, 1] by more than {slack:g}")
             values.append(min(1.0, max(0.0, v)))
         total = sum(values)
         if total > 1.0:
-            if total > 1.0 + _CLAMP_TOL:
-                raise InvalidPolicy(f"components sum to {total} > 1 by more than {_CLAMP_TOL}")
+            if total > 1.0 + slack:
+                raise InvalidPolicy(f"components sum to {total} > 1 by more than {slack:g}")
             values = [v / total for v in values]
         return cls(*values)
 
@@ -145,17 +161,27 @@ def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     of :func:`info_t1`, with the variance applied last.
 
     Raises:
-        DegeneratePolicy: p_y = p_xy = 0, or so near it that the information
-            about the Y mean underflows to 0.
+        DegeneratePolicy: p_y = p_xy = 0: no information about the Y mean.
         BoundOverflow: the information is positive but the bound, standardized
-            or times var_y, is not representable.
+            or times var_y, is not representable (also where a subnormal
+            policy's information underflows to 0).
     """
     shrink = 1.0 - model.rho * model.rho
     information = shrink * policy.p_y + policy.p_xy
-    if not information > 0.0:
+    if not information > 0.0 and not _t1_informative(policy.p_y, policy.p_xy, information):
         raise DegeneratePolicy("p_y = p_xy = 0 yields no information about mu_y")
-    standardized = shrink / information
+    standardized = shrink / information if information > 0.0 else math.inf
     return _representable(model.var_y * standardized, model.var_y, standardized)
+
+
+def _t1_informative(p_y, p_xy, information):
+    """Whether the t1 information is positive: computed so, or nonnegative
+    components of which one is positive (the product underflows for
+    subnormal ones).  Plain operators: floats and numpy arrays alike."""
+    return (information > 0.0) | ((p_y >= 0.0) & (p_xy >= 0.0) & (p_y + p_xy > 0.0))
+
+
+TOO_SMALL = "bound overflows: the information is positive but too small to invert"
 
 
 def _representable(bound: float, var: float, standardized: float) -> float:
@@ -165,7 +191,7 @@ def _representable(bound: float, var: float, standardized: float) -> float:
         raise BoundOverflow(
             f"bound overflows: variance {var:g} times standardized bound {standardized:g}"
             if standardized < math.inf
-            else "bound overflows: the information is positive but too small to invert"
+            else TOO_SMALL
         )
     return bound
 
@@ -235,6 +261,44 @@ def crb_t3(policy: SamplingPolicy, model: ObservationModel, target: Target) -> f
     if not schur > 0.0:
         raise SingularMatrix(f"no slot type observes the {target.value} coordinate")
     return _representable(var / schur, var, 1.0 / schur)
+
+
+def _t3_schur(p_x, p_y, p_xy, rho, on_x: bool):
+    """The Schur complement of :func:`crb_t3` over arrays, for the target
+    mu_x if ``on_x`` and mu_y otherwise, and the standardized bound
+    ``1 / schur``, inf where ``schur`` is not positive: :func:`crb_t3` at
+    unit variances, bit for bit."""
+    i11, i22, cross = fim_t3_entries(p_x, p_y, p_xy, rho)
+    own, other = (i11, i22) if on_x else (i22, i11)
+    with np.errstate(all="ignore"):  # 1/tiny is inf, as Python's float division gives
+        schur = np.where(other > 0.0, own - cross * (cross / other), own)
+        return schur, np.where(schur > 0.0, 1.0 / schur, math.inf)
+
+
+def crb_array(task: Task, target: Target, p_x, p_y, p_xy, rho, var_x=1.0, var_y=1.0):
+    """:func:`crb` over arrays of policies, bit for bit: ``rho`` and the
+    variances may be arrays too, and a row without information reads inf.
+
+    Raises:
+        BoundOverflow: at the first row whose information is positive but
+            whose bound is not representable, with :func:`crb`'s message.
+    """
+    var = var_x if task is Task.T3 and target is Target.MU_X else var_y
+    with np.errstate(all="ignore"):  # 1/tiny is inf, as Python's float division gives
+        if task is Task.T3:
+            schur, standardized = _t3_schur(p_x, p_y, p_xy, rho, target is Target.MU_X)
+            informative, bound = schur > 0.0, var / schur
+        else:
+            shrink = 1.0 - rho * rho
+            information = shrink * p_y + p_xy
+            informative = _t1_informative(p_y, p_xy, information)
+            standardized = np.where(information > 0.0, shrink / information, math.inf)
+            bound = var * standardized
+    over = informative & (bound == math.inf)
+    if over.any():
+        i = int(np.argmax(over))
+        _representable(math.inf, float(np.broadcast_to(var, over.shape)[i]), float(standardized[i]))
+    return np.where(informative, bound, math.inf)
 
 
 def crb(task: Task, target: Target, policy: SamplingPolicy, model: ObservationModel) -> float:

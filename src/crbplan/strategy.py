@@ -17,11 +17,14 @@ Two planners cover the objective shapes:
   one.  Every bound is homogeneous of degree -1 in the policy, so an
   optimum lies on a face of a row with a positive bound.  The t1/t2 bound
   is 1/linear, so the vertices suffice; the t3 bound is convex, so the
-  vertices plus its stationary points inside edges suffice.
+  vertices plus its stationary points inside edges suffice.  The solver
+  takes a stack of scenarios (:func:`plan_stack`) and the single planners
+  are the stack of one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,13 +33,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidScenario, SingularEverywhere
+from .errors import BoundOverflow, InvalidScenario, SingularEverywhere
 from .fisher import (
+    TOO_SMALL,
     SamplingPolicy,
     Target,
     Task,
+    _t3_schur,
     crb,
-    fim_t3_entries,
+    crb_array,
 )
 from .model import ObservationKind, ObservationModel
 
@@ -132,16 +137,33 @@ def _limit(bound, abs_load):
     return bound + 1e-9 * (abs(bound) + abs_load)
 
 
+def _columns(x):
+    """The last axis of ``x`` as a tuple of arrays."""
+    return x[..., 0], x[..., 1], x[..., 2]
+
+
+def _holds(c, b, p):
+    """Whether each policy ``p`` (..., 3) satisfies every row of its system
+    ``c`` (..., k, 3), ``b`` (..., k) by :func:`_limit`, bit for bit as
+    :meth:`LinearConstraintSet.is_feasible`; a point with a non-finite
+    component fails.  A row with an infinite bound holds."""
+    p = p[..., None, :]  # against the rows
+    load = _load(_columns(c), *_columns(p))
+    abs_load = _load(_columns(np.abs(c)), *_columns(np.abs(p)))
+    holds = (load <= _limit(b, abs_load)).all(axis=-1)
+    x, y, xy = _columns(p[..., 0, :])
+    return holds & np.isfinite(x + y + xy)  # no inf, nan
+
+
 @dataclass(frozen=True)
 class LinearConstraintSet:
     rows: tuple[Constraint, ...]
 
     @cached_property
-    def _finite(self):
-        """The finite-bound rows as arrays ``C`` and ``b``."""
-        rows = [r for r in self.rows if math.isfinite(r.bound)]
-        c = np.array([r.coeffs for r in rows], dtype=float).reshape(-1, 3)
-        return c, np.array([r.bound for r in rows], dtype=float)
+    def _arrays(self):
+        """The rows as arrays ``C`` (k x 3) and ``b``."""
+        c = np.array([r.coeffs for r in self.rows], dtype=float).reshape(-1, 3)
+        return c, np.array([r.bound for r in self.rows], dtype=float)
 
     @cached_property
     def _terms(self):
@@ -160,10 +182,8 @@ class LinearConstraintSet:
     def feasibility_mask(self, p_x, p_y, p_xy):
         """:meth:`is_feasible` over arrays of policies, bit for bit; a point with
         a non-finite component fails."""
-        c, b = self._finite
-        p = [np.asarray(v, dtype=float)[..., None] for v in (p_x, p_y, p_xy)]
-        holds = _load(c.T, *p) <= _limit(b, _load(np.abs(c.T), *map(np.abs, p)))
-        return holds.all(axis=-1) & np.isfinite(p[0] + p[1] + p[2])[..., 0]  # no inf, nan
+        p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p_x, p_y, p_xy)))
+        return _holds(*self._arrays, np.stack(p, axis=-1))
 
 
 class Actor(Enum):
@@ -251,6 +271,36 @@ _BASE_ROWS = (
     Constraint("nonneg_p_xy", (0.0, 0.0, -1.0), 0.0),
     Constraint("simplex", (1.0, 1.0, 1.0), 1.0),
 )
+_NO_MARGINAL_X = Constraint("no_marginal_x", (1.0, 0.0, 0.0), 0.0)
+
+
+def _layout(family: str):
+    """:func:`constraints_for`'s rows as arrays: per-kind observation and
+    communication counts (row coefficients ``obs + alpha comm``), the fixed
+    bounds (nan where a budget bounds the row), and masks of the rows that
+    e1 and e2 bound."""
+    rows = [(r.coeffs, _FREE, r.bound) for r in _BASE_ROWS]
+    rows += [(tuple(o for o, _ in terms), tuple(c for _, c in terms), field)
+             for _, field, terms in _ROW_TERMS[family]]
+    if family == "decentralized_one_mean":
+        rows.append((_NO_MARGINAL_X.coeffs, _FREE, _NO_MARGINAL_X.bound))
+    obs, comm, bounds = zip(*rows)
+    fixed = [np.nan if isinstance(v, str) else v for v in bounds]
+    masks = (np.array([v == field for v in bounds]) for field in ("e1", "e2"))
+    return np.array(obs), np.array(comm), np.array(fixed), *masks
+
+
+_LAYOUT = {family: _layout(family) for family in COST_TABLE}
+
+
+def _stack(family: str, alpha, e1, e2):
+    """The constraint systems of one cost family at arrays of ``alpha``,
+    ``e1`` and ``e2``: ``C`` (..., k, 3) of ``alpha`` and ``b`` (..., k) of
+    the budgets broadcast together, rows in the order of
+    :func:`constraints_for`."""
+    obs, comm, fixed, on_e1, on_e2 = _LAYOUT[family]
+    alpha, e1, e2 = (np.asarray(v, dtype=float)[..., None] for v in (alpha, e1, e2))
+    return obs + alpha[..., None] * comm, np.where(on_e1, e1, np.where(on_e2, e2, fixed))
 
 
 def constraints_for(scenario: Scenario) -> LinearConstraintSet:
@@ -270,8 +320,17 @@ def constraints_for(scenario: Scenario) -> LinearConstraintSet:
         coeffs = (ox + alpha * cx, oy + alpha * cy, oj + alpha * cj)
         rows.append(Constraint(name, coeffs, getattr(budget, field)))
     if family == "decentralized_one_mean":
-        rows.append(Constraint("no_marginal_x", (1.0, 0.0, 0.0), 0.0))
+        rows.append(_NO_MARGINAL_X)
     return LinearConstraintSet(tuple(rows))
+
+
+def _feasibility(scenario: Scenario, policies, e1=None, e2=None):
+    """:meth:`LinearConstraintSet.is_feasible` of each policy (..., 3), with
+    the scenario's e1 or e2 replaced by the array of a budget sweep."""
+    budget = scenario.budget
+    e1 = budget.e1 if e1 is None else e1
+    e2 = budget.e2 if e2 is None else e2
+    return _holds(*_stack(_family(scenario), budget.alpha, e1, e2), policies)
 
 
 def joint_priority_threshold(alpha: float, setting: Setting) -> float:
@@ -357,59 +416,96 @@ def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> Pla
     return PlanResult(policy, objective, Method.CLOSED_FORM, tie)
 
 
-def _feasible(points, constraints: LinearConstraintSet):
-    """The points that satisfy every row once negative coordinates are
-    clipped to 0.  Clipping raises a budget row's load, so it comes before
-    the test, which then holds for the policy actually returned."""
+def _feasible(points, c, b):
+    """``points`` (n, m, 3) with negative coordinates clipped to 0, and the
+    mask of those that satisfy every row of their entry's system ``c`` (n,
+    k, 3), ``b`` (n, k).  Clipping raises a budget row's load, so it comes
+    before the test, which then holds for the policy actually returned."""
     with np.errstate(all="ignore"):  # far-off candidates overflow a load and fail
         points = np.maximum(points, 0.0)
-        return points[constraints.feasibility_mask(*points.T)]
+        return points, _holds(c[:, None], b[:, None], points)
+
+
+def _compact(points, keep):
+    """The ``keep`` points (n, m, 3) of each stack entry, moved to the front
+    in order and padded with nan rows to the largest count."""
+    counts = keep.sum(axis=-1).tolist()
+    width = max(counts, default=0)
+    if min(counts, default=0) == width:  # no padding
+        return points[keep].reshape(len(points), width, 3)
+    order = np.argsort(~keep, axis=-1, kind="stable")[:, :width]
+    points = points[np.arange(len(points))[:, None], order]
+    points[np.arange(width) >= np.array(counts)[:, None]] = np.nan
+    return points
+
+
+@functools.cache
+def _below(m: int):
+    """The strict lower triangle of an m x m matrix."""
+    return np.tri(m, k=-1, dtype=bool)
 
 
 def _first_copies(points):
-    """Mask of the first copy of each point; two points are copies when they
-    differ by at most ``_SAME_REL`` of the larger one's largest coordinate."""
-    size = np.abs(points).max(axis=1)
-    gap = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2)
-    same = gap <= _SAME_REL * np.maximum(size[:, None], size[None, :])
-    return ~np.tril(same, -1).any(axis=1)
+    """Mask of the first copy of each point (..., m, 3); two points are copies
+    when they differ by at most ``_SAME_REL`` of the larger one's largest
+    coordinate.  A nan point is a copy of none."""
+    x, y, xy = _columns(points)  # maxima over columns, not along the short last axis
+    size = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(xy))
+    gaps = (np.abs(c[..., :, None] - c[..., None, :]) for c in (x, y, xy))
+    gap = functools.reduce(np.maximum, gaps)
+    same = gap <= _SAME_REL * np.maximum(size[..., :, None], size[..., None, :])
+    return ~(same & _below(points.shape[-2])).any(axis=-1)
 
 
-def _vertices(constraints: LinearConstraintSet):
-    """The polytope's distinct feasible vertices, k x 3.
+@functools.cache
+def _triples(k: int):
+    return np.array(list(itertools.combinations(range(k), 3))).reshape(-1, 3)
+
+
+@functools.cache
+def _pairs(v: int):
+    return np.triu_indices(v, 1)
+
+
+def _vertices(c, b):
+    """Each system's distinct feasible vertices, (n, v, 3) and nan-padded,
+    of ``c`` (n, k, 3) and ``b`` (n, k).
 
     Intersects every triple of finite-bound row planes with a nonzero LU
     determinant in one batched solve, with no cut-off: a nearly singular
     triple's point stays only if it is feasible, and then it is a harmless
     extra candidate.  Of the copies of a vertex, the first stays.
     """
-    c, b = constraints._finite
-    triples = np.array(list(itertools.combinations(range(len(b)), 3))).reshape(-1, 3)
+    triples = _triples(b.shape[-1])
+    lhs, rhs = c[:, triples], b[:, triples]
+    points = np.full(rhs.shape, np.nan)
     with np.errstate(all="ignore"):  # LU divides by subnormal pivots (alpha ~ 1e-320)
-        regular = np.abs(np.linalg.det(c[triples])) > 0.0  # false at nan: an inf and a 0 pivot
-    points = np.linalg.solve(c[triples][regular], b[triples][regular][..., None])[..., 0]
-    vertices = _feasible(points, constraints)
-    return vertices[_first_copies(vertices)]
+        # false at nan: an inf and a 0 pivot
+        regular = (np.abs(np.linalg.det(lhs)) > 0.0) & np.isfinite(rhs).all(axis=-1)
+        points[regular] = np.linalg.solve(lhs[regular], rhs[regular][..., None])[..., 0]
+    vertices = _compact(*_feasible(points, c, b))
+    return _compact(vertices, _first_copies(vertices) & np.isfinite(vertices[..., 0]))
 
 
 def enumerate_vertices(constraints: LinearConstraintSet) -> list[tuple[float, float, float]]:
     """All feasible vertices of the constraint polytope."""
-    return [tuple(v) for v in _vertices(constraints).tolist()]
+    c, b = constraints._arrays
+    return [tuple(v) for v in _vertices(c[None], b[None])[0].tolist()]
 
 
-def _crb_t3_array(p_x, p_y, p_xy, rho: float, target: Target):
-    """The standardized t3 bound over arrays: :func:`crbplan.fisher.crb_t3`
-    at unit variances, bit for bit; inf where it raises."""
-    i11, i22, cross = fim_t3_entries(p_x, p_y, p_xy, rho)
-    own, other = (i11, i22) if target is Target.MU_X else (i22, i11)
-    with np.errstate(all="ignore"):  # 1/tiny is inf, as Python's float division gives
-        schur = np.where(other > 0.0, own - cross * (cross / other), own)
-        return np.where(schur > 0.0, 1.0 / schur, math.inf)
+_NUMERATOR = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])[..., None]
+_QUAD = np.array([
+    [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 2.0]],
+])
 
 
-def _t3_edge_points(vertices, rho: float, target: Target):
+def _t3_edge_points(vertices, rho, on_x: bool):
     """The stationary points of the standardized t3 bound inside the segments
-    between pairs of vertices, which include the polytope's edges.
+    between pairs of vertices, which include the polytope's edges: for each
+    stack entry of ``vertices`` (n, v, 3), nan-padded, at correlation ``rho``
+    (n,), for the target mu_x if ``on_x`` and mu_y otherwise.  Returns (n,
+    v (v - 1), 3), nan where a segment has no root inside.
 
     With ``a = 1/(1 - rho^2)`` the standardized information matrix ``J`` has
     determinant ``p'Bp`` and the target's bound numerator ``n.p``.  On the
@@ -420,53 +516,106 @@ def _t3_edge_points(vertices, rho: float, target: Target):
     facet wherever the bound is stationary on it, so an optimum inside a
     facet slides along ``d`` to an edge.
     """
-    a = 1.0 / (1.0 - rho * rho)
-    n = np.array([0.0, 1.0, a] if target is Target.MU_X else [1.0, 0.0, a])
-    quad = 0.5 * np.array([[0.0, 1.0, a], [1.0, 0.0, a], [a, a, 2.0 * a]])
-    size = np.abs(vertices).max()  # t is scale-free: find it where nothing underflows
-    i, j = np.triu_indices(len(vertices), 1)
+    a = (1.0 / (1.0 - rho * rho))[:, None, None]
+    # n = (0, 1, a) or (1, 0, a); quad = [[0, 1, a], [1, 0, a], [a, a, 2a]] / 2:
+    # the constants plus a times 0, 1 or 2, exactly
+    n = _NUMERATOR[0 if on_x else 1] + a * _NUMERATOR[2]
+    quad = 0.5 * (_QUAD[0] + a * _QUAD[1])
+    # t is scale-free: find it where nothing underflows
+    size = np.fmax.reduce(np.abs(vertices), axis=(1, 2))[:, None, None]
+    i, j = _pairs(vertices.shape[1])
     with np.errstate(all="ignore"):  # no real root in (0, 1): inf or nan t, dropped
-        u, d = vertices[i] / size, (vertices[j] - vertices[i]) / size
-        a0, a1 = u @ n, d @ n
-        q0, q1, q2 = (np.einsum("ki,ij,kj->k", x, quad, y) for x, y in ((u, u), (u, d), (d, d)))
+        start = vertices[:, i]
+        u, d = start / size, (vertices[:, j] - start) / size
+        a0, a1 = (u @ n)[..., 0], (d @ n)[..., 0]
+        q0, q1, q2 = (np.einsum("nki,nij,nkj->nk", x, quad, y) for x, y in ((u, u), (u, d), (d, d)))
         lead, half, const = a1 * q2, a0 * q2, 2.0 * a0 * q1 - a1 * q0
         # the cancellation-free roots of lead t^2 + 2 half t + const
         s = -(half + np.copysign(np.sqrt(half * half - lead * const), half))
-        t = np.stack([s / lead, const / s])
-        return size * (u + t[..., None] * d)[(t > 0.0) & (t < 1.0)]
+        t = np.stack([s / lead, const / s], axis=1)[..., None]
+        points = size[..., None] * (u[:, None] + t * d[:, None])
+        points = np.where((t > 0.0) & (t < 1.0), points, np.nan)
+    return points.reshape(len(vertices), 2 * len(i), 3)
 
 
 _SINGULAR_EVERYWHERE = "target bound is infinite over the entire feasible region"
 
 
-def _solve(scenario: Scenario, model: ObservationModel, candidates, method: Method) -> PlanResult:
-    """The best of ``candidates``, feasible policies that include an optimum.
+def _solve(scenarios, models, c, b, candidates, valid, method: Method) -> list[PlanResult]:
+    """For each scenario of a stack, the best of its ``valid`` ``candidates``
+    (n, m, 3), feasible policies that include an optimum.
 
     t1/t2 candidates are scored by their standardized information, t3 ones
     by their standardized bound: optimal policies do not depend on the
     variances.  Values within ``_TIE_REL`` of the best tie (``tie`` says
     whether distinct candidates do), and the tie goes to the smallest
     ``p_xy`` (the fewest communicated samples), then ``p_x``, then ``p_y``.
+    ``_feasible`` has vetted every candidate, so the pick only snaps onto
+    [0, 1] and the simplex.  Where no candidate carries information but an
+    exact solution of the scenario's rows ``c``, ``b`` does, its bound
+    overflows: the budget is too small for any policy to round to.
+
+    Raises, at the first scenario where it applies:
+        SingularEverywhere: no t3 policy carries information.
+        BoundOverflow: some does, but every standardized bound overflows.
+    """
+    first, rho = scenarios[0], np.array([[m.rho] for m in models])
+    t3, on_x = first.task is Task.T3, first.target is Target.MU_X
+    if t3:
+        values = _t3_schur(*_columns(candidates), rho, on_x)[1]
+    else:
+        weights = np.array([[[0.0], [1.0], [1.0 / (1.0 - r * r)]] for r in rho[:, 0].tolist()])
+        values = -(candidates @ weights)[..., 0]
+    best = np.fmin.reduce(values, axis=-1, where=valid, initial=math.inf)
+    near = _compact(candidates, (values <= (best + _TIE_REL * np.abs(best))[:, None]) & valid)
+    ties = np.full(len(near), False)
+    if near.shape[1] > 1:
+        ties = (_first_copies(near) & np.isfinite(near[..., 0])).sum(axis=-1) > 1
+    # the first of the least (p_xy, p_x, p_y), per scenario; nan padding sorts last
+    x, y, xy = _columns(near)
+    picks = near[np.arange(len(near)), np.lexsort((y, x, xy), axis=-1)[:, 0]]
+    results = []
+    for k, (scenario, model, pick) in enumerate(zip(scenarios, models, picks.tolist())):
+        if best[k] == (math.inf if t3 else 0.0):  # no candidate carries information
+            if t3:  # raises BoundOverflow where one does, but too little to invert
+                crb_array(Task.T3, scenario.target, *candidates[k][valid[k]].T, model.rho)
+            # a target's own marginal or the joint share can be positive
+            # unless a zero-bound row charges it
+            free = ~((c[k] > 0.0) & (b[k][:, None] <= 0.0)).any(axis=0)
+            if free[0 if on_x else 1] or free[2]:
+                raise BoundOverflow(TOO_SMALL)
+            if t3:  # t1/t2 planners report crb=inf at zero information
+                raise SingularEverywhere(_SINGULAR_EVERYWHERE)
+        policy = SamplingPolicy.clamped(*pick)
+        objective = crb(scenario.task, scenario.target, policy, model)
+        results.append(PlanResult(policy, objective, method, bool(ties[k])))
+    return results
+
+
+def plan_stack(scenarios, models) -> list[PlanResult]:
+    """:func:`plan_linear` or :func:`plan_t3` of each scenario, as one stack
+    of array operations: each result equals the single plan's, bit for bit.
+    The scenarios share one cost family, planner (t3 or not) and target;
+    ``models`` pairs one model with each.
 
     Raises:
-        SingularEverywhere: no t3 candidate carries information.
-        BoundOverflow: some do, but every standardized t3 bound overflows.
+        InvalidScenario: the scenarios mix cost families, planners or targets.
+        SingularEverywhere, BoundOverflow: as the single planners, for the
+            first scenario where they apply.
     """
-    if scenario.task is Task.T3:
-        values = _crb_t3_array(*candidates.T, model.rho, scenario.target)
-    else:
-        values = -(candidates @ (0.0, 1.0, 1.0 / (1.0 - model.rho * model.rho)))
-    best = values.min()
-    if best == math.inf:  # t3 only: t1/t2 planners report crb=inf at zero information
-        unit = ObservationModel(0.0, 0.0, 1.0, 1.0, model.rho)
-        for pick in candidates:  # raises BoundOverflow where the information is positive
-            crb(scenario.task, scenario.target, SamplingPolicy.clamped(*pick), unit)
-        raise SingularEverywhere(_SINGULAR_EVERYWHERE)
-    near = candidates[values <= best + _TIE_REL * abs(best)]
-    tie = int(_first_copies(near).sum()) > 1
-    pick = near[np.lexsort((near[:, 1], near[:, 0], near[:, 2]))[0]]
-    policy = SamplingPolicy.clamped(*pick)
-    return PlanResult(policy, crb(scenario.task, scenario.target, policy, model), method, tie)
+    key = [(_family(s), s.task is Task.T3, s.target) for s in scenarios]
+    if key.count(key[0]) < len(key):
+        raise InvalidScenario("a plan stack needs one cost family, planner and target")
+    (family, t3, target), budgets = key[0], [vars(s.budget) for s in scenarios]
+    c, b = _stack(family, *np.array([[v["alpha"], v["e1"], v["e2"]] for v in budgets], float).T)
+    vertices = _vertices(c, b)
+    valid = np.isfinite(vertices[..., 0])
+    if not t3:
+        return _solve(scenarios, models, c, b, vertices, valid, Method.VERTEX_ENUM)
+    rho = np.array([m.rho for m in models])
+    edges, inside = _feasible(_t3_edge_points(vertices, rho, target is Target.MU_X), c, b)
+    candidates, valid = (np.concatenate(pair, axis=1) for pair in ((vertices, edges), (valid, inside)))
+    return _solve(scenarios, models, c, b, candidates, valid, Method.FACE_ENUM)
 
 
 def plan_linear(scenario: Scenario, model: ObservationModel) -> PlanResult:
@@ -474,8 +623,7 @@ def plan_linear(scenario: Scenario, model: ObservationModel) -> PlanResult:
     reciprocal of a linear form in the policy, so the best vertex is optimal."""
     if scenario.task is Task.T3:
         raise InvalidScenario("plan_linear handles tasks t1/t2 only")
-    vertices = np.array(enumerate_vertices(constraints_for(scenario))).reshape(-1, 3)
-    return _solve(scenario, model, vertices, Method.VERTEX_ENUM)
+    return plan_stack([scenario], [model])[0]
 
 
 def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
@@ -491,10 +639,7 @@ def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
     """
     if scenario.task is not Task.T3:
         raise InvalidScenario("plan_t3 handles task t3 only")
-    cons = constraints_for(scenario)
-    vertices = _vertices(cons)
-    edges = _feasible(_t3_edge_points(vertices, model.rho, scenario.target), cons)
-    return _solve(scenario, model, np.concatenate([vertices, edges]), Method.FACE_ENUM)
+    return plan_stack([scenario], [model])[0]
 
 
 def plan(scenario: Scenario, model: ObservationModel) -> PlanResult:

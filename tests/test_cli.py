@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crbplan.cli import main
+from crbplan.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -162,6 +162,12 @@ _OVERFLOWS = {
     "plan_t3_subnormal": (_UNINVERTIBLE, (
         "plan", "--task", "t3", "--setting", "decentralized",
         "--alpha", "1", "--e1", "1e-310", "--rho", "0.5",
+    )),
+    # every positive policy rounds past the budget row e1 = 5e-324, and
+    # (1 - rho^2) p_y underflows at p_y = 5e-324: the bound exists, too large
+    "plan_t1_centralized_subnormal": (_UNINVERTIBLE, (
+        "plan", "--task", "t1", "--setting", "centralized",
+        "--alpha", "0.5", "--e1", "5e-324", "--e2", "1", "--rho", "0.75",
     )),
     "bounds_t1_subnormal": (_UNINVERTIBLE, (
         "bounds", "--task", "t1", "--setting", "decentralized",
@@ -576,6 +582,46 @@ def test_sweep_byte_identical(tmp_path):
     assert run_cli("sweep", "--figure", "fig2a", "--out", str(a)) == 0
     assert run_cli("sweep", "--figure", "fig2a", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- one parser per process ---
+
+
+def _main_output(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_MODEL = ["--task", "t1", "--setting", "decentralized", "--alpha", "2", "--e1", "2"]
+_RHO_SWEEP = ["--rho", "0.5", "--sweep", "rho", "--start", "0", "--stop", "0.9", "--step", "0.3"]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # the config file's rho must not fill the next call's missing --rho
+        (["plan", "--config", "{config}"], ["plan", *_MODEL]),
+        (["bounds", *_MODEL, "--p-x", "0.3", "--p-y", "0.2", *_RHO_SWEEP],
+         ["bounds", *_MODEL, "--p-y", "0.2", *_RHO_SWEEP]),
+        (["bounds", *_MODEL, "--sweep", "bogus"], ["plan", *_MODEL, "--rho", "0.5"]),
+    ],
+    ids=["config_then_none", "p_x_then_none", "exit_2_then_good"],
+)
+def test_reused_parser_leaks_no_state(first, second, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"rho": 0.9, "var_y": 4.0, "format": "jsonl"}))
+    first = [arg.format(config=config) for arg in first]
+    build_parser.cache_clear()
+    fresh = _main_output(second)
+    assert _main_output(first)[0] in (0, 2)
+    assert build_parser() is build_parser()  # the call reused the parser
+    assert _main_output(second) == fresh
 
 
 # --- config file ---

@@ -23,6 +23,7 @@ from crbplan import (
     invert_2x2,
     validate,
 )
+from crbplan.fisher import crb_array
 
 
 def model(rho=0.5, var_x=1.0, var_y=1.0, mu_x=0.0, mu_y=0.0):
@@ -243,6 +244,44 @@ def test_overflowing_bound_raises_through_crb(task):
     # a subnormal policy: the information is positive, its inverse overflows
     with pytest.raises(BoundOverflow, match="^bound overflows: the information is positive"):
         crb(task, Target.MU_Y, SamplingPolicy(0.0, 1e-310, 0.0), model(rho=0.0))
+    # ... also where (1 - rho^2) p_y underflows to 0, which once read as no information
+    with pytest.raises(BoundOverflow, match="^bound overflows: the information is positive"):
+        crb(task, Target.MU_Y, SamplingPolicy(0.0, 5e-324, 0.0), model(rho=0.75))
+
+
+@pytest.mark.parametrize("task", list(Task))
+def test_crb_array_equals_scalar_crb_bit_for_bit(task):
+    # every target, arrays of correlations and variances, and rows without
+    # information about one mean or both
+    rng = np.random.default_rng(11)
+    p = rng.dirichlet(np.ones(4), size=300)[:, :3]
+    p[::5, 2] = 0.0
+    p[::7, 1] = 0.0
+    p[::15, 0] = 0.0
+    rho = rng.uniform(-0.99, 0.99, size=len(p))
+    var_x, var_y = rng.uniform(0.1, 10.0, size=(2, len(p)))
+    for target in Target:
+        got = crb_array(task, target, *p.T, rho, var_x, var_y).tolist()
+        want = [
+            crb(task, target, SamplingPolicy(*row), model(*values))
+            for row, values in zip(p.tolist(), zip(rho, var_x, var_y))
+        ]
+        assert got == want
+        assert math.inf in want
+
+
+def test_crb_array_raises_at_the_first_overflowing_row():
+    # row 2 overflows only times the variance, row 3 already standardized:
+    # the first such row gives crb's message
+    p_y = np.array([0.0, 0.5, 1e-10, 5e-324, 0.5])
+    zero = np.zeros_like(p_y)
+    with pytest.raises(BoundOverflow, match="^bound overflows: variance 1e\\+300 times"):
+        crb_array(Task.T1, Target.MU_Y, zero, p_y, zero, 0.75, 1.0, 1e300)
+    with pytest.raises(BoundOverflow, match="^bound overflows: the information is positive"):
+        crb_array(Task.T1, Target.MU_Y, zero, p_y, zero, 0.75)
+    assert crb_array(Task.T1, Target.MU_Y, zero[:3], p_y[:3], zero[:3], 0.0).tolist() == [
+        math.inf, 2.0, 1e10
+    ]
 
 
 def test_invert_product_is_identity():

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -30,15 +31,16 @@ from crbplan import (
     plan_t3,
     validate,
 )
+from crbplan.fisher import _t3_schur, crb_array
 from crbplan.strategy import (
     _BASE_ROWS,
     Constraint,
     LinearConstraintSet,
-    _crb_t3_array,
     _feasible,
     _t3_edge_points,
     _vertices,
     enumerate_vertices,
+    plan_stack,
 )
 
 
@@ -532,6 +534,85 @@ def test_plan_linear_infeasible_guard_unreachable():
     assert math.isinf(result.objective_value)
 
 
+def test_plan_linear_snaps_a_feasible_pick_at_large_alpha():
+    # _limit admits the simplex row up to 1 + 2e-9 here; the pick sums to
+    # 1 + 1.6e-9, which an absolute 1e-9 snap once refused as InvalidPolicy
+    scenario = dec(Task.T1, 41989319.75953062, 27189803.508935746)
+    result = plan_linear(scenario, model(0.7198589782832581))
+    assert sum(result.policy.as_tuple()) <= 1.0
+    assert constraints_for(scenario).is_feasible(result.policy)
+    assert math.isfinite(result.objective_value)
+
+
+@pytest.mark.parametrize("setting", list(Setting))
+def test_plan_linear_subnormal_budget_overflows(setting):
+    # (1 - rho^2) p_y underflows at p_y = 5e-324; centralized, every positive
+    # policy rounds past the budget row: the information is positive either way
+    e2 = 1.0 if setting is Setting.CENTRALIZED else None
+    scenario = Scenario(Task.T1, setting, ResourceBudget(0.5, 5e-324, e2))
+    with pytest.raises(BoundOverflow, match="too small to invert"):
+        plan_linear(scenario, model(0.75))
+
+
+def _random_budget(rng, high):
+    draw = rng.random()
+    return math.inf if draw < 0.2 else 0.0 if draw < 0.35 else rng.uniform(0.0, high)
+
+
+def _random_stack(rng, task, setting, target):
+    scenarios, models = [], []
+    for _ in range(rng.randint(1, 30)):
+        alpha = rng.choice([0.0, rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-4.0, 3.0)])
+        e1 = _random_budget(rng, 2.0 * alpha + 2.0)
+        e2 = _random_budget(rng, 2.0 * alpha + 3.0) if setting is Setting.CENTRALIZED else None
+        scenarios.append(Scenario(task, setting, ResourceBudget(alpha, e1, e2), target))
+        models.append(model(rng.choice([0.0, rng.uniform(-0.99, 0.99)]),
+                            rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)))
+    return scenarios, models
+
+
+def _single(scenario, m):
+    planner = plan_t3 if scenario.task is Task.T3 else plan_linear
+    try:
+        return repr(planner(scenario, m).as_record())
+    except (SingularEverywhere, BoundOverflow) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("task", list(Task))
+@pytest.mark.parametrize("setting", list(Setting))
+def test_plan_stack_equals_the_single_planners_bit_for_bit(task, setting):
+    # random stacks mixing finite, inf and 0 budgets: each entry's policy,
+    # bound, tie and method equal plan_linear's or plan_t3's, and a stack
+    # raises what its first failing scenario raises
+    rng = random.Random(f"{task.value}-{setting.value}")
+    compared = 0
+    for trial in range(25):
+        target = rng.choice(list(Target)) if task is Task.T3 else None
+        scenarios, models = _random_stack(rng, task, setting, target)
+        singles = [_single(s, m) for s, m in zip(scenarios, models)]
+        failed = [r for r in singles if isinstance(r, Exception)]
+        if failed:
+            with pytest.raises(type(failed[0]), match=f"^{re.escape(str(failed[0]))}$"):
+                plan_stack(scenarios, models)
+            kept = [i for i, r in enumerate(singles) if not isinstance(r, Exception)]
+            scenarios, models = [scenarios[i] for i in kept], [models[i] for i in kept]
+            singles = [singles[i] for i in kept]
+        if scenarios:
+            assert [repr(r.as_record()) for r in plan_stack(scenarios, models)] == singles
+            compared += len(scenarios)
+    assert compared > 100
+
+
+def test_plan_stack_rejects_mixed_stacks():
+    t1, t3x, t3y = (
+        cen(Task.T1, 2, 1, 1), cen(Task.T3, 2, 1, 1, Target.MU_X), cen(Task.T3, 2, 1, 1, Target.MU_Y)
+    )
+    for stack in ([t1, t3x], [t3x, t3y], [t1, dec(Task.T1, 2, 1)]):
+        with pytest.raises(InvalidScenario):
+            plan_stack(stack, [model(0.5)] * 2)
+
+
 # --- t3 face-enumeration planner ---
 
 
@@ -581,7 +662,7 @@ def test_crb_t3_array_equals_scalar_crb_bit_for_bit():
         p[::5, 2] = 0.0  # no joint slots: the singular, decoupled branch
         p[::15, 0] = 0.0  # ... with mu_x unobserved there: inf
         for target in Target:
-            got = _crb_t3_array(p[:, 0], p[:, 1], p[:, 2], rho, target).tolist()
+            got = crb_array(Task.T3, target, p[:, 0], p[:, 1], p[:, 2], rho).tolist()
             want = [crb(Task.T3, target, SamplingPolicy(*row), unit) for row in p.tolist()]
             assert got == want
             assert math.inf in want or target is Target.MU_Y
@@ -597,7 +678,7 @@ def _full_cube_grid_bound(scenario, m):
     def best(px, py, pxy):
         keep = cons.feasibility_mask(px, py, pxy)
         px, py, pxy = px[keep], py[keep], pxy[keep]
-        values = _crb_t3_array(px, py, pxy, m.rho, scenario.target)
+        values = _t3_schur(px, py, pxy, m.rho, scenario.target is Target.MU_X)[1]
         near = np.flatnonzero(values <= values.min() + max(1e-9 * values.min(), 1e-15))
         i = near[np.lexsort((py[near], px[near], pxy[near]))[0]]
         return values[i], np.array([px[i], py[i], pxy[i]])
@@ -714,10 +795,12 @@ def test_plan_t3_candidates_reach_an_optimum_inside_a_facet(p, rho, target):
     num, den = n @ p, p @ quad @ p
     gradient = n / den - num * 2.0 * (quad @ p) / den**2
     row = Constraint("tangent", tuple(-gradient), -gradient @ p)
-    cons = LinearConstraintSet(_BASE_ROWS + (row,))
-    vertices = _vertices(cons)
-    candidates = np.concatenate([vertices, _feasible(_t3_edge_points(vertices, rho, target), cons)])
-    assert _crb_t3_array(*candidates.T, rho, target).min() <= num / den * (1.0 + 1e-12)
+    c, b = (a[None] for a in LinearConstraintSet(_BASE_ROWS + (row,))._arrays)
+    vertices = _vertices(c, b)
+    edges = _t3_edge_points(vertices, np.array([rho]), np.array([target is Target.MU_X]))
+    edges, inside = _feasible(edges, c, b)
+    candidates = np.concatenate([vertices[0], edges[inside]])
+    assert _t3_schur(*candidates.T, rho, target is Target.MU_X)[1].min() <= num / den * (1.0 + 1e-12)
 
 
 @settings(max_examples=150, deadline=None)
