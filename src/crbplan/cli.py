@@ -410,8 +410,12 @@ def _frange(stop: float, step: float) -> list[float]:
 
 
 def _preset_scenario(preset, fields: dict) -> Scenario:
-    e2 = fields["e2"] if preset.setting is Setting.CENTRALIZED else None
-    budget = ResourceBudget(fields["alpha"], fields["e1"], e2)
+    """The preset's scenario at ``fields``.  A preset whose e1 is None keeps
+    the sensor budget inactive, at alpha + 1 (fig2c); one that gives no e2
+    gives the data center the sensors' budget (fig4c)."""
+    e1 = fields["alpha"] + 1.0 if fields["e1"] is None else fields["e1"]
+    e2 = fields.get("e2", e1) if preset.setting is Setting.CENTRALIZED else None
+    budget = ResourceBudget(fields["alpha"], e1, e2)
     return Scenario(preset.task, preset.setting, budget, preset.target)
 
 
@@ -419,26 +423,36 @@ def _budget_columns(scenario: Scenario, model: ObservationModel) -> dict:
     return {"rho": model.rho, "e1": scenario.budget.e1, "e2": scenario.budget.e2}
 
 
-def _threshold_rows(args, preset, fields, model, grid):
+def _threshold_rows(args, preset, fields):
     """The decentralized joint-priority threshold at each alpha."""
-    return [{"alpha": a, "rho_star": joint_priority_threshold(a, Setting.DECENTRALIZED)} for a in grid]
+    return [{"alpha": a, "rho_star": joint_priority_threshold(a, Setting.DECENTRALIZED)}
+            for a in _frange(*preset.grid)]
 
 
-def _closed_form_rows(args, preset, fields, model, grid):
-    """The decentralized t1 closed-form plan at each e1."""
+def _closed_form_rows(args, preset, fields):
+    """The decentralized t1 closed-form plan at each e1 from 0 to alpha plus
+    the grid's stop, with |rho| below, at or above the joint-priority
+    threshold by the curve's ``regime``."""
+    alpha = fields["alpha"]
+    thr = joint_priority_threshold(alpha, Setting.DECENTRALIZED)
+    rho = {"below": math.sqrt(0.5 * thr * thr), "at": thr,
+           "above": math.sqrt(thr * thr + 0.5 * (1.0 - thr * thr))}[fields["regime"]]
+    model = _build_model(args, rho)
+    stop, step = preset.grid
     rows = []
-    for e1 in grid:
-        result = plan_t1_closed_form(fields["alpha"], e1, model)
-        rows.append({"regime": fields["regime"], "rho": model.rho, "e1": e1,
+    for e1 in _frange(alpha + stop, step):
+        result = plan_t1_closed_form(alpha, e1, model)
+        rows.append({"regime": fields["regime"], "rho": rho, "e1": e1,
                      "p_y": result.policy.p_y, "p_xy": result.policy.p_xy, "tie": result.tie})
     return rows
 
 
-def _eval_rows(args, preset, fields, model, grid):
+def _eval_rows(args, preset, fields):
     """The bound of the policy whose ``axis`` components run over the grid
     (others 0, ``p_xy`` as large as the budget allows), in one array pass."""
+    model = _build_model(args, fields["rho"])
     scenario = _preset_scenario(preset, fields)
-    grid = np.array(grid)
+    grid = np.array(_frange(*preset.grid))
     p = {"p_x": 0.0, "p_y": 0.0, **dict.fromkeys(preset.axis, grid)}
     p["p_xy"] = derive_dependent(constraints_for(scenario), p, "p_xy")
     crbs, feasible = _evaluate(scenario, model, p)
@@ -450,9 +464,10 @@ def _eval_rows(args, preset, fields, model, grid):
     ]
 
 
-def _plan_rows(args, preset, fields, model, grid):
+def _plan_rows(args, preset, fields):
     """The plan with the ``axis`` field on the grid, as one plan stack."""
-    rows_fields = [{**fields, preset.axis: v} for v in grid]
+    model = None if preset.axis == "rho" else _build_model(args, fields["rho"])
+    rows_fields = [{**fields, preset.axis: v} for v in _frange(*preset.grid)]
     models = [_build_model(args, f["rho"]) if model is None else model for f in rows_fields]
     scenarios = [_preset_scenario(preset, f) for f in rows_fields]
     return [
@@ -463,30 +478,21 @@ def _plan_rows(args, preset, fields, model, grid):
 
 
 class _Preset(NamedTuple):
-    """A figure preset as data: each curve's rows come from ``rows`` over
-    the ``grid``, ``(stop, step)`` from 0, of its ``axis``.  ``defaults``
-    gives each flag the preset reads, for when it is not passed; each curve
-    overrides fields (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``).  A
-    default, curve field or grid stop may be a callable of the flags
-    resolved before it."""
+    """A figure preset as data: each curve's rows come from
+    ``rows(args, preset, fields)`` over the ``grid``, ``(stop, step)`` from 0
+    (fig1c's stop counts from alpha), of its ``axis``.  ``defaults`` gives
+    each flag the preset reads, for when it is not passed; each curve
+    overrides fields (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``)."""
 
     rows: Callable
     columns: list[str]
     axis: str | tuple[str, ...]
-    grid: tuple
+    grid: tuple[float, float]
     defaults: dict = {}
     curves: tuple = ({},)
     task: Task = Task.T1
     setting: Setting = Setting.DECENTRALIZED
     target: Target | None = None
-
-
-def _value(v, flags: dict):
-    return v(flags) if callable(v) else v
-
-
-def _threshold(flags: dict) -> float:
-    return joint_priority_threshold(flags["alpha"], Setting.DECENTRALIZED)
 
 
 _T3_CENTRALIZED = {"task": Task.T3, "setting": Setting.CENTRALIZED, "target": Target.MU_X}
@@ -499,16 +505,11 @@ _PRESETS = {
         _eval_rows, _EVAL_COLUMNS, ("p_y",), (1.0, 0.01), {"alpha": 2.0, "rho": 0.5, "e1": 2.0},
         ({"e1": math.inf}, {}, {"e1": 0.8}),
     ),
-    # optimal joint-sampling share versus budget, by correlation regime
+    # optimal joint-sampling share versus budget (up to alpha + 1.5), by
+    # correlation regime
     "fig1c": _Preset(
-        _closed_form_rows, ["regime", "rho", "e1", "p_y", "p_xy", "tie"], "e1",
-        (lambda f: f["alpha"] + 1.5, 0.05), {"alpha": 2.0, "thr": _threshold},
-        (
-            {"regime": "below", "rho": lambda f: math.sqrt(0.5 * f["thr"] * f["thr"])},
-            {"regime": "at", "rho": lambda f: f["thr"]},
-            {"regime": "above", "rho": lambda f: math.sqrt(
-                f["thr"] * f["thr"] + 0.5 * (1.0 - f["thr"] * f["thr"]))},
-        ),
+        _closed_form_rows, ["regime", "rho", "e1", "p_y", "p_xy", "tie"], "e1", (1.5, 0.05),
+        {"alpha": 2.0}, ({"regime": "below"}, {"regime": "at"}, {"regime": "above"}),
     ),
     # two unknown means, decentralized: bound versus p_x, two budgets
     "fig2a": _Preset(
@@ -523,7 +524,7 @@ _PRESETS = {
     ),
     # the same with the sensor budget inactive (e1 >= alpha + 1)
     "fig2c": _Preset(
-        _plan_rows, _PLAN_COLUMNS, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": lambda f: f["alpha"] + 1.0},
+        _plan_rows, _PLAN_COLUMNS, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": None},
         ({"rho": 0.5}, {"rho": 0.8}), setting=Setting.CENTRALIZED,
     ),
     # centralized, two unknown means: bound versus symmetric marginal share
@@ -538,10 +539,11 @@ _PRESETS = {
     ),
     # optimal two-unknown-means policy versus correlation
     "fig4b": _Preset(_plan_rows, _PLAN_COLUMNS, "rho", (0.95, 0.01), _BUDGETS_2, **_T3_CENTRALIZED),
-    # relaxed budgets: bound versus symmetric marginal share
+    # relaxed budgets, the data center's equal to the sensors': bound versus
+    # symmetric marginal share
     "fig4c": _Preset(
-        _eval_rows, _EVAL_COLUMNS, ("p_x", "p_y"), (0.5, 0.005), {"alpha": 2.0, "rho": 0.8, "e1": 4.0},
-        ({"e1": 2.0, "e2": 2.0}, {"e2": lambda f: f["e1"]}), **_T3_CENTRALIZED,
+        _eval_rows, _EVAL_COLUMNS, ("p_x", "p_y"), (0.5, 0.005),
+        {"alpha": 2.0, "rho": 0.8, "e1": 4.0}, ({"e1": 2.0}, {}), **_T3_CENTRALIZED,
     ),
 }
 
@@ -550,15 +552,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     preset = _PRESETS[args.figure]
     flags = {}
     for name, default in preset.defaults.items():
-        given = getattr(args, name, None)
-        flags[name] = given if given is not None else _value(default, flags)
+        given = getattr(args, name)
+        flags[name] = default if given is None else given
     rows = []
     for curve in preset.curves:  # one array pass per curve
-        fields = {**flags, **{k: _value(v, flags) for k, v in curve.items()}}
-        model = _build_model(args, fields["rho"]) if "rho" in fields else None
-        stop, step = preset.grid
-        grid = _frange(_value(stop, flags), step)
-        rows.extend(preset.rows(args, preset, fields, model, grid))
+        rows.extend(preset.rows(args, preset, {**flags, **curve}))
     _write_rows(preset.columns, rows, args.format or "csv", args.out)
     return 0
 

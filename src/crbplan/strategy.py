@@ -179,12 +179,6 @@ class LinearConstraintSet:
     def is_feasible(self, policy: SamplingPolicy) -> bool:
         return not self.violations(policy)
 
-    def feasibility_mask(self, p_x, p_y, p_xy):
-        """:meth:`is_feasible` over arrays of policies, bit for bit; a point with
-        a non-finite component fails."""
-        p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p_x, p_y, p_xy)))
-        return _holds(*self._arrays, np.stack(p, axis=-1))
-
 
 class Actor(Enum):
     SENSOR_X = "sensor_x"
@@ -236,16 +230,6 @@ _BUDGET_ROWS = {
 _PAID_KINDS = (ObservationKind.MARGINAL_X, ObservationKind.MARGINAL_Y, ObservationKind.JOINT)
 _ACTORS = tuple(Actor)  # iterating a tuple is several times faster than the Enum
 
-#: Each family's budget rows as (name, budget field, per-kind (observations,
-#: communications)), so that a row costs three multiply-adds to price.
-_ROW_TERMS = {
-    family: tuple(
-        (*_BUDGET_ROWS[actor], tuple((obs, tx + rx) for obs, tx, rx in counts))
-        for actor, counts in costs.items()
-    )
-    for family, costs in COST_TABLE.items()
-}
-
 
 def _family(scenario: Scenario) -> str:
     if scenario.setting is Setting.CENTRALIZED:
@@ -271,23 +255,24 @@ _BASE_ROWS = (
     Constraint("nonneg_p_xy", (0.0, 0.0, -1.0), 0.0),
     Constraint("simplex", (1.0, 1.0, 1.0), 1.0),
 )
-_NO_MARGINAL_X = Constraint("no_marginal_x", (1.0, 0.0, 0.0), 0.0)
 
 
 def _layout(family: str):
-    """:func:`constraints_for`'s rows as arrays: per-kind observation and
-    communication counts (row coefficients ``obs + alpha comm``), the fixed
-    bounds (nan where a budget bounds the row), and masks of the rows that
-    e1 and e2 bound."""
-    rows = [(r.coeffs, _FREE, r.bound) for r in _BASE_ROWS]
-    rows += [(tuple(o for o, _ in terms), tuple(c for _, c in terms), field)
-             for _, field, terms in _ROW_TERMS[family]]
+    """The rows of a cost family's constraint system: names, per-kind
+    observation and communication counts (coefficients ``obs + alpha
+    comm``), the fixed bounds (nan where a budget bounds the row), and masks
+    of the rows that e1 and e2 bound."""
+    rows = [(r.name, r.coeffs, _FREE, r.bound) for r in _BASE_ROWS]
+    for actor, counts in COST_TABLE[family].items():
+        name, field = _BUDGET_ROWS[actor]
+        obs = tuple(o for o, _, _ in counts)
+        rows.append((name, obs, tuple(t + r for _, t, r in counts), field))
     if family == "decentralized_one_mean":
-        rows.append((_NO_MARGINAL_X.coeffs, _FREE, _NO_MARGINAL_X.bound))
-    obs, comm, bounds = zip(*rows)
+        rows.append(("no_marginal_x", (1.0, 0.0, 0.0), _FREE, 0.0))
+    names, obs, comm, bounds = zip(*rows)
     fixed = [np.nan if isinstance(v, str) else v for v in bounds]
     masks = (np.array([v == field for v in bounds]) for field in ("e1", "e2"))
-    return np.array(obs), np.array(comm), np.array(fixed), *masks
+    return names, np.array(obs), np.array(comm), np.array(fixed), *masks
 
 
 _LAYOUT = {family: _layout(family) for family in COST_TABLE}
@@ -296,9 +281,8 @@ _LAYOUT = {family: _layout(family) for family in COST_TABLE}
 def _stack(family: str, alpha, e1, e2):
     """The constraint systems of one cost family at arrays of ``alpha``,
     ``e1`` and ``e2``: ``C`` (..., k, 3) of ``alpha`` and ``b`` (..., k) of
-    the budgets broadcast together, rows in the order of
-    :func:`constraints_for`."""
-    obs, comm, fixed, on_e1, on_e2 = _LAYOUT[family]
+    the budgets broadcast together."""
+    _, obs, comm, fixed, on_e1, on_e2 = _LAYOUT[family]
     alpha, e1, e2 = (np.asarray(v, dtype=float)[..., None] for v in (alpha, e1, e2))
     return obs + alpha[..., None] * comm, np.where(on_e1, e1, np.where(on_e2, e2, fixed))
 
@@ -312,16 +296,10 @@ def constraints_for(scenario: Scenario) -> LinearConstraintSet:
     decentralized one-mean tasks (t1/t2) marginal-X slots add no
     information about the Y mean, so ``p_x = 0`` is pinned as well.
     """
-    budget = scenario.budget
-    alpha = budget.alpha
-    family = _family(scenario)
-    rows = list(_BASE_ROWS)
-    for name, field, ((ox, cx), (oy, cy), (oj, cj)) in _ROW_TERMS[family]:
-        coeffs = (ox + alpha * cx, oy + alpha * cy, oj + alpha * cj)
-        rows.append(Constraint(name, coeffs, getattr(budget, field)))
-    if family == "decentralized_one_mean":
-        rows.append(_NO_MARGINAL_X)
-    return LinearConstraintSet(tuple(rows))
+    budget, family = scenario.budget, _family(scenario)
+    c, b = _stack(family, budget.alpha, budget.e1, budget.e2)
+    coeffs = map(tuple, c.tolist())
+    return LinearConstraintSet(tuple(map(Constraint, _LAYOUT[family][0], coeffs, b.tolist())))
 
 
 def _feasibility(scenario: Scenario, policies, e1=None, e2=None):
@@ -614,7 +592,8 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
         return _solve(scenarios, models, c, b, vertices, valid, Method.VERTEX_ENUM)
     rho = np.array([m.rho for m in models])
     edges, inside = _feasible(_t3_edge_points(vertices, rho, target is Target.MU_X), c, b)
-    candidates, valid = (np.concatenate(pair, axis=1) for pair in ((vertices, edges), (valid, inside)))
+    candidates = np.concatenate([vertices, edges], axis=1)
+    valid = np.concatenate([valid, inside], axis=1)
     return _solve(scenarios, models, c, b, candidates, valid, Method.FACE_ENUM)
 
 

@@ -36,6 +36,7 @@ from crbplan.strategy import (
     _BASE_ROWS,
     Constraint,
     LinearConstraintSet,
+    _feasibility,
     _feasible,
     _t3_edge_points,
     _vertices,
@@ -151,10 +152,9 @@ def test_feasibility_rule_is_relative_to_each_coefficient():
     p=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
 )
 def test_feasibility_mask_is_is_feasible_vectorized(scenario, p):
-    cons = constraints_for(scenario)
     p = [v / max(1.0, sum(p)) for v in p]
-    mask = cons.feasibility_mask(*(np.array([v]) for v in p))
-    assert mask.tolist() == [cons.is_feasible(SamplingPolicy(*p))]
+    mask = _feasibility(scenario, np.array([p]))
+    assert mask.tolist() == [constraints_for(scenario).is_feasible(SamplingPolicy(*p))]
 
 
 def _hand_written_rows(scenario):
@@ -673,10 +673,8 @@ def _full_cube_grid_bound(scenario, m):
     full 101^3 cube: step 0.01, then three tenfold refinements of +-10
     steps around the incumbent, ties to the smallest (p_xy, p_x, p_y); inf
     where no grid point has a finite bound."""
-    cons = constraints_for(scenario)
-
     def best(px, py, pxy):
-        keep = cons.feasibility_mask(px, py, pxy)
+        keep = _feasibility(scenario, np.stack([px, py, pxy], axis=-1))
         px, py, pxy = px[keep], py[keep], pxy[keep]
         values = _t3_schur(px, py, pxy, m.rho, scenario.target is Target.MU_X)[1]
         near = np.flatnonzero(values <= values.min() + max(1e-9 * values.min(), 1e-15))
