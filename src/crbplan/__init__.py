@@ -19,7 +19,6 @@ from .errors import (
     InvalidScenario,
     MissingStratum,
     NonPositiveVariance,
-    SingularCovariance,
     SingularEverywhere,
     SingularMatrix,
 )
@@ -27,7 +26,6 @@ from .estimators import (
     EstimatorKind,
     delta1,
     delta2,
-    mle_gradient_check,
     sample_mean_x,
     sample_mean_y,
     var_delta1,
@@ -45,11 +43,9 @@ from .fisher import (
     fim_t2,
     fim_t3,
     info_t1,
-    invert_2x2,
 )
 from .model import (
     Axis,
-    MultivariateModel,
     ObservationKind,
     ObservationModel,
     replication_rng,

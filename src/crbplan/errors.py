@@ -13,10 +13,6 @@ class CorrelationOutOfRange(CrbPlanError, ValueError):
     """|rho| exceeds the open-interval guard 1 - 1e-9 (or is non-finite)."""
 
 
-class SingularCovariance(CrbPlanError, ValueError):
-    """A covariance matrix is not symmetric positive definite."""
-
-
 class InvalidPolicy(CrbPlanError, ValueError):
     """Sampling probabilities fall outside [0, 1] or sum past 1."""
 
@@ -26,7 +22,7 @@ class DegeneratePolicy(CrbPlanError, ValueError):
 
 
 class SingularMatrix(CrbPlanError, ValueError):
-    """2x2 matrix determinant is below the invertibility threshold."""
+    """A 2x2 information matrix carries no information about the target mean."""
 
 
 class MissingStratum(CrbPlanError, ValueError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegeneratePolicy, MissingStratum
 from .fisher import SamplingPolicy
-from .model import Axis, MultivariateModel, ObservationModel
+from .model import Axis, ObservationModel
 
 
 class EstimatorKind(Enum):
@@ -129,28 +129,3 @@ def sample_mean_x(marginal_x, marginal_y, joint_x, joint_y, model: ObservationMo
 def sample_mean_y(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) -> float:
     """Mean of every Y value seen (stand-alone and joint); see :func:`sample_mean_x`."""
     return _pooled_mean(marginal_y, joint_y, Axis.Y)
-
-
-def mle_gradient_check(data, model: MultivariateModel) -> float:
-    """Norm of the Gaussian log-likelihood gradient in the mean vector.
-
-    For samples x_1..x_n and candidate mean m, the gradient is
-    ``Sigma^{-1} sum_i (x_i - m)``; its norm vanishes exactly when m is the
-    sample mean, for any dimension and any valid covariance.
-
-    Args:
-        data: (n, k) array of k-variate samples.
-        model: carries the candidate mean and the (SPD-validated) covariance.
-
-    Returns:
-        The Euclidean norm of the gradient; at the sample mean this is zero
-        up to round-off (<= 1e-8 * n in practice).
-    """
-    samples = np.asarray(data, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != model.dim:
-        raise ValueError(f"data must be (n, {model.dim})")
-    if samples.shape[0] == 0:
-        raise ValueError("need at least one sample")
-    residual_sum = (samples - model.mean).sum(axis=0)
-    gradient = np.linalg.solve(model.covariance, residual_sum)
-    return float(np.linalg.norm(gradient))

@@ -124,10 +124,6 @@ class Matrix2:
     a22: float
 
     @classmethod
-    def identity(cls) -> "Matrix2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
     def diagonal(cls, d1: float, d2: float) -> "Matrix2":
         return cls(d1, 0.0, 0.0, d2)
 
@@ -135,10 +131,6 @@ class Matrix2:
     def from_array(cls, a) -> "Matrix2":
         a = np.asarray(a, dtype=float)
         return cls(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=float)
@@ -171,7 +163,10 @@ def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     if not information > 0.0 and not _t1_informative(policy.p_y, policy.p_xy, information):
         raise DegeneratePolicy("p_y = p_xy = 0 yields no information about mu_y")
     standardized = shrink / information if information > 0.0 else math.inf
-    return _representable(model.var_y * standardized, model.var_y, standardized)
+    bound = model.var_y * standardized
+    if standardized == math.inf and information > 0.0:  # the variance may bring it back
+        bound = (model.var_y * shrink) / information
+    return _representable(bound, model.var_y, standardized)
 
 
 def _t1_informative(p_y, p_xy, information):
@@ -231,15 +226,6 @@ def fim_t3(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
     return Matrix2(i11 / model.var_x, cross, cross, i22 / model.var_y)
 
 
-def invert_2x2(m: Matrix2) -> Matrix2:
-    """Invert via the adjugate; raises SingularMatrix when ``|det| <= 1e-14
-    (|a11 a22| + |a12 a21|)``, a determinant lost to cancellation."""
-    d = m.det
-    if abs(d) <= 1e-14 * (abs(m.a11 * m.a22) + abs(m.a12 * m.a21)):
-        raise SingularMatrix(f"determinant {d} is round-off of its terms")
-    return Matrix2(m.a22 / d, -m.a12 / d, -m.a21 / d, m.a11 / d)
-
-
 def crb_t3(policy: SamplingPolicy, model: ObservationModel, target: Target) -> float:
     """Per-slot bound on the requested mean when both means are unknown.
 
@@ -293,7 +279,8 @@ def crb_array(task: Task, target: Target, p_x, p_y, p_xy, rho, var_x=1.0, var_y=
             information = shrink * p_y + p_xy
             informative = _t1_informative(p_y, p_xy, information)
             standardized = np.where(information > 0.0, shrink / information, math.inf)
-            bound = var * standardized
+            late = (standardized == math.inf) & (information > 0.0)  # as crb_t1
+            bound = np.where(late, (var * shrink) / information, var * standardized)
     over = informative & (bound == math.inf)
     if over.any():
         i = int(np.argmax(over))

@@ -1,4 +1,4 @@
-"""Bivariate (and small-k multivariate) Gaussian observation models.
+"""Bivariate Gaussian observation models.
 
 Two sensors observe coordinates of a bivariate Gaussian: one sensor sees X,
 the other sees Y.  A slot can produce a marginal observation (one coordinate),
@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CorrelationOutOfRange, NonPositiveVariance, SingularCovariance
+from .errors import CorrelationOutOfRange, NonPositiveVariance
 
 # Every downstream formula divides by (1 - rho^2): fail fast at validation
 # instead of propagating infinities.
@@ -35,6 +35,8 @@ class Axis(Enum):
 
 
 class ObservationKind(Enum):
+    """A slot's kind, in the one order of policies, costs and kind codes."""
+
     MARGINAL_X = "marginal_x"
     MARGINAL_Y = "marginal_y"
     JOINT = "joint"
@@ -78,16 +80,6 @@ class ObservationModel:
     @cached_property
     def sigma_y(self) -> float:
         return math.sqrt(self.var_y)
-
-    @property
-    def cov_xy(self) -> float:
-        """Covariance implied by the correlation: rho * sigma_x * sigma_y."""
-        return self.rho * self.sigma_x * self.sigma_y
-
-    def covariance_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.var_x, self.cov_xy], [self.cov_xy, self.var_y]], dtype=float
-        )
 
 
 _MODEL_KEYS = ("mu_x", "mu_y", "var_x", "var_y", "rho")
@@ -162,47 +154,6 @@ def marginal_from_normals(model: ObservationModel, axis: Axis, z):
     if axis is Axis.X:
         return model.mu_x + model.sigma_x * z
     return model.mu_y + model.sigma_y * z
-
-
-class MultivariateModel:
-    """A k-variate Gaussian given by mean vector and SPD covariance.
-
-    The covariance must be symmetric to 1e-12 and positive definite
-    (checked via Cholesky success at construction).
-    """
-
-    def __init__(self, mean, covariance) -> None:
-        mean = np.array(mean, dtype=float, copy=True)
-        covariance = np.array(covariance, dtype=float, copy=True)
-        if mean.ndim != 1:
-            raise ValueError("mean must be a 1-D vector")
-        k = mean.shape[0]
-        if covariance.shape != (k, k):
-            raise ValueError(f"covariance must be {k}x{k}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(covariance)):
-            raise ValueError("mean and covariance must be finite")
-        if np.max(np.abs(covariance - covariance.T)) > 1e-12:
-            raise SingularCovariance("covariance is not symmetric to 1e-12")
-        try:
-            chol = np.linalg.cholesky(covariance)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance(
-                "covariance is not positive definite"
-            ) from exc
-        self.mean = mean
-        self.mean.flags.writeable = False
-        self.covariance = covariance
-        self.covariance.flags.writeable = False
-        self._chol = chol
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` vectors as mean + L z with L the Cholesky factor."""
-        z = rng.standard_normal((n, self.dim))
-        return self.mean + z @ self._chol.T
 
 
 # Replications per stream: replication r draws from stream r // REPLICATION_BLOCK,

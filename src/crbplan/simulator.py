@@ -151,12 +151,7 @@ class SimulationReport:
         return record
 
 
-_KIND_CODES = (
-    ObservationKind.MARGINAL_X,
-    ObservationKind.MARGINAL_Y,
-    ObservationKind.JOINT,
-    ObservationKind.IDLE,
-)
+_KIND_CODES = tuple(ObservationKind)
 
 
 def _slot_edges(policy: SamplingPolicy) -> np.ndarray:

@@ -11,7 +11,8 @@ Two planners cover the objective shapes:
 
 * ``plan_t1_closed_form`` -- the piecewise rule for one unknown mean in the
   decentralized setting, driven by whether the squared correlation clears
-  ``alpha / (alpha + 1)``.
+  ``alpha / (alpha + 1)``: it scores the two or three vertices where an
+  optimum can lie, and breaks ties by the exact solver's rule.
 * ``plan_linear`` (t1/t2) and ``plan_t3`` -- one exact solver: a short list
   of candidate policies that must hold an optimum, then the best feasible
   one.  Every bound is homogeneous of degree -1 in the policy, so an
@@ -117,9 +118,6 @@ class Constraint:
     name: str
     coeffs: tuple[float, float, float]
     bound: float
-
-    def value(self, p_x: float, p_y: float, p_xy: float) -> float:
-        return _load(self.coeffs, p_x, p_y, p_xy)
 
 
 def _load(c, p_x, p_y, p_xy):
@@ -227,7 +225,7 @@ _BUDGET_ROWS = {
     Actor.SENSOR_Y: ("sensor_y_budget", "e1"),
     Actor.DATA_CENTER: ("dc_budget", "e2"),
 }
-_PAID_KINDS = (ObservationKind.MARGINAL_X, ObservationKind.MARGINAL_Y, ObservationKind.JOINT)
+_PAID_KINDS = tuple(ObservationKind)[:3]  # idle slots are free
 _ACTORS = tuple(Actor)  # iterating a tuple is several times faster than the Enum
 
 
@@ -349,7 +347,7 @@ class PlanResult:
 def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> PlanResult:
     """Piecewise-optimal policy for one unknown mean, decentralized setting.
 
-    The joint-sampling share is
+    Reproduces the paper's result: the joint-sampling share is
 
     * 0                      if rho^2 < alpha/(alpha+1) and e1 < 1,
     * (e1 - 1) / alpha       if rho^2 < alpha/(alpha+1) and 1 <= e1 < alpha+1,
@@ -357,41 +355,34 @@ def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> Pla
     * 1                      if e1 >= alpha + 1,
 
     with p_y saturating the remaining budget/simplex room (marginals-first
-    regime) or pinned to 0 (joint-first regime).  At the threshold
-    rho^2 = alpha/(alpha+1) the optimum is a whole face of the polytope; we
-    return the feasible optimum with the smallest p_xy (fewest communicated
-    samples) and flag ``tie``.
+    regime) or pinned to 0 (joint-first regime).  It scores the two or three
+    vertices where an optimum can lie and breaks ties by :func:`_solve`'s
+    rule: at rho = 0 or rho^2 = alpha/(alpha+1) several are optimal, the one
+    with the smallest p_xy (fewest communicated samples) is returned, and
+    ``tie`` is set.
     """
     _check_alpha(alpha)
     if not e1 >= 0.0:
         raise InvalidScenario(f"e1 must be >= 0, got {e1}")
-    thr2 = alpha / (alpha + 1.0)
-    rho2 = model.rho * model.rho
-
-    if e1 >= alpha + 1.0:
-        p_xy, p_y = 1.0, 0.0
-    elif rho2 - thr2 > 1e-12:
-        # Joint-first: the sensor budget forces p_y = 0 at p_xy = e1/(alpha+1).
-        p_xy, p_y = e1 / (alpha + 1.0), 0.0
-    elif e1 < 1.0:
-        p_xy, p_y = 0.0, e1
-    else:
-        # Budget line meets the simplex at p_xy = (e1 - 1)/alpha, where both
-        # saturate simultaneously.
+    # (p_xy, p_y): marginal-only, joint-only, and where the budget meets the simplex
+    vertices = [(0.0, min(e1, 1.0)), (min(1.0, e1 / (alpha + 1.0)), 0.0)]
+    if 1.0 < e1 < alpha + 1.0:
         p_xy = (e1 - 1.0) / alpha
-        p_y = 1.0 - p_xy
-
-    tie = False
-    if abs(rho2 - thr2) <= 1e-12 and 0.0 < e1 < (alpha + 1.0) * (1.0 - 1e-12):
-        tie = True  # objective parallel to the budget face
-    if abs(model.rho) <= 1e-15 and e1 > 1.0 + 1e-12:
-        tie = True  # rho = 0: joint and marginal slots equally informative
-    if alpha <= 1e-15 and abs(model.rho) <= 1e-15 and abs(e1 - 1.0) <= 1e-12:
-        tie = True  # budget and simplex faces coincide
-
-    policy = SamplingPolicy.clamped(0.0, p_y, p_xy)
+        vertices.append((p_xy, 1.0 - p_xy))
+    shrink = 1.0 - model.rho * model.rho
+    values = [shrink * p_y + p_xy for p_xy, p_y in vertices]  # shrink times the information
+    best = max(values)
+    near = sorted(v for v, value in zip(vertices, values) if value >= best - _TIE_REL * best)
+    tie = any(not _same(near[0], v) for v in near[1:])
+    policy = SamplingPolicy.clamped(0.0, near[0][1], near[0][0])
     objective = crb(Task.T1, Target.MU_Y, policy, model)
     return PlanResult(policy, objective, Method.CLOSED_FORM, tie)
+
+
+def _same(a, b) -> bool:
+    """Whether points ``a`` and ``b`` are copies, as :func:`_first_copies` judges them."""
+    gap = max(abs(u - v) for u, v in zip(a, b))
+    return gap <= _SAME_REL * max(map(abs, (*a, *b)))
 
 
 def _feasible(points, c, b):

@@ -136,6 +136,19 @@ def test_plan_t3_subnormal_variance_scales_the_bound(capsys):
     )
 
 
+def test_t1_subnormal_budget_at_a_small_variance_keeps_its_bound(capsys):
+    # the standardized bound overflows at p_y = 1e-310; var_y times it,
+    # 1e305, does not
+    t1 = ("--task", "t1", "--setting", "decentralized", "--alpha", "1", "--e1", "1e-310",
+          "--rho", "0.5", "--var-y", "1e-5")
+    assert run_cli("plan", *t1) == 0
+    assert capsys.readouterr().out == (
+        "p_x=0 p_y=1e-310 p_xy=0 crb=1e+305 method=closed_form tie=false\n"
+    )
+    assert run_cli("bounds", *t1, "--sweep", "p_y", "--start", "1e-310", "--stop", "1e-310") == 0
+    assert capsys.readouterr().out.endswith("\np_y,1e-310,1e+305,true\n")
+
+
 _PRODUCT = "variance 1e+300 times standardized bound "
 _UNINVERTIBLE = "the information is positive but too small to invert"
 _OVERFLOWS = {

@@ -6,12 +6,10 @@ import pytest
 from crbplan import (
     DegeneratePolicy,
     MissingStratum,
-    MultivariateModel,
     SamplingPolicy,
     crb_t1,
     delta1,
     delta2,
-    mle_gradient_check,
     sample_joint,
     sample_mean_x,
     sample_mean_y,
@@ -196,41 +194,3 @@ def test_estimators_unbiased(mu_x, rho):
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - m.mu_y) <= 3 * se, name
-
-
-# --- k-variate gradient check ---
-
-
-def test_mle_gradient_zero_at_sample_mean():
-    rng = np.random.default_rng(5)
-    samples = rng.normal(size=(20, 2))
-    m = MultivariateModel(samples.mean(axis=0), [[2.0, 0.3], [0.3, 1.0]])
-    assert mle_gradient_check(samples, m) <= 1e-8 * 20
-
-
-def test_mle_gradient_norm_for_unit_offset():
-    rng = np.random.default_rng(6)
-    samples = rng.normal(size=(10, 2))
-    off = samples.mean(axis=0) + np.array([1.0, 0.0])
-    m = MultivariateModel(off, np.eye(2))
-    assert mle_gradient_check(samples, m) == pytest.approx(10.0, rel=1e-9)
-
-
-def test_mle_gradient_zero_for_random_dimensions():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        k = int(rng.integers(1, 9))
-        n = int(rng.integers(2, 40))
-        a = rng.normal(size=(k, k))
-        cov = a @ a.T + k * np.eye(k)
-        samples = rng.normal(size=(n, k))
-        m = MultivariateModel(samples.mean(axis=0), cov)
-        assert mle_gradient_check(samples, m) <= 1e-8 * n
-
-
-def test_mle_gradient_rejects_shape_mismatch():
-    m = MultivariateModel([0.0, 0.0], np.eye(2))
-    with pytest.raises(ValueError):
-        mle_gradient_check(np.zeros((5, 3)), m)
-    with pytest.raises(ValueError):
-        mle_gradient_check(np.zeros((0, 2)), m)

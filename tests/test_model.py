@@ -7,10 +7,8 @@ from scipy import stats
 from crbplan import (
     Axis,
     CorrelationOutOfRange,
-    MultivariateModel,
     NonPositiveVariance,
     ObservationModel,
-    SingularCovariance,
     replication_rng,
     sample_joint,
     sample_marginal,
@@ -63,10 +61,6 @@ def test_derived_covariance():
     m = validate((0, 0, 4, 9, 0.5))
     assert m.sigma_x == 2.0
     assert m.sigma_y == 3.0
-    assert m.cov_xy == pytest.approx(3.0)
-    cov = m.covariance_matrix()
-    # positive definite by construction
-    np.linalg.cholesky(cov)
     # the square roots are computed once and kept out of equality and hashing
     m = validate((0, 0, 2, 3, 0.5))
     assert (m.sigma_x, m.sigma_y) == (math.sqrt(2.0), math.sqrt(3.0))
@@ -100,11 +94,12 @@ def test_sample_joint_covariance_within_three_se(params):
     m = validate(params)
     x, y = sample_joint(m, np.random.default_rng(4), size=N_BIG)
     emp_cov = np.cov(x, y)
-    true_cov = m.covariance_matrix()
+    cov_xy = m.rho * m.sigma_x * m.sigma_y
+    true_cov = np.array([[m.var_x, cov_xy], [cov_xy, m.var_y]])
     # Gaussian sampling variances of second-moment estimates
     se_xx = math.sqrt(2.0 * m.var_x**2 / N_BIG)
     se_yy = math.sqrt(2.0 * m.var_y**2 / N_BIG)
-    se_xy = math.sqrt((m.var_x * m.var_y + m.cov_xy**2) / N_BIG)
+    se_xy = math.sqrt((m.var_x * m.var_y + cov_xy**2) / N_BIG)
     assert abs(emp_cov[0, 0] - true_cov[0, 0]) < 3 * se_xx
     assert abs(emp_cov[1, 1] - true_cov[1, 1]) < 3 * se_yy
     assert abs(emp_cov[0, 1] - true_cov[0, 1]) < 3 * se_xy
@@ -141,24 +136,6 @@ def test_sampling_is_deterministic_given_seed():
     c = sample_marginal(m, Axis.Y, np.random.default_rng(11), size=100)
     d = sample_marginal(m, Axis.Y, np.random.default_rng(11), size=100)
     np.testing.assert_array_equal(c, d)
-
-
-def test_multivariate_model_requires_symmetry():
-    with pytest.raises(SingularCovariance):
-        MultivariateModel([0, 0], [[1, 0.5], [0.2, 1]])
-
-
-def test_multivariate_model_requires_positive_definite():
-    with pytest.raises(SingularCovariance):
-        MultivariateModel([0, 0], [[1, 1], [1, 1]])
-
-
-def test_multivariate_sampling_moments():
-    cov = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
-    m = MultivariateModel([1.0, -1.0, 0.5], cov)
-    draws = m.sample(200_000, np.random.default_rng(12))
-    np.testing.assert_allclose(draws.mean(axis=0), m.mean, atol=0.02)
-    np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.03)
 
 
 def test_replication_rng_streams():

@@ -43,6 +43,7 @@ from crbplan.simulator import (
     _analytic_estimator_variance,
     slot_costs,
 )
+from crbplan.strategy import _load
 
 
 def model(rho=0.5, mu_x=0.0, mu_y=0.0):
@@ -314,7 +315,7 @@ def test_expected_cost_equals_constraint_lhs():
                     if share is not None
                 )
                 assert expected_cost == pytest.approx(
-                    rows[0].value(*pol.as_tuple()), rel=1e-12
+                    _load(rows[0].coeffs, *pol.as_tuple()), rel=1e-12
                 ), (setting, task, actor)
 
 

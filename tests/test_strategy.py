@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,9 @@ from crbplan.strategy import (
     LinearConstraintSet,
     _feasibility,
     _feasible,
+    _load,
+    _solve,
+    _stack,
     _t3_edge_points,
     _vertices,
     enumerate_vertices,
@@ -284,6 +288,46 @@ def test_closed_form_policy_feasible():
             assert cons.is_feasible(result.policy), (alpha, e1)
 
 
+def _tie_grid():
+    """Scenarios at and near rho = 0 and the joint-priority threshold, and
+    at the budgets where the vertices meet or saturate."""
+    for alpha in (0.0, 0.5, 2.0, 100.0):
+        thr = math.sqrt(alpha / (alpha + 1.0))
+        for rho in (0.0, 1e-9, -1e-9, 1e-7, thr, -thr, 0.5, -0.95):
+            for e1 in (0.0, 0.5, 1.0, 2.0, alpha + 1.0, alpha + 2.0, math.inf):
+                yield alpha, rho, e1
+
+
+def test_closed_form_ties_as_plan_linear():
+    # one tie rule: the closed form returns the exact solver's policy and tie
+    # flag, also where rho^2 is 0 or the threshold within rounding
+    cases = list(_tie_grid())
+    assert len(cases) == 224
+    for alpha, rho, e1 in cases:
+        m = model(rho)
+        closed = plan_t1_closed_form(alpha, e1, m)
+        exact = plan_linear(dec(Task.T1, alpha, e1), m)
+        assert closed.policy.as_tuple() == pytest.approx(
+            exact.policy.as_tuple(), rel=0.0, abs=1e-9
+        ), (alpha, rho, e1)
+        assert closed.tie == exact.tie, (alpha, rho, e1)
+    # at rho = 0 the fewest communicated samples win
+    result = plan_t1_closed_form(2.0, 2.0, model(0.0))
+    assert result.policy.as_tuple() == (0.0, 1.0, 0.0) and result.tie
+
+
+def test_solve_breaks_ties_by_p_x_before_p_y():
+    # equal p_xy and values within _TIE_REL: the smaller p_x wins, although
+    # its p_y is the larger
+    scenario = cen(Task.T1, 1.0, 10.0, 10.0)
+    c, b = _stack("centralized", 1.0, 10.0, 10.0)
+    candidates = np.array([[[0.2, 0.3, 0.1], [0.0, 0.3 + 1e-14, 0.1]]])
+    (result,) = _solve([scenario], [model(0.0)], c[None], b[None], candidates,
+                       np.full((1, 2), True), Method.VERTEX_ENUM)
+    assert result.policy.as_tuple() == (0.0, 0.3 + 1e-14, 0.1)
+    assert result.tie
+
+
 # --- vertex-enumeration planner ---
 
 
@@ -415,7 +459,7 @@ def _brute_force_linear_bound(scenario, m):
     call at a time.  A triple counts when its determinant is not zero; a
     finite point satisfies a row when c.p - b <= 1e-9 (|b| + |c|.|p|).
     Raises BoundOverflow when no bound is finite but some point carries
-    information."""
+    information, or only an exact rational vertex does (no float point reaches it)."""
     cons = constraints_for(scenario)
     rows = [r for r in cons.rows if math.isfinite(r.bound)]
     best, overflow = math.inf, None
@@ -426,7 +470,7 @@ def _brute_force_linear_bound(scenario, m):
                 continue
             p = np.maximum(np.linalg.solve(a, [r.bound for r in triple]), 0.0)
         if np.isfinite(p).all() and all(
-            r.value(*p) - r.bound <= 1e-9 * (abs(r.bound) + np.abs(r.coeffs) @ np.abs(p))
+            _load(r.coeffs, *p) - r.bound <= 1e-9 * (abs(r.bound) + np.abs(r.coeffs) @ np.abs(p))
             for r in rows
         ):
             policy = SamplingPolicy.clamped(*p)
@@ -436,7 +480,28 @@ def _brute_force_linear_bound(scenario, m):
                 overflow = exc
     if best == math.inf and overflow:
         raise overflow
+    if best == math.inf and any(_exact_vertex_informs(t, rows) for t in itertools.combinations(rows, 3)):
+        raise BoundOverflow("an exact vertex informs, but its bound overflows")
     return best
+
+
+def _det3(a):
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+
+
+def _exact_vertex_informs(triple, rows):
+    """Whether the triple's planes meet, in exact rational arithmetic, at a
+    point that satisfies every row exactly and has p_y or p_xy positive."""
+    a = [[Fraction(v) for v in r.coeffs] for r in triple]
+    b = [Fraction(r.bound) for r in triple]
+    det = _det3(a)
+    if det == 0:
+        return False
+    p = [_det3([row[:i] + [v] + row[i + 1:] for row, v in zip(a, b)]) / det for i in range(3)]
+    holds = all(sum(Fraction(c) * q for c, q in zip(r.coeffs, p)) <= Fraction(r.bound) for r in rows)
+    return holds and (p[1] > 0 or p[2] > 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -444,6 +509,7 @@ def _brute_force_linear_bound(scenario, m):
 @example(task=Task.T1, centralized=True, alpha=1.0, e1=1.0, e2=1e-12, rho=0.5)
 @example(task=Task.T2, centralized=True, alpha=0.0, e1=1.0, e2=1.0, rho=0.0)
 @example(task=Task.T1, centralized=False, alpha=0.0, e1=5e-324, e2=0.0, rho=0.0)
+@example(task=Task.T1, centralized=True, alpha=1.0, e1=5e-324, e2=1.0, rho=0.0)  # p_y = 2.5e-324
 @given(
     task=st.sampled_from([Task.T1, Task.T2]),
     centralized=st.booleans(),
@@ -953,8 +1019,8 @@ def test_t2_planning_reuses_t1_solution():
 
 def test_constraint_slack_evaluation():
     row = Constraint("sensor_y_budget", (0.0, 1.0, 3.0), 2.0)
-    assert row.bound - row.value(0.0, 0.5, 0.5) == 0.0
-    assert row.value(0.0, 1.0, 0.0) == 1.0
+    assert row.bound - _load(row.coeffs, 0.0, 0.5, 0.5) == 0.0
+    assert _load(row.coeffs, 0.0, 1.0, 0.0) == 1.0
     # at p_xy = 0.6 the row admits a load up to 2 + 1e-9 (|b| + |c|.|p|)
     # = 2 + 4e-9
     rows = LinearConstraintSet((row,))
