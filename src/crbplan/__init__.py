@@ -55,7 +55,6 @@ from .model import (
 )
 from .simulator import (
     AuditResult,
-    ResourceLedger,
     SimulationConfig,
     SimulationReport,
     audit_resources,

@@ -2,10 +2,10 @@
 
 Each slot independently draws its type from the policy (marginal-X,
 marginal-Y, joint, or idle); observations are generated from the model and
-each actor is charged per slot from :func:`crbplan.strategy.slot_costs`,
-which reads the same cost table as the scenario's budget rows.  Expected
-per-slot cost per actor therefore equals each budget row's left-hand side,
-which is what :func:`audit_resources` verifies empirically.
+each actor is charged per slot its own budget row's coefficient for the
+slot's kind (idle slots are free).  Expected per-slot cost per actor
+therefore is each budget row's left-hand side, which is what
+:func:`audit_resources` verifies empirically.
 
 All randomness is derived per block of :data:`REPLICATION_BLOCK`
 replications from (master seed, block index): replication r draws from
@@ -46,46 +46,7 @@ from .model import (
     marginal_from_normals,
     replication_rng,
 )
-from .strategy import (
-    Actor,
-    CostShare,
-    Scenario,
-    Setting,
-    constraints_for,
-    slot_costs,
-)
-
-
-@dataclass(frozen=True)
-class ResourceLedger:
-    """Per-actor resource spending totals over ``slots`` time slots."""
-
-    sensor_x: CostShare
-    sensor_y: CostShare
-    data_center: CostShare
-    slots: int
-
-    def for_actor(self, actor: Actor) -> CostShare:
-        return {
-            Actor.SENSOR_X: self.sensor_x,
-            Actor.SENSOR_Y: self.sensor_y,
-            Actor.DATA_CENTER: self.data_center,
-        }[actor]
-
-    def per_slot(self) -> "ResourceLedger":
-        """The same ledger with costs averaged over slots."""
-        if self.slots == 0:
-            return self
-
-        def scale(share: CostShare) -> CostShare:
-            k = 1.0 / self.slots
-            return CostShare(
-                share.observation * k, share.transmit * k, share.receive * k
-            )
-
-        return ResourceLedger(
-            scale(self.sensor_x), scale(self.sensor_y), scale(self.data_center), self.slots
-        )
+from .strategy import Actor, Scenario, _charged, _limit, _load, constraints_for
 
 
 @dataclass(frozen=True)
@@ -122,7 +83,7 @@ class SimulationReport:
     empirical_variance_per_slot: float
     analytic_crb: float
     analytic_estimator_variance: float | None
-    ledger: ResourceLedger  # per-slot averages
+    cost_per_slot: dict[Actor, float]  # every actor's average spending; 0 without a row
     slot_counts: dict[str, int]
     replications_used: int
     replications_excluded: int
@@ -144,8 +105,7 @@ class SimulationReport:
             "generator": self.generator,
         }
         for actor in Actor:
-            share = self.ledger.for_actor(actor)
-            record[f"cost_{actor.value}_per_slot"] = share.total
+            record[f"cost_{actor.value}_per_slot"] = self.cost_per_slot[actor]
         for kind in ObservationKind:
             record[f"n_{kind.value}"] = self.slot_counts[kind.value]
         return record
@@ -309,22 +269,10 @@ def run(config: SimulationConfig) -> SimulationReport:
     else:
         variance_per_slot = math.nan
 
-    table = slot_costs(config.scenario)
-    shares = {}
-    for actor in Actor:
-        obs = tx = rx = 0.0
-        for kind in ObservationKind:
-            share = table[kind][actor]
-            n = totals[kind.value]
-            obs += n * share.observation
-            tx += n * share.transmit
-            rx += n * share.receive
-        shares[actor] = CostShare(obs, tx, rx)
+    cost_per_slot = dict.fromkeys(Actor, 0.0)
     total_slots = config.slots * config.replications
-    ledger = ResourceLedger(
-        shares[Actor.SENSOR_X], shares[Actor.SENSOR_Y], shares[Actor.DATA_CENTER],
-        total_slots,
-    ).per_slot()
+    for actor, row in _charged(cons).items():
+        cost_per_slot[actor] = _load(row.coeffs, *counted[:3]) / total_slots
 
     return SimulationReport(
         mean_estimate=mean_estimate,
@@ -333,7 +281,7 @@ def run(config: SimulationConfig) -> SimulationReport:
             config.scenario.task, config.scenario.target, config.policy, config.model
         ),
         analytic_estimator_variance=_analytic_estimator_variance(config),
-        ledger=ledger,
+        cost_per_slot=cost_per_slot,
         slot_counts=totals,
         replications_used=len(estimates),
         replications_excluded=excluded,
@@ -368,31 +316,29 @@ class AuditResult:
 
 
 def audit_resources(report: SimulationReport, scenario: Scenario) -> AuditResult:
-    """Check each actor's average per-slot spending against its budget.
+    """Check each actor's average per-slot spending against its budget row.
 
     A check passes when ``slack = budget - mean_cost`` is no worse than
     minus three standard errors of the slot-type mixture (budgets constrain
-    expectations, so sampling noise must be tolerated, not violations).  The
-    per-slot cost variance ``sum_k p_k c_k^2 - (sum_k p_k c_k)^2`` comes from
-    the policy's kind probabilities, which are known by design, so a kind
-    that never occurred in the run still counts.  Failures are results, not
-    exceptions.
+    expectations, so sampling noise must be tolerated, not violations), less
+    the rounding that the one feasibility rule (``strategy._limit``) allows
+    a row: ``mean_cost - 3 stderr <= budget + 1e-9 (|budget| + mean_cost)``.
+    With row coefficients ``c`` and the policy's kind probabilities ``p``,
+    the per-slot cost variance is ``c^2.p - (c.p)^2``; ``p`` is known by
+    design, so a kind that never occurred in the run still counts.
+    Failures are results, not exceptions.
     """
-    table = slot_costs(scenario)
-    probs = dict(zip(_KIND_CODES, (*report.policy.as_tuple(), report.policy.p_idle)))
-    actors = [(Actor.SENSOR_X, scenario.budget.e1), (Actor.SENSOR_Y, scenario.budget.e1)]
-    if scenario.setting is Setting.CENTRALIZED:
-        actors.append((Actor.DATA_CENTER, scenario.budget.e2))
+    policy, slots = report.policy.as_tuple(), sum(report.slot_counts.values())
     checks = []
-    for actor, budget in actors:
-        costs = [(probs[kind], table[kind][actor].total) for kind in ObservationKind]
-        expected = sum(p * c for p, c in costs)
-        variance = max(0.0, sum(p * c**2 for p, c in costs) - expected**2)
-        stderr = math.sqrt(variance / report.ledger.slots)
-        mean_cost = report.ledger.for_actor(actor).total
-        slack = budget - mean_cost
+    for actor, row in _charged(constraints_for(scenario)).items():
+        budget, c = row.bound, row.coeffs
+        expected = _load(c, *policy)
+        variance = max(0.0, _load([v * v for v in c], *policy) - expected**2)
+        stderr = math.sqrt(variance / slots)
+        mean_cost = report.cost_per_slot[actor]
+        passed = mean_cost - 3.0 * stderr <= _limit(budget, mean_cost)
         checks.append(
-            ConstraintAudit(actor.value, budget, mean_cost, slack, stderr, slack >= -3.0 * stderr)
+            ConstraintAudit(actor.value, budget, mean_cost, budget - mean_cost, stderr, passed)
         )
     return AuditResult(tuple(checks), all(c.passed for c in checks))
 
@@ -416,15 +362,15 @@ def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
     for _ in range(offset):
         _draw_replication(config.model, edges, config.slots, rng)
     kinds, x, y = replay_slots(config.model, config.policy, config.slots, rng)
-    table = slot_costs(config.scenario)
+    charged = _charged(constraints_for(config.scenario))
+    prices = [(*charged[a].coeffs, 0.0) if a in charged else (0.0,) * 4 for a in Actor]
+    costs = [",".join(f"{price[code]:.9g}" for price in prices) for code in range(4)]
 
     def fmt(v: float) -> str:
         return "" if math.isnan(v) else f"{v:.9g}"
 
     lines = [TRACE_HEADER]
-    for slot, (code, vx, vy) in enumerate(zip(kinds, x.tolist(), y.tolist())):
-        kind = _KIND_CODES[code]
-        costs = ",".join(f"{table[kind][actor].total:.9g}" for actor in Actor)
-        lines.append(f"{slot},{kind.value},{fmt(vx)},{fmt(vy)},{costs}")
+    for slot, (code, vx, vy) in enumerate(zip(kinds.tolist(), x.tolist(), y.tolist())):
+        lines.append(f"{slot},{_KIND_CODES[code].value},{fmt(vx)},{fmt(vy)},{costs[code]}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

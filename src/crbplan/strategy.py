@@ -4,7 +4,8 @@ Each scenario induces a small linear constraint set over the slot-type
 probabilities (p_x, p_y, p_xy): the simplex, nonnegativity, per-sensor
 budgets, and (centralized only) a data-center budget; every row holds by the
 one scale-free rule of :func:`_limit`.  :data:`COST_TABLE` is the one cost
-model: each budget row and the simulator's ledger derive from it.  An
+model and each actor's budget row its one price: the simulator's ledger,
+audit and trace charge the row's coefficients (:func:`_charged`).  An
 observation costs 1 unit; each transmission or reception costs ``alpha``.
 
 Two planners cover the objective shapes:
@@ -42,9 +43,8 @@ from .fisher import (
     Task,
     _t3_schur,
     crb,
-    crb_array,
 )
-from .model import ObservationKind, ObservationModel
+from .model import ObservationModel
 
 #: Candidates this close, relative to the larger one, are the same policy.
 _SAME_REL = 1e-9
@@ -184,19 +184,6 @@ class Actor(Enum):
     DATA_CENTER = "data_center"
 
 
-@dataclass(frozen=True)
-class CostShare:
-    """One actor's spending in a single slot, split by activity."""
-
-    observation: float = 0.0
-    transmit: float = 0.0
-    receive: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.observation + self.transmit + self.receive
-
-
 _FREE = (0.0, 0.0, 0.0)
 
 #: The cost model, the only place it is written: per setting family, each
@@ -225,26 +212,12 @@ _BUDGET_ROWS = {
     Actor.SENSOR_Y: ("sensor_y_budget", "e1"),
     Actor.DATA_CENTER: ("dc_budget", "e2"),
 }
-_PAID_KINDS = tuple(ObservationKind)[:3]  # idle slots are free
-_ACTORS = tuple(Actor)  # iterating a tuple is several times faster than the Enum
 
 
 def _family(scenario: Scenario) -> str:
     if scenario.setting is Setting.CENTRALIZED:
         return "centralized"
     return "decentralized_two_means" if scenario.task is Task.T3 else "decentralized_one_mean"
-
-
-def slot_costs(scenario: Scenario) -> dict[ObservationKind, dict[Actor, CostShare]]:
-    """The ledger's view of :data:`COST_TABLE`: every actor's
-    :class:`CostShare` per slot kind, communication priced at ``alpha``."""
-    alpha = scenario.budget.alpha
-    free = CostShare()
-    table = {kind: dict.fromkeys(_ACTORS, free) for kind in ObservationKind}
-    for actor, counts in COST_TABLE[_family(scenario)].items():
-        for kind, (obs, tx, rx) in zip(_PAID_KINDS, counts):
-            table[kind][actor] = CostShare(obs, alpha * tx, alpha * rx)
-    return table
 
 
 _BASE_ROWS = (
@@ -298,6 +271,14 @@ def constraints_for(scenario: Scenario) -> LinearConstraintSet:
     c, b = _stack(family, budget.alpha, budget.e1, budget.e2)
     coeffs = map(tuple, c.tolist())
     return LinearConstraintSet(tuple(map(Constraint, _LAYOUT[family][0], coeffs, b.tolist())))
+
+
+def _charged(constraints: LinearConstraintSet) -> dict[Actor, Constraint]:
+    """Each charged actor's budget row, the one price of its slots: the
+    coefficients are what a marginal-X, a marginal-Y and a joint slot cost
+    it, the bound is its budget, and idle slots are free."""
+    rows = {row.name: row for row in constraints.rows}
+    return {actor: rows[name] for actor, (name, _) in _BUDGET_ROWS.items() if name in rows}
 
 
 def _feasibility(scenario: Scenario, policies, e1=None, e2=None):
@@ -514,27 +495,30 @@ def _solve(scenarios, models, c, b, candidates, valid, method: Method) -> list[P
     """For each scenario of a stack, the best of its ``valid`` ``candidates``
     (n, m, 3), feasible policies that include an optimum.
 
-    t1/t2 candidates are scored by their standardized information, t3 ones
-    by their standardized bound: optimal policies do not depend on the
-    variances.  Values within ``_TIE_REL`` of the best tie (``tie`` says
-    whether distinct candidates do), and the tie goes to the smallest
-    ``p_xy`` (the fewest communicated samples), then ``p_x``, then ``p_y``.
-    ``_feasible`` has vetted every candidate, so the pick only snaps onto
-    [0, 1] and the simplex.  Where no candidate carries information but an
-    exact solution of the scenario's rows ``c``, ``b`` does, its bound
-    overflows: the budget is too small for any policy to round to.
+    Every candidate is ranked by its standardized information about the
+    target, t1/t2 by its weighted sum and t3 by the Schur complement: it
+    does not overflow where the bound does, and optimal policies do not
+    depend on the variances.  Information values within ``_TIE_REL`` of the
+    best tie (``tie`` says whether distinct candidates do), and the tie goes
+    to the smallest ``p_xy`` (the fewest communicated samples), then
+    ``p_x``, then ``p_y``.  ``_feasible`` has vetted every candidate, so the
+    pick only snaps onto [0, 1] and the simplex.  Where no candidate carries
+    information but an exact solution of the scenario's rows ``c``, ``b``
+    does, its bound overflows: the budget is too small for any policy to
+    round to.
 
     Raises, at the first scenario where it applies:
         SingularEverywhere: no t3 policy carries information.
-        BoundOverflow: some does, but every standardized bound overflows.
+        BoundOverflow: some does, but the best policy's bound overflows.
     """
     first, rho = scenarios[0], np.array([[m.rho] for m in models])
     t3, on_x = first.task is Task.T3, first.target is Target.MU_X
     if t3:
-        values = _t3_schur(*_columns(candidates), rho, on_x)[1]
+        info = _t3_schur(*_columns(candidates), rho, on_x)[0]
     else:
         weights = np.array([[[0.0], [1.0], [1.0 / (1.0 - r * r)]] for r in rho[:, 0].tolist()])
-        values = -(candidates @ weights)[..., 0]
+        info = (candidates @ weights)[..., 0]
+    values = np.where(info > 0.0, -info, math.inf)
     best = np.fmin.reduce(values, axis=-1, where=valid, initial=math.inf)
     near = _compact(candidates, (values <= (best + _TIE_REL * np.abs(best))[:, None]) & valid)
     ties = np.full(len(near), False)
@@ -545,9 +529,7 @@ def _solve(scenarios, models, c, b, candidates, valid, method: Method) -> list[P
     picks = near[np.arange(len(near)), np.lexsort((y, x, xy), axis=-1)[:, 0]]
     results = []
     for k, (scenario, model, pick) in enumerate(zip(scenarios, models, picks.tolist())):
-        if best[k] == (math.inf if t3 else 0.0):  # no candidate carries information
-            if t3:  # raises BoundOverflow where one does, but too little to invert
-                crb_array(Task.T3, scenario.target, *candidates[k][valid[k]].T, model.rho)
+        if best[k] == math.inf:  # no candidate carries information
             # a target's own marginal or the joint share can be positive
             # unless a zero-bound row charges it
             free = ~((c[k] > 0.0) & (b[k][:, None] <= 0.0)).any(axis=0)
@@ -605,7 +587,7 @@ def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
 
     Raises:
         SingularEverywhere: no policy carries information (e.g. a zero budget).
-        BoundOverflow: some does, but every standardized bound overflows.
+        BoundOverflow: some does, but the best policy's bound overflows.
     """
     if scenario.task is not Task.T3:
         raise InvalidScenario("plan_t3 handles task t3 only")

@@ -149,6 +149,19 @@ def test_t1_subnormal_budget_at_a_small_variance_keeps_its_bound(capsys):
     assert capsys.readouterr().out.endswith("\np_y,1e-310,1e+305,true\n")
 
 
+def test_t3_subnormal_budget_at_a_small_variance_keeps_its_bound(capsys):
+    # the planner ranks by the Schur complement, about 1e-310, whose inverse
+    # overflows; var_x over it, 1e305, does not
+    t3 = ("--task", "t3", "--setting", "decentralized", "--alpha", "1", "--e1", "1e-310",
+          "--rho", "0.5", "--var-x", "1e-5", "--target", "mu-x")
+    assert run_cli("plan", *t3) == 0
+    assert capsys.readouterr().out == (
+        "p_x=1e-310 p_y=0 p_xy=0 crb=1e+305 method=face_enum tie=true\n"
+    )
+    assert run_cli("bounds", *t3, "--sweep", "p_x", "--start", "1e-310", "--stop", "1e-310") == 0
+    assert capsys.readouterr().out.endswith("\np_x,1e-310,1e+305,true\n")
+
+
 _PRODUCT = "variance 1e+300 times standardized bound "
 _UNINVERTIBLE = "the information is positive but too small to invert"
 _OVERFLOWS = {
@@ -423,6 +436,21 @@ def test_simulate_planner_policy_passes_audit(capsys):
     assert "policy from planner" in out
     audit_lines = [l for l in out.splitlines() if l.startswith("audit ")]
     assert audit_lines and all(l.endswith("PASS") for l in audit_lines)
+
+
+def test_simulate_budget_saturating_policy_passes_audit(capsys):
+    # every slot is joint and costs each sensor its row coefficient
+    # 1 + 2 alpha, which rounds above e1 = 1.2 within the feasibility rule:
+    # run accepts the policy, so its audit must too
+    code = run_cli(
+        "simulate", "--task", "t3", "--setting", "decentralized", "--alpha", "0.1",
+        "--e1", "1.2", "--rho", "0.5", "--p-xy", "1", "--seed", "1", "--reps", "50",
+        "--slots", "100",
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    audit_lines = [l for l in out.splitlines() if l.startswith("audit ")]
+    assert len(audit_lines) == 2 and all(l.endswith(" PASS") for l in audit_lines), audit_lines
 
 
 def test_simulate_jsonl_report(tmp_path):

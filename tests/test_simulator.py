@@ -37,13 +37,8 @@ from crbplan import (
     write_trace,
 )
 from crbplan.model import REPLICATION_BLOCK
-from crbplan.simulator import (
-    CostShare,
-    ResourceLedger,
-    _analytic_estimator_variance,
-    slot_costs,
-)
-from crbplan.strategy import _load
+from crbplan.simulator import _analytic_estimator_variance
+from crbplan.strategy import COST_TABLE, _charged, _family, _load
 
 
 def model(rho=0.5, mu_x=0.0, mu_y=0.0):
@@ -145,18 +140,14 @@ def _reference_run(config):
     variance = math.nan
     if estimates.size >= 2:
         variance = float(config.slots * estimates.var(ddof=1))
-    table = slot_costs(config.scenario)
-    shares = []
-    for actor in Actor:
-        obs = tx = rx = 0.0
-        for kind in ObservationKind:
-            share = table[kind].get(actor, CostShare())
-            n = totals[kind.value]
-            obs += n * share.observation
-            tx += n * share.transmit
-            rx += n * share.receive
-        shares.append(CostShare(obs, tx, rx))
-    ledger = ResourceLedger(*shares, config.slots * config.replications).per_slot()
+    # each slot priced straight from the cost table, obs + alpha (tx + rx),
+    # summed over the paid kinds in _load's order
+    alpha, (n_x, n_y, n_xy) = config.scenario.budget.alpha, list(totals.values())[:3]
+    cost_per_slot = dict.fromkeys(Actor, 0.0)
+    for actor, counts in COST_TABLE[_family(config.scenario)].items():
+        c_x, c_y, c_xy = (obs + alpha * (tx + rx) for obs, tx, rx in counts)
+        total = c_x * n_x + c_y * n_y + c_xy * n_xy
+        cost_per_slot[actor] = total / (config.slots * config.replications)
     return SimulationReport(
         mean_estimate=float(estimates.mean()),
         empirical_variance_per_slot=variance,
@@ -164,7 +155,7 @@ def _reference_run(config):
             config.scenario.task, config.scenario.target, config.policy, config.model
         ),
         analytic_estimator_variance=_analytic_estimator_variance(config),
-        ledger=ledger,
+        cost_per_slot=cost_per_slot,
         slot_counts=totals,
         replications_used=len(estimates),
         replications_excluded=excluded,
@@ -278,67 +269,55 @@ def test_slot_frequencies_converge():
         assert abs(freq - p) <= 3 * se, kind
 
 
+def _slot_prices(task, setting, a):
+    """Each charged actor's total cost of a marginal-X, a marginal-Y and a
+    joint slot at alpha ``a``, as the README's cost table states them."""
+    if setting is Setting.CENTRALIZED:
+        return {
+            Actor.SENSOR_X: (1 + a, 0.0, 1 + a),
+            Actor.SENSOR_Y: (0.0, 1 + a, 1 + a),
+            Actor.DATA_CENTER: (a, a, 2 * a),
+        }
+    joint = 1 + 2 * a if task is Task.T3 else 1 + a
+    return {Actor.SENSOR_X: (1.0, 0.0, joint), Actor.SENSOR_Y: (0.0, 1.0, joint)}
+
+
 def test_expected_cost_equals_constraint_lhs():
-    # the accounting table must reproduce each budget row exactly, for every
-    # scenario family: expected per-slot cost == constraint value at the policy
+    # the ledger charges each actor its budget row, which must reproduce the
+    # stated per-kind costs for every scenario family: expected per-slot
+    # cost == constraint value at the policy
     budgets = {
         Setting.DECENTRALIZED: ResourceBudget(1.7, 10.0),
         Setting.CENTRALIZED: ResourceBudget(1.7, 10.0, 10.0),
     }
-    # p_x > 0 in decentralized t1/t2 too: the rows and the ledger read one
-    # cost table, so they agree even off the no_marginal_x pin
+    # p_x > 0 in decentralized t1/t2 too: the prices hold even off the
+    # no_marginal_x pin
     pol = SamplingPolicy(0.15, 0.25, 0.35)
     for setting, budget in budgets.items():
         for task in (Task.T1, Task.T2, Task.T3):
             scenario = Scenario(task, setting, budget)
-            cons = constraints_for(scenario)
-            table = slot_costs(scenario)
-            probs = {
-                ObservationKind.MARGINAL_X: pol.p_x,
-                ObservationKind.MARGINAL_Y: pol.p_y,
-                ObservationKind.JOINT: pol.p_xy,
-                ObservationKind.IDLE: pol.p_idle,
-            }
-            by_actor = {
-                Actor.SENSOR_X: "sensor_x_budget",
-                Actor.SENSOR_Y: "sensor_y_budget",
-                Actor.DATA_CENTER: "dc_budget",
-            }
-            for actor, row_name in by_actor.items():
-                rows = [r for r in cons.rows if r.name == row_name]
-                if not rows:
-                    continue
-                expected_cost = sum(
-                    probs[kind] * share.total
-                    for kind in ObservationKind
-                    for share in [table[kind].get(actor)]
-                    if share is not None
-                )
+            rows = _charged(constraints_for(scenario))
+            prices = _slot_prices(task, setting, budget.alpha)
+            assert list(rows) == list(prices), (setting, task)
+            for actor, price in prices.items():
+                expected_cost = sum(p * c for p, c in zip(pol.as_tuple(), price))
                 assert expected_cost == pytest.approx(
-                    _load(rows[0].coeffs, *pol.as_tuple()), rel=1e-12
+                    _load(rows[actor].coeffs, *pol.as_tuple()), rel=1e-12
                 ), (setting, task, actor)
 
 
 def test_slot_costs_price_the_rows_counts():
-    # the ledger and the budget rows read one cost table: a marginal-X slot
-    # in decentralized t1/t2 costs S_x its observation and S_y nothing
+    # the ledger prices a slot by each actor's budget row: a marginal-X slot
+    # in decentralized t1/t2 costs S_x its observation and S_y nothing, a
+    # joint slot each sensor 1 + alpha, and no data-center row is charged
     scenario = Scenario(Task.T2, Setting.DECENTRALIZED, ResourceBudget(0.1, 2.0))
-    table = slot_costs(scenario)
-    free = CostShare()
-    assert table[ObservationKind.MARGINAL_X] == {
-        Actor.SENSOR_X: CostShare(1.0, 0.0, 0.0),
-        Actor.SENSOR_Y: free,
-        Actor.DATA_CENTER: free,
+    rows = _charged(constraints_for(scenario))
+    assert {actor: row.coeffs for actor, row in rows.items()} == {
+        Actor.SENSOR_X: (1.0, 0.0, 1.1),
+        Actor.SENSOR_Y: (0.0, 1.0, 1.1),
     }
-    assert table[ObservationKind.JOINT] == {
-        Actor.SENSOR_X: CostShare(1.0, 0.1, 0.0),
-        Actor.SENSOR_Y: CostShare(1.0, 0.0, 0.1),
-        Actor.DATA_CENTER: free,
-    }
-    assert table[ObservationKind.IDLE] == dict.fromkeys(Actor, free)
     centralized = Scenario(Task.T3, Setting.CENTRALIZED, ResourceBudget(0.1, 2.0, 2.0))
-    joint = slot_costs(centralized)[ObservationKind.JOINT]
-    assert joint[Actor.DATA_CENTER] == CostShare(0.0, 0.0, 0.2)
+    assert _charged(constraints_for(centralized))[Actor.DATA_CENTER].coeffs == (0.1, 0.1, 0.2)
 
 
 def test_ledger_matches_counts():
@@ -349,11 +328,10 @@ def test_ledger_matches_counts():
     n_marg = report.slot_counts[ObservationKind.MARGINAL_Y.value]
     # decentralized t1: S_y pays 1 per marginal-Y slot, 1 + alpha per joint
     expected = (n_marg * 1.0 + n_joint * 3.0) / total
-    assert report.ledger.for_actor(Actor.SENSOR_Y).total == pytest.approx(expected)
-    # S_x pays 1 + alpha per joint slot only
-    assert report.ledger.for_actor(Actor.SENSOR_X).total == pytest.approx(
-        n_joint * 3.0 / total
-    )
+    assert report.cost_per_slot[Actor.SENSOR_Y] == pytest.approx(expected)
+    # S_x pays 1 + alpha per joint slot only, the data center nothing
+    assert report.cost_per_slot[Actor.SENSOR_X] == pytest.approx(n_joint * 3.0 / total)
+    assert report.cost_per_slot[Actor.DATA_CENTER] == 0.0
 
 
 # --- estimator variance against analytics ---
@@ -482,6 +460,26 @@ def test_audit_flags_budget_overrun():
     assert check.slack == pytest.approx(-2.0, abs=1e-9)
 
 
+def test_audit_allows_the_feasibility_rules_rounding():
+    # joint-only slots cost each sensor 1 + alpha = e1 in every slot, so the
+    # standard error is 0: a mean cost above the budget by 1e-15 of it is
+    # rounding the feasibility rule admits, by 1e-6 of it an overrun
+    scenario = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(2.0, 3.0))
+    cfg = SimulationConfig(
+        scenario, model(), SamplingPolicy(0, 0, 1.0), EstimatorKind.DELTA2, 10, 5, 43
+    )
+    report = run(cfg)
+    for excess, passed in ((1e-15, True), (1e-6, False)):
+        cost = 3.0 * (1.0 + excess)
+        over = replace(report, cost_per_slot={
+            **report.cost_per_slot, Actor.SENSOR_X: cost, Actor.SENSOR_Y: cost,
+        })
+        audit = audit_resources(over, scenario)
+        assert [(c.stderr, c.slack < 0.0) for c in audit.checks] == [(0.0, True)] * 2
+        assert [c.passed for c in audit.checks] == [passed] * 2
+        assert audit.passed is passed
+
+
 def test_audit_centralized_includes_dc():
     scenario = Scenario(Task.T1, Setting.CENTRALIZED, ResourceBudget(1.0, 2.0, 1.0))
     cfg = SimulationConfig(
@@ -526,6 +524,9 @@ def test_trace_reproduces_replication(tmp_path):
         np.testing.assert_allclose([float(r[3]) for r in y_rows], marginal_y, rtol=1e-6)
         # joint slots cost S_x and S_y 1 + alpha each, nothing at the DC
         assert all(r[4] == "3" and r[5] == "3" and r[6] == "0" for r in joint_rows)
+        # idle slots are free
+        idle_rows = [line.split(",") for line in lines[1:] if line.split(",")[1] == "idle"]
+        assert idle_rows and all(r[4:] == ["0", "0", "0"] for r in idle_rows)
 
 
 def test_trace_rejects_bad_replication(tmp_path):

@@ -198,7 +198,7 @@ _BUDGETS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, math.inf]))
 )
 def test_derived_rows_equal_hand_written_rows_bit_for_bit(alpha, e1, e2, task, setting):
     # at alpha = 0.1, (1 + alpha) + alpha != 2 alpha + 1: rows must price
-    # obs + alpha (tx + rx), not sum the ledger's shares
+    # obs + alpha (tx + rx), not obs + alpha tx + alpha rx
     centralized = setting is Setting.CENTRALIZED
     scenario = Scenario(task, setting, ResourceBudget(alpha, e1, e2 if centralized else None))
     rows = constraints_for(scenario).rows
