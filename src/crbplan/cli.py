@@ -1,9 +1,10 @@
 """Command-line front end: plan, bounds, simulate, and sweep.
 
 Every command is deterministic given its full flag set (including the seed)
-and writes byte-identical output files on repeated invocations.  Flags may
-also be supplied through a JSON config file (``--config``); explicit flags
-win over file values.
+and writes byte-identical output files on repeated invocations.  The parser
+alone states each flag's type, choices and default.  A JSON config file
+(``--config``) holds flags of the command, keys with underscores, parsed as
+flags ahead of the command line, so explicit flags win.
 
 The ``sweep`` presets are data (:data:`_PRESETS`): curves, axis, grid and
 columns.  A ``bounds`` sweep and each preset curve are one array pass, the
@@ -53,28 +54,6 @@ class _ConfigError(CrbPlanError):
 # Argument handling
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "task": str,
-    "setting": str,
-    "target": str,
-    "alpha": float,
-    "e1": float,
-    "e2": float,
-    "rho": float,
-    "mu_x": float,
-    "mu_y": float,
-    "var_x": float,
-    "var_y": float,
-    "p_x": float,
-    "p_y": float,
-    "p_xy": float,
-    "estimator": str,
-    "seed": int,
-    "slots": int,
-    "reps": int,
-    "format": str,
-}
-
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--task", choices=[t.value for t in Task])
@@ -83,36 +62,38 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--e1", type=float, help="sensor budget (use 'inf' for unbounded)")
     p.add_argument("--e2", type=float, help="data-center budget, centralized only")
     p.add_argument("--rho", type=float)
-    p.add_argument("--mu-x", type=float, dest="mu_x")
-    p.add_argument("--mu-y", type=float, dest="mu_y")
-    p.add_argument("--var-x", type=float, dest="var_x")
-    p.add_argument("--var-y", type=float, dest="var_y")
+    p.add_argument("--mu-x", type=float, dest="mu_x", default=0.0)
+    p.add_argument("--mu-y", type=float, dest="mu_y", default=0.0)
+    p.add_argument("--var-x", type=float, dest="var_x", default=1.0)
+    p.add_argument("--var-y", type=float, dest="var_y", default=1.0)
     p.add_argument("--target", choices=["mu-x", "mu-y"])
-    p.add_argument("--config", help="JSON file with flag defaults")
+    p.add_argument("--config", help="JSON object of this command's flags, keys with underscores")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=["csv", "jsonl"])
+    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The JSON config file's keys as flags: key ``k`` and value ``v`` give
+    ``--k-with-dashes=v``, for the parser to check as a typed flag.  A key
+    must name a flag of ``args``'s command, and a value a string or number."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             values = json.load(fh)
     except OSError as exc:
         raise _ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise _ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise _ConfigError("config file must hold a JSON object")
-    for key, raw in values.items():
-        if key not in _CONFIG_KEYS:
+    keys = vars(args).keys() - {"command", "config"}
+    flags = []
+    for key, value in values.items():
+        if key not in keys:
             raise _ConfigError(f"unknown config key: {key!r}")
-        if getattr(args, key, None) is None:
-            try:
-                setattr(args, key, _CONFIG_KEYS[key](raw))
-            except (TypeError, ValueError) as exc:
-                raise _ConfigError(f"config key {key!r}: {exc}") from exc
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise _ConfigError(f"config key {key!r}: {json.dumps(value)} is not a string or number")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -128,13 +109,7 @@ def _build_model(args: argparse.Namespace, rho: float | None = None) -> Observat
         _require(args, "rho")
         rho = args.rho
     return validate(
-        {
-            "mu_x": args.mu_x if args.mu_x is not None else 0.0,
-            "mu_y": args.mu_y if args.mu_y is not None else 0.0,
-            "var_x": args.var_x if args.var_x is not None else 1.0,
-            "var_y": args.var_y if args.var_y is not None else 1.0,
-            "rho": rho,
-        }
+        {"mu_x": args.mu_x, "mu_y": args.mu_y, "var_x": args.var_x, "var_y": args.var_y, "rho": rho}
     )
 
 
@@ -200,7 +175,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     record = result.as_record()
     print(" ".join(f"{k}={_format_cell(v)}" for k, v in record.items()))
     if args.out:
-        _write_rows(list(record), [record], args.format or "csv", args.out)
+        _write_rows(list(record), [record], args.format, args.out)
     return 0
 
 
@@ -261,22 +236,13 @@ def _evaluate(scenario: Scenario, model: ObservationModel, p: dict, rho=None, e1
 _MAX_SWEEP_ROWS = 10**6
 
 
-def _steps(start: float, stop: float, step: float) -> float:
+def _grid(start: float, stop: float, step: float) -> list[float]:
+    """``start + i * step`` for i up to the rounded step count, less a last
+    point past ``stop`` by more than rounding: a ``bounds`` sweep and every
+    preset grid."""
     steps = (stop - start) / step
     if not steps <= _MAX_SWEEP_ROWS - 1:  # also true when the quotient overflows
         raise _ConfigError(f"sweep of {steps:.3g} steps exceeds {_MAX_SWEEP_ROWS} rows")
-    return steps
-
-
-def _sweep_values(args: argparse.Namespace) -> list[float]:
-    start = args.start if args.start is not None else 0.0
-    stop = args.stop if args.stop is not None else 1.0
-    step = args.step if args.step is not None else 0.01
-    if step <= 0.0 or stop < start or not all(
-        math.isfinite(v) for v in (start, stop, step)
-    ):
-        raise _ConfigError(f"malformed sweep range [{start}, {stop}] step {step}")
-    steps = _steps(start, stop, step)
     values = [start + i * step for i in range(int(round(steps)) + 1)]
     if values[-1] > stop + 1e-12 * max(abs(start), abs(stop)):  # past rounding
         values.pop()
@@ -284,11 +250,12 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.sweep not in _SWEEPABLE:
-        raise _ConfigError(f"--sweep must be one of {_SWEEPABLE}")
     model = _build_model(args)
     scenario = _build_scenario(args)
-    values = np.array(_sweep_values(args))
+    start, stop, step = args.start, args.stop, args.step
+    if step <= 0.0 or stop < start or not all(math.isfinite(v) for v in (start, stop, step)):
+        raise _ConfigError(f"malformed sweep range [{start}, {stop}] step {step}")
+    values = np.array(_grid(start, stop, step))
     sweep, sweeps = args.sweep, {}
     dependent = _DEPENDENT.get(sweep)
     if dependent is not None:
@@ -319,7 +286,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         {"sweep_var": sweep, "value": v, "crb": c, "feasible": f}
         for v, c, f in zip(values.tolist(), crbs, feasible)
     ]
-    _write_rows(["sweep_var", "value", "crb", "feasible"], out, args.format or "csv", args.out)
+    _write_rows(["sweep_var", "value", "crb", "feasible"], out, args.format, args.out)
     return 0
 
 
@@ -351,8 +318,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         model=model,
         policy=policy,
         estimator=estimator,
-        slots=args.slots if args.slots is not None else 1000,
-        replications=args.reps if args.reps is not None else 2000,
+        slots=args.slots,
+        replications=args.reps,
         master_seed=seed,
     )
     print(f"seed={seed}")
@@ -393,7 +360,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     if args.out:
         record = report.as_record()
-        _write_rows(list(record), [record], args.format or "csv", args.out)
+        _write_rows(list(record), [record], args.format, args.out)
     return 0
 
 
@@ -403,10 +370,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 _EVAL_COLUMNS = ["rho", "e1", "e2", "p_x", "p_y", "p_xy", "crb", "feasible"]
 _PLAN_COLUMNS = ["rho", "e1", "e2", "p_x", "p_y", "p_xy", "crb", "tie"]
-
-
-def _frange(stop: float, step: float) -> list[float]:
-    return [i * step for i in range(int(round(_steps(0.0, stop, step))) + 1)]
 
 
 def _preset_scenario(preset, fields: dict) -> Scenario:
@@ -426,7 +389,7 @@ def _budget_columns(scenario: Scenario, model: ObservationModel) -> dict:
 def _threshold_rows(args, preset, fields):
     """The decentralized joint-priority threshold at each alpha."""
     return [{"alpha": a, "rho_star": joint_priority_threshold(a, Setting.DECENTRALIZED)}
-            for a in _frange(*preset.grid)]
+            for a in _grid(0.0, *preset.grid)]
 
 
 def _closed_form_rows(args, preset, fields):
@@ -440,7 +403,7 @@ def _closed_form_rows(args, preset, fields):
     model = _build_model(args, rho)
     stop, step = preset.grid
     rows = []
-    for e1 in _frange(alpha + stop, step):
+    for e1 in _grid(0.0, alpha + stop, step):
         result = plan_t1_closed_form(alpha, e1, model)
         rows.append({"regime": fields["regime"], "rho": rho, "e1": e1,
                      "p_y": result.policy.p_y, "p_xy": result.policy.p_xy, "tie": result.tie})
@@ -452,7 +415,7 @@ def _eval_rows(args, preset, fields):
     (others 0, ``p_xy`` as large as the budget allows), in one array pass."""
     model = _build_model(args, fields["rho"])
     scenario = _preset_scenario(preset, fields)
-    grid = np.array(_frange(*preset.grid))
+    grid = np.array(_grid(0.0, *preset.grid))
     p = {"p_x": 0.0, "p_y": 0.0, **dict.fromkeys(preset.axis, grid)}
     p["p_xy"] = derive_dependent(constraints_for(scenario), p, "p_xy")
     crbs, feasible = _evaluate(scenario, model, p)
@@ -467,7 +430,7 @@ def _eval_rows(args, preset, fields):
 def _plan_rows(args, preset, fields):
     """The plan with the ``axis`` field on the grid, as one plan stack."""
     model = None if preset.axis == "rho" else _build_model(args, fields["rho"])
-    rows_fields = [{**fields, preset.axis: v} for v in _frange(*preset.grid)]
+    rows_fields = [{**fields, preset.axis: v} for v in _grid(0.0, *preset.grid)]
     models = [_build_model(args, f["rho"]) if model is None else model for f in rows_fields]
     scenarios = [_preset_scenario(preset, f) for f in rows_fields]
     return [
@@ -557,7 +520,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for curve in preset.curves:  # one array pass per curve
         rows.extend(preset.rows(args, preset, {**flags, **curve}))
-    _write_rows(preset.columns, rows, args.format or "csv", args.out)
+    _write_rows(preset.columns, rows, args.format, args.out)
     return 0
 
 
@@ -569,7 +532,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
-    was, and config-file values go on the parsed namespace."""
+    was, and a config file's values are parsed as flags."""
     parser = argparse.ArgumentParser(
         prog="crbplan",
         description=(
@@ -585,9 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="sweep one variable and emit the bound")
     _add_common_flags(p_bounds)
     p_bounds.add_argument("--sweep", required=True, choices=_SWEEPABLE)
-    p_bounds.add_argument("--start", type=float)
-    p_bounds.add_argument("--stop", type=float)
-    p_bounds.add_argument("--step", type=float)
+    p_bounds.add_argument("--start", type=float, default=0.0)
+    p_bounds.add_argument("--stop", type=float, default=1.0)
+    p_bounds.add_argument("--step", type=float, default=0.01)
     p_bounds.add_argument("--p-x", type=float, dest="p_x")
     p_bounds.add_argument("--p-y", type=float, dest="p_y")
     p_bounds.add_argument("--p-xy", type=float, dest="p_xy")
@@ -601,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimator", choices=[e.value for e in EstimatorKind]
     )
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--slots", type=int)
-    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--slots", type=int, default=1000)
+    p_sim.add_argument("--reps", type=int, default=2000)
     p_sim.add_argument("--trace", help="write one replication's slot trace CSV here")
 
     p_sweep = sub.add_parser("sweep", help="emit plot-ready data for a named figure")
@@ -613,11 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    args = parser.parse_args(argv)
     # looked up per call, so a function rebound on this module (a wrapper) runs
     command = globals()[f"cmd_{args.command}"]
     try:
-        _apply_config_file(args)
+        if args.config:  # the file's flags first: the command line wins
+            args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
         return command(args)
     except SingularEverywhere as exc:
         print(f"error: {exc}", file=sys.stderr)

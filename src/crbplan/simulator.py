@@ -49,6 +49,11 @@ from .model import (
 from .strategy import Actor, Scenario, _charged, _limit, _load, constraints_for
 
 
+#: Most slots per replication: its draws (uniforms, kind codes, normals) peak
+#: near 52 bytes a slot, 0.5 GB here, where far more would fail to allocate.
+_MAX_SLOTS = 10**7
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything a reproducible simulation needs.
@@ -69,6 +74,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
+        if self.slots > _MAX_SLOTS:
+            raise ValueError(f"slots must be <= {_MAX_SLOTS}, got {self.slots}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.master_seed < 0:

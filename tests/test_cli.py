@@ -428,6 +428,12 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_slots_past_the_limit_exit_2(capsys):
+    # 10**15 slots once ended in a failed allocation and a traceback
+    assert run_cli(*SIM_ARGS, "--slots", str(10**15)) == 2  # the last --slots counts
+    assert capsys.readouterr().err == "error: slots must be <= 10000000, got 1000000000000000\n"
+
+
 def test_simulate_planner_policy_passes_audit(capsys):
     # no policy flags: the planner's policy is used and must audit clean
     code = run_cli(*SIM_ARGS)
@@ -570,6 +576,16 @@ def test_sweep_fig1c_breakpoints(tmp_path):
     assert above[3.5] == pytest.approx(1.0)
 
 
+def test_sweep_fig1c_grid_ends_at_its_stop(tmp_path):
+    # alpha + 1.5 = 1.88 is 37.6 steps of 0.05: the grid rounds to 38 steps
+    # and drops e1 = 1.9, which lies past the stop
+    out = tmp_path / "fig1c.csv"
+    assert run_cli("sweep", "--figure", "fig1c", "--alpha", "0.38", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert {r["e1"] for r in rows if float(r["e1"]) > 1.8} == {"1.85"}
+    assert len(rows) == 3 * 38
+
+
 def test_sweep_fig4b_columns(tmp_path):
     out = tmp_path / "fig4b.csv"
     # coarse override keeps the unit-test sweep fast; acceptance runs the default
@@ -699,6 +715,61 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     code = run_cli("plan", "--config", str(cfg))
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+_PLAN_T1 = {"task": "t1", "setting": "decentralized", "e1": 2, "rho": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        (["simulate", *_MODEL, "--rho", "0.5"], {"seed": 7.9, "slots": 20, "reps": 40},
+         "error: argument --seed: invalid int value: '7.9'"),
+        (["plan"], {"alpha": True, **_PLAN_T1}, "error: config key 'alpha': true is not"),
+        (["plan", *_MODEL, "--rho", "0.5", "--out", "{out}"], {"format": "xml"},
+         "error: argument --format: invalid choice: 'xml'"),
+        (["plan"], {"alpha": 10**400, **_PLAN_T1}, "error: alpha must be finite and >= 0, got inf"),
+        (["plan", *_MODEL], {"rho": None}, "error: config key 'rho': null is not"),
+        (["plan", *_MODEL], {"rho": [0.5]}, "error: config key 'rho': [0.5] is not"),
+    ],
+    ids=["float_seed", "bool_alpha", "unknown_format", "huge_int_alpha", "null", "array"],
+)
+def test_config_value_checked_as_its_flag_exits_2(command, values, message, tmp_path):
+    cfg, out = tmp_path / "run.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(values))
+    argv = [arg.format(out=out) for arg in command] + ["--config", str(cfg)]
+    code, stdout, stderr = _main_output(argv)
+    assert (code, stdout) == (2, ""), stderr
+    assert "Traceback" not in stderr
+    assert message in stderr.splitlines()[-1]  # argparse prints its usage first
+    assert not out.exists()
+
+
+def test_config_key_of_another_command_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**_PLAN_T1, "alpha": 2, "seed": 1}))
+    assert run_cli("plan", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == "error: unknown config key: 'seed'\n"
+
+
+def test_flag_overrides_config_value_of_a_defaulted_flag(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"var_y": 4}))
+    flags = ["plan", *_MODEL, "--rho", "0.5"]
+    assert _main_output([*flags, "--config", str(cfg), "--var-y", "1"]) == _main_output(flags)
+    assert _main_output([*flags, "--config", str(cfg)]) == _main_output([*flags, "--var-y", "4"])
+
+
+def test_config_holding_the_flags_prints_their_output(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "task": "t1", "setting": "decentralized", "alpha": 2, "e1": 2, "rho": 0.5,
+        "slots": 300, "reps": 300, "seed": 99,
+        "format": "jsonl", "out": str(tmp_path / "cfg.jsonl"),
+    }))
+    flags = [*SIM_ARGS, "--format", "jsonl", "--out", str(tmp_path / "flags.jsonl")]
+    assert _main_output(["simulate", "--config", str(cfg)]) == _main_output(flags)
+    assert (tmp_path / "cfg.jsonl").read_bytes() == (tmp_path / "flags.jsonl").read_bytes()
 
 
 def test_entry_point_runs_as_module():

@@ -37,7 +37,7 @@ from crbplan import (
     write_trace,
 )
 from crbplan.model import REPLICATION_BLOCK
-from crbplan.simulator import _analytic_estimator_variance
+from crbplan.simulator import _MAX_SLOTS, _analytic_estimator_variance
 from crbplan.strategy import COST_TABLE, _charged, _family, _load
 
 
@@ -231,6 +231,12 @@ def test_run_rejects_negative_seed_like_seed_sequence():
         np.random.SeedSequence((-1, 0))
     with pytest.raises(ValueError, match="^master_seed must be >= 0, got -1$"):
         t1_config(SamplingPolicy(0, 0.5, 0.5), slots=10, reps=3, seed=-1)
+
+
+def test_config_bounds_the_slots_of_a_replication():
+    t1_config(SamplingPolicy(0, 0.5, 0.5), slots=_MAX_SLOTS, reps=1)  # the limit itself holds
+    with pytest.raises(ValueError, match=f"^slots must be <= {_MAX_SLOTS}, got {_MAX_SLOTS + 1}$"):
+        t1_config(SamplingPolicy(0, 0.5, 0.5), slots=_MAX_SLOTS + 1, reps=1)
 
 
 # --- feasibility gate ---
