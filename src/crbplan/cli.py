@@ -24,6 +24,7 @@ import json
 import math
 import secrets
 import sys
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -139,23 +140,32 @@ def _policy_from_args(args: argparse.Namespace) -> SamplingPolicy | None:
 # ---------------------------------------------------------------------------
 
 
+#: The one float format, 9 significant digits: table cells and printed values.
+_FLOAT = "%.9g"
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return _FLOAT % value
     return str(value)
 
 
-def _write_rows(header: list[str], rows: list[dict], fmt: str, out: str | None) -> None:
+def _write_table(table: dict[str, list], fmt: str, out: str | None) -> None:
+    """Write ``table``, equal-length columns by name, as CSV or JSONL.  The
+    CSV body is one template: :data:`_FLOAT` for a column of cells of exact
+    type ``float``, else ``%s`` of each cell's :func:`_format_cell`."""
+    header, columns = list(table), list(table.values())
     if fmt == "jsonl":
-        lines = [json.dumps({k: row[k] for k in header}) for row in rows]
+        text = "\n".join(json.dumps(dict(zip(header, row))) for row in zip(*columns)) + "\n"
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_cell(row[k]) for k in header) for row in rows)
-    text = "\n".join(lines) + "\n"
+        floats = [set(map(type, c)) == {float} for c in columns]
+        template = ",".join(_FLOAT if f else "%s" for f in floats) + "\n"
+        cells = zip(*(c if f else map(_format_cell, c) for f, c in zip(floats, columns)))
+        text = ",".join(header) + "\n" + template * len(columns[0]) % tuple(chain(*cells))
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -175,7 +185,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     record = result.as_record()
     print(" ".join(f"{k}={_format_cell(v)}" for k, v in record.items()))
     if args.out:
-        _write_rows(list(record), [record], args.format, args.out)
+        _write_table({k: [v] for k, v in record.items()}, args.format, args.out)
     return 0
 
 
@@ -282,11 +292,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             ObservationModel(model.mu_x, model.mu_y, model.var_x, model.var_y, values[rows].item())
         except CrbPlanError as exc:
             raise _ConfigError(f"rho sweep leaves the valid range: {exc}") from exc
-    out = [
-        {"sweep_var": sweep, "value": v, "crb": c, "feasible": f}
-        for v, c, f in zip(values.tolist(), crbs, feasible)
-    ]
-    _write_rows(["sweep_var", "value", "crb", "feasible"], out, args.format, args.out)
+    _write_table({"sweep_var": [sweep] * rows, "value": values[:rows].tolist(), "crb": crbs,
+                  "feasible": feasible}, args.format, args.out)
     return 0
 
 
@@ -354,23 +361,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     audit = audit_resources(report, scenario)
     for check in audit.checks:
         print(
-            f"audit {check.actor}: cost={check.mean_cost_per_slot:.9g} "
-            f"budget={_format_cell(check.budget)} slack={check.slack:.9g} "
-            f"stderr={check.stderr:.9g} {'PASS' if check.passed else 'FAIL'}"
+            f"audit {check.actor}: cost={_format_cell(check.mean_cost_per_slot)} "
+            f"budget={_format_cell(check.budget)} slack={_format_cell(check.slack)} "
+            f"stderr={_format_cell(check.stderr)} {'PASS' if check.passed else 'FAIL'}"
         )
     if args.out:
-        record = report.as_record()
-        _write_rows(list(record), [record], args.format, args.out)
+        _write_table({k: [v] for k, v in report.as_record().items()}, args.format, args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # sweep (figure presets)
 # ---------------------------------------------------------------------------
-
-_EVAL_COLUMNS = ["rho", "e1", "e2", "p_x", "p_y", "p_xy", "crb", "feasible"]
-_PLAN_COLUMNS = ["rho", "e1", "e2", "p_x", "p_y", "p_xy", "crb", "tie"]
-
 
 def _preset_scenario(preset, fields: dict) -> Scenario:
     """The preset's scenario at ``fields``.  A preset whose e1 is None keeps
@@ -382,17 +384,19 @@ def _preset_scenario(preset, fields: dict) -> Scenario:
     return Scenario(preset.task, preset.setting, budget, preset.target)
 
 
-def _budget_columns(scenario: Scenario, model: ObservationModel) -> dict:
-    return {"rho": model.rho, "e1": scenario.budget.e1, "e2": scenario.budget.e2}
+def _budget_columns(scenarios: list[Scenario], models: list[ObservationModel]) -> dict:
+    return {"rho": [m.rho for m in models], "e1": [s.budget.e1 for s in scenarios],
+            "e2": [s.budget.e2 for s in scenarios]}
 
 
-def _threshold_rows(args, preset, fields):
+def _threshold_columns(args, preset, fields):
     """The decentralized joint-priority threshold at each alpha."""
-    return [{"alpha": a, "rho_star": joint_priority_threshold(a, Setting.DECENTRALIZED)}
-            for a in _grid(0.0, *preset.grid)]
+    alphas = _grid(0.0, *preset.grid)
+    return {"alpha": alphas,
+            "rho_star": [joint_priority_threshold(a, Setting.DECENTRALIZED) for a in alphas]}
 
 
-def _closed_form_rows(args, preset, fields):
+def _closed_form_columns(args, preset, fields):
     """The decentralized t1 closed-form plan at each e1 from 0 to alpha plus
     the grid's stop, with |rho| below, at or above the joint-priority
     threshold by the curve's ``regime``."""
@@ -402,15 +406,14 @@ def _closed_form_rows(args, preset, fields):
            "above": math.sqrt(thr * thr + 0.5 * (1.0 - thr * thr))}[fields["regime"]]
     model = _build_model(args, rho)
     stop, step = preset.grid
-    rows = []
-    for e1 in _grid(0.0, alpha + stop, step):
-        result = plan_t1_closed_form(alpha, e1, model)
-        rows.append({"regime": fields["regime"], "rho": rho, "e1": e1,
-                     "p_y": result.policy.p_y, "p_xy": result.policy.p_xy, "tie": result.tie})
-    return rows
+    e1s = _grid(0.0, alpha + stop, step)
+    results = [plan_t1_closed_form(alpha, e1, model) for e1 in e1s]
+    return {"regime": [fields["regime"]] * len(e1s), "rho": [rho] * len(e1s), "e1": e1s,
+            "p_y": [r.policy.p_y for r in results], "p_xy": [r.policy.p_xy for r in results],
+            "tie": [r.tie for r in results]}
 
 
-def _eval_rows(args, preset, fields):
+def _eval_columns(args, preset, fields):
     """The bound of the policy whose ``axis`` components run over the grid
     (others 0, ``p_xy`` as large as the budget allows), in one array pass."""
     model = _build_model(args, fields["rho"])
@@ -419,36 +422,31 @@ def _eval_rows(args, preset, fields):
     p = {"p_x": 0.0, "p_y": 0.0, **dict.fromkeys(preset.axis, grid)}
     p["p_xy"] = derive_dependent(constraints_for(scenario), p, "p_xy")
     crbs, feasible = _evaluate(scenario, model, p)
-    fixed = _budget_columns(scenario, model)
-    policies = zip(*(np.broadcast_to(p[n], grid.shape).tolist() for n in _P_INDEX))
-    return [
-        {**fixed, "p_x": x, "p_y": y, "p_xy": xy, "crb": c, "feasible": f}
-        for (x, y, xy), c, f in zip(policies, crbs, feasible)
-    ]
+    budgets = _budget_columns([scenario] * len(grid), [model] * len(grid))
+    policy = {n: np.broadcast_to(p[n], grid.shape).tolist() for n in _P_INDEX}
+    return {**budgets, **policy, "crb": crbs, "feasible": feasible}
 
 
-def _plan_rows(args, preset, fields):
+def _plan_columns(args, preset, fields):
     """The plan with the ``axis`` field on the grid, as one plan stack."""
     model = None if preset.axis == "rho" else _build_model(args, fields["rho"])
     rows_fields = [{**fields, preset.axis: v} for v in _grid(0.0, *preset.grid)]
     models = [_build_model(args, f["rho"]) if model is None else model for f in rows_fields]
     scenarios = [_preset_scenario(preset, f) for f in rows_fields]
-    return [
-        {**_budget_columns(scenario, model), "p_x": result.policy.p_x, "p_y": result.policy.p_y,
-         "p_xy": result.policy.p_xy, "crb": result.objective_value, "tie": result.tie}
-        for scenario, model, result in zip(scenarios, models, plan_stack(scenarios, models))
-    ]
+    results = plan_stack(scenarios, models)
+    policy = {n: [getattr(r.policy, n) for r in results] for n in _P_INDEX}
+    crbs, ties = [r.objective_value for r in results], [r.tie for r in results]
+    return {**_budget_columns(scenarios, models), **policy, "crb": crbs, "tie": ties}
 
 
 class _Preset(NamedTuple):
-    """A figure preset as data: each curve's rows come from
-    ``rows(args, preset, fields)`` over the ``grid``, ``(stop, step)`` from 0
-    (fig1c's stop counts from alpha), of its ``axis``.  ``defaults`` gives
-    each flag the preset reads, for when it is not passed; each curve
+    """A figure preset as data: each curve's columns, by name, come from
+    ``columns(args, preset, fields)`` over the ``grid``, ``(stop, step)``
+    from 0 (fig1c's stop counts from alpha), of its ``axis``.  ``defaults``
+    gives each flag the preset reads, for when it is not passed; each curve
     overrides fields (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``)."""
 
-    rows: Callable
-    columns: list[str]
+    columns: Callable
     axis: str | tuple[str, ...]
     grid: tuple[float, float]
     defaults: dict = {}
@@ -462,50 +460,50 @@ _T3_CENTRALIZED = {"task": Task.T3, "setting": Setting.CENTRALIZED, "target": Ta
 _BUDGETS_2 = {"alpha": 2.0, "e1": 2.0, "e2": 2.0}
 _PRESETS = {
     # decentralized prioritization boundary: critical |rho| versus alpha
-    "fig1a": _Preset(_threshold_rows, ["alpha", "rho_star"], "alpha", (6.0, 0.05)),
+    "fig1a": _Preset(_threshold_columns, "alpha", (6.0, 0.05)),
     # bound versus p_y for one unknown mean, three sensor budgets
     "fig1b": _Preset(
-        _eval_rows, _EVAL_COLUMNS, ("p_y",), (1.0, 0.01), {"alpha": 2.0, "rho": 0.5, "e1": 2.0},
+        _eval_columns, ("p_y",), (1.0, 0.01), {"alpha": 2.0, "rho": 0.5, "e1": 2.0},
         ({"e1": math.inf}, {}, {"e1": 0.8}),
     ),
     # optimal joint-sampling share versus budget (up to alpha + 1.5), by
     # correlation regime
     "fig1c": _Preset(
-        _closed_form_rows, ["regime", "rho", "e1", "p_y", "p_xy", "tie"], "e1", (1.5, 0.05),
+        _closed_form_columns, "e1", (1.5, 0.05),
         {"alpha": 2.0}, ({"regime": "below"}, {"regime": "at"}, {"regime": "above"}),
     ),
     # two unknown means, decentralized: bound versus p_x, two budgets
     "fig2a": _Preset(
-        _eval_rows, _EVAL_COLUMNS, ("p_x",), (1.0, 0.01), {"alpha": 2.0, "rho": 0.5, "e1": 2.0},
+        _eval_columns, ("p_x",), (1.0, 0.01), {"alpha": 2.0, "rho": 0.5, "e1": 2.0},
         ({"e1": math.inf}, {}), Task.T3, Setting.DECENTRALIZED, Target.MU_X,
     ),
     # centralized, one unknown mean: optimal policy versus DC budget, rho
     # below / above the centralized threshold sqrt(1/2); sensor budget active
     "fig2b": _Preset(
-        _plan_rows, _PLAN_COLUMNS, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": 1.5},
+        _plan_columns, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": 1.5},
         ({"rho": 0.5}, {"rho": 0.8}), setting=Setting.CENTRALIZED,
     ),
     # the same with the sensor budget inactive (e1 >= alpha + 1)
     "fig2c": _Preset(
-        _plan_rows, _PLAN_COLUMNS, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": None},
+        _plan_columns, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": None},
         ({"rho": 0.5}, {"rho": 0.8}), setting=Setting.CENTRALIZED,
     ),
     # centralized, two unknown means: bound versus symmetric marginal share
     "fig3": _Preset(
-        _eval_rows, _EVAL_COLUMNS, ("p_x", "p_y"), (0.5, 0.005), {**_BUDGETS_2, "rho": 0.8},
+        _eval_columns, ("p_x", "p_y"), (0.5, 0.005), {**_BUDGETS_2, "rho": 0.8},
         ({"e1": math.inf, "e2": math.inf}, {}), **_T3_CENTRALIZED,
     ),
     # stringent budgets: bound versus symmetric marginal share, by rho
     "fig4a": _Preset(
-        _eval_rows, _EVAL_COLUMNS, ("p_x", "p_y"), (0.5, 0.005), _BUDGETS_2,
+        _eval_columns, ("p_x", "p_y"), (0.5, 0.005), _BUDGETS_2,
         ({"rho": 0.5}, {"rho": 0.7}, {"rho": 0.9}), **_T3_CENTRALIZED,
     ),
     # optimal two-unknown-means policy versus correlation
-    "fig4b": _Preset(_plan_rows, _PLAN_COLUMNS, "rho", (0.95, 0.01), _BUDGETS_2, **_T3_CENTRALIZED),
+    "fig4b": _Preset(_plan_columns, "rho", (0.95, 0.01), _BUDGETS_2, **_T3_CENTRALIZED),
     # relaxed budgets, the data center's equal to the sensors': bound versus
     # symmetric marginal share
     "fig4c": _Preset(
-        _eval_rows, _EVAL_COLUMNS, ("p_x", "p_y"), (0.5, 0.005),
+        _eval_columns, ("p_x", "p_y"), (0.5, 0.005),
         {"alpha": 2.0, "rho": 0.8, "e1": 4.0}, ({"e1": 2.0}, {}), **_T3_CENTRALIZED,
     ),
 }
@@ -513,14 +511,11 @@ _PRESETS = {
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     preset = _PRESETS[args.figure]
-    flags = {}
-    for name, default in preset.defaults.items():
-        given = getattr(args, name)
-        flags[name] = default if given is None else given
-    rows = []
-    for curve in preset.curves:  # one array pass per curve
-        rows.extend(preset.rows(args, preset, {**flags, **curve}))
-    _write_rows(preset.columns, rows, args.format, args.out)
+    flags = {name: default if getattr(args, name) is None else getattr(args, name)
+             for name, default in preset.defaults.items()}
+    curves = [preset.columns(args, preset, {**flags, **curve}) for curve in preset.curves]
+    table = {name: list(chain.from_iterable(c[name] for c in curves)) for name in curves[0]}
+    _write_table(table, args.format, args.out)
     return 0
 
 

@@ -52,6 +52,9 @@ from .strategy import Actor, Scenario, _charged, _limit, _load, constraints_for
 #: Most slots per replication: its draws (uniforms, kind codes, normals) peak
 #: near 52 bytes a slot, 0.5 GB here, where far more would fail to allocate.
 _MAX_SLOTS = 10**7
+#: Most replications per run: :func:`run` keeps one estimate per replication,
+#: near 40 bytes each (a float in a list, then its array copy), 0.4 GB here.
+_MAX_REPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ class SimulationConfig:
             raise ValueError(f"slots must be <= {_MAX_SLOTS}, got {self.slots}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.replications > _MAX_REPS:
+            raise ValueError(f"replications must be <= {_MAX_REPS}, got {self.replications}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crbplan.cli import build_parser, main
+from crbplan.cli import _write_table, build_parser, main
 
 
 def run_cli(*argv):
@@ -434,6 +434,14 @@ def test_simulate_slots_past_the_limit_exit_2(capsys):
     assert capsys.readouterr().err == "error: slots must be <= 10000000, got 1000000000000000\n"
 
 
+def test_simulate_reps_past_the_limit_exit_2(capsys):
+    # 10**15 one-slot replications once ran until killed
+    assert run_cli(*SIM_ARGS, "--slots", "1", "--reps", str(10**15)) == 2
+    assert capsys.readouterr().err == (
+        "error: replications must be <= 10000000, got 1000000000000000\n"
+    )
+
+
 def test_simulate_planner_policy_passes_audit(capsys):
     # no policy flags: the planner's policy is used and must audit clean
     code = run_cli(*SIM_ARGS)
@@ -780,6 +788,67 @@ def test_entry_point_runs_as_module():
     )
     assert proc.returncode == 0
     assert "p_y=0.5" in proc.stdout
+
+
+# --- table writer ---
+
+
+def _reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def _reference_table(table, fmt):
+    """``table`` written one row dict and one cell at a time: the oracle."""
+    header = list(table)
+    rows = [dict(zip(header, row)) for row in zip(*table.values())]
+    if fmt == "jsonl":
+        lines = [json.dumps({k: row[k] for k in header}) for row in rows]
+    else:
+        lines = [",".join(header)]
+        lines.extend(",".join(_reference_cell(row[k]) for k in header) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(),  # every double, nan, infinities and subnormals among them
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 1e300, -1e-300]),
+)
+_CELLS = {
+    "float": _FLOATS,
+    "bool": st.booleans(),
+    "none": st.none(),
+    "float_or_none": st.one_of(_FLOATS, st.none()),
+    "str": st.text(),
+    "int": st.integers(),
+    "mixed": st.one_of(_FLOATS, st.none(), st.booleans(), st.integers(), st.text()),
+}
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 50))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=6))
+    names = draw(st.lists(st.text(min_size=1), min_size=len(kinds), max_size=len(kinds),
+                          unique=True))
+    return {name: draw(st.lists(_CELLS[kind], min_size=rows, max_size=rows))
+            for name, kind in zip(names, kinds)}
+
+
+@settings(max_examples=200, deadline=None)
+@example(table={"a": [], "b": []}, fmt="csv")  # a header and no rows
+@example(table={"a": [], "b": []}, fmt="jsonl")
+@given(table=_tables(), fmt=st.sampled_from(["csv", "jsonl"]))
+def test_table_writer_matches_the_per_cell_reference(table, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_table(table, fmt, None)
+    assert out.getvalue().encode() == _reference_table(table, fmt).encode()
 
 
 # --- fuzzing ---

@@ -179,6 +179,23 @@ def test_stdout_matches_golden_digest(name):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[name]
 
 
+#: The commands whose stdout is their table alone.
+TABLES = sorted(
+    name for name in GOLDEN
+    if name.startswith(("sweep_", "preset_", "bounds_", "jsonl_")) or name == "readme_bounds"
+)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_out_file_holds_the_golden_stdout(name, tmp_path):
+    path = tmp_path / "table"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*COMMANDS[name], "--out", str(path)])
+    assert code == 0 and out.getvalue() == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
+
+
 def _budget_value(rng: random.Random, high: float) -> float:
     draw = rng.random()
     return math.inf if draw < 0.15 else 0.0 if draw < 0.25 else rng.uniform(0.0, high)

@@ -37,7 +37,7 @@ from crbplan import (
     write_trace,
 )
 from crbplan.model import REPLICATION_BLOCK
-from crbplan.simulator import _MAX_SLOTS, _analytic_estimator_variance
+from crbplan.simulator import _MAX_REPS, _MAX_SLOTS, _analytic_estimator_variance
 from crbplan.strategy import COST_TABLE, _charged, _family, _load
 
 
@@ -237,6 +237,12 @@ def test_config_bounds_the_slots_of_a_replication():
     t1_config(SamplingPolicy(0, 0.5, 0.5), slots=_MAX_SLOTS, reps=1)  # the limit itself holds
     with pytest.raises(ValueError, match=f"^slots must be <= {_MAX_SLOTS}, got {_MAX_SLOTS + 1}$"):
         t1_config(SamplingPolicy(0, 0.5, 0.5), slots=_MAX_SLOTS + 1, reps=1)
+
+
+def test_config_bounds_the_replications_of_a_run():
+    t1_config(SamplingPolicy(0, 0.5, 0.5), slots=1, reps=_MAX_REPS)  # the limit itself holds
+    with pytest.raises(ValueError, match=f"^replications must be <= {_MAX_REPS}, got {10**15}$"):
+        t1_config(SamplingPolicy(0, 0.5, 0.5), slots=1, reps=10**15)
 
 
 # --- feasibility gate ---
