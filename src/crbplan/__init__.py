@@ -31,7 +31,6 @@ from .estimators import (
     var_delta1,
 )
 from .fisher import (
-    Matrix2,
     SamplingPolicy,
     Target,
     Task,
@@ -40,9 +39,7 @@ from .fisher import (
     crb_t3,
     empirical_fim,
     empirical_fim_with_stderr,
-    fim_t2,
-    fim_t3,
-    info_t1,
+    fim,
 )
 from .model import (
     Axis,

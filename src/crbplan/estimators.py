@@ -75,8 +75,8 @@ def var_delta1(policy: SamplingPolicy, model: ObservationModel) -> float:
     """Analytic per-sample variance of ``delta1`` under a sampling policy.
 
     ``(1-rho^2) var_y / (2-rho^2)^2 * ((1-rho^2)/p_y + 1/p_xy) * (p_y + p_xy)``;
-    normalized per non-idle sample, so it coincides with the per-slot bound
-    whenever p_y + p_xy = 1.
+    normalized per Y-bearing (marginal-Y or joint) slot: divided by
+    ``p_y + p_xy`` it is the per-slot variance, which the simulator reports.
 
     Raises:
         DegeneratePolicy: p_y = 0 or p_xy = 0 (an estimator stratum would be

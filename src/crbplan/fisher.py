@@ -1,10 +1,10 @@
 """Fisher information, Cramer-Rao bounds, and a Monte Carlo score oracle.
 
-Closed forms cover the three estimation tasks:
+Closed forms, one 2x2 array per task from :func:`fim`:
 
 * t1 -- one unknown mean (Y), correlation known: scalar information
-  ``p_y / var_y + p_xy / ((1 - rho^2) var_y)``.  Marginal X slots carry no
-  information about the Y mean.
+  ``p_y / var_y + p_xy / ((1 - rho^2) var_y)`` in entry (0, 0).  Marginal X
+  slots carry no information about the Y mean.
 * t2 -- one unknown mean (Y) plus unknown correlation: diagonal 2x2 matrix;
   the correlation entry is ``p_xy (1 + rho^2) / (1 - rho^2)^2``.
 * t3 -- both means unknown, everything else known: full symmetric 2x2 matrix
@@ -114,43 +114,46 @@ class SamplingPolicy:
         return (self.p_x, self.p_y, self.p_xy)
 
 
-@dataclass(frozen=True)
-class Matrix2:
-    """A 2x2 real matrix, used for information matrices and their inverses."""
+def fim_t3_entries(p_x, p_y, p_xy, rho: float):
+    """The standardized (unit-variance) t3 information ``(i11, i22, cross)``.
 
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    @classmethod
-    def diagonal(cls, d1: float, d2: float) -> "Matrix2":
-        return cls(d1, 0.0, 0.0, d2)
-
-    @classmethod
-    def from_array(cls, a) -> "Matrix2":
-        a = np.asarray(a, dtype=float)
-        return cls(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=float)
-
-
-def info_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
-    """Per-slot Fisher information about the Y mean (task t1).
-
-    Marginal-Y slots contribute 1/var_y each, joint slots contribute
-    1/((1 - rho^2) var_y), and marginal-X slots contribute nothing.
+    Joint slots couple the two means through the correlation; marginal slots
+    feed only their own diagonal entry.  Plain operators only, so the same
+    expressions serve floats and numpy arrays, bit for bit.
     """
-    shrink = 1.0 - model.rho * model.rho
-    return policy.p_y / model.var_y + policy.p_xy / (shrink * model.var_y)
+    shrink = 1.0 - rho * rho
+    joint = p_xy / shrink
+    return p_x + joint, p_y + joint, -rho * p_xy / shrink
+
+
+def fim(task: Task, policy: SamplingPolicy, model: ObservationModel) -> np.ndarray:
+    """The task's per-slot Fisher information matrix, 2x2, in natural units.
+
+    * t1 -- the Y mean alone, in entry (0, 0), every other entry 0 (the
+      layout of :func:`empirical_fim`): marginal-Y slots contribute 1/var_y
+      each, joint slots 1/((1 - rho^2) var_y), marginal-X slots nothing.
+    * t2 -- (mu_y, rho): diagonal, the mean entry t1's and the correlation
+      entry fed only by joint slots, at (1 + rho^2) / (1 - rho^2)^2 each.
+      Without joint slots the correlation is unidentifiable and the matrix
+      singular.
+    * t3 -- (mu_x, mu_y): :func:`fim_t3_entries` divided by the variances.
+    """
+    rho2 = model.rho * model.rho
+    shrink = 1.0 - rho2
+    if task is Task.T3:
+        i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model.rho)
+        cross /= model.sigma_x * model.sigma_y
+        return np.array([[i11 / model.var_x, cross], [cross, i22 / model.var_y]])
+    mean = policy.p_y / model.var_y + policy.p_xy / (shrink * model.var_y)
+    rho_entry = policy.p_xy * (1.0 + rho2) / (shrink * shrink) if task is Task.T2 else 0.0
+    return np.array([[mean, 0.0], [0.0, rho_entry]])
 
 
 def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
     """Per-slot Cramer-Rao bound on unbiased estimators of the Y mean.
 
     Equals ``var_y (1 - rho^2) / ((1 - rho^2) p_y + p_xy)``, the reciprocal
-    of :func:`info_t1`, with the variance applied last.
+    of :func:`fim`'s t1 entry, with the variance applied last.
 
     Raises:
         DegeneratePolicy: p_y = p_xy = 0: no information about the Y mean.
@@ -191,45 +194,10 @@ def _representable(bound: float, var: float, standardized: float) -> float:
     return bound
 
 
-def fim_t2(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
-    """Information matrix for (mu_y, rho) when both are unknown (task t2).
-
-    Diagonal: the mean entry matches :func:`info_t1`; the correlation entry
-    is fed only by joint slots, at (1 + rho^2) / (1 - rho^2)^2 per joint
-    sample.  Without joint samples the correlation is unidentifiable and the
-    matrix is singular.
-    """
-    rho2 = model.rho * model.rho
-    shrink = 1.0 - rho2
-    return Matrix2.diagonal(
-        info_t1(policy, model), policy.p_xy * (1.0 + rho2) / (shrink * shrink)
-    )
-
-
-def fim_t3_entries(p_x, p_y, p_xy, rho: float):
-    """The standardized (unit-variance) t3 information ``(i11, i22, cross)``.
-
-    Joint slots couple the two means through the correlation; marginal slots
-    feed only their own diagonal entry.  Plain operators only, so the same
-    expressions serve floats and numpy arrays, bit for bit.
-    """
-    shrink = 1.0 - rho * rho
-    joint = p_xy / shrink
-    return p_x + joint, p_y + joint, -rho * p_xy / shrink
-
-
-def fim_t3(policy: SamplingPolicy, model: ObservationModel) -> Matrix2:
-    """Information matrix for (mu_x, mu_y) when both means are unknown (t3):
-    the standardized entries divided by the variances."""
-    i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model.rho)
-    cross /= model.sigma_x * model.sigma_y
-    return Matrix2(i11 / model.var_x, cross, cross, i22 / model.var_y)
-
-
 def crb_t3(policy: SamplingPolicy, model: ObservationModel, target: Target) -> float:
     """Per-slot bound on the requested mean when both means are unknown.
 
-    The target's entry of the inverse of :func:`fim_t3`: its variance over
+    The target's entry of the inverse of :func:`fim`: its variance over
     the Schur complement ``J_own - J_cross^2 / J_other`` of the standardized
     matrix, which does not underflow for tiny policies as the determinant
     does.  Without joint slots the means decouple: ``var / J_own``.
@@ -343,7 +311,7 @@ def empirical_fim_with_stderr(
     task: Task,
     n: int,
     rng: np.random.Generator,
-) -> tuple[Matrix2, Matrix2]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo information matrix plus entrywise standard errors.
 
     Simulates ``n`` slots from the policy mixture (idle slots score zero),
@@ -352,8 +320,8 @@ def empirical_fim_with_stderr(
     outer product of the score.  Entirely independent of the closed-form
     expressions, which makes it usable as their validation oracle.
 
-    For t1 the information is scalar and returned in the (1,1) entry with
-    zeros elsewhere.
+    For t1 the information is scalar and returned in entry (0, 0) with
+    zeros elsewhere, as :func:`fim` does.
 
     Raises:
         ValueError: n < 10^4 (too noisy to be a useful oracle), or a t2 call
@@ -403,14 +371,11 @@ def empirical_fim_with_stderr(
         lo[j] -= _FD_STEP
         scores[j] = (total_logpdf(hi) - total_logpdf(lo)) / (2.0 * _FD_STEP)
 
-    mean = np.zeros((2, 2))
-    stderr = np.zeros((2, 2))
-    for i in range(dim):
-        for j in range(dim):
-            prod = scores[i] * scores[j]
-            mean[i, j] = prod.mean()
-            stderr[i, j] = prod.std(ddof=1) / math.sqrt(n)
-    return Matrix2.from_array(mean), Matrix2.from_array(stderr)
+    prod = scores[:, None] * scores[None]
+    mean, stderr = np.zeros((2, 2, 2))
+    mean[:dim, :dim] = prod.mean(axis=-1)
+    stderr[:dim, :dim] = prod.std(axis=-1, ddof=1) / math.sqrt(n)
+    return mean, stderr
 
 
 def empirical_fim(
@@ -419,11 +384,10 @@ def empirical_fim(
     task: Task,
     n: int,
     rng: np.random.Generator,
-) -> Matrix2:
+) -> np.ndarray:
     """Monte Carlo estimate of the task's information matrix.
 
     See :func:`empirical_fim_with_stderr` for the construction; this variant
     drops the standard errors.
     """
-    fim, _ = empirical_fim_with_stderr(model, policy, task, n, rng)
-    return fim
+    return empirical_fim_with_stderr(model, policy, task, n, rng)[0]

@@ -199,7 +199,10 @@ def default_estimator(scenario: Scenario, policy: SamplingPolicy) -> EstimatorKi
     Task t1 (correlation known) blends both strata when both are sampled,
     falls back to the joint-only adjustment, then to the plain mean.  Tasks
     t2 and t3 default to sample means: t2's learner cannot use the
-    correlation it does not know, and sample means are optimal for t3.
+    correlation it does not know.  For t3 they attain the bound only where
+    the other coordinate cannot help: at rho = 0, without joint slots or
+    without stand-alone slots of the other coordinate; elsewhere their
+    variance exceeds it.
     """
     if scenario.task is Task.T1:
         if policy.p_y > 0.0 and policy.p_xy > 0.0:
@@ -213,7 +216,7 @@ def _analytic_estimator_variance(config: SimulationConfig) -> float | None:
     policy, model = config.policy, config.model
     if config.estimator is EstimatorKind.DELTA1:
         if policy.p_y > 0.0 and policy.p_xy > 0.0:
-            return var_delta1(policy, model)
+            return var_delta1(policy, model) / (policy.p_y + policy.p_xy)  # per slot
         return None
     if config.estimator is EstimatorKind.DELTA2:
         if policy.p_xy > 0.0:

@@ -507,9 +507,11 @@ def _solve(scenarios, models, c, b, candidates, valid, method: Method) -> list[P
     does, its bound overflows: the budget is too small for any policy to
     round to.
 
-    Raises, at the first scenario where it applies:
-        SingularEverywhere: no t3 policy carries information.
-        BoundOverflow: some does, but the best policy's bound overflows.
+    A scenario where no policy carries information gets ``crb=inf``.
+
+    Raises:
+        BoundOverflow: at the first scenario where some policy carries
+            information but the best policy's bound overflows.
     """
     first, rho = scenarios[0], np.array([[m.rho] for m in models])
     t3, on_x = first.task is Task.T3, first.target is Target.MU_X
@@ -535,8 +537,6 @@ def _solve(scenarios, models, c, b, candidates, valid, method: Method) -> list[P
             free = ~((c[k] > 0.0) & (b[k][:, None] <= 0.0)).any(axis=0)
             if free[0 if on_x else 1] or free[2]:
                 raise BoundOverflow(TOO_SMALL)
-            if t3:  # t1/t2 planners report crb=inf at zero information
-                raise SingularEverywhere(_SINGULAR_EVERYWHERE)
         policy = SamplingPolicy.clamped(*pick)
         objective = crb(scenario.task, scenario.target, policy, model)
         results.append(PlanResult(policy, objective, method, bool(ties[k])))
@@ -545,14 +545,15 @@ def _solve(scenarios, models, c, b, candidates, valid, method: Method) -> list[P
 
 def plan_stack(scenarios, models) -> list[PlanResult]:
     """:func:`plan_linear` or :func:`plan_t3` of each scenario, as one stack
-    of array operations: each result equals the single plan's, bit for bit.
-    The scenarios share one cost family, planner (t3 or not) and target;
-    ``models`` pairs one model with each.
+    of array operations: each result equals the single plan's, bit for bit,
+    and an entry without information reads ``crb=inf`` where :func:`plan_t3`
+    raises.  The scenarios share one cost family, planner (t3 or not) and
+    target; ``models`` pairs one model with each.
 
     Raises:
         InvalidScenario: the scenarios mix cost families, planners or targets.
-        SingularEverywhere, BoundOverflow: as the single planners, for the
-            first scenario where they apply.
+        BoundOverflow: as the single planners, for the first scenario where
+            it applies.
     """
     key = [(_family(s), s.task is Task.T3, s.target) for s in scenarios]
     if key.count(key[0]) < len(key):
@@ -591,7 +592,10 @@ def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
     """
     if scenario.task is not Task.T3:
         raise InvalidScenario("plan_t3 handles task t3 only")
-    return plan_stack([scenario], [model])[0]
+    result = plan_stack([scenario], [model])[0]
+    if math.isinf(result.objective_value):
+        raise SingularEverywhere(_SINGULAR_EVERYWHERE)
+    return result
 
 
 def plan(scenario: Scenario, model: ObservationModel) -> PlanResult:

@@ -27,9 +27,7 @@ from crbplan import (
     delta2,
     default_estimator,
     empirical_fim_with_stderr,
-    fim_t2,
-    fim_t3,
-    info_t1,
+    fim,
     joint_priority_threshold,
     plan_linear,
     plan_t1_closed_form,
@@ -136,7 +134,7 @@ def test_criterion_2_planner_agreement():
             feasible = simplex_ok & (py + (alpha + 1.0) * pxy <= e1 + 1e-12)
             info = np.where(feasible, py + pxy * boost, -1.0)
             info_grid = float(info.max())
-            info_best = info_t1(closed.policy, m)
+            info_best = fim(Task.T1, closed.policy, m)[0, 0]
             grid_crb = 1.0 / info_grid if info_grid > 0 else math.inf
             if math.isinf(closed.objective_value):
                 assert math.isinf(grid_crb)
@@ -226,24 +224,14 @@ _ORACLE_POINTS = [
 ]
 
 
-def _closed_form_fim(task, policy, m):
-    if task is Task.T1:
-        return np.array([[info_t1(policy, m), 0.0], [0.0, 0.0]])
-    if task is Task.T2:
-        return fim_t2(policy, m).as_array()
-    return fim_t3(policy, m).as_array()
-
-
 def test_criterion_5_fim_oracle_agreement():
     with criterion("5 Monte Carlo score oracle matches closed forms"):
         assert len(_ORACLE_POINTS) == 12
         for index, (task, policy, kwargs) in enumerate(_ORACLE_POINTS):
             m = model(**kwargs)
             rng = np.random.default_rng(300 + index)
-            fim, se = empirical_fim_with_stderr(m, policy, task, 10**6, rng)
-            expected = _closed_form_fim(task, policy, m)
-            got = fim.as_array()
-            err = se.as_array()
+            got, err = empirical_fim_with_stderr(m, policy, task, 10**6, rng)
+            expected = fim(task, policy, m)
             for i in range(2):
                 for j in range(2):
                     tol = 3.0 * err[i, j] + 1e-12
@@ -251,22 +239,22 @@ def test_criterion_5_fim_oracle_agreement():
 
         # the three worked values, also within the 2% spot tolerance
         m = model(0.5)
-        fim, _ = empirical_fim_with_stderr(
+        got, _ = empirical_fim_with_stderr(
             m, SamplingPolicy(0, 0.5, 0.5), Task.T1, 10**6, np.random.default_rng(41)
         )
-        assert fim.a11 == pytest.approx(7 / 6, rel=0.02)
-        fim, _ = empirical_fim_with_stderr(
+        assert got[0, 0] == pytest.approx(7 / 6, rel=0.02)
+        got, _ = empirical_fim_with_stderr(
             m, SamplingPolicy(0, 0, 1.0), Task.T2, 10**6, np.random.default_rng(42)
         )
         np.testing.assert_allclose(
-            np.diag(fim.as_array()), [4 / 3, 20 / 9], rtol=0.02
+            np.diag(got), [4 / 3, 20 / 9], rtol=0.02
         )
-        assert abs(fim.a12) <= 0.02
-        fim, _ = empirical_fim_with_stderr(
+        assert abs(got[0, 1]) <= 0.02
+        got, _ = empirical_fim_with_stderr(
             m, SamplingPolicy(0, 0, 1.0), Task.T3, 10**6, np.random.default_rng(43)
         )
         np.testing.assert_allclose(
-            fim.as_array(), [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], atol=0.02
+            got, [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], atol=0.02
         )
 
 

@@ -642,6 +642,16 @@ def test_sweep_presets_keep_zero_budget_rows(figure, column, zero_rows, tmp_path
     assert all(row["crb"] == "inf" for row in zero if "crb" in row)  # fig1c has none
 
 
+@pytest.mark.parametrize("budget", ["--e1", "--e2"])
+def test_sweep_fig4b_zero_budget_rows_read_inf(budget, tmp_path):
+    # the t3 preset keeps budgets without information as rows, as fig2b does
+    out = tmp_path / "fig4b.csv"
+    assert run_cli("sweep", "--figure", "fig4b", budget, "0", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 96
+    assert all(row["crb"] == "inf" for row in rows)
+
+
 def test_sweep_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("sweep", "--figure", "fig2a", "--out", str(a)) == 0

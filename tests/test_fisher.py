@@ -16,9 +16,7 @@ from crbplan import (
     crb_t3,
     empirical_fim,
     empirical_fim_with_stderr,
-    fim_t2,
-    fim_t3,
-    info_t1,
+    fim,
     validate,
 )
 from crbplan.fisher import crb_array
@@ -66,28 +64,29 @@ def test_policy_idle_probability():
     assert SamplingPolicy(0.1, 0.2, 0.3).p_idle == pytest.approx(0.4)
 
 
-# --- info_t1 / crb_t1 ---
+# --- t1 information / crb_t1 ---
 
 
 def test_info_t1_marginal_only():
     # marginal-only information is 1/var_y for any correlation
-    assert info_t1(SamplingPolicy(0, 1, 0), model(rho=0.7)) == pytest.approx(1.0)
+    assert fim(Task.T1, SamplingPolicy(0, 1, 0), model(rho=0.7))[0, 0] == pytest.approx(1.0)
 
 
 def test_info_t1_worked_value():
-    value = info_t1(SamplingPolicy(0, 0.5, 0.5), model(rho=0.5))
-    assert value == pytest.approx(7 / 6, rel=1e-12)
+    f = fim(Task.T1, SamplingPolicy(0, 0.5, 0.5), model(rho=0.5))
+    assert f[0, 0] == pytest.approx(7 / 6, rel=1e-12)
+    assert f[0, 1] == f[1, 0] == f[1, 1] == 0.0  # the oracle's t1 layout
 
 
 def test_info_t1_joint_only_scaled_variance():
-    value = info_t1(SamplingPolicy(0, 0, 1), model(rho=0.9, var_y=2.0))
+    value = fim(Task.T1, SamplingPolicy(0, 0, 1), model(rho=0.9, var_y=2.0))[0, 0]
     assert value == pytest.approx(1.0 / ((1 - 0.81) * 2.0), rel=1e-12)
 
 
 def test_info_t1_ignores_p_x():
     m = model(rho=0.5)
-    a = info_t1(SamplingPolicy(0.0, 0.3, 0.3), m)
-    b = info_t1(SamplingPolicy(0.4, 0.3, 0.3), m)
+    a = fim(Task.T1, SamplingPolicy(0.0, 0.3, 0.3), m)[0, 0]
+    b = fim(Task.T1, SamplingPolicy(0.4, 0.3, 0.3), m)[0, 0]
     assert a == b
 
 
@@ -109,7 +108,7 @@ def test_info_crb_product_is_one():
     for policy, m in random_cases(seed=21):
         if policy.p_y <= 0 and policy.p_xy <= 0:
             continue
-        assert info_t1(policy, m) * crb_t1(policy, m) == pytest.approx(1.0, rel=1e-12)
+        assert fim(Task.T1, policy, m)[0, 0] * crb_t1(policy, m) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_info_t1_monotone_in_policy():
@@ -118,70 +117,70 @@ def test_info_t1_monotone_in_policy():
         m = model(rho=float(rng.uniform(-0.9, 0.9)))
         p_y, p_xy = rng.random(2) * 0.4
         bump = float(rng.uniform(0.0, 0.2))
-        base = info_t1(SamplingPolicy(0, p_y, p_xy), m)
-        assert info_t1(SamplingPolicy(0, p_y + bump, p_xy), m) >= base
-        more_joint = info_t1(SamplingPolicy(0, p_y, p_xy + bump), m)
+        base = fim(Task.T1, SamplingPolicy(0, p_y, p_xy), m)[0, 0]
+        assert fim(Task.T1, SamplingPolicy(0, p_y + bump, p_xy), m)[0, 0] >= base
+        more_joint = fim(Task.T1, SamplingPolicy(0, p_y, p_xy + bump), m)[0, 0]
         assert more_joint >= base
         if bump > 0:
             assert more_joint > base  # joint slots always add information
 
 
-# --- fim_t2 ---
+# --- t2 information ---
 
 
 def test_fim_t2_identity_case():
-    f = fim_t2(SamplingPolicy(0, 0, 1), model(rho=0.0))
-    np.testing.assert_allclose(f.as_array(), np.eye(2), rtol=1e-12)
+    f = fim(Task.T2, SamplingPolicy(0, 0, 1), model(rho=0.0))
+    np.testing.assert_allclose(f, np.eye(2), rtol=1e-12)
 
 
 def test_fim_t2_worked_value():
-    f = fim_t2(SamplingPolicy(0, 0, 1), model(rho=0.5))
+    f = fim(Task.T2, SamplingPolicy(0, 0, 1), model(rho=0.5))
     np.testing.assert_allclose(
-        f.as_array(), np.diag([4 / 3, 20 / 9]), rtol=1e-12
+        f, np.diag([4 / 3, 20 / 9]), rtol=1e-12
     )
 
 
 def test_fim_t2_singular_without_joint():
-    f = fim_t2(SamplingPolicy(0, 1, 0), model(rho=0.4, var_y=2.0))
-    assert f.a11 == pytest.approx(0.5)
-    assert f.a22 == 0.0
-    assert abs(np.linalg.det(f.as_array())) <= 1e-14
+    f = fim(Task.T2, SamplingPolicy(0, 1, 0), model(rho=0.4, var_y=2.0))
+    assert f[0, 0] == pytest.approx(0.5)
+    assert f[1, 1] == 0.0
+    assert abs(np.linalg.det(f)) <= 1e-14
 
 
-# --- fim_t3 ---
+# --- t3 information ---
 
 
 def test_fim_t3_identity_case():
-    f = fim_t3(SamplingPolicy(0, 0, 1), model(rho=0.0))
-    np.testing.assert_allclose(f.as_array(), np.eye(2), rtol=1e-12)
+    f = fim(Task.T3, SamplingPolicy(0, 0, 1), model(rho=0.0))
+    np.testing.assert_allclose(f, np.eye(2), rtol=1e-12)
 
 
 def test_fim_t3_worked_value():
-    f = fim_t3(SamplingPolicy(0, 0, 1), model(rho=0.5))
+    f = fim(Task.T3, SamplingPolicy(0, 0, 1), model(rho=0.5))
     np.testing.assert_allclose(
-        f.as_array(), np.array([[4 / 3, -2 / 3], [-2 / 3, 4 / 3]]), rtol=1e-12
+        f, np.array([[4 / 3, -2 / 3], [-2 / 3, 4 / 3]]), rtol=1e-12
     )
 
 
 def test_fim_t3_no_cross_term_without_joint():
-    f = fim_t3(SamplingPolicy(0.5, 0.5, 0), model(rho=0.8, var_x=2.0, var_y=4.0))
-    np.testing.assert_allclose(f.as_array(), np.diag([0.25, 0.125]), rtol=1e-12)
+    f = fim(Task.T3, SamplingPolicy(0.5, 0.5, 0), model(rho=0.8, var_x=2.0, var_y=4.0))
+    np.testing.assert_allclose(f, np.diag([0.25, 0.125]), rtol=1e-12)
 
 
 def test_fim_t3_cross_term_iff_rho_and_joint():
     for policy, m in random_cases(seed=23):
-        f = fim_t3(policy, m)
+        f = fim(Task.T3, policy, m)
         if m.rho * policy.p_xy == 0.0:
-            assert f.a12 == 0.0
+            assert f[0, 1] == 0.0
         else:
-            assert f.a12 != 0.0
+            assert f[0, 1] != 0.0
 
 
 def test_fims_are_symmetric_psd():
     for policy, m in random_cases(seed=24):
-        for f in (fim_t2(policy, m), fim_t3(policy, m)):
-            assert f.a12 == f.a21  # both entries are one computed value
-            eigenvalues = np.linalg.eigvalsh(f.as_array())
+        for f in (fim(Task.T2, policy, m), fim(Task.T3, policy, m)):
+            assert f[0, 1] == f[1, 0]  # both entries are one computed value
+            eigenvalues = np.linalg.eigvalsh(f)
             assert eigenvalues.min() >= -1e-10
 
 
@@ -288,7 +287,7 @@ def test_crb_t3_is_the_inverse_entry_at_any_variance_scale(scale):
     # one, is far below round-off for O(1) entries
     m = model(rho=0.8, var_x=scale, var_y=scale)
     policy = SamplingPolicy(0.3, 0.3, 0.3)
-    inverse = np.linalg.inv(fim_t3(policy, m).as_array())
+    inverse = np.linalg.inv(fim(Task.T3, policy, m))
     assert crb_t3(policy, m, Target.MU_X) == pytest.approx(inverse[0, 0], rel=1e-12)
     assert crb_t3(policy, m, Target.MU_Y) / scale == pytest.approx(85 / 63, rel=1e-12)
 
@@ -296,15 +295,15 @@ def test_crb_t3_is_the_inverse_entry_at_any_variance_scale(scale):
 def test_crb_t3_inverse_diagonal_bound():
     # [I^-1]_11 >= 1/I_11, equality iff the cross term vanishes
     for policy, m in random_cases(seed=26):
-        f = fim_t3(policy, m)
-        if abs(np.linalg.det(f.as_array())) <= 1e-14:
+        f = fim(Task.T3, policy, m)
+        if abs(np.linalg.det(f)) <= 1e-14:
             continue
         bound = crb_t3(policy, m, Target.MU_X)
-        assert bound >= 1.0 / f.a11 - 1e-12
-        if f.a12 == 0.0:
-            assert bound == pytest.approx(1.0 / f.a11, rel=1e-12)
+        assert bound >= 1.0 / f[0, 0] - 1e-12
+        if f[0, 1] == 0.0:
+            assert bound == pytest.approx(1.0 / f[0, 0], rel=1e-12)
         else:
-            assert bound > 1.0 / f.a11
+            assert bound > 1.0 / f[0, 0]
 
 
 def test_crb_is_the_task_bound_or_inf():
@@ -336,33 +335,33 @@ def test_empirical_fim_requires_enough_samples():
 def test_empirical_fim_t1_matches_closed_form():
     m = model(rho=0.5)
     policy = SamplingPolicy(0, 0.5, 0.5)
-    fim, se = empirical_fim_with_stderr(m, policy, Task.T1, 10**5, np.random.default_rng(30))
-    assert abs(fim.a11 - info_t1(policy, m)) <= 3 * se.a11
-    assert fim.a12 == fim.a21 == fim.a22 == 0.0
+    got, se = empirical_fim_with_stderr(m, policy, Task.T1, 10**5, np.random.default_rng(30))
+    assert abs(got[0, 0] - fim(Task.T1, policy, m)[0, 0]) <= 3 * se[0, 0]
+    assert got[0, 1] == got[1, 0] == got[1, 1] == 0.0
 
 
 def test_empirical_fim_t2_matches_closed_form():
     m = model(rho=0.5)
     policy = SamplingPolicy(0, 0, 1)
-    fim, se = empirical_fim_with_stderr(m, policy, Task.T2, 10**5, np.random.default_rng(31))
-    expected = fim_t2(policy, m)
-    assert abs(fim.a11 - expected.a11) <= 3 * se.a11
-    assert abs(fim.a22 - expected.a22) <= 3 * se.a22
-    assert abs(fim.a12) <= 0.02
+    got, se = empirical_fim_with_stderr(m, policy, Task.T2, 10**5, np.random.default_rng(31))
+    expected = fim(Task.T2, policy, m)
+    assert abs(got[0, 0] - expected[0, 0]) <= 3 * se[0, 0]
+    assert abs(got[1, 1] - expected[1, 1]) <= 3 * se[1, 1]
+    assert abs(got[0, 1]) <= 0.02
 
 
 def test_empirical_fim_t3_identity():
     m = model(rho=0.0)
-    fim = empirical_fim(m, SamplingPolicy(0, 0, 1), Task.T3, 10**5, np.random.default_rng(32))
-    np.testing.assert_allclose(fim.as_array(), np.eye(2), atol=0.02)
+    got = empirical_fim(m, SamplingPolicy(0, 0, 1), Task.T3, 10**5, np.random.default_rng(32))
+    np.testing.assert_allclose(got, np.eye(2), atol=0.02)
 
 
 def test_empirical_fim_mixture_includes_idle():
     # information scales with the sampling probabilities, idle slots score 0
     m = model(rho=0.6)
     policy = SamplingPolicy(0.1, 0.2, 0.3)  # 40% idle
-    fim, se = empirical_fim_with_stderr(m, policy, Task.T1, 10**5, np.random.default_rng(33))
-    assert abs(fim.a11 - info_t1(policy, m)) <= 3 * se.a11
+    got, se = empirical_fim_with_stderr(m, policy, Task.T1, 10**5, np.random.default_rng(33))
+    assert abs(got[0, 0] - fim(Task.T1, policy, m)[0, 0]) <= 3 * se[0, 0]
 
 
 def test_empirical_fim_deterministic_given_seed():
@@ -370,4 +369,4 @@ def test_empirical_fim_deterministic_given_seed():
     policy = SamplingPolicy(0, 0.4, 0.4)
     a = empirical_fim(m, policy, Task.T3, 10**4, np.random.default_rng(34))
     b = empirical_fim(m, policy, Task.T3, 10**4, np.random.default_rng(34))
-    assert a == b
+    assert np.array_equal(a, b)

@@ -14,6 +14,7 @@ The ``bounds_*``, ``jsonl_*`` and ``preset_*`` digests and
 :data:`PLANNER_DIGEST` pin the sweep evaluator and the planners on every
 sweep variable, task and setting, on rows that cross invalid, infeasible
 and zero-information policies, and on non-default figure flags.
+:data:`ORACLE_DIGEST` pins the score oracle's mean and standard errors.
 """
 
 import contextlib
@@ -22,15 +23,18 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
 from crbplan import (
     CrbPlanError,
     ResourceBudget,
+    SamplingPolicy,
     Scenario,
     Setting,
     Target,
     Task,
+    empirical_fim_with_stderr,
     plan_linear,
     plan_t3,
     validate,
@@ -233,3 +237,33 @@ PLANNER_DIGEST = "89f2ba16c6302427db6e07044c1a22636ccdfc93fed930853d9c461f5f5ea3
 def test_planner_records_match_golden_digest():
     text = "\n".join(_planner_records()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == PLANNER_DIGEST
+
+
+def _oracle_records(n_cases: int = 4, seed: int = 5) -> list[str]:
+    """``empirical_fim_with_stderr`` at 10^4 slots on ``n_cases`` seeded
+    policies with idle slots and models per task: one line each, the mean
+    and the standard errors in full precision."""
+    rng = random.Random(seed)
+    lines = []
+    for task in Task:
+        for case in range(n_cases):
+            cuts = sorted(rng.random() for _ in range(3))
+            policy = SamplingPolicy(cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1])
+            means = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            variances = (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+            model = validate((*means, *variances, rng.uniform(-0.95, 0.95)))
+            mean, stderr = empirical_fim_with_stderr(
+                model, policy, task, 10**4, np.random.default_rng(100 + case)
+            )
+            lines.append(f"{task.value} {policy!r} {model!r} {mean.tolist()!r} {stderr.tolist()!r}")
+    return lines
+
+
+#: sha256 of :func:`_oracle_records`, recorded while the oracle still
+#: reduced the score products entry by entry.
+ORACLE_DIGEST = "0491c22cc8483bf12a38841321a9faa05eda93b3a3bda622401c07401da6ae21"
+
+
+def test_oracle_records_match_golden_digest():
+    text = "\n".join(_oracle_records()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGEST

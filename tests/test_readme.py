@@ -23,3 +23,6 @@ def test_readme_library_tour_runs_as_written():
     assert sum(tour["counts"].values()) == 1000
     assert isinstance(tour["estimate"], float)
     assert abs(tour["estimate"]) <= 5 * math.sqrt(6 / 7 / 1000)
+    assert tour["info"][0, 0] == pytest.approx(7 / 6, rel=1e-12)
+    assert tour["info"].ravel()[1:].tolist() == [0.0, 0.0, 0.0]
+    assert tour["oracle"][0, 0] == pytest.approx(7 / 6, rel=0.02)

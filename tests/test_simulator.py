@@ -379,6 +379,51 @@ def test_cramer_rao_inequality_not_violated():
         assert report.empirical_variance_per_slot >= report.analytic_crb - 3 * se
 
 
+def _estimators_of_the_bounded_mean():
+    """(task, estimator, target) where the estimator estimates the mean that
+    ``crb`` bounds with no more knowledge than the task grants.  t1 and t2
+    bound the Y mean whatever the target (t2's bound equals t1's, so knowing
+    the correlation does not beat it); the delta estimators take the X mean
+    as known, so t3 pairs each target with its sample mean only."""
+    for task in Task:
+        for target in Target:
+            if task is not Task.T3:
+                yield task, EstimatorKind.DELTA1, target
+                yield task, EstimatorKind.DELTA2, target
+            if task is Task.T3 or target is Target.MU_Y:
+                yield task, EstimatorKind.SAMPLE_MEAN, target
+
+
+def test_analytic_variance_per_slot_is_never_below_the_bound():
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(200):
+        p = rng.dirichlet(np.ones(4))[:3]
+        p[rng.random(3) < 0.15] = 0.0  # empty strata too
+        policy = SamplingPolicy(*p.tolist())
+        var_x, var_y = rng.uniform(0.2, 5.0, size=2).tolist()
+        m = validate((0.0, 0.0, var_x, var_y, float(rng.uniform(-0.99, 0.99))))
+        for task, estimator, target in _estimators_of_the_bounded_mean():
+            scenario = Scenario(task, Setting.DECENTRALIZED, ResourceBudget(2.0, math.inf), target)
+            config = SimulationConfig(scenario, m, policy, estimator, 100, 2, 0)
+            variance = _analytic_estimator_variance(config)
+            if variance is not None:
+                assert variance >= crb(task, target, policy, m) * (1.0 - 1e-12), (config, variance)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("estimator", list(EstimatorKind))
+def test_analytic_variance_matches_a_run_with_idle_slots(estimator):
+    # half the slots idle: the analytic value is per slot, as the empirical
+    report = run(t1_config(SamplingPolicy(0, 0.25, 0.25), slots=1000, reps=4000, seed=23,
+                           estimator=estimator))
+    assert report.replications_used == 4000
+    se = math.sqrt(2.0 / (report.replications_used - 1))
+    ratio = report.analytic_estimator_variance / report.empirical_variance_per_slot
+    assert abs(ratio - 1.0) <= 3.0 * se
+
+
 # --- missing strata ---
 
 
