@@ -156,8 +156,9 @@ def marginal_from_normals(model: ObservationModel, axis: Axis, z):
     return model.mu_y + model.sigma_y * z
 
 
-# Replications per stream: replication r draws from stream r // REPLICATION_BLOCK,
-# straight after the replications before it in that block.
+# Replications per stream: block b, replications [1024 b, 1024 (b + 1)), is
+# drawn from stream b in chunks of max(1, min(1024, 2**16 // slots))
+# replications that tile the block from its start (crbplan.simulator).
 REPLICATION_BLOCK = 1024
 
 

@@ -8,15 +8,16 @@ therefore is each budget row's left-hand side, which is what
 :func:`audit_resources` verifies empirically.
 
 All randomness is derived per block of :data:`REPLICATION_BLOCK`
-replications from (master seed, block index): replication r draws from
-stream r // REPLICATION_BLOCK, straight after the replications before it in
-that block.  Reports are therefore bit-identical across runs and across any
-split of whole blocks over workers.  ``_draw_replication`` alone fixes the
-order of a replication's draws and returns each stratum in its own array,
-the arguments every estimator takes; :func:`run` and
-:func:`collect_replication` hand them over as they are, and
-:func:`replay_slots` scatters the same draws back to their slots, so
-:func:`write_trace` shows exactly the data :func:`run` consumed.
+replications from (master seed, block index): block ``b`` is drawn from
+stream ``b`` in chunks of ``max(1, min(1024, 2**16 // slots))``
+replications that tile the block from its start, each chunk in a few array
+calls.  Reports are therefore bit-identical across runs and across any
+split of whole blocks over workers.  ``_draw_chunk`` alone fixes the order
+of a chunk's draws and reduces them to per-replication slot counts and
+stratum sums, the statistics every estimator formula reads; :func:`run`
+estimates from those, :func:`collect_replication` and :func:`replay_slots`
+are a chunk of one, and :func:`write_trace` replays the chunk that holds
+the traced replication, so it shows exactly the data :func:`run` consumed.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ import numpy as np
 from .errors import InfeasiblePolicy, MissingStratum
 from .estimators import (
     EstimatorKind,
-    delta1,
-    delta2,
-    sample_mean_x,
-    sample_mean_y,
+    _finite,
+    delta1_of_sums,
+    delta2_of_sums,
+    sample_mean_x_of_sums,
+    sample_mean_y_of_sums,
     var_delta1,
 )
 from .fisher import SamplingPolicy, Target, Task, crb
@@ -49,11 +51,15 @@ from .model import (
 from .strategy import Actor, Scenario, _charged, _limit, _load, constraints_for
 
 
-#: Most slots per replication: its draws (uniforms, kind codes, normals) peak
-#: near 52 bytes a slot, 0.5 GB here, where far more would fail to allocate.
+#: Most slots per replication: past 2**16 slots a chunk is one replication,
+#: whose draws (uniforms, kind codes, normals) peak at 48 bytes a slot in
+#: ``tracemalloc`` when every slot is joint, 0.5 GB here, where far more
+#: would fail to allocate.
 _MAX_SLOTS = 10**7
-#: Most replications per run: :func:`run` keeps one estimate per replication,
-#: near 40 bytes each (a float in a list, then its array copy), 0.4 GB here.
+#: Most replications per run: :func:`run` keeps each chunk's moments, so its
+#: memory does not grow with replications (``tracemalloc``: 0.27 MB at 10^4
+#: and at 10^6 one-slot replications); the cap bounds the run time, about
+#: 2 s for 10^7 one-slot replications.
 _MAX_REPS = 10**7
 
 
@@ -85,6 +91,16 @@ class SimulationConfig:
             raise ValueError(f"replications must be <= {_MAX_REPS}, got {self.replications}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        task, target = self.scenario.task, self.scenario.target
+        if task is Task.T3 and self.estimator is not EstimatorKind.SAMPLE_MEAN:
+            raise ValueError(
+                f"estimator {self.estimator.value} takes the X mean as known, "
+                "which task t3 estimates: use sample_mean"
+            )
+        if task is not Task.T3 and target is Target.MU_X:
+            raise ValueError(
+                f"task {task.value} bounds the Y mean only: target mu_x needs task t3"
+            )
 
 
 @dataclass(frozen=True)
@@ -136,25 +152,64 @@ def _slot_edges(policy: SamplingPolicy) -> np.ndarray:
     return np.cumsum(np.maximum(policy.as_tuple(), 0.0))
 
 
-def _draw_replication(model: ObservationModel, edges: np.ndarray, slots: int, rng):
-    """The draw order of one replication, the only place that defines it.
+def _block_chunks(block: int, replications: int, slots: int):
+    """``(start, stop)`` of each chunk of block ``block``: chunks of
+    ``max(1, min(REPLICATION_BLOCK, 2**16 // slots))`` replications, about
+    2**16 slots, tile the block from its start; the run's end cuts the last."""
+    size = max(1, min(REPLICATION_BLOCK, 2**16 // slots))
+    first = block * REPLICATION_BLOCK
+    stop = min(replications, first + REPLICATION_BLOCK)
+    return [(start, min(stop, start + size)) for start in range(first, stop, size)]
 
-    Draws the slot uniforms, then one block of standard normals: the X
-    marginals, the Y marginals, the joint pairs' z1 and their z2, the same
-    stream as :func:`sample_marginal` twice and :func:`sample_joint` would
-    draw.  Returns ``(kinds, counts, marginal_x, marginal_y, joint_x,
-    joint_y)``: per-slot kind codes indexing :data:`_KIND_CODES`, the
-    per-kind slot counts and each stratum in its own array.
+
+def _draw_chunk(model: ObservationModel, edges: np.ndarray, slots: int, n: int, rng):
+    """The draw order of ``n`` consecutive replications, the only place
+    that defines it.
+
+    Draws every slot's uniform in one call, replication after replication,
+    and gives each slot the kind of the first edge above its uniform (idle
+    past the last).  Then draws one block of standard normals: z1 of every
+    non-idle slot in slot order, then z2 of every joint slot.  A marginal
+    slot's value is :func:`marginal_from_normals` of its z1, a joint pair
+    :func:`joint_from_normals` of its z1 and z2.
+
+    Returns ``(code, z, counts, sums)``: per slot ``4 * replication + kind``
+    (the kind indexing :data:`_KIND_CODES`), the normals, and per
+    replication (columns) the rows of slot counts by kind and of the sums
+    of the strata ``(marginal_x, marginal_y, joint_x, joint_y)``, the
+    statistics every estimator formula reads.  The sums are the value maps
+    applied to each stratum's sum of normals.
     """
-    kinds = edges.searchsorted(rng.random(slots), "right")
-    counts = np.bincount(kinds, minlength=4).tolist()
-    n_x, n_y, n_joint = counts[:3]
-    z = rng.standard_normal(n_x + n_y + 2 * n_joint)
-    marginal_x = marginal_from_normals(model, Axis.X, z[:n_x])
-    marginal_y = marginal_from_normals(model, Axis.Y, z[n_x : n_x + n_y])
-    z1 = z[n_x + n_y : n_x + n_y + n_joint]
-    joint_x, joint_y = joint_from_normals(model, z1, z[n_x + n_y + n_joint :])
-    return kinds, counts, marginal_x, marginal_y, joint_x, joint_y
+    u = rng.random(n * slots)
+    code = np.repeat(np.arange(0, 4 * n, 4), slots)
+    code += sum((u >= edge).view(np.int8) for edge in edges.tolist())
+    counts = np.bincount(code, minlength=4 * n).reshape(n, 4).T
+    seen = code[u < edges[2]]
+    z = rng.standard_normal(seen.size + int(counts[2].sum()))
+    z_sums = np.bincount(seen, weights=z[: seen.size], minlength=4 * n).reshape(n, 4).T
+    # the joint slots come replication by replication, counts[2] of each;
+    # the idle row of z_sums, all 0, takes their Y normals rho z1 + tail z2
+    z2_sums = np.bincount(np.repeat(np.arange(n), counts[2]), weights=z[seen.size :], minlength=n)
+    z_sums[3] = model.rho * z_sums[2] + math.sqrt(1.0 - model.rho * model.rho) * z2_sums
+    loc = np.array([[model.mu_x], [model.mu_y], [model.mu_x], [model.mu_y]])
+    scale = np.array([[model.sigma_x], [model.sigma_y], [model.sigma_x], [model.sigma_y]])
+    sums = loc * counts[[0, 1, 2, 2]] + scale * z_sums
+    return code, z, counts, sums
+
+
+def _slot_values(model: ObservationModel, code: np.ndarray, z: np.ndarray):
+    """``(kinds, x, y)`` per slot of a chunk's draws, in slot order: the
+    kind codes and the coordinate values, NaN where not observed."""
+    kinds = code & 3
+    seen = kinds < 3
+    z1 = np.full(kinds.size, math.nan)
+    z1[seen] = z[: np.count_nonzero(seen)]
+    x, y = np.full((2, kinds.size), math.nan)
+    x[kinds == 0] = marginal_from_normals(model, Axis.X, z1[kinds == 0])
+    y[kinds == 1] = marginal_from_normals(model, Axis.Y, z1[kinds == 1])
+    joint = kinds == 2
+    x[joint], y[joint] = joint_from_normals(model, z1[joint], z[seen.sum() :])
+    return kinds, x, y
 
 
 def replay_slots(
@@ -167,16 +222,11 @@ def replay_slots(
 
     Returns ``(kinds, x, y)``: an int array of codes indexing
     ``(marginal_x, marginal_y, joint, idle)`` and per-slot coordinate values
-    (NaN where the coordinate was not observed).  The draws are those of
-    ``_draw_replication``, scattered back to their slots; :func:`run` skips
-    this scatter, so this slot-level view serves ``write_trace`` and tests.
+    (NaN where the coordinate was not observed).  The draws are those of a
+    chunk of one replication, scattered back to their slots.
     """
-    kinds, _, mx, my, jx, jy = _draw_replication(model, _slot_edges(policy), slots, rng)
-    x, y = np.full((2, slots), math.nan)
-    x[kinds == 0] = mx
-    y[kinds == 1] = my
-    x[kinds == 2] = jx
-    y[kinds == 2] = jy
+    code, z, _, _ = _draw_chunk(model, _slot_edges(policy), slots, 1, rng)
+    kinds, x, y = _slot_values(model, code, z)
     return kinds.astype(np.int8), x, y
 
 
@@ -186,11 +236,21 @@ def collect_replication(
     slots: int,
     rng: np.random.Generator,
 ) -> tuple[tuple[np.ndarray, ...], dict[str, int]]:
-    """Run one replication: ``(strata, counts)``, the arrays ``(marginal_x,
-    marginal_y, joint_x, joint_y)`` every estimator takes and the slot count
-    of each kind by name."""
-    _, counts, *strata = _draw_replication(model, _slot_edges(policy), slots, rng)
-    return tuple(strata), {kind.value: n for kind, n in zip(_KIND_CODES, counts)}
+    """Run one replication, a chunk of one: ``(strata, counts)``, the arrays
+    ``(marginal_x, marginal_y, joint_x, joint_y)`` every estimator takes and
+    the slot count of each kind by name.  :func:`run` draws block ``b`` from
+    stream ``b`` in chunks of ``max(1, min(1024, 2**16 // slots))``
+    replications, so these are the draws of one of its replications only
+    where a chunk is one replication."""
+    code, z, counts, _ = _draw_chunk(model, _slot_edges(policy), slots, 1, rng)
+    seen = code[code < 3]  # the kinds of the slots that drew z1, in slot order
+    z1 = z[: seen.size]
+    strata = (
+        marginal_from_normals(model, Axis.X, z1[seen == 0]),
+        marginal_from_normals(model, Axis.Y, z1[seen == 1]),
+        *joint_from_normals(model, z1[seen == 2], z[seen.size :]),
+    )
+    return strata, {kind.value: int(n) for kind, n in zip(_KIND_CODES, counts[:, 0])}
 
 
 def default_estimator(scenario: Scenario, policy: SamplingPolicy) -> EstimatorKind:
@@ -229,6 +289,49 @@ def _analytic_estimator_variance(config: SimulationConfig) -> float | None:
     return var / coverage if coverage > 0.0 else None
 
 
+def _formula(config: SimulationConfig):
+    """The estimator formula on counts and sums that ``config`` names."""
+    if config.estimator is EstimatorKind.SAMPLE_MEAN:
+        if config.scenario.target is Target.MU_X:
+            return sample_mean_x_of_sums
+        return sample_mean_y_of_sums
+    return delta1_of_sums if config.estimator is EstimatorKind.DELTA1 else delta2_of_sums
+
+
+def _chunk_estimates(config: SimulationConfig):
+    """``(counts, estimates, usable)`` of each chunk of the run, in
+    replication order: block ``b`` is drawn from stream ``b`` in the chunks
+    of :func:`_block_chunks`, and the formula estimates every replication of
+    a chunk at once."""
+    edges, formula = _slot_edges(config.policy), _formula(config)
+    for block in range((config.replications + REPLICATION_BLOCK - 1) // REPLICATION_BLOCK):
+        rng = replication_rng(config.master_seed, block)
+        for start, stop in _block_chunks(block, config.replications, config.slots):
+            # keep no slot-level array: the next chunk's draws peak alone
+            counts, sums = _draw_chunk(config.model, edges, config.slots, stop - start, rng)[2:]
+            yield (counts, *formula(counts, sums, config.model))
+
+
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """Count, mean and sum of squared deviations of ``values``."""
+    if values.size == 0:
+        return 0, 0.0, 0.0
+    mean = values.sum() / values.size
+    # numpy's pairwise sum, not a BLAS dot, whose order may vary by machine
+    return values.size, float(mean), float(np.square(values - mean).sum())
+
+
+def _combine(a, b):
+    """The moments of two consecutive groups from each group's: the pairwise
+    update of Chan, Golub and LeVeque."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    if n_a == 0 or n_b == 0:
+        return b if n_a == 0 else a
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
+
+
 def run(config: SimulationConfig) -> SimulationReport:
     """Simulate, estimate, and aggregate across replications.
 
@@ -238,51 +341,37 @@ def run(config: SimulationConfig) -> SimulationReport:
     would corrupt the variance comparison).  With fewer than two usable
     replications the empirical variance is NaN.
 
-    Each replication is one pass: ``_draw_replication`` draws every stratum
-    into its own array and the estimator reads those arrays, with no slot
-    arrays in between.
-    Each block of :data:`REPLICATION_BLOCK` replications shares one
-    :func:`replication_rng` stream, drawn in replication order.
+    Block ``b`` of :data:`REPLICATION_BLOCK` replications is drawn from
+    stream :func:`replication_rng` ``(master_seed, b)`` in chunks of
+    ``max(1, min(1024, 2**16 // slots))`` replications; each chunk is a few
+    array calls (``_draw_chunk``) and one estimator formula on its counts
+    and sums.  The run keeps each chunk's count, mean and sum of squared
+    deviations and combines them in replication order, so its memory does
+    not grow with the number of replications.
 
     Raises:
         InfeasiblePolicy: the policy violates the scenario's constraints.
         MissingStratum: every replication was excluded.
+        ValueError: an estimate is not finite.
     """
     cons = constraints_for(config.scenario)
     violated = cons.violations(config.policy)
     if violated:
         raise InfeasiblePolicy(f"policy violates constraints: {violated}")
 
-    edges = _slot_edges(config.policy)
-    if config.estimator is EstimatorKind.SAMPLE_MEAN:
-        estimate = sample_mean_x if config.scenario.target is Target.MU_X else sample_mean_y
-    else:
-        estimate = delta1 if config.estimator is EstimatorKind.DELTA1 else delta2
-    counted = [0, 0, 0, 0]
-    estimates = []
-    excluded = 0
-    for rep in range(config.replications):
-        if rep % REPLICATION_BLOCK == 0:
-            rng = replication_rng(config.master_seed, rep // REPLICATION_BLOCK)
-        _, counts, *strata = _draw_replication(config.model, edges, config.slots, rng)
-        counted = [total + n for total, n in zip(counted, counts)]
-        try:
-            estimates.append(estimate(*strata, config.model))
-        except MissingStratum:
-            excluded += 1
-    totals = {kind.value: n for kind, n in zip(_KIND_CODES, counted)}
+    counted = np.zeros(4, np.int64)
+    moments = (0, 0.0, 0.0)
+    for counts, estimates, usable in _chunk_estimates(config):
+        counted += counts.sum(axis=1)
+        moments = _combine(moments, _moments(_finite(estimates[usable])))
+    used, mean_estimate, squares = moments
+    counted = counted.tolist()
 
-    if not estimates:
+    if not used:
         raise MissingStratum(
             f"all {config.replications} replications lacked a required stratum"
         )
-
-    estimates = np.asarray(estimates)
-    mean_estimate = float(estimates.mean())
-    if estimates.size >= 2:
-        variance_per_slot = float(config.slots * estimates.var(ddof=1))
-    else:
-        variance_per_slot = math.nan
+    variance_per_slot = config.slots * squares / (used - 1) if used >= 2 else math.nan
 
     cost_per_slot = dict.fromkeys(Actor, 0.0)
     total_slots = config.slots * config.replications
@@ -297,9 +386,9 @@ def run(config: SimulationConfig) -> SimulationReport:
         ),
         analytic_estimator_variance=_analytic_estimator_variance(config),
         cost_per_slot=cost_per_slot,
-        slot_counts=totals,
-        replications_used=len(estimates),
-        replications_excluded=excluded,
+        slot_counts={kind.value: n for kind, n in zip(_KIND_CODES, counted)},
+        replications_used=used,
+        replications_excluded=config.replications - used,
         slots_per_replication=config.slots,
         master_seed=config.master_seed,
         policy=config.policy,
@@ -364,19 +453,22 @@ TRACE_HEADER = "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
 def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
     """Dump one replication's slot-by-slot stream as CSV (debugging aid).
 
-    Opens the replication's block stream, discards the replications before
-    it in that block with ``_draw_replication`` and scatters its own draws
-    with :func:`replay_slots`, so the trace reproduces exactly the data that
-    :func:`run` consumed for that replication.
+    Opens the replication's block stream, draws the chunks of the block up
+    to the one that holds the replication, as :func:`run` does, and scatters
+    that chunk's draws back to their slots, so the trace reproduces exactly
+    the data that :func:`run` consumed for that replication.
     """
     if not 0 <= replication < config.replications:
         raise ValueError(f"replication must be in [0, {config.replications})")
-    block, offset = divmod(replication, REPLICATION_BLOCK)
+    block = replication // REPLICATION_BLOCK
     rng = replication_rng(config.master_seed, block)
     edges = _slot_edges(config.policy)
-    for _ in range(offset):
-        _draw_replication(config.model, edges, config.slots, rng)
-    kinds, x, y = replay_slots(config.model, config.policy, config.slots, rng)
+    for start, stop in _block_chunks(block, config.replications, config.slots):
+        drawn, z, _, _ = _draw_chunk(config.model, edges, config.slots, stop - start, rng)
+        if replication < stop:
+            break
+    mine = slice((replication - start) * config.slots, (replication - start + 1) * config.slots)
+    kinds, x, y = (values[mine].tolist() for values in _slot_values(config.model, drawn, z))
     charged = _charged(constraints_for(config.scenario))
     prices = [(*charged[a].coeffs, 0.0) if a in charged else (0.0,) * 4 for a in Actor]
     costs = [",".join(f"{price[code]:.9g}" for price in prices) for code in range(4)]
@@ -384,8 +476,7 @@ def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
     def fmt(v: float) -> str:
         return "" if math.isnan(v) else f"{v:.9g}"
 
-    lines = [TRACE_HEADER]
-    for slot, (code, vx, vy) in enumerate(zip(kinds.tolist(), x.tolist(), y.tolist())):
-        lines.append(f"{slot},{_KIND_CODES[code].value},{fmt(vx)},{fmt(vy)},{costs[code]}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(TRACE_HEADER + "\n")
+        for slot, (code, vx, vy) in enumerate(zip(kinds, x, y)):
+            fh.write(f"{slot},{_KIND_CODES[code].value},{fmt(vx)},{fmt(vy)},{costs[code]}\n")

@@ -442,6 +442,24 @@ def test_simulate_reps_past_the_limit_exit_2(capsys):
     )
 
 
+@pytest.mark.parametrize("flags, message", [
+    # delta1 centres at the X mean, which t3 estimates
+    ("--task t3 --setting decentralized --alpha 2 --e1 5 --rho 0.5 --p-y 0.5 --p-xy 0.5 "
+     "--target mu-y --estimator delta1 --slots 1000 --reps 2000 --seed 3",
+     "error: estimator delta1 takes the X mean as known, which task t3 estimates: "
+     "use sample_mean\n"),
+    # t1 bounds the Y mean: an X target would print the X mean's variance
+    # against the Y mean's bound
+    ("--task t1 --setting decentralized --alpha 2 --e1 2 --rho 0.5 --p-y 0.5 --p-xy 0.5 "
+     "--target mu-x --estimator sample_mean --var-x 0.1",
+     "error: task t1 bounds the Y mean only: target mu_x needs task t3\n"),
+])
+def test_simulate_estimator_of_another_question_exits_2(flags, message, capsys):
+    assert run_cli("simulate", *flags.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 def test_simulate_planner_policy_passes_audit(capsys):
     # no policy flags: the planner's policy is used and must audit clean
     code = run_cli(*SIM_ARGS)

@@ -8,7 +8,10 @@ A deliberate output change must update the digest and say so in CHANGES.md:
 errors from the policy, which moved only its ``stderr=`` values, and again
 when replications began to share one stream per block of
 ``REPLICATION_BLOCK``, which moved every simulated value.
-``simulate_two_blocks`` spans the first block boundary.
+``simulate_two_blocks`` spans the first block boundary.  Both were
+re-recorded when ``run`` began to draw each block in chunks of
+``max(1, min(1024, 2**16 // slots))`` replications, every slot uniform of a
+chunk before its normals, which moved every simulated value again.
 
 The ``bounds_*``, ``jsonl_*`` and ``preset_*`` digests and
 :data:`PLANNER_DIGEST` pin the sweep evaluator and the planners on every
@@ -54,8 +57,8 @@ GOLDEN = {
     "sweep_fig4c": "f694c4641792bdbdc68cbdffdee747226985f3c3557123e802da4c9d2718ba6d",
     "readme_plan": "be05975de042607a19b9040e4ebafbe9f1abe092238e197c087cc39e0d2ad69e",
     "readme_bounds": "04d30e676061676837637570c7c95d6be8ddddebc1b944066d20b6dc271febd7",
-    "simulate_t3": "30eabc3eea7cffb8549265d7d9ead826787dbcfb5bd7366fb890b3bd1711aa46",
-    "simulate_two_blocks": "e10a0424c11aa06302b39e28e5a11982dd21b8996b2f5f6cf2e171d2de689dc2",
+    "simulate_t3": "37e4414fd04041e3d0b14645d38971a3b9c2a1dfa06dac59502d54cb08570b0b",
+    "simulate_two_blocks": "4f31113d08a736bc0fa14d0e35fa5bef80a8cb804469d7160b3521f42035e296",
     "bounds_t1_centralized_p_xy": "1d56f970d2993f1faf84a56a06b2f38c10d8695fcfdf63801684e7b4ed6675a9",
     "bounds_t1_decentralized_e1": "f798d810a7cd0ae68006956ac4e6e7c40090afbacb9037dc8d8cdfeaf59e61c5",
     "bounds_t2_centralized_e1_inf_e2": "99d741a106d5ce6ccdad35f163d8db6be70cded1b2f184f997ab59e6ad2ee63e",
