@@ -36,11 +36,9 @@ from .fisher import SamplingPolicy, Target, Task, crb_array, policy_mask
 from .model import RHO_LIMIT, ObservationModel, validate
 from .simulator import SimulationConfig, audit_resources, default_estimator
 from .strategy import (
-    LinearConstraintSet,
     ResourceBudget,
     Scenario,
     Setting,
-    constraints_for,
     joint_priority_threshold,
     plan_stack,
     plan_t1_closed_form,
@@ -56,9 +54,11 @@ class _ConfigError(CrbPlanError):
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--task", choices=[t.value for t in Task])
-    p.add_argument("--setting", choices=[s.value for s in Setting])
+def _add_common_flags(p: argparse.ArgumentParser, scenario: bool = True) -> None:
+    if scenario:  # a sweep preset fixes task, setting and target
+        p.add_argument("--task", choices=[t.value for t in Task])
+        p.add_argument("--setting", choices=[s.value for s in Setting])
+        p.add_argument("--target", choices=["mu-x", "mu-y"])
     p.add_argument("--alpha", type=float)
     p.add_argument("--e1", type=float, help="sensor budget (use 'inf' for unbounded)")
     p.add_argument("--e2", type=float, help="data-center budget, centralized only")
@@ -67,7 +67,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu-y", type=float, dest="mu_y", default=0.0)
     p.add_argument("--var-x", type=float, dest="var_x", default=1.0)
     p.add_argument("--var-y", type=float, dest="var_y", default=1.0)
-    p.add_argument("--target", choices=["mu-x", "mu-y"])
     p.add_argument("--config", help="JSON object of this command's flags, keys with underscores")
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -115,17 +114,13 @@ def _build_model(args: argparse.Namespace, rho: float | None = None) -> Observat
 
 
 def _build_scenario(args: argparse.Namespace) -> Scenario:
+    """The flags' scenario, unfiltered: :class:`Scenario` holds the rules."""
     _require(args, "task", "setting", "alpha", "e1")
-    setting = Setting(args.setting)
-    if setting is Setting.CENTRALIZED:
-        _require(args, "e2")
-        budget = ResourceBudget(args.alpha, args.e1, args.e2)
-    else:
-        budget = ResourceBudget(args.alpha, args.e1)
-    target = None
-    if args.target is not None:
-        target = Target(args.target.replace("-", "_"))
-    return Scenario(Task(args.task), setting, budget, target)
+    if args.setting == Setting.CENTRALIZED.value:
+        _require(args, "e2")  # Scenario's own message would not name the flag
+    target = None if args.target is None else Target(args.target.replace("-", "_"))
+    budget = ResourceBudget(args.alpha, args.e1, args.e2)
+    return Scenario(Task(args.task), Setting(args.setting), budget, target)
 
 
 def _policy_from_args(args: argparse.Namespace) -> SamplingPolicy | None:
@@ -198,26 +193,24 @@ _DEPENDENT = {"p_y": "p_xy", "p_x": "p_xy", "p_xy": "p_y"}
 _P_INDEX = {"p_x": 0, "p_y": 1, "p_xy": 2}
 
 
-def derive_dependent(cons: LinearConstraintSet, fixed: dict, dependent: str):
-    """Largest value of one probability the constraint system allows.
+def derive_dependent(scenario: Scenario, fixed: dict, dependent: str):
+    """Largest value of one probability the scenario's constraints allow.
 
     Holds the other two components at ``fixed`` (numbers or arrays) and
-    pushes the dependent one against every constraint with a positive
-    coefficient on it (budget rows and the simplex); clamps to [0, 1].  Plain
-    operators in one order, and Python's ``min`` and ``max`` written as
-    ``where``: an array of fixed values gives each row's scalar result.
+    pushes the dependent one against every row with a positive coefficient
+    on it (budget rows and the simplex), one masked ``fmin`` over the rows of
+    :func:`crbplan.strategy._stack`: an unbounded row's inf or nan (inf minus
+    an infinite load) changes no minimum.  Clamps to [0, 1] by ``where``,
+    which, unlike ``clip``, turns a ``-0.0`` into ``0.0``.
     """
     idx = _P_INDEX[dependent]
-    p = [fixed.get("p_x", 0.0), fixed.get("p_y", 0.0), fixed.get("p_xy", 0.0)]
-    j, k = (n for n in range(3) if n != idx)
-    cap = math.inf
+    budget = scenario.budget
+    c, b = strategy._stack(strategy._family(scenario), budget.alpha, budget.e1, budget.e2)
+    j, k = (_P_INDEX[n] for n in _P_INDEX if n != dependent)
+    p_j, p_k = (np.asarray(fixed.get(n, 0.0))[..., None] for n in _P_INDEX if n != dependent)
     with np.errstate(all="ignore"):  # far-off fixed values overflow a load
-        for row in cons.rows:
-            c = row.coeffs[idx]
-            if c <= 0.0 or math.isinf(row.bound):
-                continue
-            residual = row.bound - (0.0 + row.coeffs[j] * p[j] + row.coeffs[k] * p[k])
-            cap = np.where(residual / c < cap, residual / c, cap)
+        residual = b - (c[:, j] * p_j + c[:, k] * p_k)
+        cap = np.fmin.reduce(residual / c[:, idx], axis=-1, where=c[:, idx] > 0, initial=math.inf)
     cap = np.where(cap < 1.0, cap, 1.0)
     return np.where(cap > 0.0, cap, 0.0)
 
@@ -269,15 +262,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     sweep, sweeps = args.sweep, {}
     dependent = _DEPENDENT.get(sweep)
     if dependent is not None:
+        if getattr(args, sweep) is not None or getattr(args, dependent) is not None:
+            raise _ConfigError(f"a {sweep} sweep sets {sweep} and {dependent}: give neither flag")
         p = {name: getattr(args, name) or 0.0 for name in _P_INDEX}
         p[sweep] = values
-        p[dependent] = derive_dependent(constraints_for(scenario), p, dependent)
+        p[dependent] = derive_dependent(scenario, p, dependent)
     else:
         p = dict(zip(_P_INDEX, (_policy_from_args(args) or SamplingPolicy()).as_tuple()))
-        if sweep == "e2" and scenario.setting is not Setting.CENTRALIZED:
-            raise _ConfigError("e2 sweeps require --setting centralized")
         if sweep != "rho":  # the values ascend: only the first can be negative
-            ResourceBudget(**{**vars(scenario.budget), sweep: values[0].item()})
+            budget = ResourceBudget(**{**vars(scenario.budget), sweep: values[0].item()})
+            Scenario(**{**vars(scenario), "budget": budget})  # refuses a decentralized e2 sweep
         sweeps[sweep] = values
     # a correlation out of range ends the sweep; the rows before it still
     # raise their own errors first
@@ -420,7 +414,7 @@ def _eval_columns(args, preset, fields):
     scenario = _preset_scenario(preset, fields)
     grid = np.array(_grid(0.0, *preset.grid))
     p = {"p_x": 0.0, "p_y": 0.0, **dict.fromkeys(preset.axis, grid)}
-    p["p_xy"] = derive_dependent(constraints_for(scenario), p, "p_xy")
+    p["p_xy"] = derive_dependent(scenario, p, "p_xy")
     crbs, feasible = _evaluate(scenario, model, p)
     budgets = _budget_columns([scenario] * len(grid), [model] * len(grid))
     policy = {n: np.broadcast_to(p[n], grid.shape).tolist() for n in _P_INDEX}
@@ -443,8 +437,8 @@ class _Preset(NamedTuple):
     """A figure preset as data: each curve's columns, by name, come from
     ``columns(args, preset, fields)`` over the ``grid``, ``(stop, step)``
     from 0 (fig1c's stop counts from alpha), of its ``axis``.  ``defaults``
-    gives each flag the preset reads, for when it is not passed; each curve
-    overrides fields (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``)."""
+    gives each flag it reads (another budget or rho flag exits 2) when not
+    passed; curves override fields (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``)."""
 
     columns: Callable
     axis: str | tuple[str, ...]
@@ -511,6 +505,9 @@ _PRESETS = {
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     preset = _PRESETS[args.figure]
+    for name in ("alpha", "e1", "e2", "rho"):
+        if name not in preset.defaults and getattr(args, name) is not None:
+            raise _ConfigError(f"sweep --figure {args.figure} does not read --{name}")
     flags = {name: default if getattr(args, name) is None else getattr(args, name)
              for name, default in preset.defaults.items()}
     curves = [preset.columns(args, preset, {**flags, **curve}) for curve in preset.curves]
@@ -564,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trace", help="write one replication's slot trace CSV here")
 
     p_sweep = sub.add_parser("sweep", help="emit plot-ready data for a named figure")
-    _add_common_flags(p_sweep)
+    _add_common_flags(p_sweep, scenario=False)
     p_sweep.add_argument("--figure", required=True, choices=sorted(_PRESETS))
 
     return parser

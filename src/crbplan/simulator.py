@@ -91,15 +91,10 @@ class SimulationConfig:
             raise ValueError(f"replications must be <= {_MAX_REPS}, got {self.replications}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        task, target = self.scenario.task, self.scenario.target
-        if task is Task.T3 and self.estimator is not EstimatorKind.SAMPLE_MEAN:
+        if self.scenario.task is Task.T3 and self.estimator is not EstimatorKind.SAMPLE_MEAN:
             raise ValueError(
                 f"estimator {self.estimator.value} takes the X mean as known, "
                 "which task t3 estimates: use sample_mean"
-            )
-        if task is not Task.T3 and target is Target.MU_X:
-            raise ValueError(
-                f"task {task.value} bounds the Y mean only: target mu_x needs task t3"
             )
 
 

@@ -106,6 +106,10 @@ class Scenario:
             raise InvalidScenario("centralized scenarios require a data-center budget e2")
         if not centralized and self.budget.e2 is not None:
             raise InvalidScenario("decentralized scenarios must not set e2")
+        if self.target is Target.MU_X and self.task is not Task.T3:
+            raise InvalidScenario(
+                f"task {self.task.value} bounds the Y mean only: target mu_x needs task t3"
+            )
         if self.target is None:
             default = Target.MU_X if self.task is Task.T3 else Target.MU_Y
             object.__setattr__(self, "target", default)

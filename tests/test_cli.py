@@ -6,11 +6,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crbplan.cli import _write_table, build_parser, main
+from crbplan.cli import _write_table, build_parser, derive_dependent, main
+from crbplan.fisher import Task
+from crbplan.strategy import ResourceBudget, Scenario, Setting, constraints_for
 
 
 def run_cli(*argv):
@@ -260,6 +263,53 @@ def test_plan_infinite_alpha_exits_2(setting, capsys):
 # --- bounds ---
 
 
+def _derive_by_rows(cons, fixed, dependent):
+    """The dependent component's cap as a loop over the constraint rows: the
+    reference that :func:`derive_dependent` must equal bit for bit."""
+    idx = ("p_x", "p_y", "p_xy").index(dependent)
+    p = [fixed.get(n, 0.0) for n in ("p_x", "p_y", "p_xy")]
+    j, k = (n for n in range(3) if n != idx)
+    cap = math.inf
+    with np.errstate(all="ignore"):
+        for row in cons.rows:
+            c = row.coeffs[idx]
+            if c <= 0.0 or math.isinf(row.bound):
+                continue
+            residual = row.bound - (0.0 + row.coeffs[j] * p[j] + row.coeffs[k] * p[k])
+            cap = np.where(residual / c < cap, residual / c, cap)
+    cap = np.where(cap < 1.0, cap, 1.0)
+    return np.where(cap > 0.0, cap, 0.0)
+
+
+_COMPONENT = st.one_of(
+    st.floats(-1.0, 2.0), st.floats(0.0, math.inf), st.sampled_from([0.0, -0.0, 5e-324, 1e308])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(  # a budget of -0.0 leaves a cap of -0.0, which prints as -0 unclamped
+    task=Task.T1, centralized=False, alpha=2.0, e1=-0.0, e2=0.0, dependent="p_xy",
+    swept=[0.0], other=None,
+)
+@given(
+    task=st.sampled_from(list(Task)), centralized=st.booleans(),
+    alpha=st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 5e-324, 1e300])),
+    e1=st.one_of(st.floats(0.0, 8.0), st.sampled_from([-0.0, math.inf, 5e-324, 1e300])),
+    e2=st.one_of(st.floats(0.0, 8.0), st.sampled_from([-0.0, math.inf])),
+    dependent=st.sampled_from(["p_x", "p_y", "p_xy"]),
+    swept=st.lists(_COMPONENT, min_size=1, max_size=6), other=st.one_of(st.none(), _COMPONENT),
+)
+def test_derive_dependent_equals_the_row_loop(task, centralized, alpha, e1, e2, dependent,
+                                             swept, other):
+    setting = Setting.CENTRALIZED if centralized else Setting.DECENTRALIZED
+    scenario = Scenario(task, setting, ResourceBudget(alpha, e1, e2 if centralized else None))
+    first, second = (n for n in ("p_x", "p_y", "p_xy") if n != dependent)
+    fixed = {first: np.array(swept)} if other is None else {first: np.array(swept), second: other}
+    got = derive_dependent(scenario, fixed, dependent)
+    want = _derive_by_rows(constraints_for(scenario), fixed, dependent)
+    assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())  # -0.0 reads 0.0
+
+
 def bounds_rows(tmp_path, e1, extra=()):
     out = tmp_path / "bounds.csv"
     code = run_cli(
@@ -325,7 +375,7 @@ def test_bounds_t3_row_at_a_subnormal_variance(target, crb, capsys):
         "bounds", "--task", "t3", "--setting", "decentralized", "--alpha", "0",
         "--e1", "1", "--rho", "0.5", "--var-y", "2.2e-311", "--target", target,
         "--sweep", "p_x", "--start", "0.3", "--stop", "0.3", "--step", "0.1",
-        "--p-y", "0.3", "--p-xy", "0.3",
+        "--p-y", "0.3",
     )
     assert code == 0
     assert capsys.readouterr().out == f"sweep_var,value,crb,feasible\np_x,0.3,{crb},true\n"
@@ -675,6 +725,57 @@ def test_sweep_byte_identical(tmp_path):
     assert run_cli("sweep", "--figure", "fig2a", "--out", str(a)) == 0
     assert run_cli("sweep", "--figure", "fig2a", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- inputs a command would answer for another question, or ignore ---
+
+_T1 = "--task t1 --setting decentralized --alpha 2 --e1 2 --rho 0.5"
+_T2, _T3 = _T1.replace("t1", "t2"), _T1.replace("t1", "t3")
+_X_OF_T1 = "error: task {} bounds the Y mean only: target mu_x needs task t3\n"
+_DECENTRALIZED_E2 = "error: decentralized scenarios must not set e2\n"
+_SWEEP_SETS = "error: a {0} sweep sets {0} and {1}: give neither flag\n"
+_UNREAD = "error: sweep --figure {} does not read --{}\n"
+_REFUSED = {
+    "plan_t1_target_mu_x": (f"plan {_T1} --target mu-x", _X_OF_T1.format("t1")),
+    "plan_t2_target_mu_x": (f"plan {_T2} --target mu-x", _X_OF_T1.format("t2")),
+    "bounds_t1_target_mu_x": (f"bounds {_T1} --target mu-x --sweep p_y", _X_OF_T1.format("t1")),
+    "bounds_t2_target_mu_x": (f"bounds {_T2} --target mu-x --sweep rho", _X_OF_T1.format("t2")),
+    "plan_decentralized_e2": (f"plan {_T1} --e2 0", _DECENTRALIZED_E2),
+    "bounds_decentralized_e2": (f"bounds {_T1} --e2 1 --sweep e1", _DECENTRALIZED_E2),
+    "simulate_decentralized_e2": (f"simulate {_T1} --e2 1 --reps 10 --seed 1", _DECENTRALIZED_E2),
+    "bounds_decentralized_e2_sweep": (f"bounds {_T1} --sweep e2", _DECENTRALIZED_E2),
+    "p_y_sweep_p_y": (f"bounds {_T1} --sweep p_y --p-y 0.9", _SWEEP_SETS.format("p_y", "p_xy")),
+    "p_y_sweep_p_xy": (f"bounds {_T1} --sweep p_y --p-xy 0.9", _SWEEP_SETS.format("p_y", "p_xy")),
+    "p_x_sweep_p_xy": (f"bounds {_T3} --sweep p_x --p-xy 0.3", _SWEEP_SETS.format("p_x", "p_xy")),
+    "p_xy_sweep_p_y": (f"bounds {_T1} --sweep p_xy --p-y 0.3", _SWEEP_SETS.format("p_xy", "p_y")),
+    "fig1a_alpha": ("sweep --figure fig1a --alpha 3", _UNREAD.format("fig1a", "alpha")),
+    "fig1c_e1": ("sweep --figure fig1c --e1 2", _UNREAD.format("fig1c", "e1")),
+    "fig4a_rho": ("sweep --figure fig4a --rho 0.3", _UNREAD.format("fig4a", "rho")),
+    "fig2b_rho": ("sweep --figure fig2b --rho 0.5", _UNREAD.format("fig2b", "rho")),
+    "fig4c_e2": ("sweep --figure fig4c --e2 1", _UNREAD.format("fig4c", "e2")),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_refused_input_exits_2_with_one_line(argv, message):
+    assert _main_output(argv.split()) == (2, "", message)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"task": "t1"}, "error: unknown config key: 'task'\n"),
+    ({"alpha": 3}, _UNREAD.format("fig1a", "alpha")),
+], ids=["task_key", "unread_alpha"])
+def test_sweep_config_of_a_flag_the_preset_fixes_exits_2(values, message, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    assert _main_output(["sweep", "--figure", "fig1a", "--config", str(cfg)]) == (2, "", message)
+
+
+@pytest.mark.parametrize("flag", ["--task t1", "--setting decentralized", "--target mu-y"])
+def test_sweep_takes_no_scenario_flag(flag):
+    code, out, err = _main_output(["sweep", "--figure", "fig4b", *flag.split()])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {flag}\n")  # argparse's usage first
 
 
 # --- one parser per process ---

@@ -171,7 +171,7 @@ COMMANDS = {
     "preset_fig2b_e1_inf": "sweep --figure fig2b --e1 inf".split(),
     "preset_fig2c_alpha": "sweep --figure fig2c --alpha 3 --var-y 0.5".split(),
     "preset_fig3_budgets": "sweep --figure fig3 --e1 1.5 --e2 2.5 --rho 0.6".split(),
-    "preset_fig4a_budgets": "sweep --figure fig4a --rho 0.3 --e2 1.5 --var-x 4".split(),
+    "preset_fig4a_budgets": "sweep --figure fig4a --e2 1.5 --var-x 4".split(),
     "preset_fig4b_alpha_0": "sweep --figure fig4b --alpha 0".split(),
     "preset_fig4c_alpha_e1": "sweep --figure fig4c --alpha 1 --e1 3".split(),
 }

@@ -85,6 +85,17 @@ def test_scenario_default_target():
     assert dec(Task.T3, 1, 1).target is Target.MU_X
 
 
+@pytest.mark.parametrize("task", [Task.T1, Task.T2])
+@pytest.mark.parametrize("setting", list(Setting))
+def test_scenario_refuses_an_x_target_of_a_one_mean_task(task, setting):
+    budget = ResourceBudget(1, 1, 1 if setting is Setting.CENTRALIZED else None)
+    with pytest.raises(InvalidScenario, match=(
+        f"^task {task.value} bounds the Y mean only: target mu_x needs task t3$"
+    )):
+        Scenario(task, setting, budget, Target.MU_X)
+    assert Scenario(task, setting, budget, Target.MU_Y).target is Target.MU_Y
+
+
 # --- constraint sets ---
 
 
