@@ -253,13 +253,17 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    sweep, sweeps = args.sweep, {}
+    if sweep in ("rho", "e1", "e2") and getattr(args, sweep) is None:
+        # the sweep sets this flag, so it is optional; a given one is checked
+        # and then overridden, and 0 stands in for a missing one
+        args = argparse.Namespace(**{**vars(args), sweep: 0.0})
     model = _build_model(args)
     scenario = _build_scenario(args)
     start, stop, step = args.start, args.stop, args.step
     if step <= 0.0 or stop < start or not all(math.isfinite(v) for v in (start, stop, step)):
         raise _ConfigError(f"malformed sweep range [{start}, {stop}] step {step}")
     values = np.array(_grid(start, stop, step))
-    sweep, sweeps = args.sweep, {}
     dependent = _DEPENDENT.get(sweep)
     if dependent is not None:
         if getattr(args, sweep) is not None or getattr(args, dependent) is not None:

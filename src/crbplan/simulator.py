@@ -10,14 +10,20 @@ therefore is each budget row's left-hand side, which is what
 All randomness is derived per block of :data:`REPLICATION_BLOCK`
 replications from (master seed, block index): block ``b`` is drawn from
 stream ``b`` in chunks of ``max(1, min(1024, 2**16 // slots))``
-replications that tile the block from its start, each chunk in a few array
-calls.  Reports are therefore bit-identical across runs and across any
-split of whole blocks over workers.  ``_draw_chunk`` alone fixes the order
-of a chunk's draws and reduces them to per-replication slot counts and
-stratum sums, the statistics every estimator formula reads; :func:`run`
-estimates from those, :func:`collect_replication` and :func:`replay_slots`
-are a chunk of one, and :func:`write_trace` replays the chunk that holds
-the traced replication, so it shows exactly the data :func:`run` consumed.
+replications that tile the block from its start, each chunk in two array
+calls: every slot's uniform, then four standard normals per replication.
+Reports are therefore bit-identical across runs and across any split of
+whole blocks over workers.  ``_draw_chunk`` alone fixes the order of a
+chunk's draws and reduces them to per-replication slot counts and stratum
+sums, the statistics every estimator formula reads: a stratum's sum of
+``m`` iid standard normals is ``sqrt(m)`` times one standard normal, exactly
+in distribution, so no slot draws a normal of its own.  :func:`run`
+estimates from those sums.  :func:`collect_replication`,
+:func:`replay_slots` (chunks of one) and :func:`write_trace` give each slot
+the kind :func:`run` consumed and fill the values of each stratum by a
+Gaussian bridge, the exact law of iid normals given their sum, from a
+stream that :func:`run` never draws from; so every stratum of a replay
+sums to the sum that :func:`run` estimated from.
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ from .strategy import Actor, Scenario, _charged, _limit, _load, constraints_for
 
 
 #: Most slots per replication: past 2**16 slots a chunk is one replication,
-#: whose draws (uniforms, kind codes, normals) peak at 48 bytes a slot in
-#: ``tracemalloc`` when every slot is joint, 0.5 GB here, where far more
-#: would fail to allocate.
+#: whose draws (uniforms and kind codes) peak at 18 bytes a slot in
+#: ``tracemalloc``, 0.18 GB here; a replay of it (``collect_replication``,
+#: ``replay_slots``) peaks at 64 bytes a slot when every slot is joint,
+#: 0.64 GB, where far more would fail to allocate.
 _MAX_SLOTS = 10**7
 #: Most replications per run: :func:`run` keeps each chunk's moments, so its
 #: memory does not grow with replications (``tracemalloc``: 0.27 MB at 10^4
@@ -163,48 +170,68 @@ def _draw_chunk(model: ObservationModel, edges: np.ndarray, slots: int, n: int, 
 
     Draws every slot's uniform in one call, replication after replication,
     and gives each slot the kind of the first edge above its uniform (idle
-    past the last).  Then draws one block of standard normals: z1 of every
-    non-idle slot in slot order, then z2 of every joint slot.  A marginal
-    slot's value is :func:`marginal_from_normals` of its z1, a joint pair
-    :func:`joint_from_normals` of its z1 and z2.
+    past the last).  Then draws one ``(4, n)`` block of standard normals,
+    rows marginal X, marginal Y, joint z1 and joint z2: a row times the
+    square root of its stratum's count is that stratum's sum of iid
+    standard normals, exactly in distribution.  The value maps of
+    :func:`marginal_from_normals` and :func:`joint_from_normals` turn these
+    sums into the stratum sums.
 
     Returns ``(code, z, counts, sums)``: per slot ``4 * replication + kind``
-    (the kind indexing :data:`_KIND_CODES`), the normals, and per
+    (the kind indexing :data:`_KIND_CODES`), the ``(4, n)`` normals, and per
     replication (columns) the rows of slot counts by kind and of the sums
     of the strata ``(marginal_x, marginal_y, joint_x, joint_y)``, the
-    statistics every estimator formula reads.  The sums are the value maps
-    applied to each stratum's sum of normals.
+    statistics every estimator formula reads.
     """
     u = rng.random(n * slots)
     code = np.repeat(np.arange(0, 4 * n, 4), slots)
     code += sum((u >= edge).view(np.int8) for edge in edges.tolist())
     counts = np.bincount(code, minlength=4 * n).reshape(n, 4).T
-    seen = code[u < edges[2]]
-    z = rng.standard_normal(seen.size + int(counts[2].sum()))
-    z_sums = np.bincount(seen, weights=z[: seen.size], minlength=4 * n).reshape(n, 4).T
-    # the joint slots come replication by replication, counts[2] of each;
-    # the idle row of z_sums, all 0, takes their Y normals rho z1 + tail z2
-    z2_sums = np.bincount(np.repeat(np.arange(n), counts[2]), weights=z[seen.size :], minlength=n)
-    z_sums[3] = model.rho * z_sums[2] + math.sqrt(1.0 - model.rho * model.rho) * z2_sums
+    z = rng.standard_normal((4, n))
+    z_sums = np.sqrt(counts[[0, 1, 2, 2]]) * z
+    # the joint Y column: rho S1 + sqrt(1 - rho^2) S2 of the whitened sums
+    z_sums[3] = model.rho * z_sums[2] + math.sqrt(1.0 - model.rho * model.rho) * z_sums[3]
     loc = np.array([[model.mu_x], [model.mu_y], [model.mu_x], [model.mu_y]])
     scale = np.array([[model.sigma_x], [model.sigma_y], [model.sigma_x], [model.sigma_y]])
     sums = loc * counts[[0, 1, 2, 2]] + scale * z_sums
     return code, z, counts, sums
 
 
-def _slot_values(model: ObservationModel, code: np.ndarray, z: np.ndarray):
-    """``(kinds, x, y)`` per slot of a chunk's draws, in slot order: the
-    kind codes and the coordinate values, NaN where not observed."""
-    kinds = code & 3
-    seen = kinds < 3
-    z1 = np.full(kinds.size, math.nan)
-    z1[seen] = z[: np.count_nonzero(seen)]
+def _strata(model: ObservationModel, counts, z, rng):
+    """One replication's strata ``(marginal_x, marginal_y, joint_x,
+    joint_y)`` from its slot counts by kind and its column ``z`` of
+    ``_draw_chunk``'s normals, ``rng`` the stream that drew them.
+
+    In a stratum of ``m`` slots, whose whitened sum is ``S = sqrt(m) z``,
+    the whitened values are the Gaussian bridge ``w - mean(w) + S / m`` of
+    ``m`` iid standard normals ``w``: given their sum ``S``, iid standard
+    normals have exactly this law.  The ``w`` come from ``rng`` jumped far
+    ahead, past anything :func:`run` draws from it; ``rng`` does not move.
+    A joint pair bridges each whitened column (z1, z2) and then takes
+    :func:`joint_from_normals`.
+    """
+    sizes = [counts[0], counts[1], counts[2], counts[2]]
+    bridge = np.random.Generator(rng.bit_generator.jumped())
+    w = np.split(bridge.standard_normal(sum(sizes)), np.cumsum(sizes[:3]))
+    z1x, z1y, z1, z2 = (
+        w_k - w_k.mean() + math.sqrt(m) * z_k / m if m else w_k
+        for w_k, m, z_k in zip(w, sizes, z.tolist())
+    )
+    return (
+        marginal_from_normals(model, Axis.X, z1x),
+        marginal_from_normals(model, Axis.Y, z1y),
+        *joint_from_normals(model, z1, z2),
+    )
+
+
+def _slot_values(kinds: np.ndarray, strata):
+    """``(x, y)`` per slot: each stratum's values in the slots of its kind,
+    in slot order; NaN where a coordinate was not observed."""
     x, y = np.full((2, kinds.size), math.nan)
-    x[kinds == 0] = marginal_from_normals(model, Axis.X, z1[kinds == 0])
-    y[kinds == 1] = marginal_from_normals(model, Axis.Y, z1[kinds == 1])
+    x[kinds == 0], y[kinds == 1] = strata[:2]
     joint = kinds == 2
-    x[joint], y[joint] = joint_from_normals(model, z1[joint], z[seen.sum() :])
-    return kinds, x, y
+    x[joint], y[joint] = strata[2:]
+    return x, y
 
 
 def replay_slots(
@@ -217,12 +244,14 @@ def replay_slots(
 
     Returns ``(kinds, x, y)``: an int array of codes indexing
     ``(marginal_x, marginal_y, joint, idle)`` and per-slot coordinate values
-    (NaN where the coordinate was not observed).  The draws are those of a
-    chunk of one replication, scattered back to their slots.
+    (NaN where the coordinate was not observed).  The kinds and stratum sums
+    are those of a chunk of one replication, and ``rng`` advances as by that
+    chunk; the values are :func:`collect_replication`'s strata in the slots
+    of their kinds.
     """
-    code, z, _, _ = _draw_chunk(model, _slot_edges(policy), slots, 1, rng)
-    kinds, x, y = _slot_values(model, code, z)
-    return kinds.astype(np.int8), x, y
+    code, z, counts, _ = _draw_chunk(model, _slot_edges(policy), slots, 1, rng)
+    strata = _strata(model, counts[:, 0].tolist(), z[:, 0], rng)
+    return (code.astype(np.int8), *_slot_values(code, strata))
 
 
 def collect_replication(
@@ -233,19 +262,16 @@ def collect_replication(
 ) -> tuple[tuple[np.ndarray, ...], dict[str, int]]:
     """Run one replication, a chunk of one: ``(strata, counts)``, the arrays
     ``(marginal_x, marginal_y, joint_x, joint_y)`` every estimator takes and
-    the slot count of each kind by name.  :func:`run` draws block ``b`` from
-    stream ``b`` in chunks of ``max(1, min(1024, 2**16 // slots))``
-    replications, so these are the draws of one of its replications only
-    where a chunk is one replication."""
-    code, z, counts, _ = _draw_chunk(model, _slot_edges(policy), slots, 1, rng)
-    seen = code[code < 3]  # the kinds of the slots that drew z1, in slot order
-    z1 = z[: seen.size]
-    strata = (
-        marginal_from_normals(model, Axis.X, z1[seen == 0]),
-        marginal_from_normals(model, Axis.Y, z1[seen == 1]),
-        *joint_from_normals(model, z1[seen == 2], z[seen.size :]),
-    )
-    return strata, {kind.value: int(n) for kind, n in zip(_KIND_CODES, counts[:, 0])}
+    the slot count of each kind by name.  Each stratum sums to the sum that
+    the chunk's normals give (``_strata``), and ``rng`` advances as by the
+    chunk.  :func:`run` draws block ``b`` from stream ``b`` in chunks of
+    ``max(1, min(1024, 2**16 // slots))`` replications, so these are the
+    draws of one of its replications only where a chunk is one
+    replication."""
+    _, z, counts, _ = _draw_chunk(model, _slot_edges(policy), slots, 1, rng)
+    counts = counts[:, 0].tolist()
+    strata = _strata(model, counts, z[:, 0], rng)
+    return strata, {kind.value: n for kind, n in zip(_KIND_CODES, counts)}
 
 
 def default_estimator(scenario: Scenario, policy: SamplingPolicy) -> EstimatorKind:
@@ -448,10 +474,11 @@ TRACE_HEADER = "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
 def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
     """Dump one replication's slot-by-slot stream as CSV (debugging aid).
 
-    Opens the replication's block stream, draws the chunks of the block up
-    to the one that holds the replication, as :func:`run` does, and scatters
-    that chunk's draws back to their slots, so the trace reproduces exactly
-    the data that :func:`run` consumed for that replication.
+    Opens the replication's block stream and draws the chunks of the block
+    up to the one that holds the replication, as :func:`run` does.  The
+    slots take the kinds that chunk drew, and their values are the Gaussian
+    bridge of its stratum sums (``_strata``), so each stratum of the
+    trace sums to the sum that :func:`run` estimated from.
     """
     if not 0 <= replication < config.replications:
         raise ValueError(f"replication must be in [0, {config.replications})")
@@ -459,11 +486,13 @@ def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
     rng = replication_rng(config.master_seed, block)
     edges = _slot_edges(config.policy)
     for start, stop in _block_chunks(block, config.replications, config.slots):
-        drawn, z, _, _ = _draw_chunk(config.model, edges, config.slots, stop - start, rng)
+        drawn, z, counts, _ = _draw_chunk(config.model, edges, config.slots, stop - start, rng)
         if replication < stop:
             break
-    mine = slice((replication - start) * config.slots, (replication - start + 1) * config.slots)
-    kinds, x, y = (values[mine].tolist() for values in _slot_values(config.model, drawn, z))
+    mine = replication - start
+    kinds = drawn[mine * config.slots : (mine + 1) * config.slots] & 3
+    strata = _strata(config.model, counts[:, mine].tolist(), z[:, mine], rng)
+    kinds, x, y = kinds.tolist(), *(v.tolist() for v in _slot_values(kinds, strata))
     charged = _charged(constraints_for(config.scenario))
     prices = [(*charged[a].coeffs, 0.0) if a in charged else (0.0,) * 4 for a in Actor]
     costs = [",".join(f"{price[code]:.9g}" for price in prices) for code in range(4)]

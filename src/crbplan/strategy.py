@@ -76,7 +76,8 @@ class ResourceBudget:
 
     ``alpha`` is the communication-to-observation cost ratio, ``e1`` the
     per-sensor budget, and ``e2`` the data-center budget (centralized only).
-    ``math.inf`` expresses an unbounded budget.
+    ``math.inf`` expresses an unbounded budget.  A budget of ``-0.0`` is
+    stored as ``0.0``.
     """
 
     alpha: float
@@ -89,6 +90,9 @@ class ResourceBudget:
             raise InvalidScenario(f"e1 must be >= 0, got {self.e1}")
         if self.e2 is not None and not self.e2 >= 0.0:
             raise InvalidScenario(f"e2 must be >= 0, got {self.e2}")
+        object.__setattr__(self, "e1", self.e1 + 0.0)  # -0.0 + 0.0 is 0.0
+        if self.e2 is not None:
+            object.__setattr__(self, "e2", self.e2 + 0.0)
 
 
 @dataclass(frozen=True)

@@ -761,6 +761,34 @@ def test_refused_input_exits_2_with_one_line(argv, message):
     assert _main_output(argv.split()) == (2, "", message)
 
 
+@pytest.mark.parametrize("argv", ["fig1b --e1", "fig4b --e1", "fig4b --e2"])
+def test_sweep_negative_zero_budget_reads_as_zero(argv):
+    # a budget of -0 is the budget 0, in every cell the preset echoes
+    code, out, err = _main_output(["sweep", "--figure", *argv.split(), "-0"])
+    assert (code, err) == (0, "") and "-0" not in out
+    assert _main_output(["sweep", "--figure", *argv.split(), "0"]) == (0, out, "")
+
+
+_P = "--p-x 0.2 --p-y 0.3 --p-xy 0.2"
+_SWEPT_FLAG = {
+    "e1": (f"bounds {_T1.replace('--e1 2 ', '')} {_P} --sweep e1 --stop 2 --step 0.5", "--e1 7"),
+    "e2": ("bounds --task t1 --setting centralized --alpha 2 --e1 2 --rho 0.5 --p-y 0.5 "
+           "--sweep e2 --stop 1 --step 0.25", "--e2 3"),
+    "rho": ("bounds --task t3 --setting centralized --alpha 2 --e1 2 --e2 1 "
+            f"{_P} --sweep rho --start -0.9 --stop 0.9 --step 0.3", "--rho 0.3"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", list(_SWEPT_FLAG.values()), ids=list(_SWEPT_FLAG))
+def test_bounds_sweep_needs_no_flag_for_its_variable(argv, flag):
+    # the sweep sets its variable: without the flag the sweep runs, and a
+    # given flag is checked and then overridden, so the bytes are the same
+    assert flag.split()[0] not in argv.split()
+    code, out, err = _main_output(argv.split())
+    assert (code, err) == (0, "") and len(out.splitlines()) >= 5
+    assert _main_output([*argv.split(), *flag.split()]) == (0, out, "")
+
+
 @pytest.mark.parametrize("values, message", [
     ({"task": "t1"}, "error: unknown config key: 'task'\n"),
     ({"alpha": 3}, _UNREAD.format("fig1a", "alpha")),

@@ -11,7 +11,9 @@ when replications began to share one stream per block of
 ``simulate_two_blocks`` spans the first block boundary.  Both were
 re-recorded when ``run`` began to draw each block in chunks of
 ``max(1, min(1024, 2**16 // slots))`` replications, every slot uniform of a
-chunk before its normals, which moved every simulated value again.
+chunk before its normals, which moved every simulated value again, and
+once more when a chunk began to draw four normals per replication, one per
+stratum sum, in place of one per observed coordinate.
 
 The ``bounds_*``, ``jsonl_*`` and ``preset_*`` digests and
 :data:`PLANNER_DIGEST` pin the sweep evaluator and the planners on every
@@ -57,8 +59,8 @@ GOLDEN = {
     "sweep_fig4c": "f694c4641792bdbdc68cbdffdee747226985f3c3557123e802da4c9d2718ba6d",
     "readme_plan": "be05975de042607a19b9040e4ebafbe9f1abe092238e197c087cc39e0d2ad69e",
     "readme_bounds": "04d30e676061676837637570c7c95d6be8ddddebc1b944066d20b6dc271febd7",
-    "simulate_t3": "37e4414fd04041e3d0b14645d38971a3b9c2a1dfa06dac59502d54cb08570b0b",
-    "simulate_two_blocks": "4f31113d08a736bc0fa14d0e35fa5bef80a8cb804469d7160b3521f42035e296",
+    "simulate_t3": "804b9c2b2a048cecfcf432461e6e1180473713889b4a91b5eb8f612cc7b5e0ea",
+    "simulate_two_blocks": "207ca5a932a3323046cd203ba9b8dc38985e7a834c728072d80e5804d489def0",
     "bounds_t1_centralized_p_xy": "1d56f970d2993f1faf84a56a06b2f38c10d8695fcfdf63801684e7b4ed6675a9",
     "bounds_t1_decentralized_e1": "f798d810a7cd0ae68006956ac4e6e7c40090afbacb9037dc8d8cdfeaf59e61c5",
     "bounds_t2_centralized_e1_inf_e2": "99d741a106d5ce6ccdad35f163d8db6be70cded1b2f184f997ab59e6ad2ee63e",

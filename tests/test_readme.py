@@ -1,8 +1,12 @@
+import contextlib
+import io
 import math
 import re
 from pathlib import Path
 
 import pytest
+
+from crbplan.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +30,18 @@ def test_readme_library_tour_runs_as_written():
     assert tour["info"][0, 0] == pytest.approx(7 / 6, rel=1e-12)
     assert tour["info"].ravel()[1:].tolist() == [0.0, 0.0, 0.0]
     assert tour["oracle"][0, 0] == pytest.approx(7 / 6, rel=0.02)
+
+
+def test_readme_simulate_example_prints_as_shown():
+    # the simulate section's command, without its optional --out, prints
+    # the text block that follows it, byte for byte
+    text = README.read_text(encoding="utf-8")
+    command, shown = re.search(
+        r"### simulate\n\n```sh\n(.*?)```\n\nprints[^\n]*\n\n```text\n(.*?)```", text, re.S
+    ).groups()
+    argv = command.replace("\\\n", " ").replace("[--out report.csv]", "").split()
+    assert argv[0] == "crbplan"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv[1:]) == 0
+    assert out.getvalue() == shown

@@ -138,32 +138,41 @@ def _replay_chunks(config):
     """``(start, kinds, x, y)`` of each chunk of a run, in replication order,
     replayed slot by slot in the draw order that run documents: chunks of
     ``max(1, min(1024, 2**16 // slots))`` replications tile each block of
-    its stream; a chunk draws every slot's uniform in one call, then z1 of
-    every non-idle slot in slot order and z2 of every joint slot.  ``kinds``,
-    ``x`` and ``y`` have a row per replication, with NaN gaps."""
+    its stream; a chunk draws every slot's uniform in one call, then one
+    ``(4, n)`` block of normals, rows marginal X, marginal Y, joint z1 and
+    joint z2 of each replication.  A stratum of ``m`` slots takes the
+    whitened values ``w - mean(w) + z / sqrt(m)``, which sum to its row's
+    ``sqrt(m) z`` whatever the ``w``; here ``w`` come from a generator of
+    the test's own.  ``kinds``, ``x`` and ``y`` have a row per replication,
+    with NaN gaps."""
     policy, model, slots = config.policy, config.model, config.slots
     edge_x = policy.p_x
     edge_y = policy.p_x + policy.p_y
     edge_j = policy.p_x + policy.p_y + policy.p_xy
     tail = math.sqrt(1.0 - model.rho**2)
+    w_rng = np.random.default_rng(config.master_seed % 2**32)
     size = _chunk_size(slots)
+
+    def bridged(mask, z):
+        w = w_rng.standard_normal(int(mask.sum()))
+        return w - w.mean() + z / math.sqrt(w.size) if w.size else w
+
     for block_start in range(0, config.replications, REPLICATION_BLOCK):
         rng = replication_rng(config.master_seed, block_start // REPLICATION_BLOCK)
         stop = min(config.replications, block_start + REPLICATION_BLOCK)
         for start in range(block_start, stop, size):
             u = rng.random(min(size, stop - start) * slots).reshape(-1, slots)
+            z = rng.standard_normal((4, u.shape[0]))
             is_x = u < edge_x
             is_y = (u >= edge_x) & (u < edge_y)
             is_j = (u >= edge_y) & (u < edge_j)
-            seen = is_x | is_y | is_j
-            z = rng.standard_normal(int(seen.sum() + is_j.sum()))
-            z1, z2 = np.full((2, *u.shape), math.nan)
-            z1[seen] = z[: int(seen.sum())]
-            z2[is_j] = z[int(seen.sum()) :]
             x, y = np.full((2, *u.shape), math.nan)
-            x[is_x | is_j] = model.mu_x + model.sigma_x * z1[is_x | is_j]
-            y[is_y] = model.mu_y + model.sigma_y * z1[is_y]
-            y[is_j] = model.mu_y + model.sigma_y * (model.rho * z1[is_j] + tail * z2[is_j])
+            for r in range(u.shape[0]):
+                x[r, is_x[r]] = model.mu_x + model.sigma_x * bridged(is_x[r], z[0, r])
+                y[r, is_y[r]] = model.mu_y + model.sigma_y * bridged(is_y[r], z[1, r])
+                z1, z2 = bridged(is_j[r], z[2, r]), bridged(is_j[r], z[3, r])
+                x[r, is_j[r]] = model.mu_x + model.sigma_x * z1
+                y[r, is_j[r]] = model.mu_y + model.sigma_y * (model.rho * z1 + tail * z2)
             kinds = np.select([is_x, is_y, is_j], [0, 1, 2], 3)
             yield start, kinds, x, y
 
@@ -258,9 +267,10 @@ def _identity_configs(count=84):
 
 
 def test_run_matches_slot_level_reference_exactly():
-    # counts, ledger and exclusions bit for bit; each replication's estimate
-    # and the aggregates within rounding: the engine sums each stratum with
-    # np.bincount in sequence, the array estimators with np.sum pairwise
+    # counts, ledger, exclusions and replications used bit for bit; each
+    # replication's estimate and the aggregates within rounding: the engine
+    # scales each stratum's normal by sqrt(count), the array estimators sum
+    # the reference's bridged slot values
     outcomes = {"report": 0, "excluded": 0, "all_excluded": 0}
     for index, cfg in enumerate(_identity_configs()):
         want, totals = _slot_level_run(cfg)
@@ -364,7 +374,7 @@ def _reference_run(config):
 
 
 def _oracle_configs():
-    """Fourteen seeded configurations: every accepted (task, estimator,
+    """Sixteen seeded configurations: every accepted (task, estimator,
     target) pair, decentralized and centralized, at 100 slots."""
     rng = np.random.default_rng(17)
     pairs = [(task, estimator, None) for task in (Task.T1, Task.T2)
@@ -778,6 +788,51 @@ def test_audit_centralized_includes_dc():
 # --- trace dump ---
 
 
+def _whitened(strata, model):
+    """Each stratum's standard normals: the marginal values standardized,
+    the joint pairs' z1 and z2 of :func:`joint_from_normals`."""
+    mx, my, jx, jy = strata
+    z1 = (jx - model.mu_x) / model.sigma_x
+    z2 = ((jy - model.mu_y) / model.sigma_y - model.rho * z1) / math.sqrt(1.0 - model.rho**2)
+    return (mx - model.mu_x) / model.sigma_x, (my - model.mu_y) / model.sigma_y, z1, z2
+
+
+def test_replays_bridge_runs_stratum_sums():
+    # collect_replication and replay_slots are chunks of one: their kinds
+    # are the chunk's, each stratum sums to the chunk's stratum sum within
+    # 1e-12 of the sum of its magnitudes, and the caller's stream advances
+    # exactly as by the chunk.  Given its sum, a stratum of m iid standard
+    # normals has squared deviations chi-square with m - 1 degrees of
+    # freedom; pooled over all strata, the whitened values' must lie within
+    # the two-sided 1e-6 quantiles
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    cases = [
+        (SamplingPolicy(0, 0.5, 0.5), validate((0.0, 0.0, 1.0, 1.0, 0.5)), 1000),
+        (SamplingPolicy(0.2, 0.3, 0.4), validate((3.0, -2.0, 0.3, 4.0, -0.8)), 37),
+        (SamplingPolicy(0.1, 0.02, 0.85), validate((-50.0, 7.0, 2.0, 0.5, 0.95)), 200),
+        (SamplingPolicy(0.0, 0.0, 1.0), validate((1.0, 1.0, 1.0, 9.0, 0.0)), 5),
+    ]
+    squares, freedom = 0.0, 0
+    for index, (policy, m, slots) in enumerate(cases):
+        rng, replay, ref = (replication_rng(index, 0) for _ in range(3))
+        for _ in range(50):
+            strata, counts = collect_replication(m, policy, slots, rng)
+            kinds, x, y = replay_slots(m, policy, slots, replay)
+            code, _, want_counts, want_sums = _draw_chunk(m, _slot_edges(policy), slots, 1, ref)
+            assert rng.bit_generator.state == replay.bit_generator.state == ref.bit_generator.state
+            assert (kinds == code).all() and list(counts.values()) == want_counts[:, 0].tolist()
+            gathered = (x[kinds == 0], y[kinds == 1], x[kinds == 2], y[kinds == 2])
+            assert all(np.array_equal(got, want) for got, want in zip(strata, gathered))
+            for stratum, want in zip(strata, want_sums[:, 0].tolist()):
+                assert abs(stratum.sum() - want) <= 1e-12 * np.abs(stratum).sum(), index
+            for z in _whitened(strata, m):
+                if z.size >= 2:
+                    squares += float(np.square(z - z.mean()).sum())
+                    freedom += z.size - 1
+    assert freedom > 50_000
+    assert chi2.ppf(1e-6, freedom) <= squares <= chi2.ppf(1 - 1e-6, freedom), (squares, freedom)
+
+
 def test_trace_reproduces_replication(tmp_path):
     # 1000 slots: chunks of 65 replications.  Replication 100 lies in the
     # middle of the second chunk, 1023 ends the cut last chunk of block 0 and
@@ -791,29 +846,32 @@ def test_trace_reproduces_replication(tmp_path):
             replays[start + offset] = row
     assert len(replays) == cfg.replications
 
-    def fmt(v):
-        return "" if math.isnan(v) else f"{v:.9g}"
-
     for replication in (100, REPLICATION_BLOCK - 1, REPLICATION_BLOCK + 1):
         path = tmp_path / "trace.csv"
         write_trace(cfg, path, replication=replication)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
         assert len(lines) == cfg.slots + 1
-        # the slot-level replay of the replication's chunk, value for value
+        rows = [line.split(",") for line in lines[1:]]
+        # the slot-level replay's kinds, slot for slot, and its stratum sums
+        # within the 9 significant digits of each printed value
         kinds, x, y = replays[replication]
         names = [kind.value for kind in ObservationKind]
-        assert [line.split(",")[:4] for line in lines[1:]] == [
-            [str(slot), names[k], fmt(vx), fmt(vy)]
-            for slot, (k, vx, vy) in enumerate(zip(kinds.tolist(), x.tolist(), y.tolist()))
-        ], replication
-        rows = [line.split(",") for line in lines[1:]]
+        assert [r[:2] for r in rows] == [[str(slot), names[k]] for slot, k in enumerate(kinds)]
+        traced = np.array([[float(v) if v else math.nan for v in r[2:4]] for r in rows])
+        for (code, column), want in zip(((0, 0), (1, 1), (2, 0), (2, 1)),
+                                         (x[kinds == 0], y[kinds == 1], x[kinds == 2],
+                                          y[kinds == 2])):
+            got = traced[kinds == code, column]
+            assert got.size == want.size and not np.isnan(got).any(), replication
+            assert abs(got.sum() - want.sum()) <= 1e-8 * np.abs(want).sum(), replication
+        assert np.isnan(traced[kinds == 0, 1]).all() and np.isnan(traced[kinds == 1, 0]).all()
         # joint slots cost S_x and S_y 1 + alpha each, nothing at the DC
         joint_rows = [r for r in rows if r[1] == "joint"]
         assert joint_rows and all(r[4:] == ["3", "3", "0"] for r in joint_rows)
-        # idle slots are free
+        # idle slots observe nothing and are free
         idle_rows = [r for r in rows if r[1] == "idle"]
-        assert idle_rows and all(r[4:] == ["0", "0", "0"] for r in idle_rows)
+        assert idle_rows and all(r[2:] == ["", "", "0", "0", "0"] for r in idle_rows)
 
 
 def test_trace_rejects_bad_replication(tmp_path):

@@ -73,6 +73,12 @@ def test_budget_rejects_negative_fields():
         ResourceBudget(math.inf, 2.0)
 
 
+def test_budget_stores_negative_zero_as_zero():
+    budget = ResourceBudget(2.0, -0.0, -0.0)
+    assert budget == ResourceBudget(2.0, 0.0, 0.0)
+    assert math.copysign(1.0, budget.e1) == math.copysign(1.0, budget.e2) == 1.0
+
+
 def test_scenario_e2_presence_matches_setting():
     with pytest.raises(InvalidScenario):
         Scenario(Task.T1, Setting.CENTRALIZED, ResourceBudget(1, 1))
