@@ -63,8 +63,6 @@ def _add_common_flags(p: argparse.ArgumentParser, scenario: bool = True) -> None
     p.add_argument("--e1", type=float, help="sensor budget (use 'inf' for unbounded)")
     p.add_argument("--e2", type=float, help="data-center budget, centralized only")
     p.add_argument("--rho", type=float)
-    p.add_argument("--mu-x", type=float, dest="mu_x", default=0.0)
-    p.add_argument("--mu-y", type=float, dest="mu_y", default=0.0)
     p.add_argument("--var-x", type=float, dest="var_x", default=1.0)
     p.add_argument("--var-y", type=float, dest="var_y", default=1.0)
     p.add_argument("--config", help="JSON object of this command's flags, keys with underscores")
@@ -104,13 +102,13 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _build_model(args: argparse.Namespace, rho: float | None = None) -> ObservationModel:
-    """The model of the flags; figure presets pass the ``rho`` they sweep."""
+    """The model of the flags; figure presets pass the ``rho`` they sweep.
+    Only ``simulate`` reads the means: no bound depends on them."""
     if rho is None:
         _require(args, "rho")
         rho = args.rho
-    return validate(
-        {"mu_x": args.mu_x, "mu_y": args.mu_y, "var_x": args.var_x, "var_y": args.var_y, "rho": rho}
-    )
+    means = {"mu_x": getattr(args, "mu_x", 0.0), "mu_y": getattr(args, "mu_y", 0.0)}
+    return validate({**means, "var_x": args.var_x, "var_y": args.var_y, "rho": rho})
 
 
 def _build_scenario(args: argparse.Namespace) -> Scenario:
@@ -553,6 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run with resource audit")
     _add_common_flags(p_sim)
+    p_sim.add_argument("--mu-x", type=float, dest="mu_x", default=0.0)
+    p_sim.add_argument("--mu-y", type=float, dest="mu_y", default=0.0)
     p_sim.add_argument("--p-x", type=float, dest="p_x")
     p_sim.add_argument("--p-y", type=float, dest="p_y")
     p_sim.add_argument("--p-xy", type=float, dest="p_xy")

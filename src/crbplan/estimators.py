@@ -12,14 +12,13 @@ counts ``(n_x, n_y, n_xy)`` of the marginal-X, marginal-Y and joint kinds
 and the sums of the strata ``(marginal_x, marginal_y, joint_x, joint_y)``,
 each row a number or an array over replications.  The ``*_of_sums``
 formulas return the estimates and a mask of the replications whose strata
-allow one.  :func:`crbplan.simulator.run` calls them once per chunk of
-replications, the chunks that tile block ``b`` (drawn from stream ``b``) in
-``max(1, min(1024, 2**16 // slots))`` replications each; it draws the
-counts from slot uniforms and each stratum sum from one standard normal,
-scaled by the square root of the stratum's count.  The public estimators
-take one replication's stratum arrays, as
+allow one.  :func:`crbplan.simulator.run` calls them once per block of
+replications, all drawn together from the block's stream: the counts in
+one multinomial draw, and each stratum sum from one standard normal scaled
+by the square root of the stratum's count.  The public estimators take one
+replication's stratum arrays, as
 :func:`crbplan.simulator.collect_replication` returns them (values whose
-stratum sums are those a chunk of one draws), and
+stratum sums are those a chunk of one replication draws), and
 ``(marginal_x, marginal_y, joint_x, joint_y, model)``; they compute the same
 statistics and call the same formula.
 """

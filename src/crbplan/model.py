@@ -157,8 +157,7 @@ def marginal_from_normals(model: ObservationModel, axis: Axis, z):
 
 
 # Replications per stream: block b, replications [1024 b, 1024 (b + 1)), is
-# drawn from stream b in chunks of max(1, min(1024, 2**16 // slots))
-# replications that tile the block from its start (crbplan.simulator).
+# drawn together from stream b (crbplan.simulator).
 REPLICATION_BLOCK = 1024
 
 

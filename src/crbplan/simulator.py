@@ -8,26 +8,28 @@ therefore is each budget row's left-hand side, which is what
 :func:`audit_resources` verifies empirically.
 
 All randomness is derived per block of :data:`REPLICATION_BLOCK`
-replications from (master seed, block index): block ``b`` is drawn from
-stream ``b`` in chunks of ``max(1, min(1024, 2**16 // slots))``
-replications that tile the block from its start, each chunk in two array
-calls: every slot's uniform, then four standard normals per replication.
-Reports are therefore bit-identical across runs and across any split of
-whole blocks over workers.  ``_draw_chunk`` alone fixes the order of a
-chunk's draws and reduces them to per-replication slot counts and stratum
-sums, the statistics every estimator formula reads: a stratum's sum of
-``m`` iid standard normals is ``sqrt(m)`` times one standard normal, exactly
-in distribution, so no slot draws a normal of its own.  :func:`run`
-estimates from those sums.  :func:`collect_replication`,
-:func:`replay_slots` (chunks of one) and :func:`write_trace` give each slot
-the kind :func:`run` consumed and fill the values of each stratum by a
+replications from (master seed, block index): block ``b``'s replications
+are drawn together from stream ``b``, in two array calls: every
+replication's slot counts by kind (one multinomial draw), then four
+standard normals per replication.  Reports are therefore bit-identical
+across runs and across any split of whole blocks over workers.
+``_draw_chunk`` alone fixes the order of the draws and turns them into
+per-replication slot counts and stratum sums, the statistics every
+estimator formula reads: the counts of ``slots`` independent slots are
+multinomial, and a stratum's sum of ``m`` iid standard normals is
+``sqrt(m)`` times one standard normal, exactly in distribution, so no slot
+is drawn on its own and :func:`run` holds no per-slot array.
+:func:`collect_replication`, :func:`replay_slots` (chunks of one
+replication) and :func:`write_trace` fill the values of each stratum by a
 Gaussian bridge, the exact law of iid normals given their sum, from a
-stream that :func:`run` never draws from; so every stratum of a replay
-sums to the sum that :func:`run` estimated from.
+stream that :func:`run` never draws from, so every stratum of a replay sums
+to the sum that :func:`run` estimated from; the two that lay out slots then
+place the counts in a uniformly random slot order from the same stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,13 +59,13 @@ from .model import (
 from .strategy import Actor, Scenario, _charged, _limit, _load, constraints_for
 
 
-#: Most slots per replication: past 2**16 slots a chunk is one replication,
-#: whose draws (uniforms and kind codes) peak at 18 bytes a slot in
-#: ``tracemalloc``, 0.18 GB here; a replay of it (``collect_replication``,
-#: ``replay_slots``) peaks at 64 bytes a slot when every slot is joint,
-#: 0.64 GB, where far more would fail to allocate.
+#: Most slots per replication.  :func:`run` holds no per-slot array, so its
+#: memory does not grow with the slots; the replays do.  A replay of one
+#: replication (``collect_replication``, ``replay_slots``, ``write_trace``)
+#: peaks at 40 bytes a slot in ``tracemalloc`` when every slot is joint,
+#: 0.4 GB here, where far more would fail to allocate.
 _MAX_SLOTS = 10**7
-#: Most replications per run: :func:`run` keeps each chunk's moments, so its
+#: Most replications per run: :func:`run` keeps each block's moments, so its
 #: memory does not grow with replications (``tracemalloc``: 0.27 MB at 10^4
 #: and at 10^6 one-slot replications); the cap bounds the run time, about
 #: 2 s for 10^7 one-slot replications.
@@ -142,51 +144,43 @@ class SimulationReport:
 
 
 _KIND_CODES = tuple(ObservationKind)
+#: Slots per slab that :func:`write_trace` formats and writes at a time.
+_TRACE_SLAB = 2**14
 
 
-def _slot_edges(policy: SamplingPolicy) -> np.ndarray:
-    """Cumulative probabilities of the marginal-X, marginal-Y and joint slots.
+def _kind_probabilities(policy: SamplingPolicy) -> list[float]:
+    """Probabilities of a marginal-X, a marginal-Y, a joint and an idle slot.
 
-    A slot whose uniform draw is u takes the first kind whose edge exceeds u
-    (idle past the last).  Components the policy tolerates just below 0
-    count as 0, so the edges never decrease.
+    The law of a slot whose uniform draw u takes the first kind whose edge,
+    a cumulative sum of the policy, exceeds u (idle past the last): the
+    differences of the edges clipped to 1.  Components the policy tolerates
+    just below 0 count as 0 and a sum it tolerates just above 1 leaves idle
+    slots none, so every probability is at least 0 and the first three sum
+    to at most 1, as ``Generator.multinomial`` requires.
     """
-    return np.cumsum(np.maximum(policy.as_tuple(), 0.0))
+    edges = [min(e, 1.0) for e in itertools.accumulate(max(p, 0.0) for p in policy.as_tuple())]
+    return [high - low for low, high in zip([0.0, *edges], [*edges, 1.0])]
 
 
-def _block_chunks(block: int, replications: int, slots: int):
-    """``(start, stop)`` of each chunk of block ``block``: chunks of
-    ``max(1, min(REPLICATION_BLOCK, 2**16 // slots))`` replications, about
-    2**16 slots, tile the block from its start; the run's end cuts the last."""
-    size = max(1, min(REPLICATION_BLOCK, 2**16 // slots))
-    first = block * REPLICATION_BLOCK
-    stop = min(replications, first + REPLICATION_BLOCK)
-    return [(start, min(stop, start + size)) for start in range(first, stop, size)]
-
-
-def _draw_chunk(model: ObservationModel, edges: np.ndarray, slots: int, n: int, rng):
+def _draw_chunk(model: ObservationModel, probabilities, slots: int, n: int, rng):
     """The draw order of ``n`` consecutive replications, the only place
     that defines it.
 
-    Draws every slot's uniform in one call, replication after replication,
-    and gives each slot the kind of the first edge above its uniform (idle
-    past the last).  Then draws one ``(4, n)`` block of standard normals,
-    rows marginal X, marginal Y, joint z1 and joint z2: a row times the
-    square root of its stratum's count is that stratum's sum of iid
-    standard normals, exactly in distribution.  The value maps of
-    :func:`marginal_from_normals` and :func:`joint_from_normals` turn these
-    sums into the stratum sums.
+    Draws every replication's slot counts by kind in one multinomial call
+    (``slots`` trials of :func:`_kind_probabilities`).  Then draws one
+    ``(4, n)`` block of standard normals, rows marginal X, marginal Y,
+    joint z1 and joint z2: a row times the square root of its stratum's
+    count is that stratum's sum of iid standard normals, exactly in
+    distribution.  The value maps of :func:`marginal_from_normals` and
+    :func:`joint_from_normals` turn these sums into the stratum sums.
 
-    Returns ``(code, z, counts, sums)``: per slot ``4 * replication + kind``
-    (the kind indexing :data:`_KIND_CODES`), the ``(4, n)`` normals, and per
-    replication (columns) the rows of slot counts by kind and of the sums
-    of the strata ``(marginal_x, marginal_y, joint_x, joint_y)``, the
-    statistics every estimator formula reads.
+    Returns ``(counts, z, sums)``: per replication (columns) the rows of
+    slot counts by kind (indexing :data:`_KIND_CODES`), the ``(4, n)``
+    normals, and the rows of the sums of the strata ``(marginal_x,
+    marginal_y, joint_x, joint_y)``, the statistics every estimator formula
+    reads.
     """
-    u = rng.random(n * slots)
-    code = np.repeat(np.arange(0, 4 * n, 4), slots)
-    code += sum((u >= edge).view(np.int8) for edge in edges.tolist())
-    counts = np.bincount(code, minlength=4 * n).reshape(n, 4).T
+    counts = rng.multinomial(slots, probabilities, size=n).T
     z = rng.standard_normal((4, n))
     z_sums = np.sqrt(counts[[0, 1, 2, 2]]) * z
     # the joint Y column: rho S1 + sqrt(1 - rho^2) S2 of the whitened sums
@@ -194,34 +188,41 @@ def _draw_chunk(model: ObservationModel, edges: np.ndarray, slots: int, n: int, 
     loc = np.array([[model.mu_x], [model.mu_y], [model.mu_x], [model.mu_y]])
     scale = np.array([[model.sigma_x], [model.sigma_y], [model.sigma_x], [model.sigma_y]])
     sums = loc * counts[[0, 1, 2, 2]] + scale * z_sums
-    return code, z, counts, sums
+    return counts, z, sums
 
 
-def _strata(model: ObservationModel, counts, z, rng):
+def _strata(model: ObservationModel, counts, z, bridge):
     """One replication's strata ``(marginal_x, marginal_y, joint_x,
     joint_y)`` from its slot counts by kind and its column ``z`` of
-    ``_draw_chunk``'s normals, ``rng`` the stream that drew them.
+    ``_draw_chunk``'s normals.
 
     In a stratum of ``m`` slots, whose whitened sum is ``S = sqrt(m) z``,
     the whitened values are the Gaussian bridge ``w - mean(w) + S / m`` of
-    ``m`` iid standard normals ``w``: given their sum ``S``, iid standard
-    normals have exactly this law.  The ``w`` come from ``rng`` jumped far
-    ahead, past anything :func:`run` draws from it; ``rng`` does not move.
-    A joint pair bridges each whitened column (z1, z2) and then takes
+    ``m`` iid standard normals ``w`` drawn from ``bridge``: given their sum
+    ``S``, iid standard normals have exactly this law.  A joint pair
+    bridges each whitened column (z1, z2) and then takes
     :func:`joint_from_normals`.
     """
     sizes = [counts[0], counts[1], counts[2], counts[2]]
-    bridge = np.random.Generator(rng.bit_generator.jumped())
     w = np.split(bridge.standard_normal(sum(sizes)), np.cumsum(sizes[:3]))
-    z1x, z1y, z1, z2 = (
-        w_k - w_k.mean() + math.sqrt(m) * z_k / m if m else w_k
-        for w_k, m, z_k in zip(w, sizes, z.tolist())
-    )
+    for w_k, m, z_k in zip(w, sizes, z.tolist()):
+        if m:  # in place: no copy of the stratum
+            w_k -= w_k.mean()
+            w_k += math.sqrt(m) * z_k / m
+    z1x, z1y, z1, z2 = w
     return (
         marginal_from_normals(model, Axis.X, z1x),
         marginal_from_normals(model, Axis.Y, z1y),
         *joint_from_normals(model, z1, z2),
     )
+
+
+def _kinds(counts, bridge) -> np.ndarray:
+    """The kind code of each slot of a replication with these counts by
+    kind, in a uniformly random slot order drawn from ``bridge``."""
+    kinds = np.repeat(np.arange(4, dtype=np.int8), counts)
+    bridge.shuffle(kinds)
+    return kinds
 
 
 def _slot_values(kinds: np.ndarray, strata):
@@ -234,6 +235,19 @@ def _slot_values(kinds: np.ndarray, strata):
     return x, y
 
 
+def _replication(
+    model: ObservationModel, policy: SamplingPolicy, slots: int, rng, n: int = 1, column: int = 0
+):
+    """Replication ``column`` of a chunk of ``n`` drawn from ``rng``:
+    ``(counts, strata, bridge)``, its slot counts by kind as a list, its
+    bridged strata and the bridge stream after them.  ``rng`` advances as
+    by the chunk; the bridge stream is ``rng`` jumped far ahead, past
+    anything :func:`run` draws from it."""
+    counts, z, _ = _draw_chunk(model, _kind_probabilities(policy), slots, n, rng)
+    counts, bridge = counts[:, column].tolist(), np.random.Generator(rng.bit_generator.jumped())
+    return counts, _strata(model, counts, z[:, column], bridge), bridge
+
+
 def replay_slots(
     model: ObservationModel,
     policy: SamplingPolicy,
@@ -244,14 +258,14 @@ def replay_slots(
 
     Returns ``(kinds, x, y)``: an int array of codes indexing
     ``(marginal_x, marginal_y, joint, idle)`` and per-slot coordinate values
-    (NaN where the coordinate was not observed).  The kinds and stratum sums
-    are those of a chunk of one replication, and ``rng`` advances as by that
-    chunk; the values are :func:`collect_replication`'s strata in the slots
-    of their kinds.
+    (NaN where the coordinate was not observed).  The counts by kind and
+    the stratum sums are those of a chunk of one replication, and ``rng``
+    advances as by that chunk; the values are :func:`collect_replication`'s
+    strata, and the kinds lie in a uniformly random slot order.
     """
-    code, z, counts, _ = _draw_chunk(model, _slot_edges(policy), slots, 1, rng)
-    strata = _strata(model, counts[:, 0].tolist(), z[:, 0], rng)
-    return (code.astype(np.int8), *_slot_values(code, strata))
+    counts, strata, bridge = _replication(model, policy, slots, rng)
+    kinds = _kinds(counts, bridge)
+    return (kinds, *_slot_values(kinds, strata))
 
 
 def collect_replication(
@@ -264,13 +278,10 @@ def collect_replication(
     ``(marginal_x, marginal_y, joint_x, joint_y)`` every estimator takes and
     the slot count of each kind by name.  Each stratum sums to the sum that
     the chunk's normals give (``_strata``), and ``rng`` advances as by the
-    chunk.  :func:`run` draws block ``b`` from stream ``b`` in chunks of
-    ``max(1, min(1024, 2**16 // slots))`` replications, so these are the
-    draws of one of its replications only where a chunk is one
-    replication."""
-    _, z, counts, _ = _draw_chunk(model, _slot_edges(policy), slots, 1, rng)
-    counts = counts[:, 0].tolist()
-    strata = _strata(model, counts, z[:, 0], rng)
+    chunk.  :func:`run` draws block ``b``'s replications together from
+    stream ``b``, so these are the draws of one of its replications only
+    where a block is one replication."""
+    counts, strata, _ = _replication(model, policy, slots, rng)
     return strata, {kind.value: n for kind, n in zip(_KIND_CODES, counts)}
 
 
@@ -319,18 +330,16 @@ def _formula(config: SimulationConfig):
     return delta1_of_sums if config.estimator is EstimatorKind.DELTA1 else delta2_of_sums
 
 
-def _chunk_estimates(config: SimulationConfig):
-    """``(counts, estimates, usable)`` of each chunk of the run, in
-    replication order: block ``b`` is drawn from stream ``b`` in the chunks
-    of :func:`_block_chunks`, and the formula estimates every replication of
-    a chunk at once."""
-    edges, formula = _slot_edges(config.policy), _formula(config)
-    for block in range((config.replications + REPLICATION_BLOCK - 1) // REPLICATION_BLOCK):
-        rng = replication_rng(config.master_seed, block)
-        for start, stop in _block_chunks(block, config.replications, config.slots):
-            # keep no slot-level array: the next chunk's draws peak alone
-            counts, sums = _draw_chunk(config.model, edges, config.slots, stop - start, rng)[2:]
-            yield (counts, *formula(counts, sums, config.model))
+def _block_estimates(config: SimulationConfig):
+    """``(counts, estimates, usable)`` of each block of the run, in
+    replication order: block ``b``'s replications are drawn together from
+    stream ``b``, and the formula estimates them all at once."""
+    probabilities, formula = _kind_probabilities(config.policy), _formula(config)
+    for first in range(0, config.replications, REPLICATION_BLOCK):
+        rng = replication_rng(config.master_seed, first // REPLICATION_BLOCK)
+        n = min(REPLICATION_BLOCK, config.replications - first)
+        counts, _, sums = _draw_chunk(config.model, probabilities, config.slots, n, rng)
+        yield (counts, *formula(counts, sums, config.model))
 
 
 def _moments(values: np.ndarray) -> tuple[int, float, float]:
@@ -363,12 +372,11 @@ def run(config: SimulationConfig) -> SimulationReport:
     replications the empirical variance is NaN.
 
     Block ``b`` of :data:`REPLICATION_BLOCK` replications is drawn from
-    stream :func:`replication_rng` ``(master_seed, b)`` in chunks of
-    ``max(1, min(1024, 2**16 // slots))`` replications; each chunk is a few
-    array calls (``_draw_chunk``) and one estimator formula on its counts
-    and sums.  The run keeps each chunk's count, mean and sum of squared
-    deviations and combines them in replication order, so its memory does
-    not grow with the number of replications.
+    stream :func:`replication_rng` ``(master_seed, b)`` in two array calls
+    (``_draw_chunk``), and one estimator formula runs on its counts and
+    sums.  The run keeps each block's count, mean and sum of squared
+    deviations and combines them in replication order, so its memory grows
+    neither with the number of replications nor with the slots.
 
     Raises:
         InfeasiblePolicy: the policy violates the scenario's constraints.
@@ -382,7 +390,7 @@ def run(config: SimulationConfig) -> SimulationReport:
 
     counted = np.zeros(4, np.int64)
     moments = (0, 0.0, 0.0)
-    for counts, estimates, usable in _chunk_estimates(config):
+    for counts, estimates, usable in _block_estimates(config):
         counted += counts.sum(axis=1)
         moments = _combine(moments, _moments(_finite(estimates[usable])))
     used, mean_estimate, squares = moments
@@ -474,33 +482,39 @@ TRACE_HEADER = "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
 def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
     """Dump one replication's slot-by-slot stream as CSV (debugging aid).
 
-    Opens the replication's block stream and draws the chunks of the block
-    up to the one that holds the replication, as :func:`run` does.  The
-    slots take the kinds that chunk drew, and their values are the Gaussian
-    bridge of its stratum sums (``_strata``), so each stratum of the
-    trace sums to the sum that :func:`run` estimated from.
+    Draws the replication's block as :func:`run` does and replays the
+    replication's column as :func:`replay_slots` replays a chunk of one:
+    its counts in a uniformly random slot order, its values the Gaussian
+    bridge of its stratum sums (``_strata``), so each stratum of the trace
+    sums to the sum that :func:`run` estimated from.  Rows are formatted
+    and written :data:`_TRACE_SLAB` slots at a time.
     """
     if not 0 <= replication < config.replications:
         raise ValueError(f"replication must be in [0, {config.replications})")
-    block = replication // REPLICATION_BLOCK
+    block, mine = divmod(replication, REPLICATION_BLOCK)
     rng = replication_rng(config.master_seed, block)
-    edges = _slot_edges(config.policy)
-    for start, stop in _block_chunks(block, config.replications, config.slots):
-        drawn, z, counts, _ = _draw_chunk(config.model, edges, config.slots, stop - start, rng)
-        if replication < stop:
-            break
-    mine = replication - start
-    kinds = drawn[mine * config.slots : (mine + 1) * config.slots] & 3
-    strata = _strata(config.model, counts[:, mine].tolist(), z[:, mine], rng)
-    kinds, x, y = kinds.tolist(), *(v.tolist() for v in _slot_values(kinds, strata))
+    n = min(REPLICATION_BLOCK, config.replications - block * REPLICATION_BLOCK)
+    counts, strata, bridge = _replication(config.model, config.policy, config.slots, rng, n, mine)
+    kinds = _kinds(counts, bridge)
     charged = _charged(constraints_for(config.scenario))
     prices = [(*charged[a].coeffs, 0.0) if a in charged else (0.0,) * 4 for a in Actor]
     costs = [",".join(f"{price[code]:.9g}" for price in prices) for code in range(4)]
+    names = [kind.value for kind in _KIND_CODES]
 
     def fmt(v: float) -> str:
         return "" if math.isnan(v) else f"{v:.9g}"
 
+    taken = [0, 0, 0]  # values of each stratum pair already written
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for slot, (code, vx, vy) in enumerate(zip(kinds, x, y)):
-            fh.write(f"{slot},{_KIND_CODES[code].value},{fmt(vx)},{fmt(vy)},{costs[code]}\n")
+        for start in range(0, config.slots, _TRACE_SLAB):
+            slab = kinds[start : start + _TRACE_SLAB]
+            seen = np.bincount(slab, minlength=4).tolist()
+            pieces = [stratum[taken[k] : taken[k] + seen[k]]
+                      for stratum, k in zip(strata, (0, 1, 2, 2))]
+            taken = [t + c for t, c in zip(taken, seen)]
+            x, y = (v.tolist() for v in _slot_values(slab, pieces))
+            fh.write("".join(
+                f"{slot},{names[code]},{fmt(vx)},{fmt(vy)},{costs[code]}\n"
+                for slot, code, vx, vy in zip(itertools.count(start), slab.tolist(), x, y)
+            ))

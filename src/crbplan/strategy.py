@@ -266,8 +266,11 @@ def _stack(family: str, alpha, e1, e2):
     return obs + alpha[..., None] * comm, np.where(on_e1, e1, np.where(on_e2, e2, fixed))
 
 
+@functools.lru_cache(maxsize=1)
 def constraints_for(scenario: Scenario) -> LinearConstraintSet:
-    """The scenario's full constraint system.
+    """The scenario's full constraint system, built once for consecutive
+    calls with one scenario: a scenario and its system are both immutable,
+    so a simulation's run, audit and trace share one system.
 
     Nonnegativity and the simplex, then one budget row per actor that
     :data:`COST_TABLE` charges: ``sum_kind (obs + alpha (tx + rx)) p_kind``

@@ -806,6 +806,45 @@ def test_sweep_takes_no_scenario_flag(flag):
     assert err.endswith(f"error: unrecognized arguments: {flag}\n")  # argparse's usage first
 
 
+_T1_FLAGS = ["--task", "t1", "--setting", "decentralized", "--alpha", "2", "--e1", "2",
+             "--rho", "0.5"]
+_MEAN_COMMANDS = {
+    "plan": ["plan", *_T1_FLAGS],
+    "bounds": ["bounds", *_T1_FLAGS, "--sweep", "p_y"],
+    "sweep": ["sweep", "--figure", "fig1a"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MEAN_COMMANDS))
+@pytest.mark.parametrize("flag", ["--mu-x", "--mu-y"])
+def test_only_simulate_takes_the_means(command, flag, tmp_path):
+    # no bound depends on the means: plan, bounds and sweep refuse them as
+    # flags (argparse) and as config keys
+    argv = _MEAN_COMMANDS[command]
+    code, out, err = _main_output([*argv, flag, "1"])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {flag} 1\n")  # argparse's usage first
+    cfg = tmp_path / "run.json"
+    key = flag[2:].replace("-", "_")
+    cfg.write_text(json.dumps({key: 1}))
+    assert _main_output([*argv, "--config", str(cfg)]) == (
+        2, "", f"error: unknown config key: {key!r}\n"
+    )
+
+
+def test_simulate_reads_the_means(tmp_path):
+    # the simulated Y mean follows --mu-y, from a flag or a config key
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mu_x": 3, "mu_y": 5}))
+    for extra in (["--mu-x", "3", "--mu-y", "5"], ["--config", str(cfg)]):
+        code, out, _ = _main_output([*SIM_ARGS, *extra])
+        assert code == 0
+        analytic, empirical = next(
+            line.split()[1:] for line in out.splitlines() if line.startswith("mean ")
+        )
+        assert float(analytic) == 5.0 and abs(float(empirical) - 5.0) < 0.05
+
+
 # --- one parser per process ---
 
 
@@ -853,8 +892,7 @@ def test_config_file_supplies_model(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "task": "t1", "setting": "decentralized",
-        "alpha": 2.0, "e1": 2.0,
-        "mu_x": 0.0, "mu_y": 0.0, "var_x": 1.0, "var_y": 1.0, "rho": 0.5,
+        "alpha": 2.0, "e1": 2.0, "var_x": 1.0, "var_y": 1.0, "rho": 0.5,
     }))
     code = run_cli("plan", "--config", str(cfg))
     out = capsys.readouterr().out

@@ -38,17 +38,19 @@ from crbplan import (
     validate,
     write_trace,
 )
+from crbplan import simulator
 from crbplan.model import REPLICATION_BLOCK
 from crbplan.estimators import delta1_of_sums
 from crbplan.simulator import (
     _MAX_REPS,
     _MAX_SLOTS,
     _analytic_estimator_variance,
-    _chunk_estimates,
+    _block_estimates,
     _combine,
     _draw_chunk,
+    _kind_probabilities,
     _moments,
-    _slot_edges,
+    _strata,
     replay_slots,
 )
 from crbplan.strategy import COST_TABLE, _charged, _family, _load
@@ -82,124 +84,73 @@ def test_run_changes_with_seed():
     assert a.mean_estimate != b.mean_estimate
 
 
-def _chunk_size(slots):
-    """Replications per chunk, the tiling of every block that run documents."""
-    return max(1, min(REPLICATION_BLOCK, 2**16 // slots))
-
-
 def test_replication_streams_worker_independent():
-    # each chunk's moments, drawn with the chunk helper block by block "on
+    # each block's moments, drawn with the chunk helper block by block "on
     # three workers" in reversed order and combined in replication order,
-    # reproduce run()'s aggregate bit for bit; at 1000 slots the chunk of 65
-    # replications does not divide the block of 1024
+    # reproduce run()'s aggregate bit for bit; the last block is cut to 5
     for slots in (30, 1000):
         reps = 2 * REPLICATION_BLOCK + 5
         cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=slots, reps=reps)
         report = run(cfg)
-        edges, size = _slot_edges(cfg.policy), _chunk_size(slots)
+        probabilities = _kind_probabilities(cfg.policy)
         moments = {}
         for block in reversed(range(3)):  # the last worker first
             rng = replication_rng(cfg.master_seed, block)
-            stop = min(reps, (block + 1) * REPLICATION_BLOCK)
-            for start in range(block * REPLICATION_BLOCK, stop, size):
-                n = min(size, stop - start)
-                _, _, counts, sums = _draw_chunk(cfg.model, edges, slots, n, rng)
-                values, usable = delta1_of_sums(counts, sums, cfg.model)
-                moments[start] = _moments(values[usable])
-        used, mean, squares = reduce(_combine, [moments[s] for s in sorted(moments)])
+            n = min(REPLICATION_BLOCK, reps - block * REPLICATION_BLOCK)
+            counts, _, sums = _draw_chunk(cfg.model, probabilities, slots, n, rng)
+            values, usable = delta1_of_sums(counts, sums, cfg.model)
+            moments[block] = _moments(values[usable])
+        used, mean, squares = reduce(_combine, [moments[b] for b in sorted(moments)])
         assert used == report.replications_used == reps
         assert mean == report.mean_estimate
         assert slots * squares / (used - 1) == report.empirical_variance_per_slot
 
 
 def test_collect_replication_is_a_chunk_of_one():
-    # past 2**16 slots a chunk is one replication: collect_replication, drawn
-    # in turn from the block's stream, gives run's replications, and its
+    # a block of one replication is a chunk of one: collect_replication,
+    # drawn from that block's stream, gives run's replication, and its
     # strata are replay_slots' slots gathered by kind
-    cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=2**16 + 1, reps=3)
-    chunks = list(_chunk_estimates(cfg))
-    assert len(chunks) == cfg.replications
-    rng, replay = replication_rng(cfg.master_seed, 0), replication_rng(cfg.master_seed, 0)
-    for _, estimate, usable in chunks:
+    for reps in (1, REPLICATION_BLOCK + 1):
+        cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=200, reps=reps)
+        *_, (_, estimate, usable) = _block_estimates(cfg)
+        block = (reps - 1) // REPLICATION_BLOCK
+        rng, replay = (replication_rng(cfg.master_seed, block) for _ in range(2))
         strata, counts = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
         kinds, x, y = replay_slots(cfg.model, cfg.policy, cfg.slots, replay)
         gathered = (x[kinds == 0], y[kinds == 1], x[kinds == 2], y[kinds == 2])
         assert all(np.array_equal(got, want) for got, want in zip(strata, gathered))
         assert counts == {kind.value: int((kinds == code).sum())
                           for code, kind in enumerate(ObservationKind)}
-        assert usable[0]
+        assert usable.tolist() == [True]
         assert abs(delta1(*strata, cfg.model) - estimate[0]) <= 1e-12 * _scale(cfg)
 
 
-# --- the chunk engine against a slot-level replay of its draw order ---
+# --- the block engine: its estimates, and its counts against slot uniforms ---
 
 
-def _replay_chunks(config):
-    """``(start, kinds, x, y)`` of each chunk of a run, in replication order,
-    replayed slot by slot in the draw order that run documents: chunks of
-    ``max(1, min(1024, 2**16 // slots))`` replications tile each block of
-    its stream; a chunk draws every slot's uniform in one call, then one
-    ``(4, n)`` block of normals, rows marginal X, marginal Y, joint z1 and
-    joint z2 of each replication.  A stratum of ``m`` slots takes the
-    whitened values ``w - mean(w) + z / sqrt(m)``, which sum to its row's
-    ``sqrt(m) z`` whatever the ``w``; here ``w`` come from a generator of
-    the test's own.  ``kinds``, ``x`` and ``y`` have a row per replication,
-    with NaN gaps."""
-    policy, model, slots = config.policy, config.model, config.slots
-    edge_x = policy.p_x
-    edge_y = policy.p_x + policy.p_y
-    edge_j = policy.p_x + policy.p_y + policy.p_xy
-    tail = math.sqrt(1.0 - model.rho**2)
-    w_rng = np.random.default_rng(config.master_seed % 2**32)
-    size = _chunk_size(slots)
-
-    def bridged(mask, z):
-        w = w_rng.standard_normal(int(mask.sum()))
-        return w - w.mean() + z / math.sqrt(w.size) if w.size else w
-
-    for block_start in range(0, config.replications, REPLICATION_BLOCK):
-        rng = replication_rng(config.master_seed, block_start // REPLICATION_BLOCK)
-        stop = min(config.replications, block_start + REPLICATION_BLOCK)
-        for start in range(block_start, stop, size):
-            u = rng.random(min(size, stop - start) * slots).reshape(-1, slots)
-            z = rng.standard_normal((4, u.shape[0]))
-            is_x = u < edge_x
-            is_y = (u >= edge_x) & (u < edge_y)
-            is_j = (u >= edge_y) & (u < edge_j)
-            x, y = np.full((2, *u.shape), math.nan)
-            for r in range(u.shape[0]):
-                x[r, is_x[r]] = model.mu_x + model.sigma_x * bridged(is_x[r], z[0, r])
-                y[r, is_y[r]] = model.mu_y + model.sigma_y * bridged(is_y[r], z[1, r])
-                z1, z2 = bridged(is_j[r], z[2, r]), bridged(is_j[r], z[3, r])
-                x[r, is_j[r]] = model.mu_x + model.sigma_x * z1
-                y[r, is_j[r]] = model.mu_y + model.sigma_y * (model.rho * z1 + tail * z2)
-            kinds = np.select([is_x, is_y, is_j], [0, 1, 2], 3)
-            yield start, kinds, x, y
-
-
-def _slot_level_run(config):
+def _array_estimates(config):
     """``(estimates, totals)``: each replication's estimate from the array
-    estimators on the strata gathered from :func:`_replay_chunks` (NaN where
-    a stratum is missing) and the slot count of each kind."""
-    estimator = {
-        EstimatorKind.DELTA1: delta1,
-        EstimatorKind.DELTA2: delta2,
-        EstimatorKind.SAMPLE_MEAN: (
-            sample_mean_x if config.scenario.target is Target.MU_X else sample_mean_y
-        ),
-    }[config.estimator]
-    totals = {kind.value: 0 for kind in ObservationKind}
-    estimates = []
-    for _, kinds, x, y in _replay_chunks(config):
-        for code, kind in enumerate(ObservationKind):
-            totals[kind.value] += int((kinds == code).sum())
-        for k, xr, yr in zip(kinds, x, y):
+    estimators on strata bridged from the engine's own draw (``_draw_chunk``
+    on each block's stream; NaN where a stratum is missing) and the slot
+    count of each kind.  The bridge's ``w`` come from a generator of the
+    test's own: a stratum's sum does not depend on them."""
+    estimator = {EstimatorKind.DELTA1: delta1, EstimatorKind.DELTA2: delta2}.get(
+        config.estimator, sample_mean_x if config.scenario.target is Target.MU_X else sample_mean_y
+    )
+    probabilities, bridge = _kind_probabilities(config.policy), np.random.default_rng(5)
+    totals, estimates = np.zeros(4, np.int64), []
+    for first in range(0, config.replications, REPLICATION_BLOCK):
+        rng = replication_rng(config.master_seed, first // REPLICATION_BLOCK)
+        n = min(REPLICATION_BLOCK, config.replications - first)
+        counts, z, _ = _draw_chunk(config.model, probabilities, config.slots, n, rng)
+        totals += counts.sum(axis=1)
+        for column in range(n):
+            strata = _strata(config.model, counts[:, column].tolist(), z[:, column], bridge)
             try:
-                estimates.append(estimator(xr[k == 0], yr[k == 1], xr[k == 2], yr[k == 2],
-                                           config.model))
+                estimates.append(estimator(*strata, config.model))
             except MissingStratum:
                 estimates.append(math.nan)
-    return np.array(estimates), totals
+    return np.array(estimates), dict(zip((k.value for k in ObservationKind), totals.tolist()))
 
 
 def _cost_per_slot(config, totals):
@@ -256,8 +207,8 @@ def _identity_configs(count=84):
         configs.append(replace(configs[index], master_seed=seed))
     # replications on both sides of the first block boundary
     configs.append(replace(configs[7], slots=5, replications=REPLICATION_BLOCK + 3))
-    # 1000 slots: chunks of 65 replications, the last of block 0 cut to 49,
-    # then a chunk of block 1; delta1 with rare stand-alone Y, and t3
+    # 1000 slots over two blocks, the second cut to 70 or to one
+    # replication; delta1 with rare stand-alone Y, and t3
     configs.append(replace(configs[9], slots=1000, replications=REPLICATION_BLOCK + 70))
     configs.append(replace(configs[2], slots=1000, replications=REPLICATION_BLOCK + 1))
     # every replication lacks stand-alone Y observations
@@ -266,18 +217,18 @@ def _identity_configs(count=84):
     return configs
 
 
-def test_run_matches_slot_level_reference_exactly():
-    # counts, ledger, exclusions and replications used bit for bit; each
-    # replication's estimate and the aggregates within rounding: the engine
-    # scales each stratum's normal by sqrt(count), the array estimators sum
-    # the reference's bridged slot values
+def test_run_estimates_what_the_array_estimators_give_on_its_strata():
+    # the estimator formulas on the block's counts and sums against the
+    # array estimators on strata bridged from the same draw: exclusions,
+    # ledger and replications used bit for bit, each replication's estimate
+    # and the aggregates within rounding
     outcomes = {"report": 0, "excluded": 0, "all_excluded": 0}
     for index, cfg in enumerate(_identity_configs()):
-        want, totals = _slot_level_run(cfg)
+        want, totals = _array_estimates(cfg)
         usable = ~np.isnan(want)
         tol = 1e-12 * _scale(cfg)
-        got = np.concatenate([values for _, values, _ in _chunk_estimates(cfg)])
-        mask = np.concatenate([usable for _, _, usable in _chunk_estimates(cfg)])
+        got = np.concatenate([values for _, values, _ in _block_estimates(cfg)])
+        mask = np.concatenate([usable for _, _, usable in _block_estimates(cfg)])
         assert (mask == usable).all(), index
         assert np.abs(got[mask] - want[usable]).max(initial=0.0) <= tol, index
         if not usable.any():
@@ -304,7 +255,93 @@ def test_run_matches_slot_level_reference_exactly():
     assert outcomes["excluded"] >= 5 and outcomes["all_excluded"] >= 1, outcomes
 
 
-# --- the chunk engine against the per-replication draw order, in distribution ---
+def _slot_uniform_counts(config):
+    """Each replication's slot counts by kind (rows) as the slot-level
+    engine drew them: every slot a uniform of its own, replication after
+    replication in each block's stream, taking the kind of the first edge
+    of the policy's cumulative sum above it (idle past the last)."""
+    edges = np.cumsum(np.maximum(config.policy.as_tuple(), 0.0))
+    rows = []
+    for first in range(0, config.replications, REPLICATION_BLOCK):
+        rng = replication_rng(config.master_seed, first // REPLICATION_BLOCK)
+        n = min(REPLICATION_BLOCK, config.replications - first)
+        u = rng.random((n, config.slots))
+        kinds = (u[..., None] >= edges).sum(axis=-1)
+        rows.append(np.stack([(kinds == code).sum(axis=1) for code in range(4)], axis=1))
+    return np.concatenate(rows)
+
+
+def test_counts_match_slot_uniforms_in_distribution():
+    # the multinomial counts and slot uniforms are two samples of one law.
+    # Over the identity configurations, each kind's share of all slots
+    # agrees within 4 standard errors of the difference of two shares,
+    # sqrt(2 p (1 - p) / N) for N slots.  Where a configuration has 1000
+    # replications or more, each kind's per-replication count variance,
+    # slots p (1 - p), agrees within 4 standard errors of the difference of
+    # two sample variances (each ~ sqrt(2 / (R - 1)) of the variance, as
+    # for normal counts, which 5 or more slots approach).  A kind of
+    # probability 0 never occurs in either
+    checked = {"share": 0, "variance": 0}
+    for index, cfg in enumerate(_identity_configs()):
+        got = np.concatenate([counts.T for counts, _, _ in _block_estimates(cfg)])
+        want = _slot_uniform_counts(cfg)
+        slots = cfg.slots * cfg.replications
+        assert (got.sum(axis=1) == cfg.slots).all() and (want.sum(axis=1) == cfg.slots).all()
+        for code, p in enumerate(_kind_probabilities(cfg.policy)):
+            if p == 0.0:
+                assert got[:, code].sum() == want[:, code].sum() == 0, (index, code)
+                continue
+            share_se = math.sqrt(2 * p * (1 - p) / slots)
+            difference = (got[:, code].sum() - want[:, code].sum()) / slots
+            assert abs(difference) <= 4 * share_se, (index, code)
+            checked["share"] += 1
+            if cfg.replications >= 1000 and cfg.slots >= 5:
+                variance = cfg.slots * p * (1 - p)
+                variance_se = variance * math.sqrt(2 * 2 / (cfg.replications - 1))
+                difference = got[:, code].var(ddof=1) - want[:, code].var(ddof=1)
+                assert abs(difference) <= 4 * variance_se, (index, code)
+                checked["variance"] += 1
+    assert checked["share"] >= 250 and checked["variance"] >= 8, checked
+
+
+@pytest.mark.parametrize("policy, shares", [
+    # a component the policy tolerates just below 0 draws no slot
+    (SamplingPolicy(-1e-12, 0.5, 0.5), (0.0, 0.5, 0.5, 0.0)),
+    (SamplingPolicy(-1e-12, 0.25, 0.25), (0.0, 0.25, 0.25, 0.5)),
+    # a component just above 1 takes every slot
+    (SamplingPolicy(0.0, 0.0, 1.0 + 1e-12), (0.0, 0.0, 1.0, 0.0)),
+    # a sum just above 1 leaves no idle slot
+    (SamplingPolicy(0.0, 0.3, 0.7 + 1e-12), (0.0, 0.3, 0.7, 0.0)),
+])
+def test_policies_at_the_tolerance_draw_the_clipped_shares(policy, shares):
+    # numpy's multinomial refuses a probability below 0 or above 1 and a sum
+    # of the first three above 1 + 1e-12; the policy tolerates each within
+    # 1e-12, so the engine draws from the edges min(cumsum, 1), whose
+    # differences are these shares, and a kind of share 0 never occurs.
+    # The replays take any policy; run takes those the budget rows admit
+    # (a negative component fails its nonnegativity row)
+    assert _kind_probabilities(policy) == pytest.approx(shares, abs=1e-15)
+    scenario = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(2.0, math.inf))
+    cfg = SimulationConfig(scenario, model(), policy, EstimatorKind.DELTA2, 100, 300, 47)
+    rng = replication_rng(cfg.master_seed, 0)
+    replayed = [collect_replication(cfg.model, policy, cfg.slots, rng)[1]
+                for _ in range(cfg.replications)]
+    tallies = [{kind: sum(c[kind] for c in replayed) for kind in replayed[0]}]
+    if constraints_for(scenario).is_feasible(policy):
+        tallies.append(run(cfg).slot_counts)
+    kinds = replay_slots(cfg.model, policy, cfg.slots, rng)[0]
+    assert set(kinds.tolist()) <= {code for code, p in enumerate(shares) if p > 0.0}
+    slots = cfg.slots * cfg.replications
+    for tally in tallies:
+        for kind, p in zip(ObservationKind, shares):
+            if p in (0.0, 1.0):
+                assert tally[kind.value] == p * slots, kind
+            else:
+                se = math.sqrt(p * (1 - p) / slots)
+                assert abs(tally[kind.value] / slots - p) <= 4 * se, kind
+
+
+# --- the block engine against the per-replication draw order, in distribution ---
 
 
 def _reference_run(config):
@@ -396,7 +433,7 @@ def _oracle_configs():
 
 
 def test_run_matches_the_per_replication_reference_in_distribution():
-    # the chunk engine and the per-replication draw order are two samples
+    # the block engine and the per-replication draw order are two samples
     # of one law: the means, the per-slot variances and each kind's share
     # agree within 4 standard errors of their difference
     configs = _oracle_configs()
@@ -420,7 +457,7 @@ def test_run_matches_the_per_replication_reference_in_distribution():
 
 
 def test_run_memory_does_not_grow_with_replications():
-    # run keeps each chunk's moments, not one estimate per replication
+    # run keeps each block's moments, not one estimate per replication
     peaks = []
     for reps in (2 * REPLICATION_BLOCK, 20 * REPLICATION_BLOCK):
         cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=10, reps=reps)
@@ -798,13 +835,13 @@ def _whitened(strata, model):
 
 
 def test_replays_bridge_runs_stratum_sums():
-    # collect_replication and replay_slots are chunks of one: their kinds
-    # are the chunk's, each stratum sums to the chunk's stratum sum within
-    # 1e-12 of the sum of its magnitudes, and the caller's stream advances
-    # exactly as by the chunk.  Given its sum, a stratum of m iid standard
-    # normals has squared deviations chi-square with m - 1 degrees of
-    # freedom; pooled over all strata, the whitened values' must lie within
-    # the two-sided 1e-6 quantiles
+    # collect_replication and replay_slots are chunks of one: their counts
+    # by kind are the chunk's, each stratum sums to the chunk's stratum sum
+    # within 1e-12 of the sum of its magnitudes, and the caller's stream
+    # advances exactly as by the chunk.  Given its sum, a stratum of m iid
+    # standard normals has squared deviations chi-square with m - 1 degrees
+    # of freedom; pooled over all strata, the whitened values' must lie
+    # within the two-sided 1e-6 quantiles
     chi2 = pytest.importorskip("scipy.stats").chi2
     cases = [
         (SamplingPolicy(0, 0.5, 0.5), validate((0.0, 0.0, 1.0, 1.0, 0.5)), 1000),
@@ -818,9 +855,10 @@ def test_replays_bridge_runs_stratum_sums():
         for _ in range(50):
             strata, counts = collect_replication(m, policy, slots, rng)
             kinds, x, y = replay_slots(m, policy, slots, replay)
-            code, _, want_counts, want_sums = _draw_chunk(m, _slot_edges(policy), slots, 1, ref)
+            want_counts, _, want_sums = _draw_chunk(m, _kind_probabilities(policy), slots, 1, ref)
             assert rng.bit_generator.state == replay.bit_generator.state == ref.bit_generator.state
-            assert (kinds == code).all() and list(counts.values()) == want_counts[:, 0].tolist()
+            assert list(counts.values()) == want_counts[:, 0].tolist()
+            assert np.bincount(kinds, minlength=4).tolist() == want_counts[:, 0].tolist()
             gathered = (x[kinds == 0], y[kinds == 1], x[kinds == 2], y[kinds == 2])
             assert all(np.array_equal(got, want) for got, want in zip(strata, gathered))
             for stratum, want in zip(strata, want_sums[:, 0].tolist()):
@@ -833,45 +871,101 @@ def test_replays_bridge_runs_stratum_sums():
     assert chi2.ppf(1e-6, freedom) <= squares <= chi2.ppf(1 - 1e-6, freedom), (squares, freedom)
 
 
+def test_replay_places_each_kind_uniformly_over_the_slots():
+    # iid slot kinds are exchangeable: each slot position takes kind k with
+    # probability p_k whatever the counts.  Over 4000 replays of 20 slots,
+    # the kind-by-position table's chi-square statistic against 4000 p_k
+    # per cell (60 degrees of freedom) lies within the two-sided 1e-6
+    # quantiles; kinds laid out in kind order would put it near 10^5
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    policy, slots, reps = SamplingPolicy(0.2, 0.3, 0.4), 20, 4000
+    rng = replication_rng(53, 0)
+    table = np.zeros((4, slots))
+    for _ in range(reps):
+        kinds = replay_slots(model(), policy, slots, rng)[0]
+        table[kinds, np.arange(slots)] += 1
+    expected = reps * np.array(_kind_probabilities(policy))[:, None]
+    statistic = float((np.square(table - expected) / expected).sum())
+    freedom = 3 * slots
+    assert chi2.ppf(1e-6, freedom) <= statistic <= chi2.ppf(1 - 1e-6, freedom), statistic
+
+
 def test_trace_reproduces_replication(tmp_path):
-    # 1000 slots: chunks of 65 replications.  Replication 100 lies in the
-    # middle of the second chunk, 1023 ends the cut last chunk of block 0 and
-    # 1025 is just past the block boundary
+    # 1000 slots over two blocks.  Replication 100 lies inside block 0, 1023
+    # ends it and 1025 is just past the block boundary, in the block cut to
+    # 70.  Each trace holds its replication's counts by kind in a uniformly
+    # random slot order: each kind's mean slot position lies within 4
+    # standard errors of the middle, (S - 1) / 2, for m of S positions
+    # drawn without replacement, sqrt((S^2 - 1) / 12 / m (S - m) / (S - 1))
     cfg = t1_config(
         SamplingPolicy(0, 0.4, 0.4), slots=1000, reps=REPLICATION_BLOCK + 70, seed=37
     )
-    replays = {}
-    for start, kinds, x, y in _replay_chunks(cfg):
-        for offset, row in enumerate(zip(kinds, x, y)):
-            replays[start + offset] = row
-    assert len(replays) == cfg.replications
-
+    probabilities = _kind_probabilities(cfg.policy)
+    names = [kind.value for kind in ObservationKind]
     for replication in (100, REPLICATION_BLOCK - 1, REPLICATION_BLOCK + 1):
+        block, column = divmod(replication, REPLICATION_BLOCK)
+        n = min(REPLICATION_BLOCK, cfg.replications - block * REPLICATION_BLOCK)
+        counts, _, sums = _draw_chunk(cfg.model, probabilities, cfg.slots, n,
+                                      replication_rng(cfg.master_seed, block))
+        counts, sums = counts[:, column].tolist(), sums[:, column].tolist()
         path = tmp_path / "trace.csv"
         write_trace(cfg, path, replication=replication)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
         assert len(lines) == cfg.slots + 1
         rows = [line.split(",") for line in lines[1:]]
-        # the slot-level replay's kinds, slot for slot, and its stratum sums
-        # within the 9 significant digits of each printed value
-        kinds, x, y = replays[replication]
-        names = [kind.value for kind in ObservationKind]
-        assert [r[:2] for r in rows] == [[str(slot), names[k]] for slot, k in enumerate(kinds)]
+        assert [r[0] for r in rows] == [str(slot) for slot in range(cfg.slots)]
+        kinds = np.array([names.index(r[1]) for r in rows])
+        # the block's counts, and its stratum sums within the 9 significant
+        # digits of each printed value
+        assert np.bincount(kinds, minlength=4).tolist() == counts, replication
         traced = np.array([[float(v) if v else math.nan for v in r[2:4]] for r in rows])
-        for (code, column), want in zip(((0, 0), (1, 1), (2, 0), (2, 1)),
-                                         (x[kinds == 0], y[kinds == 1], x[kinds == 2],
-                                          y[kinds == 2])):
+        for (code, column), want in zip(((0, 0), (1, 1), (2, 0), (2, 1)), sums):
             got = traced[kinds == code, column]
-            assert got.size == want.size and not np.isnan(got).any(), replication
-            assert abs(got.sum() - want.sum()) <= 1e-8 * np.abs(want).sum(), replication
+            assert got.size == counts[code] and not np.isnan(got).any(), replication
+            assert abs(got.sum() - want) <= 1e-8 * np.abs(got).sum(), replication
         assert np.isnan(traced[kinds == 0, 1]).all() and np.isnan(traced[kinds == 1, 0]).all()
+        for code, m in enumerate(counts):
+            if 0 < m < cfg.slots:
+                s = cfg.slots
+                se = math.sqrt((s * s - 1) / 12 / m * (s - m) / (s - 1))
+                position = np.flatnonzero(kinds == code).mean()
+                assert abs(position - (s - 1) / 2) <= 4 * se, (replication, code)
         # joint slots cost S_x and S_y 1 + alpha each, nothing at the DC
         joint_rows = [r for r in rows if r[1] == "joint"]
         assert joint_rows and all(r[4:] == ["3", "3", "0"] for r in joint_rows)
         # idle slots observe nothing and are free
         idle_rows = [r for r in rows if r[1] == "idle"]
         assert idle_rows and all(r[2:] == ["", "", "0", "0", "0"] for r in idle_rows)
+
+
+def test_trace_bytes_do_not_depend_on_the_slab(tmp_path, monkeypatch):
+    # slabs of 7 slots, which do not divide 1000, write the bytes of one slab
+    cfg = t1_config(SamplingPolicy(0, 0.4, 0.4), slots=1000, reps=3, seed=61)
+    write_trace(cfg, tmp_path / "whole.csv", replication=2)
+    monkeypatch.setattr(simulator, "_TRACE_SLAB", 7)
+    write_trace(cfg, tmp_path / "slabs.csv", replication=2)
+    assert (tmp_path / "slabs.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_trace_streams_in_slabs(tmp_path):
+    # write_trace formats slabs of slots and holds no per-slot Python
+    # objects, so at 10^6 slots, every one joint, it peaks in tracemalloc
+    # below 64 bytes a slot (whole-replication rows took about 120)
+    slots = 10**6
+    scenario = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(2.0, math.inf))
+    cfg = SimulationConfig(scenario, model(), SamplingPolicy(0, 0, 1.0), EstimatorKind.DELTA2,
+                           slots, 1, 59)
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        write_trace(cfg, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * slots, peak / slots
+    with open(path, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == slots + 1
 
 
 def test_trace_rejects_bad_replication(tmp_path):
