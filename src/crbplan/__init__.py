@@ -37,7 +37,6 @@ from .fisher import (
     crb,
     crb_t1,
     crb_t3,
-    empirical_fim,
     empirical_fim_with_stderr,
     fim,
 )

@@ -395,12 +395,12 @@ def _threshold_columns(args, preset, fields):
 def _closed_form_columns(args, preset, fields):
     """The decentralized t1 closed-form plan at each e1 from 0 to alpha plus
     the grid's stop, with |rho| below, at or above the joint-priority
-    threshold by the curve's ``regime``."""
+    threshold by the curve's ``regime``; the plan reads no variance."""
     alpha = fields["alpha"]
     thr = joint_priority_threshold(alpha, Setting.DECENTRALIZED)
     rho = {"below": math.sqrt(0.5 * thr * thr), "at": thr,
            "above": math.sqrt(thr * thr + 0.5 * (1.0 - thr * thr))}[fields["regime"]]
-    model = _build_model(args, rho)
+    model = ObservationModel(0.0, 0.0, 1.0, 1.0, rho)
     stop, step = preset.grid
     e1s = _grid(0.0, alpha + stop, step)
     results = [plan_t1_closed_form(alpha, e1, model) for e1 in e1s]
@@ -438,9 +438,9 @@ def _plan_columns(args, preset, fields):
 class _Preset(NamedTuple):
     """A figure preset as data: each curve's columns, by name, come from
     ``columns(args, preset, fields)`` over the ``grid``, ``(stop, step)``
-    from 0 (fig1c's stop counts from alpha), of its ``axis``.  ``defaults``
-    gives each flag it reads (another budget or rho flag exits 2) when not
-    passed; curves override fields (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``)."""
+    from 0 (fig1c's stop counts from alpha), of its ``axis``.  ``defaults`` gives each
+    flag it reads (another budget, rho or variance flag exits 2) when not passed;
+    curves override fields (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``)."""
 
     columns: Callable
     axis: str | tuple[str, ...]
@@ -453,13 +453,14 @@ class _Preset(NamedTuple):
 
 
 _T3_CENTRALIZED = {"task": Task.T3, "setting": Setting.CENTRALIZED, "target": Target.MU_X}
-_BUDGETS_2 = {"alpha": 2.0, "e1": 2.0, "e2": 2.0}
+_VARIANCES = {"var_x": 1.0, "var_y": 1.0}  # read by every preset whose columns hold a bound
+_BUDGETS_2 = {**_VARIANCES, "alpha": 2.0, "e1": 2.0, "e2": 2.0}
 _PRESETS = {
     # decentralized prioritization boundary: critical |rho| versus alpha
     "fig1a": _Preset(_threshold_columns, "alpha", (6.0, 0.05)),
     # bound versus p_y for one unknown mean, three sensor budgets
     "fig1b": _Preset(
-        _eval_columns, ("p_y",), (1.0, 0.01), {"alpha": 2.0, "rho": 0.5, "e1": 2.0},
+        _eval_columns, ("p_y",), (1.0, 0.01), {**_VARIANCES, "alpha": 2.0, "rho": 0.5, "e1": 2.0},
         ({"e1": math.inf}, {}, {"e1": 0.8}),
     ),
     # optimal joint-sampling share versus budget (up to alpha + 1.5), by
@@ -470,18 +471,18 @@ _PRESETS = {
     ),
     # two unknown means, decentralized: bound versus p_x, two budgets
     "fig2a": _Preset(
-        _eval_columns, ("p_x",), (1.0, 0.01), {"alpha": 2.0, "rho": 0.5, "e1": 2.0},
+        _eval_columns, ("p_x",), (1.0, 0.01), {**_VARIANCES, "alpha": 2.0, "rho": 0.5, "e1": 2.0},
         ({"e1": math.inf}, {}), Task.T3, Setting.DECENTRALIZED, Target.MU_X,
     ),
     # centralized, one unknown mean: optimal policy versus DC budget, rho
     # below / above the centralized threshold sqrt(1/2); sensor budget active
     "fig2b": _Preset(
-        _plan_columns, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": 1.5},
+        _plan_columns, "e2", (4.5, 0.05), {**_VARIANCES, "alpha": 2.0, "e1": 1.5},
         ({"rho": 0.5}, {"rho": 0.8}), setting=Setting.CENTRALIZED,
     ),
     # the same with the sensor budget inactive (e1 >= alpha + 1)
     "fig2c": _Preset(
-        _plan_columns, "e2", (4.5, 0.05), {"alpha": 2.0, "e1": None},
+        _plan_columns, "e2", (4.5, 0.05), {**_VARIANCES, "alpha": 2.0, "e1": None},
         ({"rho": 0.5}, {"rho": 0.8}), setting=Setting.CENTRALIZED,
     ),
     # centralized, two unknown means: bound versus symmetric marginal share
@@ -500,18 +501,20 @@ _PRESETS = {
     # symmetric marginal share
     "fig4c": _Preset(
         _eval_columns, ("p_x", "p_y"), (0.5, 0.005),
-        {"alpha": 2.0, "rho": 0.8, "e1": 4.0}, ({"e1": 2.0}, {}), **_T3_CENTRALIZED,
+        {**_VARIANCES, "alpha": 2.0, "rho": 0.8, "e1": 4.0}, ({"e1": 2.0}, {}), **_T3_CENTRALIZED,
     ),
 }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     preset = _PRESETS[args.figure]
-    for name in ("alpha", "e1", "e2", "rho"):
+    for name in ("alpha", "e1", "e2", "rho", "var_x", "var_y"):
         if name not in preset.defaults and getattr(args, name) is not None:
-            raise _ConfigError(f"sweep --figure {args.figure} does not read --{name}")
+            flag = name.replace("_", "-")
+            raise _ConfigError(f"sweep --figure {args.figure} does not read --{flag}")
     flags = {name: default if getattr(args, name) is None else getattr(args, name)
              for name, default in preset.defaults.items()}
+    args = argparse.Namespace(**{**vars(args), **flags})  # _build_model reads the variances
     curves = [preset.columns(args, preset, {**flags, **curve}) for curve in preset.curves]
     table = {name: list(chain.from_iterable(c[name] for c in curves)) for name in curves[0]}
     _write_table(table, args.format, args.out)
@@ -566,6 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="emit plot-ready data for a named figure")
     _add_common_flags(p_sweep, scenario=False)
+    p_sweep.set_defaults(var_x=None, var_y=None)  # a preset's defaults give them
     p_sweep.add_argument("--figure", required=True, choices=sorted(_PRESETS))
 
     return parser

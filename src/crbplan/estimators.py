@@ -12,15 +12,14 @@ counts ``(n_x, n_y, n_xy)`` of the marginal-X, marginal-Y and joint kinds
 and the sums of the strata ``(marginal_x, marginal_y, joint_x, joint_y)``,
 each row a number or an array over replications.  The ``*_of_sums``
 formulas return the estimates and a mask of the replications whose strata
-allow one.  :func:`crbplan.simulator.run` calls them once per block of
+allow one; :data:`ESTIMATORS` pairs each with its variance given the
+counts.  :func:`crbplan.simulator.run` calls them once per block of
 replications, all drawn together from the block's stream: the counts in
 one multinomial draw, and each stratum sum from one standard normal scaled
 by the square root of the stratum's count.  The public estimators take one
-replication's stratum arrays, as
-:func:`crbplan.simulator.collect_replication` returns them (values whose
-stratum sums are those a chunk of one replication draws), and
-``(marginal_x, marginal_y, joint_x, joint_y, model)``; they compute the same
-statistics and call the same formula.
+replication's ``(marginal_x, marginal_y, joint_x, joint_y, model)``, the
+stratum arrays of :func:`crbplan.simulator.collect_replication`, and call
+the same formula on their counts and sums.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneratePolicy, MissingStratum
-from .fisher import SamplingPolicy
+from .fisher import SamplingPolicy, Target
 from .model import ObservationModel
 
 
@@ -69,6 +68,23 @@ def _one(formula, strata, model: ObservationModel, missing: str) -> float:
     return float(_finite(value))
 
 
+# Masks of the strata each estimator needs: plain operators, so counts and probabilities alike.
+def _y_and_joint_seen(n_x, n_y, n_xy):
+    return (n_y > 0) & (n_xy > 0)
+
+
+def _joint_seen(n_x, n_y, n_xy):
+    return n_xy > 0
+
+
+def _x_seen(n_x, n_y, n_xy):
+    return n_x + n_xy > 0
+
+
+def _y_seen(n_x, n_y, n_xy):
+    return n_y + n_xy > 0
+
+
 def delta1_of_sums(counts, sums, model: ObservationModel):
     """``((1 - rho^2) ybar1 + ybar - slope (xbar - mu_x)) / (2 - rho^2)``
     where ybar1 is the stand-alone Y mean and (xbar, ybar) the joint means;
@@ -76,7 +92,7 @@ def delta1_of_sums(counts, sums, model: ObservationModel):
     _, ybar1, xbar, ybar = _means(counts, sums)
     rho2 = model.rho * model.rho
     value = ((1.0 - rho2) * ybar1 + ybar - _slope(model) * (xbar - model.mu_x)) / (2.0 - rho2)
-    return value, (counts[1] > 0) & (counts[2] > 0)
+    return value, _y_and_joint_seen(*counts[:3])
 
 
 def delta1(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) -> float:
@@ -96,29 +112,23 @@ def delta1(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) ->
 
 
 def var_delta1(policy: SamplingPolicy, model: ObservationModel) -> float:
-    """Analytic per-sample variance of ``delta1`` under a sampling policy.
-
-    ``(1-rho^2) var_y / (2-rho^2)^2 * ((1-rho^2)/p_y + 1/p_xy) * (p_y + p_xy)``;
-    normalized per Y-bearing (marginal-Y or joint) slot: divided by
-    ``p_y + p_xy`` it is the per-slot variance, which the simulator reports.
+    """Analytic per-sample variance of ``delta1``, normalized per Y-bearing
+    (marginal-Y or joint) slot: :func:`analytic_variance` times ``p_y + p_xy``.
 
     Raises:
-        DegeneratePolicy: p_y = 0 or p_xy = 0 (an estimator stratum would be
-            empty almost surely).
+        DegeneratePolicy: p_y = 0 or p_xy = 0 (a stratum is empty almost surely).
     """
-    if policy.p_y <= 0.0 or policy.p_xy <= 0.0:
+    variance = analytic_variance(EstimatorKind.DELTA1, Target.MU_Y, policy, model)
+    if variance is None:
         raise DegeneratePolicy("delta1 requires p_y > 0 and p_xy > 0")
-    rho2 = model.rho * model.rho
-    shrink = 1.0 - rho2
-    lead = shrink * model.var_y / (2.0 - rho2) ** 2
-    return lead * (shrink / policy.p_y + 1.0 / policy.p_xy) * (policy.p_y + policy.p_xy)
+    return variance * (policy.p_y + policy.p_xy)
 
 
 def delta2_of_sums(counts, sums, model: ObservationModel):
     """``ybar - slope (xbar - mu_x)`` of the joint means; usable where joint
     pairs are observed."""
     _, _, xbar, ybar = _means(counts, sums)
-    return ybar - _slope(model) * (xbar - model.mu_x), counts[2] > 0
+    return ybar - _slope(model) * (xbar - model.mu_x), _joint_seen(*counts[:3])
 
 
 def delta2(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) -> float:
@@ -136,19 +146,18 @@ def delta2(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) ->
 
 def _pooled(counts, sums, kind: int, column: int):
     """Mean of every value of one coordinate: its stand-alone stratum
-    (``kind``) and its joint column; usable where either is observed."""
-    seen = counts[kind] + counts[2]
-    return (sums[kind] + sums[column]) / np.maximum(seen, 1), seen > 0
+    (``kind``) and its joint column."""
+    return (sums[kind] + sums[column]) / np.maximum(counts[kind] + counts[2], 1)
 
 
 def sample_mean_x_of_sums(counts, sums, model: ObservationModel):
     """Mean of every X value seen; ``model`` is not read."""
-    return _pooled(counts, sums, 0, 2)
+    return _pooled(counts, sums, 0, 2), _x_seen(*counts[:3])
 
 
 def sample_mean_y_of_sums(counts, sums, model: ObservationModel):
     """Mean of every Y value seen; ``model`` is not read."""
-    return _pooled(counts, sums, 1, 3)
+    return _pooled(counts, sums, 1, 3), _y_seen(*counts[:3])
 
 
 def sample_mean_x(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) -> float:
@@ -167,3 +176,37 @@ def sample_mean_y(marginal_x, marginal_y, joint_x, joint_y, model: ObservationMo
     """Mean of every Y value seen (stand-alone and joint); see :func:`sample_mean_x`."""
     return _one(sample_mean_y_of_sums, (marginal_x, marginal_y, joint_x, joint_y), model,
                 "no observations contain a Y value")
+
+
+def _delta1_variance(counts, model: ObservationModel):
+    """``(1 - rho^2) var_y ((1 - rho^2) / n_y + 1 / n_xy) / (2 - rho^2)^2``."""
+    rho2 = model.rho * model.rho
+    shrink = 1.0 - rho2
+    return shrink * model.var_y / (2.0 - rho2) ** 2 * (shrink / counts[1] + 1.0 / counts[2])
+
+
+#: Each estimator's facts, once, by ``(kind, target)``: its formula on counts
+#: and sums, the mask of the strata it needs (the formula returns it) and ``v``,
+#: its variance given the counts ``(n_x, n_y, n_xy)``; ``v`` has degree -1, so
+#: at a policy's probabilities it is the variance per slot as the slots grow.
+ESTIMATORS = {
+    (EstimatorKind.DELTA1, Target.MU_Y): (delta1_of_sums, _y_and_joint_seen, _delta1_variance),
+    (EstimatorKind.DELTA2, Target.MU_Y): (
+        delta2_of_sums, _joint_seen, lambda n, model: (1.0 - model.rho**2) * model.var_y / n[2]
+    ),
+    (EstimatorKind.SAMPLE_MEAN, Target.MU_X): (
+        sample_mean_x_of_sums, _x_seen, lambda n, model: model.var_x / (n[0] + n[2])
+    ),
+    (EstimatorKind.SAMPLE_MEAN, Target.MU_Y): (
+        sample_mean_y_of_sums, _y_seen, lambda n, model: model.var_y / (n[1] + n[2])
+    ),
+}
+
+
+def analytic_variance(kind: EstimatorKind, target: Target, policy: SamplingPolicy,
+                      model: ObservationModel) -> float | None:
+    """The estimator's analytic variance per slot, ``v`` at the policy's
+    probabilities; None where its mask fails at the policy's components (a
+    component just below 0 that the policy admits counts as 0)."""
+    _, needs, variance = ESTIMATORS[kind, target]
+    return variance(policy.as_tuple(), model) if needs(*policy.as_tuple()) else None

@@ -14,9 +14,9 @@ Bounds are computed in standardized units, ``I = V^-1/2 J(rho, p) V^-1/2``
 with ``V = diag(var_x, var_y)``, and multiplied by the target's variance
 last, so they stay right at any variance whose bound is representable.
 
-``empirical_fim`` estimates the same matrices from simulated data using
-central finite differences of the exact log-density, so it never shares code
-with the closed forms it is used to check.
+``empirical_fim_with_stderr`` estimates the same matrices from simulated
+data using central finite differences of the exact log-density, so it never
+shares code with the closed forms it is used to check.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def fim(task: Task, policy: SamplingPolicy, model: ObservationModel) -> np.ndarr
     """The task's per-slot Fisher information matrix, 2x2, in natural units.
 
     * t1 -- the Y mean alone, in entry (0, 0), every other entry 0 (the
-      layout of :func:`empirical_fim`): marginal-Y slots contribute 1/var_y
-      each, joint slots 1/((1 - rho^2) var_y), marginal-X slots nothing.
+      score oracle's layout): marginal-Y slots contribute 1/var_y each, joint
+      slots 1/((1 - rho^2) var_y), marginal-X slots nothing.
     * t2 -- (mu_y, rho): diagonal, the mean entry t1's and the correlation
       entry fed only by joint slots, at (1 + rho^2) / (1 - rho^2)^2 each.
       Without joint slots the correlation is unidentifiable and the matrix
@@ -376,18 +376,3 @@ def empirical_fim_with_stderr(
     mean[:dim, :dim] = prod.mean(axis=-1)
     stderr[:dim, :dim] = prod.std(axis=-1, ddof=1) / math.sqrt(n)
     return mean, stderr
-
-
-def empirical_fim(
-    model: ObservationModel,
-    policy: SamplingPolicy,
-    task: Task,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Monte Carlo estimate of the task's information matrix.
-
-    See :func:`empirical_fim_with_stderr` for the construction; this variant
-    drops the standard errors.
-    """
-    return empirical_fim_with_stderr(model, policy, task, n, rng)[0]

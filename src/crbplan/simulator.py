@@ -36,16 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasiblePolicy, MissingStratum
-from .estimators import (
-    EstimatorKind,
-    _finite,
-    delta1_of_sums,
-    delta2_of_sums,
-    sample_mean_x_of_sums,
-    sample_mean_y_of_sums,
-    var_delta1,
-)
-from .fisher import SamplingPolicy, Target, Task, crb
+from .estimators import ESTIMATORS, EstimatorKind, _finite, analytic_variance
+from .fisher import SamplingPolicy, Task, crb
 from .model import (
     GENERATOR_NAME,
     REPLICATION_BLOCK,
@@ -235,17 +227,15 @@ def _slot_values(kinds: np.ndarray, strata):
     return x, y
 
 
-def _replication(
-    model: ObservationModel, policy: SamplingPolicy, slots: int, rng, n: int = 1, column: int = 0
-):
-    """Replication ``column`` of a chunk of ``n`` drawn from ``rng``:
+def _replication(model: ObservationModel, policy: SamplingPolicy, slots: int, rng, n: int = 1):
+    """The first replication of a chunk of ``n`` drawn from ``rng``:
     ``(counts, strata, bridge)``, its slot counts by kind as a list, its
     bridged strata and the bridge stream after them.  ``rng`` advances as
     by the chunk; the bridge stream is ``rng`` jumped far ahead, past
     anything :func:`run` draws from it."""
     counts, z, _ = _draw_chunk(model, _kind_probabilities(policy), slots, n, rng)
-    counts, bridge = counts[:, column].tolist(), np.random.Generator(rng.bit_generator.jumped())
-    return counts, _strata(model, counts, z[:, column], bridge), bridge
+    counts, bridge = counts[:, 0].tolist(), np.random.Generator(rng.bit_generator.jumped())
+    return counts, _strata(model, counts, z[:, 0], bridge), bridge
 
 
 def replay_slots(
@@ -288,53 +278,25 @@ def collect_replication(
 def default_estimator(scenario: Scenario, policy: SamplingPolicy) -> EstimatorKind:
     """The natural estimator for a scenario/policy combination.
 
-    Task t1 (correlation known) blends both strata when both are sampled,
-    falls back to the joint-only adjustment, then to the plain mean.  Tasks
-    t2 and t3 default to sample means: t2's learner cannot use the
-    correlation it does not know.  For t3 they attain the bound only where
-    the other coordinate cannot help: at rho = 0, without joint slots or
-    without stand-alone slots of the other coordinate; elsewhere their
-    variance exceeds it.
+    Task t1 (correlation known) takes the first of ``delta1``, which blends
+    both strata, and the joint-only ``delta2`` whose strata the policy
+    samples, else the plain mean.  Tasks t2 and t3 default to sample means:
+    t2's learner cannot use the correlation it does not know.  For t3 they
+    attain the bound only where the other coordinate cannot help: at rho =
+    0, without joint slots or without stand-alone slots of the other
+    coordinate; elsewhere their variance exceeds it.
     """
-    if scenario.task is Task.T1:
-        if policy.p_y > 0.0 and policy.p_xy > 0.0:
-            return EstimatorKind.DELTA1
-        if policy.p_xy > 0.0:
-            return EstimatorKind.DELTA2
-    return EstimatorKind.SAMPLE_MEAN
-
-
-def _analytic_estimator_variance(config: SimulationConfig) -> float | None:
-    policy, model = config.policy, config.model
-    if config.estimator is EstimatorKind.DELTA1:
-        if policy.p_y > 0.0 and policy.p_xy > 0.0:
-            return var_delta1(policy, model) / (policy.p_y + policy.p_xy)  # per slot
-        return None
-    if config.estimator is EstimatorKind.DELTA2:
-        if policy.p_xy > 0.0:
-            return (1.0 - model.rho**2) * model.var_y / policy.p_xy
-        return None
-    if config.scenario.target is Target.MU_X:
-        coverage, var = policy.p_x + policy.p_xy, model.var_x
-    else:
-        coverage, var = policy.p_y + policy.p_xy, model.var_y
-    return var / coverage if coverage > 0.0 else None
-
-
-def _formula(config: SimulationConfig):
-    """The estimator formula on counts and sums that ``config`` names."""
-    if config.estimator is EstimatorKind.SAMPLE_MEAN:
-        if config.scenario.target is Target.MU_X:
-            return sample_mean_x_of_sums
-        return sample_mean_y_of_sums
-    return delta1_of_sums if config.estimator is EstimatorKind.DELTA1 else delta2_of_sums
+    kinds = (EstimatorKind.DELTA1, EstimatorKind.DELTA2) if scenario.task is Task.T1 else ()
+    usable = (k for k in kinds if ESTIMATORS[k, scenario.target][1](*policy.as_tuple()))
+    return next(usable, EstimatorKind.SAMPLE_MEAN)
 
 
 def _block_estimates(config: SimulationConfig):
     """``(counts, estimates, usable)`` of each block of the run, in
     replication order: block ``b``'s replications are drawn together from
     stream ``b``, and the formula estimates them all at once."""
-    probabilities, formula = _kind_probabilities(config.policy), _formula(config)
+    probabilities = _kind_probabilities(config.policy)
+    formula = ESTIMATORS[config.estimator, config.scenario.target][0]
     for first in range(0, config.replications, REPLICATION_BLOCK):
         rng = replication_rng(config.master_seed, first // REPLICATION_BLOCK)
         n = min(REPLICATION_BLOCK, config.replications - first)
@@ -413,7 +375,9 @@ def run(config: SimulationConfig) -> SimulationReport:
         analytic_crb=crb(
             config.scenario.task, config.scenario.target, config.policy, config.model
         ),
-        analytic_estimator_variance=_analytic_estimator_variance(config),
+        analytic_estimator_variance=analytic_variance(
+            config.estimator, config.scenario.target, config.policy, config.model
+        ),
         cost_per_slot=cost_per_slot,
         slot_counts={kind.value: n for kind, n in zip(_KIND_CODES, counted)},
         replications_used=used,
@@ -440,12 +404,6 @@ class ConstraintAudit:
 class AuditResult:
     checks: tuple[ConstraintAudit, ...]
     passed: bool
-
-    def for_actor(self, actor: Actor) -> ConstraintAudit:
-        for check in self.checks:
-            if check.actor == actor.value:
-                return check
-        raise KeyError(actor)
 
 
 def audit_resources(report: SimulationReport, scenario: Scenario) -> AuditResult:
@@ -479,22 +437,18 @@ def audit_resources(report: SimulationReport, scenario: Scenario) -> AuditResult
 TRACE_HEADER = "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
 
 
-def write_trace(config: SimulationConfig, path, replication: int = 0) -> None:
-    """Dump one replication's slot-by-slot stream as CSV (debugging aid).
+def write_trace(config: SimulationConfig, path) -> None:
+    """Dump replication 0's slot-by-slot stream as CSV (debugging aid).
 
-    Draws the replication's block as :func:`run` does and replays the
-    replication's column as :func:`replay_slots` replays a chunk of one:
-    its counts in a uniformly random slot order, its values the Gaussian
-    bridge of its stratum sums (``_strata``), so each stratum of the trace
-    sums to the sum that :func:`run` estimated from.  Rows are formatted
-    and written :data:`_TRACE_SLAB` slots at a time.
+    Draws block 0 as :func:`run` does and replays its first replication as
+    :func:`replay_slots` replays a chunk of one: its counts in a uniformly
+    random slot order, its values the Gaussian bridge of its stratum sums
+    (``_strata``), so each stratum of the trace sums to the sum that
+    :func:`run` estimated from.  Rows are formatted and written
+    :data:`_TRACE_SLAB` slots at a time.
     """
-    if not 0 <= replication < config.replications:
-        raise ValueError(f"replication must be in [0, {config.replications})")
-    block, mine = divmod(replication, REPLICATION_BLOCK)
-    rng = replication_rng(config.master_seed, block)
-    n = min(REPLICATION_BLOCK, config.replications - block * REPLICATION_BLOCK)
-    counts, strata, bridge = _replication(config.model, config.policy, config.slots, rng, n, mine)
+    rng, n = replication_rng(config.master_seed, 0), min(REPLICATION_BLOCK, config.replications)
+    counts, strata, bridge = _replication(config.model, config.policy, config.slots, rng, n)
     kinds = _kinds(counts, bridge)
     charged = _charged(constraints_for(config.scenario))
     prices = [(*charged[a].coeffs, 0.0) if a in charged else (0.0,) * 4 for a in Actor]

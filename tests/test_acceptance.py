@@ -349,7 +349,7 @@ def test_criterion_8_resource_audit():
             for check in audit.checks:
                 assert check.slack >= -3.0 * check.stderr, (index, check)
             for actor in saturated:
-                check = audit.for_actor(actor)
+                check = next(c for c in audit.checks if c.actor == actor.value)
                 assert abs(check.slack) <= 3.0 * check.stderr, (index, check)
 
 

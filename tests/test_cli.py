@@ -753,6 +753,8 @@ _REFUSED = {
     "fig4a_rho": ("sweep --figure fig4a --rho 0.3", _UNREAD.format("fig4a", "rho")),
     "fig2b_rho": ("sweep --figure fig2b --rho 0.5", _UNREAD.format("fig2b", "rho")),
     "fig4c_e2": ("sweep --figure fig4c --e2 1", _UNREAD.format("fig4c", "e2")),
+    "fig1a_var_x": ("sweep --figure fig1a --var-x 9", _UNREAD.format("fig1a", "var-x")),
+    "fig1c_var_y": ("sweep --figure fig1c --var-y 1", _UNREAD.format("fig1c", "var-y")),
 }
 
 
@@ -792,11 +794,31 @@ def test_bounds_sweep_needs_no_flag_for_its_variable(argv, flag):
 @pytest.mark.parametrize("values, message", [
     ({"task": "t1"}, "error: unknown config key: 'task'\n"),
     ({"alpha": 3}, _UNREAD.format("fig1a", "alpha")),
-], ids=["task_key", "unread_alpha"])
+    ({"var_y": 2}, _UNREAD.format("fig1a", "var-y")),
+], ids=["task_key", "unread_alpha", "unread_var_y"])
 def test_sweep_config_of_a_flag_the_preset_fixes_exits_2(values, message, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(values))
     assert _main_output(["sweep", "--figure", "fig1a", "--config", str(cfg)]) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "figure", ["fig1b", "fig2a", "fig2b", "fig2c", "fig3", "fig4a", "fig4b", "fig4c"]
+)
+def test_sweep_presets_of_a_bound_read_the_variances(figure):
+    # the bound scales with the target's variance, so the flags move bytes
+    _, default, _ = _main_output(["sweep", "--figure", figure])
+    code, out, err = _main_output(["sweep", "--figure", figure, "--var-x", "2", "--var-y", "4"])
+    assert (code, err) == (0, "") and out != default
+
+
+@pytest.mark.parametrize("argv", [
+    f"plan {_T1}", f"bounds {_T1} --sweep p_y", f"simulate {_T1} --slots 10 --reps 10 --seed 1",
+])
+def test_t1_commands_take_the_variances(argv):
+    # every t1/t2 command takes both variance flags, read or not
+    code, out, err = _main_output([*argv.split(), "--var-x", "2", "--var-y", "4"])
+    assert (code, err) == (0, "") and out
 
 
 @pytest.mark.parametrize("flag", ["--task t1", "--setting decentralized", "--target mu-y"])

@@ -16,6 +16,7 @@ from crbplan import (
     validate,
     var_delta1,
 )
+from crbplan.estimators import ESTIMATORS, analytic_variance
 
 
 def model(rho=0.5, mu_x=0.0, mu_y=0.0, var_x=1.0, var_y=1.0):
@@ -117,6 +118,34 @@ def test_var_delta1_never_below_crb():
         m = model(rho=float(rng.uniform(-0.9, 0.9)))
         per_slot = var_delta1(policy, m) / (p_y + p_xy)
         assert per_slot >= crb_t1(policy, m) - 1e-12
+
+
+# --- the estimator table ---
+
+
+@pytest.mark.parametrize("key", list(ESTIMATORS), ids=lambda key: "-".join(k.value for k in key))
+def test_table_row_reads_one_rule_at_counts_and_at_policies(key):
+    # the formula returns its row's mask; at a policy proportional to a
+    # replication's counts the same mask decides whether the estimator has
+    # an analytic variance, and v, of degree -1 in the counts, is that
+    # variance per slot times the replication's slots
+    formula, needs, v = ESTIMATORS[key]
+    m = model(rho=0.6, var_x=2.0, var_y=0.5)
+    counts = np.random.default_rng(47).integers(0, 3, size=(3, 300))
+    _, mask = formula(counts, np.zeros((4, 300)), m)
+    assert np.array_equal(mask, needs(*counts))
+    checked = 0
+    for n, usable in zip(counts.T.tolist(), mask.tolist()):
+        if sum(n) == 0:
+            continue
+        variance = analytic_variance(*key, SamplingPolicy(*(c / sum(n) for c in n)), m)
+        assert (variance is None) is not usable, n
+        if usable:
+            assert variance == pytest.approx(sum(n) * v(n, m), rel=1e-12), n
+            checked += 1
+    assert checked > 100
+    # a component the policy admits just below 0 counts as 0
+    assert analytic_variance(*key, SamplingPolicy(-1e-13, -1e-13, -1e-13), m) is None
 
 
 # --- delta2 ---

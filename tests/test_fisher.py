@@ -14,7 +14,6 @@ from crbplan import (
     crb,
     crb_t1,
     crb_t3,
-    empirical_fim,
     empirical_fim_with_stderr,
     fim,
     validate,
@@ -329,7 +328,8 @@ def test_crb_is_the_task_bound_or_inf():
 
 def test_empirical_fim_requires_enough_samples():
     with pytest.raises(ValueError):
-        empirical_fim(model(), SamplingPolicy(0, 0, 1), Task.T1, 100, np.random.default_rng(0))
+        empirical_fim_with_stderr(model(), SamplingPolicy(0, 0, 1), Task.T1, 100,
+                                  np.random.default_rng(0))
 
 
 def test_empirical_fim_t1_matches_closed_form():
@@ -352,7 +352,8 @@ def test_empirical_fim_t2_matches_closed_form():
 
 def test_empirical_fim_t3_identity():
     m = model(rho=0.0)
-    got = empirical_fim(m, SamplingPolicy(0, 0, 1), Task.T3, 10**5, np.random.default_rng(32))
+    got, _ = empirical_fim_with_stderr(m, SamplingPolicy(0, 0, 1), Task.T3, 10**5,
+                                       np.random.default_rng(32))
     np.testing.assert_allclose(got, np.eye(2), atol=0.02)
 
 
@@ -367,6 +368,6 @@ def test_empirical_fim_mixture_includes_idle():
 def test_empirical_fim_deterministic_given_seed():
     m = model(rho=0.3)
     policy = SamplingPolicy(0, 0.4, 0.4)
-    a = empirical_fim(m, policy, Task.T3, 10**4, np.random.default_rng(34))
-    b = empirical_fim(m, policy, Task.T3, 10**4, np.random.default_rng(34))
-    assert np.array_equal(a, b)
+    a = empirical_fim_with_stderr(m, policy, Task.T3, 10**4, np.random.default_rng(34))
+    b = empirical_fim_with_stderr(m, policy, Task.T3, 10**4, np.random.default_rng(34))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

@@ -22,6 +22,8 @@ The ``bounds_*``, ``jsonl_*`` and ``preset_*`` digests and
 sweep variable, task and setting, on rows that cross invalid, infeasible
 and zero-information policies, and on non-default figure flags.
 :data:`ORACLE_DIGEST` pins the score oracle's mean and standard errors.
+:data:`ESTIMATOR_DIGEST` pins each estimator's analytic variance, its
+strata rule and the default choice.
 """
 
 import contextlib
@@ -35,16 +37,21 @@ import pytest
 
 from crbplan import (
     CrbPlanError,
+    EstimatorKind,
     ResourceBudget,
     SamplingPolicy,
     Scenario,
     Setting,
+    SimulationConfig,
     Target,
     Task,
+    default_estimator,
     empirical_fim_with_stderr,
     plan_linear,
     plan_t3,
+    run,
     validate,
+    var_delta1,
 )
 from crbplan.cli import main
 
@@ -274,3 +281,55 @@ ORACLE_DIGEST = "0491c22cc8483bf12a38841321a9faa05eda93b3a3bda622401c07401da6ae2
 def test_oracle_records_match_golden_digest():
     text = "\n".join(_oracle_records()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGEST
+
+
+def _component(rng: random.Random, value: float) -> float:
+    draw = rng.random()
+    return 0.0 if draw < 0.2 else -1e-13 if draw < 0.3 else value
+
+
+def _estimator_records(n: int = 2400, seed: int = 13) -> list[str]:
+    """``default_estimator``, ``var_delta1`` and ``run``'s analytic variance
+    per slot (``%.9g``) on ``n`` seeded configurations of every task,
+    estimator and target, with policy components of 0 and -1e-13 mixed in:
+    one line each, an error by its name (``MissingStratum`` where every
+    replication lacked a stratum)."""
+    rng = random.Random(seed)
+    lines = []
+    for case in range(n):
+        task = rng.choice(list(Task))
+        target = rng.choice(list(Target)) if task is Task.T3 else Target.MU_Y
+        kinds = [EstimatorKind.SAMPLE_MEAN] if task is Task.T3 else list(EstimatorKind)
+        estimator = rng.choice(kinds)
+        cuts = sorted(rng.random() for _ in range(3))
+        policy = SamplingPolicy(*(_component(rng, v) for v in
+                                  (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1])))
+        rho = rng.choice([0.0, rng.uniform(-0.99, 0.99)])
+        model = validate((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                          rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0), rho))
+        scenario = Scenario(task, Setting.CENTRALIZED,
+                            ResourceBudget(1.0, math.inf, math.inf), target)
+        slots = rng.choice([2, 50])
+        config = SimulationConfig(scenario, model, policy, estimator, slots, 2, case)
+        try:
+            variance = run(config).analytic_estimator_variance
+            variance = "None" if variance is None else f"{variance:.9g}"
+        except CrbPlanError as exc:
+            variance = type(exc).__name__
+        try:
+            blend = repr(var_delta1(policy, model))
+        except CrbPlanError as exc:
+            blend = type(exc).__name__
+        default = default_estimator(scenario, policy).value
+        lines.append(f"{config!r} {default} {blend} {variance}")
+    return lines
+
+
+#: sha256 of :func:`_estimator_records`, recorded while the simulator still
+#: chose the formula and the analytic variance by branches on the estimator.
+ESTIMATOR_DIGEST = "caf4a60295252e45eee952d792e4859ff8f7ad1bc8f87f73f9836039d57032e2"
+
+
+def test_estimator_records_match_golden_digest():
+    text = "\n".join(_estimator_records()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ESTIMATOR_DIGEST

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from crbplan.cli import main
+from crbplan.cli import _PRESETS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,6 +30,15 @@ def test_readme_library_tour_runs_as_written():
     assert tour["info"][0, 0] == pytest.approx(7 / 6, rel=1e-12)
     assert tour["info"].ravel()[1:].tolist() == [0.0, 0.0, 0.0]
     assert tour["oracle"][0, 0] == pytest.approx(7 / 6, rel=0.02)
+    assert abs(tour["oracle"][0, 0] - 7 / 6) <= 4 * tour["stderr"][0, 0]
+
+
+def test_readme_sweep_reads_column_names_each_preset_flag():
+    # a preset reads the flags its defaults give, and refuses the others
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(fig\w+)` *\| [^|]* \| ([^|]*) \|", text, re.M)
+    reads = {fig: set(cell.strip("`").split(",")) - {"none"} for fig, cell in rows}
+    assert reads == {fig: set(preset.defaults) for fig, preset in _PRESETS.items()}
 
 
 def test_readme_simulate_example_prints_as_shown():

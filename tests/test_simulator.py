@@ -40,11 +40,10 @@ from crbplan import (
 )
 from crbplan import simulator
 from crbplan.model import REPLICATION_BLOCK
-from crbplan.estimators import delta1_of_sums
+from crbplan.estimators import analytic_variance, delta1_of_sums
 from crbplan.simulator import (
     _MAX_REPS,
     _MAX_SLOTS,
-    _analytic_estimator_variance,
     _block_estimates,
     _combine,
     _draw_chunk,
@@ -399,7 +398,9 @@ def _reference_run(config):
         analytic_crb=crb(
             config.scenario.task, config.scenario.target, config.policy, config.model
         ),
-        analytic_estimator_variance=_analytic_estimator_variance(config),
+        analytic_estimator_variance=analytic_variance(
+            config.estimator, config.scenario.target, config.policy, config.model
+        ),
         cost_per_slot=_cost_per_slot(config, totals),
         slot_counts=totals,
         replications_used=len(estimates),
@@ -676,11 +677,10 @@ def test_analytic_variance_per_slot_is_never_below_the_bound():
         var_x, var_y = rng.uniform(0.2, 5.0, size=2).tolist()
         m = validate((0.0, 0.0, var_x, var_y, float(rng.uniform(-0.99, 0.99))))
         for task, estimator, target in _estimators_of_the_bounded_mean():
-            scenario = Scenario(task, Setting.DECENTRALIZED, ResourceBudget(2.0, math.inf), target)
-            config = SimulationConfig(scenario, m, policy, estimator, 100, 2, 0)
-            variance = _analytic_estimator_variance(config)
+            variance = analytic_variance(estimator, target, policy, m)
             if variance is not None:
-                assert variance >= crb(task, target, policy, m) * (1.0 - 1e-12), (config, variance)
+                bound = crb(task, target, policy, m)
+                assert variance >= bound * (1.0 - 1e-12), (task, estimator, policy, m, variance)
                 checked += 1
     assert checked > 1000
 
@@ -733,6 +733,11 @@ def test_default_estimator_rules():
 # --- audit ---
 
 
+def _check_of(audit, actor):
+    """The audit's check of ``actor``'s budget row."""
+    return next(check for check in audit.checks if check.actor == actor.value)
+
+
 def test_audit_saturating_policy_zero_slack():
     result = plan_t1_closed_form(2.0, 2.0, model(0.9))
     assert result.policy.p_xy == pytest.approx(2 / 3)
@@ -743,7 +748,7 @@ def test_audit_saturating_policy_zero_slack():
     report = run(cfg)
     audit = audit_resources(report, scenario)
     assert audit.passed
-    check = audit.for_actor(Actor.SENSOR_Y)
+    check = _check_of(audit, Actor.SENSOR_Y)
     assert check.mean_cost_per_slot == pytest.approx(2.0, abs=3 * check.stderr)
     assert abs(check.slack) <= 3 * check.stderr
 
@@ -754,7 +759,7 @@ def test_audit_marginal_only_policy():
     report = run(cfg)
     audit = audit_resources(report, cfg.scenario)
     assert audit.passed
-    assert audit.for_actor(Actor.SENSOR_Y).mean_cost_per_slot == pytest.approx(1.0)
+    assert _check_of(audit, Actor.SENSOR_Y).mean_cost_per_slot == pytest.approx(1.0)
 
 
 def test_audit_stderr_comes_from_the_policy():
@@ -767,7 +772,7 @@ def test_audit_stderr_comes_from_the_policy():
     assert report.slot_counts["marginal_y"] == 0
     audit = audit_resources(report, scenario)
     assert audit.passed
-    check = audit.for_actor(Actor.SENSOR_Y)
+    check = _check_of(audit, Actor.SENSOR_Y)
     # Var = E[c^2] - E[c]^2 over costs 1 (p = 5e-6) and 3: 4 p (1 - p)
     assert check.stderr == pytest.approx(math.sqrt(4 * 5e-6 * (1 - 5e-6) / 10_000), rel=1e-9)
     assert "policy" not in report.as_record()
@@ -785,7 +790,7 @@ def test_audit_flags_budget_overrun():
     tight = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(2.0, 1.0))
     audit = audit_resources(report, tight)
     assert not audit.passed
-    check = audit.for_actor(Actor.SENSOR_Y)
+    check = _check_of(audit, Actor.SENSOR_Y)
     assert check.slack == pytest.approx(-2.0, abs=1e-9)
 
 
@@ -818,7 +823,7 @@ def test_audit_centralized_includes_dc():
     report = run(cfg)
     audit = audit_resources(report, scenario)
     assert audit.passed
-    dc = audit.for_actor(Actor.DATA_CENTER)
+    dc = _check_of(audit, Actor.DATA_CENTER)
     assert dc.mean_cost_per_slot == pytest.approx(1.0, abs=3 * dc.stderr)
 
 
@@ -891,25 +896,21 @@ def test_replay_places_each_kind_uniformly_over_the_slots():
 
 
 def test_trace_reproduces_replication(tmp_path):
-    # 1000 slots over two blocks.  Replication 100 lies inside block 0, 1023
-    # ends it and 1025 is just past the block boundary, in the block cut to
-    # 70.  Each trace holds its replication's counts by kind in a uniformly
+    # replication 0 of 1000 slots, in runs of one block, two blocks with
+    # the second cut to 70 and a block cut to 70: block 0's first column.
+    # Each trace holds its replication's counts by kind in a uniformly
     # random slot order: each kind's mean slot position lies within 4
     # standard errors of the middle, (S - 1) / 2, for m of S positions
     # drawn without replacement, sqrt((S^2 - 1) / 12 / m (S - m) / (S - 1))
-    cfg = t1_config(
-        SamplingPolicy(0, 0.4, 0.4), slots=1000, reps=REPLICATION_BLOCK + 70, seed=37
-    )
-    probabilities = _kind_probabilities(cfg.policy)
     names = [kind.value for kind in ObservationKind]
-    for replication in (100, REPLICATION_BLOCK - 1, REPLICATION_BLOCK + 1):
-        block, column = divmod(replication, REPLICATION_BLOCK)
-        n = min(REPLICATION_BLOCK, cfg.replications - block * REPLICATION_BLOCK)
-        counts, _, sums = _draw_chunk(cfg.model, probabilities, cfg.slots, n,
-                                      replication_rng(cfg.master_seed, block))
-        counts, sums = counts[:, column].tolist(), sums[:, column].tolist()
+    for reps, seed in ((REPLICATION_BLOCK, 37), (REPLICATION_BLOCK + 70, 38), (70, 39)):
+        cfg = t1_config(SamplingPolicy(0, 0.4, 0.4), slots=1000, reps=reps, seed=seed)
+        n = min(REPLICATION_BLOCK, reps)
+        counts, _, sums = _draw_chunk(cfg.model, _kind_probabilities(cfg.policy), cfg.slots, n,
+                                      replication_rng(cfg.master_seed, 0))
+        counts, sums = counts[:, 0].tolist(), sums[:, 0].tolist()
         path = tmp_path / "trace.csv"
-        write_trace(cfg, path, replication=replication)
+        write_trace(cfg, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
         assert len(lines) == cfg.slots + 1
@@ -918,19 +919,19 @@ def test_trace_reproduces_replication(tmp_path):
         kinds = np.array([names.index(r[1]) for r in rows])
         # the block's counts, and its stratum sums within the 9 significant
         # digits of each printed value
-        assert np.bincount(kinds, minlength=4).tolist() == counts, replication
+        assert np.bincount(kinds, minlength=4).tolist() == counts, reps
         traced = np.array([[float(v) if v else math.nan for v in r[2:4]] for r in rows])
         for (code, column), want in zip(((0, 0), (1, 1), (2, 0), (2, 1)), sums):
             got = traced[kinds == code, column]
-            assert got.size == counts[code] and not np.isnan(got).any(), replication
-            assert abs(got.sum() - want) <= 1e-8 * np.abs(got).sum(), replication
+            assert got.size == counts[code] and not np.isnan(got).any(), reps
+            assert abs(got.sum() - want) <= 1e-8 * np.abs(got).sum(), reps
         assert np.isnan(traced[kinds == 0, 1]).all() and np.isnan(traced[kinds == 1, 0]).all()
         for code, m in enumerate(counts):
             if 0 < m < cfg.slots:
                 s = cfg.slots
                 se = math.sqrt((s * s - 1) / 12 / m * (s - m) / (s - 1))
                 position = np.flatnonzero(kinds == code).mean()
-                assert abs(position - (s - 1) / 2) <= 4 * se, (replication, code)
+                assert abs(position - (s - 1) / 2) <= 4 * se, (reps, code)
         # joint slots cost S_x and S_y 1 + alpha each, nothing at the DC
         joint_rows = [r for r in rows if r[1] == "joint"]
         assert joint_rows and all(r[4:] == ["3", "3", "0"] for r in joint_rows)
@@ -941,10 +942,10 @@ def test_trace_reproduces_replication(tmp_path):
 
 def test_trace_bytes_do_not_depend_on_the_slab(tmp_path, monkeypatch):
     # slabs of 7 slots, which do not divide 1000, write the bytes of one slab
-    cfg = t1_config(SamplingPolicy(0, 0.4, 0.4), slots=1000, reps=3, seed=61)
-    write_trace(cfg, tmp_path / "whole.csv", replication=2)
+    cfg = t1_config(SamplingPolicy(0, 0.4, 0.4), slots=1000, reps=REPLICATION_BLOCK + 3, seed=61)
+    write_trace(cfg, tmp_path / "whole.csv")
     monkeypatch.setattr(simulator, "_TRACE_SLAB", 7)
-    write_trace(cfg, tmp_path / "slabs.csv", replication=2)
+    write_trace(cfg, tmp_path / "slabs.csv")
     assert (tmp_path / "slabs.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
@@ -967,8 +968,3 @@ def test_trace_streams_in_slabs(tmp_path):
     with open(path, encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == slots + 1
 
-
-def test_trace_rejects_bad_replication(tmp_path):
-    cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=10, reps=2, seed=41)
-    with pytest.raises(ValueError):
-        write_trace(cfg, tmp_path / "t.csv", replication=2)
