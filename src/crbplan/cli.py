@@ -7,9 +7,9 @@ alone states each flag's type, choices and default.  A JSON config file
 flags ahead of the command line, so explicit flags win.
 
 The ``sweep`` presets are data (:data:`_PRESETS`): curves, axis, grid and
-columns.  A ``bounds`` sweep and each preset curve are one array pass, the
-bound evaluator :func:`_evaluate` or one stack of plans
-(:func:`crbplan.strategy.plan_stack`).
+columns.  A ``bounds`` sweep and each evaluated preset curve are one array
+pass of the bound evaluator :func:`_evaluate`, and a planning preset plans
+all its curves as one stack (:func:`crbplan.strategy.plan_stack`).
 
 Exit codes: 0 success, 2 invalid configuration or malformed input
 (including a bound too large to represent), 3 the requested bound is
@@ -301,13 +301,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _build_model(args)
     scenario = _build_scenario(args)
-    policy = _policy_from_args(args)
+    policy, planned = _policy_from_args(args), None
     if policy is None:
         planned = strategy.plan(scenario, model)
         policy = planned.policy
-        print("policy from planner:", " ".join(
-            f"{k}={_format_cell(v)}" for k, v in planned.as_record().items()
-        ))
     estimator = (
         EstimatorKind(args.estimator)
         if args.estimator is not None
@@ -325,10 +322,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         replications=args.reps,
         master_seed=seed,
     )
-    print(f"seed={seed}")
     report = simulator.run(config)
     if args.trace:
         simulator.write_trace(config, args.trace)
+    if planned is not None:  # stdout stays empty until nothing is left to refuse
+        print("policy from planner:", " ".join(
+            f"{k}={_format_cell(v)}" for k, v in planned.as_record().items()
+        ))
+    print(f"seed={seed}")
 
     true_mean = model.mu_x if scenario.target is Target.MU_X else model.mu_y
     print(
@@ -385,6 +386,16 @@ def _budget_columns(scenarios: list[Scenario], models: list[ObservationModel]) -
             "e2": [s.budget.e2 for s in scenarios]}
 
 
+def _each_curve(columns):
+    """A preset's columns: ``columns`` of each curve's fields, concatenated."""
+    @functools.wraps(columns)
+    def all_curves(args, preset, curves):
+        tables = [columns(args, preset, fields) for fields in curves]
+        return {name: list(chain.from_iterable(t[name] for t in tables)) for name in tables[0]}
+    return all_curves
+
+
+@_each_curve
 def _threshold_columns(args, preset, fields):
     """The decentralized joint-priority threshold at each alpha."""
     alphas = _grid(0.0, *preset.grid)
@@ -392,6 +403,7 @@ def _threshold_columns(args, preset, fields):
             "rho_star": [joint_priority_threshold(a, Setting.DECENTRALIZED) for a in alphas]}
 
 
+@_each_curve
 def _closed_form_columns(args, preset, fields):
     """The decentralized t1 closed-form plan at each e1 from 0 to alpha plus
     the grid's stop, with |rho| below, at or above the joint-priority
@@ -409,6 +421,7 @@ def _closed_form_columns(args, preset, fields):
             "tie": [r.tie for r in results]}
 
 
+@_each_curve
 def _eval_columns(args, preset, fields):
     """The bound of the policy whose ``axis`` components run over the grid
     (others 0, ``p_xy`` as large as the budget allows), in one array pass."""
@@ -423,11 +436,13 @@ def _eval_columns(args, preset, fields):
     return {**budgets, **policy, "crb": crbs, "feasible": feasible}
 
 
-def _plan_columns(args, preset, fields):
-    """The plan with the ``axis`` field on the grid, as one plan stack."""
-    model = None if preset.axis == "rho" else _build_model(args, fields["rho"])
-    rows_fields = [{**fields, preset.axis: v} for v in _grid(0.0, *preset.grid)]
-    models = [_build_model(args, f["rho"]) if model is None else model for f in rows_fields]
+def _plan_columns(args, preset, curves):
+    """The plan with the ``axis`` field on the grid, for each curve in turn,
+    as one plan stack: it raises at its first overflowing entry."""
+    grid = _grid(0.0, *preset.grid)
+    rows_fields = [{**fields, preset.axis: v} for fields in curves for v in grid]
+    by_rho = {rho: _build_model(args, rho) for rho in dict.fromkeys(f["rho"] for f in rows_fields)}
+    models = [by_rho[f["rho"]] for f in rows_fields]
     scenarios = [_preset_scenario(preset, f) for f in rows_fields]
     results = plan_stack(scenarios, models)
     policy = {n: [getattr(r.policy, n) for r in results] for n in _P_INDEX}
@@ -436,11 +451,12 @@ def _plan_columns(args, preset, fields):
 
 
 class _Preset(NamedTuple):
-    """A figure preset as data: each curve's columns, by name, come from
-    ``columns(args, preset, fields)`` over the ``grid``, ``(stop, step)``
-    from 0 (fig1c's stop counts from alpha), of its ``axis``.  ``defaults`` gives each
-    flag it reads (another budget, rho or variance flag exits 2) when not passed;
-    curves override fields (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``)."""
+    """A figure preset as data: its columns, by name, come from
+    ``columns(args, preset, curves)``, each curve's fields over the
+    ``grid``, ``(stop, step)`` from 0 (fig1c's stop counts from alpha), of
+    its ``axis``.  ``defaults`` gives each flag it reads (another budget,
+    rho or variance flag exits 2) when not passed; curves override fields
+    (``alpha``, ``e1``, ``e2``, ``rho``, ``regime``)."""
 
     columns: Callable
     axis: str | tuple[str, ...]
@@ -515,8 +531,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     flags = {name: default if getattr(args, name) is None else getattr(args, name)
              for name, default in preset.defaults.items()}
     args = argparse.Namespace(**{**vars(args), **flags})  # _build_model reads the variances
-    curves = [preset.columns(args, preset, {**flags, **curve}) for curve in preset.curves]
-    table = {name: list(chain.from_iterable(c[name] for c in curves)) for name in curves[0]}
+    table = preset.columns(args, preset, [{**flags, **curve} for curve in preset.curves])
     _write_table(table, args.format, args.out)
     return 0
 
@@ -529,7 +544,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
-    was, and a config file's values are parsed as flags."""
+    was, and a config file's values are parsed as flags.  Its ``commands``
+    maps each command to the command's own parser."""
     parser = argparse.ArgumentParser(
         prog="crbplan",
         description=(
@@ -572,18 +588,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(var_x=None, var_y=None)  # a preset's defaults give them
     p_sweep.add_argument("--figure", required=True, choices=sorted(_PRESETS))
 
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, but a command's arguments go to
+    its own parser alone; the top-level parser reports any left over."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # -h, or a missing or unknown command
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     # looked up per call, so a function rebound on this module (a wrapper) runs
     command = globals()[f"cmd_{args.command}"]
     try:
         if args.config:  # the file's flags first: the command line wins
-            args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
+            args = _parse([argv[0], *_config_flags(args), *argv[1:]])
         return command(args)
     except SingularEverywhere as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,6 +50,8 @@ from .model import ObservationModel
 _SAME_REL = 1e-9
 #: Objective values this close, relative to the best, tie.
 _TIE_REL = 1e-12
+#: The vertex solve rescales a row whose coefficients are all below this.
+_TINY = 2.0**-960
 
 
 class Setting(Enum):
@@ -380,11 +382,16 @@ def _same(a, b) -> bool:
 def _feasible(points, c, b):
     """``points`` (n, m, 3) with negative coordinates clipped to 0, and the
     mask of those that satisfy every row of their entry's system ``c`` (n,
-    k, 3), ``b`` (n, k).  Clipping raises a budget row's load, so it comes
-    before the test, which then holds for the policy actually returned."""
-    with np.errstate(all="ignore"):  # far-off candidates overflow a load and fail
-        points = np.maximum(points, 0.0)
-        return points, _holds(c[:, None], b[:, None], points)
+    k, 3), ``b`` (n, k), bit for bit as :func:`_holds`.  Clipping raises a
+    budget row's load, so it comes before the test, which then holds for the
+    policy actually returned.  A clipped point meets the three nonnegativity
+    rows, which come first in every system, and on the rows after them ``c
+    >= 0``, so ``|c|.|p|`` is ``c.p`` and only those rows are tested."""
+    points = np.maximum(points, 0.0)
+    load = _load(_columns(c[:, None, 3:]), *_columns(points[..., None, :]))
+    holds = (load <= _limit(b[:, None, 3:], load)).all(axis=-1)
+    x, y, xy = _columns(points)
+    return points, holds & np.isfinite(x + y + xy)  # no inf, nan
 
 
 def _compact(points, keep):
@@ -428,30 +435,40 @@ def _pairs(v: int):
     return np.triu_indices(v, 1)
 
 
-def _vertices(c, b):
+def _vertices(c, b, tiny: bool):
     """Each system's distinct feasible vertices, (n, v, 3) and nan-padded,
     of ``c`` (n, k, 3) and ``b`` (n, k).
 
     Intersects every triple of finite-bound row planes with a nonzero LU
     determinant in one batched solve, with no cut-off: a nearly singular
     triple's point stays only if it is feasible, and then it is a harmless
-    extra candidate.  Of the copies of a vertex, the first stays.
+    extra candidate.  Of the copies of a vertex, the first stays.  Only the
+    data-center row's coefficients can be below ``_TINY``, and only when
+    alpha is (``tiny``): the determinants that use it would underflow, so
+    the solve scales it and its bound by one exact power of two (a bound
+    past every float becomes ``inf``, an unbounded row), and the
+    feasibility test reads the given rows.
     """
+    lhs, rhs = c, b
+    if tiny:
+        top = np.abs(c).max(axis=-1)
+        shift = np.where(top < _TINY, -np.frexp(top)[1], 0)
+        lhs, rhs = np.ldexp(c, shift[..., None]), np.ldexp(b, shift)
     triples = _triples(b.shape[-1])
-    lhs, rhs = c[:, triples], b[:, triples]
+    lhs, rhs = lhs[:, triples], rhs[:, triples]
     points = np.full(rhs.shape, np.nan)
-    with np.errstate(all="ignore"):  # LU divides by subnormal pivots (alpha ~ 1e-320)
-        # false at nan: an inf and a 0 pivot
-        regular = (np.abs(np.linalg.det(lhs)) > 0.0) & np.isfinite(rhs).all(axis=-1)
-        points[regular] = np.linalg.solve(lhs[regular], rhs[regular][..., None])[..., 0]
+    # false at nan: an inf and a 0 pivot
+    regular = (np.abs(np.linalg.det(lhs)) > 0.0) & np.isfinite(rhs).all(axis=-1)
+    points[regular] = np.linalg.solve(lhs[regular], rhs[regular][..., None])[..., 0]
     vertices = _compact(*_feasible(points, c, b))
     return _compact(vertices, _first_copies(vertices) & np.isfinite(vertices[..., 0]))
 
 
 def enumerate_vertices(constraints: LinearConstraintSet) -> list[tuple[float, float, float]]:
-    """All feasible vertices of the constraint polytope."""
+    """All feasible vertices of a scenario's constraint polytope."""
     c, b = constraints._arrays
-    return [tuple(v) for v in _vertices(c[None], b[None])[0].tolist()]
+    with np.errstate(all="ignore"):  # as in plan_stack; no alpha here, so rescale
+        return [tuple(v) for v in _vertices(c[None], b[None], True)[0].tolist()]
 
 
 _NUMERATOR = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])[..., None]
@@ -485,17 +502,17 @@ def _t3_edge_points(vertices, rho, on_x: bool):
     # t is scale-free: find it where nothing underflows
     size = np.fmax.reduce(np.abs(vertices), axis=(1, 2))[:, None, None]
     i, j = _pairs(vertices.shape[1])
-    with np.errstate(all="ignore"):  # no real root in (0, 1): inf or nan t, dropped
-        start = vertices[:, i]
-        u, d = start / size, (vertices[:, j] - start) / size
-        a0, a1 = (u @ n)[..., 0], (d @ n)[..., 0]
-        q0, q1, q2 = (np.einsum("nki,nij,nkj->nk", x, quad, y) for x, y in ((u, u), (u, d), (d, d)))
-        lead, half, const = a1 * q2, a0 * q2, 2.0 * a0 * q1 - a1 * q0
-        # the cancellation-free roots of lead t^2 + 2 half t + const
-        s = -(half + np.copysign(np.sqrt(half * half - lead * const), half))
-        t = np.stack([s / lead, const / s], axis=1)[..., None]
-        points = size[..., None] * (u[:, None] + t * d[:, None])
-        points = np.where((t > 0.0) & (t < 1.0), points, np.nan)
+    start = vertices[:, i]
+    u, d = start / size, (vertices[:, j] - start) / size
+    a0, a1 = (u @ n)[..., 0], (d @ n)[..., 0]
+    q0, q1, q2 = (np.einsum("nki,nij,nkj->nk", x, quad, y) for x, y in ((u, u), (u, d), (d, d)))
+    lead, half, const = a1 * q2, a0 * q2, 2.0 * a0 * q1 - a1 * q0
+    # the cancellation-free roots of lead t^2 + 2 half t + const; no real
+    # root in (0, 1) gives an inf or nan t, dropped
+    s = -(half + np.copysign(np.sqrt(half * half - lead * const), half))
+    t = np.stack([s / lead, const / s], axis=1)[..., None]
+    points = size[..., None] * (u[:, None] + t * d[:, None])
+    points = np.where((t > 0.0) & (t < 1.0), points, np.nan)
     return points.reshape(len(vertices), 2 * len(i), 3)
 
 
@@ -534,9 +551,10 @@ def _solve(scenarios, models, c, b, candidates, valid, method: Method) -> list[P
     values = np.where(info > 0.0, -info, math.inf)
     best = np.fmin.reduce(values, axis=-1, where=valid, initial=math.inf)
     near = _compact(candidates, (values <= (best + _TIE_REL * np.abs(best))[:, None]) & valid)
-    ties = np.full(len(near), False)
-    if near.shape[1] > 1:
-        ties = (_first_copies(near) & np.isfinite(near[..., 0])).sum(axis=-1) > 1
+    distinct = np.isfinite(near[..., 0])  # the vertices are distinct first copies
+    if t3 and near.shape[1] > 1:  # an edge point can copy a vertex
+        distinct &= _first_copies(near)
+    ties = distinct.sum(axis=-1) > 1
     # the first of the least (p_xy, p_x, p_y), per scenario; nan padding sorts last
     x, y, xy = _columns(near)
     picks = near[np.arange(len(near)), np.lexsort((y, x, xy), axis=-1)[:, 0]]
@@ -561,6 +579,11 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
     raises.  The scenarios share one cost family, planner (t3 or not) and
     target; ``models`` pairs one model with each.
 
+    Each distinct constraint system, a budget ``(alpha, e1, e2)``, is built
+    and its vertices found once: each system's solve is independent of the
+    rest of its batch, so sharing changes no bit.  Edge points and the
+    ranking read rho, so they run per scenario.
+
     Raises:
         InvalidScenario: the scenarios mix cost families, planners or targets.
         BoundOverflow: as the single planners, for the first scenario where
@@ -569,17 +592,26 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
     key = [(_family(s), s.task is Task.T3, s.target) for s in scenarios]
     if key.count(key[0]) < len(key):
         raise InvalidScenario("a plan stack needs one cost family, planner and target")
-    (family, t3, target), budgets = key[0], [vars(s.budget) for s in scenarios]
-    c, b = _stack(family, *np.array([[v["alpha"], v["e1"], v["e2"]] for v in budgets], float).T)
-    vertices = _vertices(c, b)
-    valid = np.isfinite(vertices[..., 0])
-    if not t3:
-        return _solve(scenarios, models, c, b, vertices, valid, Method.VERTEX_ENUM)
-    rho = np.array([m.rho for m in models])
-    edges, inside = _feasible(_t3_edge_points(vertices, rho, target is Target.MU_X), c, b)
-    candidates = np.concatenate([vertices, edges], axis=1)
-    valid = np.concatenate([valid, inside], axis=1)
-    return _solve(scenarios, models, c, b, candidates, valid, Method.FACE_ENUM)
+    (family, t3, target) = key[0]
+    systems: dict = {}  # c reads alpha only, b e1 and e2
+    which = [systems.setdefault((v.alpha, v.e1, v.e2), len(systems))
+             for v in (s.budget for s in scenarios)]
+    tiny = min(alpha for alpha, _, _ in systems) < _TINY
+    # far-off candidates overflow a load and fail, LU divides by subnormal
+    # pivots, and an edge with no root inside reads an inf or nan t
+    with np.errstate(all="ignore"):
+        c, b = _stack(family, *np.array(list(systems), float).T)
+        vertices = _vertices(c, b, tiny)
+        if len(systems) < len(which):  # each entry's system
+            c, b, vertices = c[which], b[which], vertices[which]
+        valid = np.isfinite(vertices[..., 0])
+        if not t3:
+            return _solve(scenarios, models, c, b, vertices, valid, Method.VERTEX_ENUM)
+        rho = np.array([m.rho for m in models])
+        edges, inside = _feasible(_t3_edge_points(vertices, rho, target is Target.MU_X), c, b)
+        candidates = np.concatenate([vertices, edges], axis=1)
+        valid = np.concatenate([valid, inside], axis=1)
+        return _solve(scenarios, models, c, b, candidates, valid, Method.FACE_ENUM)
 
 
 def plan_linear(scenario: Scenario, model: ObservationModel) -> PlanResult:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crbplan.cli import _write_table, build_parser, derive_dependent, main
+from crbplan.cli import _parse, _write_table, build_parser, derive_dependent, main
 from crbplan.fisher import Task
 from crbplan.strategy import ResourceBudget, Scenario, Setting, constraints_for
 
@@ -104,6 +104,19 @@ def test_plan_tiny_dc_budget_keeps_its_finite_bound(capsys):
     assert capsys.readouterr().out == (
         "p_x=0 p_y=1e-12 p_xy=0 crb=1e+12 method=vertex_enum tie=false\n"
     )
+
+
+@pytest.mark.parametrize("task, policy", [
+    ("t1", "p_x=0 p_y=0.5 p_xy=0 crb=2 method=vertex_enum"),
+    ("t3 --target mu-x", "p_x=0.5 p_y=0 p_xy=0 crb=2 method=face_enum"),
+    ("t3 --target mu-y", "p_x=0 p_y=0.5 p_xy=0 crb=2 method=face_enum"),
+])
+def test_plan_keeps_data_center_vertices_at_a_subnormal_alpha(task, policy, capsys):
+    # below the smallest normal alpha, the determinants of the data-center
+    # row (alpha, alpha, 2 alpha) underflowed and its vertices were lost
+    argv = f"plan --task {task} --setting centralized --alpha 1e-308 --e1 1 --e2 5e-309 --rho 0"
+    assert run_cli(*argv.split()) == 0
+    assert capsys.readouterr().out == f"{policy} tie=false\n"
 
 
 _SINGULAR = "error: target bound is infinite over the entire feasible region\n"
@@ -470,12 +483,21 @@ def test_simulate_negative_seed_exits_2(tmp_path, capsys):
     code = run_cli(*SIM_ARGS[:-1], "-1", "--out", str(out))
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == (
-        "policy from planner: p_x=0 p_y=0.5 p_xy=0.5 crb=0.857142857 "
-        "method=closed_form tie=false\n"
-    )
+    assert captured.out == ""  # the planner's policy is printed only with a report
     assert captured.err == "error: master_seed must be >= 0, got -1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("--p-y 0.1 --p-xy 0.9",
+     "error: policy violates constraints: ['sensor_x_budget', 'sensor_y_budget']\n"),
+    ("--p-y 0.5 --p-xy 0 --estimator delta2 --slots 10",
+     "error: all 10 replications lacked a required stratum\n"),
+])
+def test_simulate_refusal_prints_nothing_on_stdout(flags, message):
+    # the seed line once reached stdout before run refused the policy
+    argv = f"simulate {_T1} {flags} --reps 10 --seed 1".split()
+    assert _main_output(argv) == (2, "", message)
 
 
 def test_simulate_slots_past_the_limit_exit_2(capsys):
@@ -905,6 +927,40 @@ def test_reused_parser_leaks_no_state(first, second, tmp_path):
     assert _main_output(first)[0] in (0, 2)
     assert build_parser() is build_parser()  # the call reused the parser
     assert _main_output(second) == fresh
+
+
+_PARSE_ERRORS = {
+    "unknown_flag": f"plan {_T1} --bogus 1",
+    "bad_choice": "plan --task t9",
+    "missing_figure": "sweep",
+    "command_help": "plan -h",
+    "help": "-h",
+    "no_arguments": "",
+    "unknown_command": "frobnicate",
+    "double_dash": f"plan {_T1} -- extra",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PARSE_ERRORS.values()), ids=list(_PARSE_ERRORS))
+def test_main_parses_as_the_top_level_parser(argv):
+    # main parses a command's arguments with the command's own parser; its
+    # exit code, stdout and stderr are those of build_parser().parse_args
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv.split())
+    assert _main_output(argv.split()) == (exc.value.code, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("argv", [
+    f"plan {_T1} --format jsonl", f"bounds {_T1} --sweep p_y --p-x 0.1",
+    "simulate --rho 0.5 --seed 3", "sweep --figure fig4b --e1 1",
+])
+def test_parse_equals_the_top_level_parser(argv):
+    # every attribute, in the same order
+    assert list(vars(_parse(argv.split())).items()) == list(
+        vars(build_parser().parse_args(argv.split())).items()
+    )
 
 
 # --- config file ---
