@@ -7,19 +7,18 @@ by X.  ``delta2`` applies that adjustment to joint data alone (the minimum
 variance unbiased choice there); ``delta1`` additionally blends in the mean
 of stand-alone Y observations with a fixed correlation-dependent weight.
 
-Every estimator is one formula on a replication's statistics: the slot
-counts ``(n_x, n_y, n_xy)`` of the marginal-X, marginal-Y and joint kinds
-and the sums of the strata ``(marginal_x, marginal_y, joint_x, joint_y)``,
-each row a number or an array over replications.  The ``*_of_sums``
-formulas return the estimates and a mask of the replications whose strata
-allow one; :data:`ESTIMATORS` pairs each with its variance given the
-counts.  :func:`crbplan.simulator.run` calls them once per block of
-replications, all drawn together from the block's stream: the counts in
-one multinomial draw, and each stratum sum from one standard normal scaled
-by the square root of the stratum's count.  The public estimators take one
-replication's ``(marginal_x, marginal_y, joint_x, joint_y, model)``, the
-stratum arrays of :func:`crbplan.simulator.collect_replication`, and call
-the same formula on their counts and sums.
+Every estimator is one formula on a replication's statistics, sufficient
+with the covariance known: the slot counts ``(n_x, n_y, n_xy)`` of the
+marginal-X, marginal-Y and joint kinds and the sums of the strata
+``(marginal_x, marginal_y, joint_x, joint_y)``, each row a number or an
+array over replications, as :func:`crbplan.simulator.collect_replication`
+returns them for one replication.  Each returns ``(estimate, usable)``,
+the estimates and a mask of the replications whose strata allow one;
+:data:`ESTIMATORS` pairs each with its variance given the counts.
+:func:`crbplan.simulator.run` calls them once per block of replications,
+all drawn together from the block's stream: the counts in one multinomial
+draw, and each stratum sum from one standard normal scaled by the square
+root of the stratum's count.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegeneratePolicy, MissingStratum
+from .errors import DegeneratePolicy
 from .fisher import SamplingPolicy, Target
 from .model import ObservationModel
 
@@ -51,23 +50,6 @@ def _slope(model: ObservationModel) -> float:
     return model.rho * model.sigma_y / model.sigma_x
 
 
-def _finite(values):
-    """``values`` as they are, once every one is finite."""
-    if not np.isfinite(values).all():
-        bad = values.flat[np.flatnonzero(~np.isfinite(values))[0]]
-        raise ValueError(f"estimate must be finite, got {bad}")
-    return values
-
-
-def _one(formula, strata, model: ObservationModel, missing: str) -> float:
-    """``formula`` at one replication's stratum arrays."""
-    counts = [stratum.shape[0] for stratum in strata[:3]]
-    value, usable = formula(counts, [stratum.sum() for stratum in strata], model)
-    if not usable:
-        raise MissingStratum(missing)
-    return float(_finite(value))
-
-
 # Masks of the strata each estimator needs: plain operators, so counts and probabilities alike.
 def _y_and_joint_seen(n_x, n_y, n_xy):
     return (n_y > 0) & (n_xy > 0)
@@ -85,30 +67,16 @@ def _y_seen(n_x, n_y, n_xy):
     return n_y + n_xy > 0
 
 
-def delta1_of_sums(counts, sums, model: ObservationModel):
-    """``((1 - rho^2) ybar1 + ybar - slope (xbar - mu_x)) / (2 - rho^2)``
-    where ybar1 is the stand-alone Y mean and (xbar, ybar) the joint means;
-    usable where both groups are observed."""
+def delta1(counts, sums, model: ObservationModel):
+    """Blend the stand-alone Y mean ybar1 with the regression-adjusted joint
+    means (xbar, ybar): ``((1 - rho^2) ybar1 + ybar - slope (xbar - mu_x)) /
+    (2 - rho^2)``, usable where both groups are observed.  Centering at the
+    known mu_x keeps it unbiased for any X mean; at mu_x = 0 it is the plain
+    ``ybar - slope xbar`` adjustment."""
     _, ybar1, xbar, ybar = _means(counts, sums)
     rho2 = model.rho * model.rho
     value = ((1.0 - rho2) * ybar1 + ybar - _slope(model) * (xbar - model.mu_x)) / (2.0 - rho2)
     return value, _y_and_joint_seen(*counts[:3])
-
-
-def delta1(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) -> float:
-    """Blend marginal-Y and regression-adjusted joint means.
-
-    Returns ``((1 - rho^2) ybar1 + ybar - slope (xbar - mu_x)) / (2 - rho^2)``
-    where ybar1 is the stand-alone Y mean and (xbar, ybar) the joint means.
-    The joint term is centered at the known mu_x so the estimator stays
-    unbiased for any X mean; with mu_x = 0 the expression reduces to the
-    plain ``ybar - slope xbar`` adjustment.
-
-    Raises:
-        MissingStratum: either observation group is empty.
-    """
-    return _one(delta1_of_sums, (marginal_x, marginal_y, joint_x, joint_y), model,
-                "delta1 needs stand-alone Y and joint observations")
 
 
 def var_delta1(policy: SamplingPolicy, model: ObservationModel) -> float:
@@ -124,24 +92,12 @@ def var_delta1(policy: SamplingPolicy, model: ObservationModel) -> float:
     return variance * (policy.p_y + policy.p_xy)
 
 
-def delta2_of_sums(counts, sums, model: ObservationModel):
-    """``ybar - slope (xbar - mu_x)`` of the joint means; usable where joint
-    pairs are observed."""
+def delta2(counts, sums, model: ObservationModel):
+    """Regression-adjusted joint mean ``ybar - slope (xbar - mu_x)``, usable
+    where joint pairs are observed: the minimum-variance unbiased estimator
+    of the Y mean from joint data alone, per-pair variance ``(1 - rho^2) var_y``."""
     _, _, xbar, ybar = _means(counts, sums)
     return ybar - _slope(model) * (xbar - model.mu_x), _joint_seen(*counts[:3])
-
-
-def delta2(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) -> float:
-    """Regression-adjusted joint mean ``ybar - slope (xbar - mu_x)``.
-
-    The minimum-variance unbiased estimator of the Y mean from joint data
-    alone, with per-pair variance ``(1 - rho^2) var_y``.
-
-    Raises:
-        MissingStratum: no joint observations.
-    """
-    return _one(delta2_of_sums, (marginal_x, marginal_y, joint_x, joint_y), model,
-                "no joint observations")
 
 
 def _pooled(counts, sums, kind: int, column: int):
@@ -150,32 +106,16 @@ def _pooled(counts, sums, kind: int, column: int):
     return (sums[kind] + sums[column]) / np.maximum(counts[kind] + counts[2], 1)
 
 
-def sample_mean_x_of_sums(counts, sums, model: ObservationModel):
-    """Mean of every X value seen; ``model`` is not read."""
+def sample_mean_x(counts, sums, model: ObservationModel):
+    """Mean of every X value seen (stand-alone and joint); ``model`` is not
+    read.  With :func:`sample_mean_y`, the maximum likelihood estimator when
+    both means are unknown and the covariance structure is known."""
     return _pooled(counts, sums, 0, 2), _x_seen(*counts[:3])
 
 
-def sample_mean_y_of_sums(counts, sums, model: ObservationModel):
-    """Mean of every Y value seen; ``model`` is not read."""
-    return _pooled(counts, sums, 1, 3), _y_seen(*counts[:3])
-
-
-def sample_mean_x(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) -> float:
-    """Mean of every X value seen (stand-alone and joint); ``model`` is not
-    read.  With :func:`sample_mean_y`, the maximum likelihood estimator when
-    both means are unknown and the covariance structure is known.
-
-    Raises:
-        MissingStratum: no X value was observed.
-    """
-    return _one(sample_mean_x_of_sums, (marginal_x, marginal_y, joint_x, joint_y), model,
-                "no observations contain an X value")
-
-
-def sample_mean_y(marginal_x, marginal_y, joint_x, joint_y, model: ObservationModel) -> float:
+def sample_mean_y(counts, sums, model: ObservationModel):
     """Mean of every Y value seen (stand-alone and joint); see :func:`sample_mean_x`."""
-    return _one(sample_mean_y_of_sums, (marginal_x, marginal_y, joint_x, joint_y), model,
-                "no observations contain a Y value")
+    return _pooled(counts, sums, 1, 3), _y_seen(*counts[:3])
 
 
 def _delta1_variance(counts, model: ObservationModel):
@@ -190,15 +130,15 @@ def _delta1_variance(counts, model: ObservationModel):
 #: its variance given the counts ``(n_x, n_y, n_xy)``; ``v`` has degree -1, so
 #: at a policy's probabilities it is the variance per slot as the slots grow.
 ESTIMATORS = {
-    (EstimatorKind.DELTA1, Target.MU_Y): (delta1_of_sums, _y_and_joint_seen, _delta1_variance),
+    (EstimatorKind.DELTA1, Target.MU_Y): (delta1, _y_and_joint_seen, _delta1_variance),
     (EstimatorKind.DELTA2, Target.MU_Y): (
-        delta2_of_sums, _joint_seen, lambda n, model: (1.0 - model.rho**2) * model.var_y / n[2]
+        delta2, _joint_seen, lambda n, model: (1.0 - model.rho**2) * model.var_y / n[2]
     ),
     (EstimatorKind.SAMPLE_MEAN, Target.MU_X): (
-        sample_mean_x_of_sums, _x_seen, lambda n, model: model.var_x / (n[0] + n[2])
+        sample_mean_x, _x_seen, lambda n, model: model.var_x / (n[0] + n[2])
     ),
     (EstimatorKind.SAMPLE_MEAN, Target.MU_Y): (
-        sample_mean_y_of_sums, _y_seen, lambda n, model: model.var_y / (n[1] + n[2])
+        sample_mean_y, _y_seen, lambda n, model: model.var_y / (n[1] + n[2])
     ),
 }
 

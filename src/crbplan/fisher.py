@@ -106,10 +106,6 @@ class SamplingPolicy:
             values = [v / total for v in values]
         return cls(*values)
 
-    @property
-    def p_idle(self) -> float:
-        return max(0.0, 1.0 - (self.p_x + self.p_y + self.p_xy))
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_x, self.p_y, self.p_xy)
 

@@ -19,12 +19,12 @@ estimator formula reads: the counts of ``slots`` independent slots are
 multinomial, and a stratum's sum of ``m`` iid standard normals is
 ``sqrt(m)`` times one standard normal, exactly in distribution, so no slot
 is drawn on its own and :func:`run` holds no per-slot array.
-:func:`collect_replication`, :func:`replay_slots` (chunks of one
-replication) and :func:`write_trace` fill the values of each stratum by a
-Gaussian bridge, the exact law of iid normals given their sum, from a
-stream that :func:`run` never draws from, so every stratum of a replay sums
-to the sum that :func:`run` estimated from; the two that lay out slots then
-place the counts in a uniformly random slot order from the same stream.
+:func:`collect_replication` returns them for a chunk of one replication.
+:func:`replay_slots` (a chunk of one) and :func:`write_trace` fill each
+stratum's values by a Gaussian bridge, the exact law of iid normals given
+their sum, from a stream :func:`run` never draws from, so every stratum of a
+replay sums to the sum :func:`run` estimated from, and lay the counts out in
+a uniformly random slot order from the same stream.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasiblePolicy, MissingStratum
-from .estimators import ESTIMATORS, EstimatorKind, _finite, analytic_variance
+from .estimators import ESTIMATORS, EstimatorKind, analytic_variance
 from .fisher import SamplingPolicy, Task, crb
 from .model import (
     GENERATOR_NAME,
@@ -53,9 +53,9 @@ from .strategy import Actor, Scenario, _charged, _limit, _load, constraints_for
 
 #: Most slots per replication.  :func:`run` holds no per-slot array, so its
 #: memory does not grow with the slots; the replays do.  A replay of one
-#: replication (``collect_replication``, ``replay_slots``, ``write_trace``)
-#: peaks at 40 bytes a slot in ``tracemalloc`` when every slot is joint,
-#: 0.4 GB here, where far more would fail to allocate.
+#: replication's slots (``replay_slots``, ``write_trace``) peaks at 40 bytes
+#: a slot in ``tracemalloc`` when every slot is joint, 0.4 GB here, where far
+#: more would fail to allocate.
 _MAX_SLOTS = 10**7
 #: Most replications per run: :func:`run` keeps each block's moments, so its
 #: memory does not grow with replications (``tracemalloc``: 0.27 MB at 10^4
@@ -249,9 +249,9 @@ def replay_slots(
     Returns ``(kinds, x, y)``: an int array of codes indexing
     ``(marginal_x, marginal_y, joint, idle)`` and per-slot coordinate values
     (NaN where the coordinate was not observed).  The counts by kind and
-    the stratum sums are those of a chunk of one replication, and ``rng``
-    advances as by that chunk; the values are :func:`collect_replication`'s
-    strata, and the kinds lie in a uniformly random slot order.
+    the stratum sums are :func:`collect_replication`'s and ``rng`` advances
+    as by it; the values are the Gaussian bridge of each stratum's sum
+    (``_strata``), and the kinds lie in a uniformly random slot order.
     """
     counts, strata, bridge = _replication(model, policy, slots, rng)
     kinds = _kinds(counts, bridge)
@@ -263,16 +263,15 @@ def collect_replication(
     policy: SamplingPolicy,
     slots: int,
     rng: np.random.Generator,
-) -> tuple[tuple[np.ndarray, ...], dict[str, int]]:
-    """Run one replication, a chunk of one: ``(strata, counts)``, the arrays
-    ``(marginal_x, marginal_y, joint_x, joint_y)`` every estimator takes and
-    the slot count of each kind by name.  Each stratum sums to the sum that
-    the chunk's normals give (``_strata``), and ``rng`` advances as by the
-    chunk.  :func:`run` draws block ``b``'s replications together from
-    stream ``b``, so these are the draws of one of its replications only
-    where a block is one replication."""
-    counts, strata, _ = _replication(model, policy, slots, rng)
-    return strata, {kind.value: n for kind, n in zip(_KIND_CODES, counts)}
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one replication, a chunk of one: ``(counts, sums)``, its slot
+    counts by kind (indexing :data:`_KIND_CODES`) and its stratum sums
+    ``(marginal_x, marginal_y, joint_x, joint_y)``, the statistics every
+    estimator takes; ``rng`` advances as by the chunk.  :func:`run` draws
+    block ``b``'s replications together from stream ``b``, so these are one
+    of its replications only where a block is one replication."""
+    counts, _, sums = _draw_chunk(model, _kind_probabilities(policy), slots, 1, rng)
+    return counts[:, 0], sums[:, 0]
 
 
 def default_estimator(scenario: Scenario, policy: SamplingPolicy) -> EstimatorKind:
@@ -322,6 +321,14 @@ def _combine(a, b):
     n = n_a + n_b
     delta = mean_b - mean_a
     return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
+
+
+def _finite(values):
+    """``values`` as they are, once every one is finite."""
+    if not np.isfinite(values).all():
+        bad = values.flat[np.flatnonzero(~np.isfinite(values))[0]]
+        raise ValueError(f"estimate must be finite, got {bad}")
+    return values
 
 
 def run(config: SimulationConfig) -> SimulationReport:

@@ -186,21 +186,18 @@ def test_criterion_4_unbiasedness():
             for rho in (0.0, 0.5, 0.9):
                 m = model(rho, mu_x=mu_x, mu_y=1.0)
                 seed = int(1000 * mu_x + 100 * rho) + 5
-                values = {"delta1": [], "delta2": [], "mean_x": [], "mean_y": []}
-                # one stream per replication, each opened by its own index
-                for rep in range(reps):
-                    rng = replication_rng(seed, rep)
-                    strata, _ = collect_replication(m, policy, slots, rng)
-                    values["delta1"].append(delta1(*strata, m))
-                    values["delta2"].append(delta2(*strata, m))
-                    values["mean_x"].append(sample_mean_x(*strata, m))
-                    values["mean_y"].append(sample_mean_y(*strata, m))
-                truth = {"delta1": m.mu_y, "delta2": m.mu_y,
-                         "mean_x": m.mu_x, "mean_y": m.mu_y}
-                for name, vals in values.items():
-                    vals = np.asarray(vals)
+                # one stream per replication, each opened by its own index;
+                # the statistics stacked, replications in columns
+                statistics = [collect_replication(m, policy, slots, replication_rng(seed, rep))
+                              for rep in range(reps)]
+                counts, sums = (np.stack(rows, axis=1) for rows in zip(*statistics))
+                estimators = {"delta1": (delta1, m.mu_y), "delta2": (delta2, m.mu_y),
+                              "mean_x": (sample_mean_x, m.mu_x), "mean_y": (sample_mean_y, m.mu_y)}
+                for name, (estimator, truth) in estimators.items():
+                    vals, usable = estimator(counts, sums, m)
+                    assert usable.all(), (name, mu_x, rho)
                     se = vals.std(ddof=1) / math.sqrt(len(vals))
-                    assert abs(vals.mean() - truth[name]) <= 3 * se, (name, mu_x, rho)
+                    assert abs(vals.mean() - truth) <= 3 * se, (name, mu_x, rho)
 
 
 # ---------------------------------------------------------------------------

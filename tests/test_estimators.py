@@ -5,8 +5,9 @@ import pytest
 
 from crbplan import (
     DegeneratePolicy,
-    MissingStratum,
+    EstimatorKind,
     SamplingPolicy,
+    Target,
     crb_t1,
     delta1,
     delta2,
@@ -24,48 +25,69 @@ def model(rho=0.5, mu_x=0.0, mu_y=0.0, var_x=1.0, var_y=1.0):
 
 
 def strata(marginal_x=(), marginal_y=(), joint=()):
-    """The estimators' stratum arrays ``(marginal_x, marginal_y, joint_x,
-    joint_y)`` from lists of values and of (x, y) pairs."""
+    """The estimators' statistics ``(counts, sums)`` of lists of values and
+    of (x, y) pairs: the slot counts ``(n_x, n_y, n_xy, idle)``, no slot
+    idle, and the sums of the strata ``(marginal_x, marginal_y, joint_x,
+    joint_y)``."""
     joint = np.array(joint, dtype=float).reshape(-1, 2)
-    return (np.array(marginal_x, dtype=float), np.array(marginal_y, dtype=float),
-            joint[:, 0].copy(), joint[:, 1].copy())
+    values = (np.array(marginal_x, dtype=float), np.array(marginal_y, dtype=float),
+              joint[:, 0], joint[:, 1])
+    counts = np.array([values[0].size, values[1].size, joint.shape[0], 0])
+    return counts, np.array([v.sum() for v in values])
 
 
 def data_from_means(ybar1, xbar, ybar, n1=4, n2=4):
-    """Degenerate strata whose group means are exactly the given values."""
+    """Degenerate strata whose group means are the given values."""
     return strata(marginal_y=[ybar1] * n1, joint=[(xbar, ybar)] * n2)
+
+
+def estimate(formula, data, m):
+    """The formula's estimate, once it says the strata allow one."""
+    value, usable = formula(*data, m)
+    assert usable
+    return value
+
+
+def test_each_estimator_has_one_copy():
+    # the table's formulas are the public estimators themselves
+    public = {(EstimatorKind.DELTA1, Target.MU_Y): delta1,
+              (EstimatorKind.DELTA2, Target.MU_Y): delta2,
+              (EstimatorKind.SAMPLE_MEAN, Target.MU_X): sample_mean_x,
+              (EstimatorKind.SAMPLE_MEAN, Target.MU_Y): sample_mean_y}
+    assert set(public) == set(ESTIMATORS)
+    for key, function in public.items():
+        assert ESTIMATORS[key][0] is function, key
 
 
 # --- delta1 ---
 
 
 def test_delta1_zero_rho_averages_groups():
-    est = delta1(*data_from_means(ybar1=2.0, xbar=0.3, ybar=4.0), model(rho=0.0))
+    est = estimate(delta1, data_from_means(ybar1=2.0, xbar=0.3, ybar=4.0), model(rho=0.0))
     assert est == pytest.approx(3.0)
 
 
 def test_delta1_consistency_at_group_means():
     # all group means at the true means must return the true mean
-    est = delta1(*data_from_means(ybar1=1.0, xbar=0.0, ybar=1.0), model(rho=0.5))
+    est = estimate(delta1, data_from_means(ybar1=1.0, xbar=0.0, ybar=1.0), model(rho=0.5))
     assert est == pytest.approx(1.0)
 
 
 def test_delta1_requires_both_strata():
-    with pytest.raises(MissingStratum):
-        delta1(*strata(marginal_y=[1.0, 2.0]), model())
-    with pytest.raises(MissingStratum):
-        delta1(*strata(joint=[(1.0, 2.0)]), model())
+    assert not delta1(*strata(marginal_y=[1.0, 2.0]), model())[1]
+    assert not delta1(*strata(joint=[(1.0, 2.0)]), model())[1]
 
 
 def test_delta1_matches_uncentered_form_when_mu_x_zero():
     rng = np.random.default_rng(0)
     m = model(rho=0.7, mu_x=0.0, mu_y=0.4)
-    data = strata(marginal_y=rng.normal(size=9), joint=rng.normal(size=(7, 2)))
+    marginal_y, joint = rng.normal(size=9), rng.normal(size=(7, 2))
+    data = strata(marginal_y=marginal_y, joint=joint)
     slope = m.rho * m.sigma_y / m.sigma_x
-    ybar1 = data[1].mean()
-    xbar, ybar = data[2].mean(), data[3].mean()
+    ybar1 = marginal_y.mean()
+    xbar, ybar = joint[:, 0].mean(), joint[:, 1].mean()
     literal = ((1 - m.rho**2) * ybar1 + ybar - slope * xbar) / (2 - m.rho**2)
-    assert delta1(*data, m) == literal
+    assert estimate(delta1, data, m) == literal
 
 
 def test_delta1_centering_removes_mu_x_shift():
@@ -73,10 +95,10 @@ def test_delta1_centering_removes_mu_x_shift():
     rng = np.random.default_rng(1)
     marginal_y = rng.normal(size=11)
     joint = rng.normal(size=(13, 2))
-    base = delta1(*strata(marginal_y=marginal_y, joint=joint), model(rho=0.6, mu_x=0.0))
+    base = estimate(delta1, strata(marginal_y=marginal_y, joint=joint), model(rho=0.6, mu_x=0.0))
     shifted_joint = joint + np.array([5.0, 0.0])
-    shifted = delta1(
-        *strata(marginal_y=marginal_y, joint=shifted_joint), model(rho=0.6, mu_x=5.0)
+    shifted = estimate(
+        delta1, strata(marginal_y=marginal_y, joint=shifted_joint), model(rho=0.6, mu_x=5.0)
     )
     assert shifted == pytest.approx(base, rel=1e-12)
 
@@ -152,18 +174,18 @@ def test_table_row_reads_one_rule_at_counts_and_at_policies(key):
 
 
 def test_delta2_zero_rho_is_joint_mean():
-    est = delta2(*strata(joint=[(0.5, 1.0), (1.5, 3.0)]), model(rho=0.0))
+    est = estimate(delta2, strata(joint=[(0.5, 1.0), (1.5, 3.0)]), model(rho=0.0))
     assert est == pytest.approx(2.0)
 
 
 def test_delta2_worked_value():
-    est = delta2(*data_from_means(ybar1=0.0, xbar=0.4, ybar=1.2), model(rho=0.5, mu_x=0.5))
+    est = estimate(delta2, data_from_means(ybar1=0.0, xbar=0.4, ybar=1.2),
+                   model(rho=0.5, mu_x=0.5))
     assert est == pytest.approx(1.25)
 
 
 def test_delta2_requires_joint():
-    with pytest.raises(MissingStratum):
-        delta2(*strata(marginal_y=[1.0]), model())
+    assert not delta2(*strata(marginal_y=[1.0]), model())[1]
 
 
 def test_delta2_variance_shrinks_by_correlation():
@@ -185,22 +207,20 @@ def test_delta2_variance_shrinks_by_correlation():
 
 def test_sample_means_joint_only():
     data = strata(joint=[(1, 2), (3, 4)])
-    assert sample_mean_x(*data, model()) == pytest.approx(2.0)
-    assert sample_mean_y(*data, model()) == pytest.approx(3.0)
+    assert estimate(sample_mean_x, data, model()) == pytest.approx(2.0)
+    assert estimate(sample_mean_y, data, model()) == pytest.approx(3.0)
 
 
 def test_sample_means_pool_marginals():
     data = strata(marginal_x=[5.0], marginal_y=[0.0], joint=[(1.0, 0.0)])
-    assert sample_mean_x(*data, model()) == pytest.approx(3.0)
+    assert estimate(sample_mean_x, data, model()) == pytest.approx(3.0)
 
 
 def test_sample_means_missing_coordinate():
     data = strata(marginal_x=[1.0])
-    assert sample_mean_x(*data, model()) == 1.0
-    with pytest.raises(MissingStratum, match="^no observations contain a Y value$"):
-        sample_mean_y(*data, model())
-    with pytest.raises(MissingStratum, match="^no observations contain an X value$"):
-        sample_mean_x(*strata(marginal_y=[1.0]), model())
+    assert estimate(sample_mean_x, data, model()) == 1.0
+    assert not sample_mean_y(*data, model())[1]
+    assert not sample_mean_x(*strata(marginal_y=[1.0]), model())[1]
 
 
 # --- unbiasedness (moderate size; the full grid runs in acceptance) ---
@@ -215,10 +235,10 @@ def test_estimators_unbiased(mu_x, rho):
     for _ in range(reps):
         my = m.mu_y + m.sigma_y * rng.standard_normal(n1)
         jx, jy = sample_joint(m, rng, size=n2)
-        data = (np.empty(0), my, jx, jy)
-        values["delta1"].append(delta1(*data, m))
-        values["delta2"].append(delta2(*data, m))
-        values["mean"].append(sample_mean_y(*data, m))
+        data = strata(marginal_y=my, joint=np.stack([jx, jy], axis=1))
+        values["delta1"].append(estimate(delta1, data, m))
+        values["delta2"].append(estimate(delta2, data, m))
+        values["mean"].append(estimate(sample_mean_y, data, m))
     for name, vals in values.items():
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / math.sqrt(reps)

@@ -19,6 +19,7 @@ from crbplan import (
     validate,
 )
 from crbplan.fisher import crb_array
+from crbplan.simulator import _kind_probabilities
 
 
 def model(rho=0.5, var_x=1.0, var_y=1.0, mu_x=0.0, mu_y=0.0):
@@ -60,7 +61,8 @@ def test_policy_clamped_snaps_solver_noise():
 
 
 def test_policy_idle_probability():
-    assert SamplingPolicy(0.1, 0.2, 0.3).p_idle == pytest.approx(0.4)
+    # the engine's idle share is what the policy's components leave
+    assert _kind_probabilities(SamplingPolicy(0.1, 0.2, 0.3))[3] == pytest.approx(0.4)
 
 
 # --- t1 information / crb_t1 ---

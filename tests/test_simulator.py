@@ -40,7 +40,7 @@ from crbplan import (
 )
 from crbplan import simulator
 from crbplan.model import REPLICATION_BLOCK
-from crbplan.estimators import analytic_variance, delta1_of_sums
+from crbplan.estimators import analytic_variance
 from crbplan.simulator import (
     _MAX_REPS,
     _MAX_SLOTS,
@@ -97,7 +97,7 @@ def test_replication_streams_worker_independent():
             rng = replication_rng(cfg.master_seed, block)
             n = min(REPLICATION_BLOCK, reps - block * REPLICATION_BLOCK)
             counts, _, sums = _draw_chunk(cfg.model, probabilities, slots, n, rng)
-            values, usable = delta1_of_sums(counts, sums, cfg.model)
+            values, usable = delta1(counts, sums, cfg.model)
             moments[block] = _moments(values[usable])
         used, mean, squares = reduce(_combine, [moments[b] for b in sorted(moments)])
         assert used == report.replications_used == reps
@@ -107,32 +107,39 @@ def test_replication_streams_worker_independent():
 
 def test_collect_replication_is_a_chunk_of_one():
     # a block of one replication is a chunk of one: collect_replication,
-    # drawn from that block's stream, gives run's replication, and its
-    # strata are replay_slots' slots gathered by kind
+    # drawn from that block's stream, is the chunk's first column bit for
+    # bit and gives run's replication, whose estimate the public estimator
+    # reproduces exactly; replay_slots lays out the same counts
     for reps in (1, REPLICATION_BLOCK + 1):
         cfg = t1_config(SamplingPolicy(0, 0.5, 0.5), slots=200, reps=reps)
         *_, (_, estimate, usable) = _block_estimates(cfg)
         block = (reps - 1) // REPLICATION_BLOCK
-        rng, replay = (replication_rng(cfg.master_seed, block) for _ in range(2))
-        strata, counts = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
-        kinds, x, y = replay_slots(cfg.model, cfg.policy, cfg.slots, replay)
-        gathered = (x[kinds == 0], y[kinds == 1], x[kinds == 2], y[kinds == 2])
-        assert all(np.array_equal(got, want) for got, want in zip(strata, gathered))
-        assert counts == {kind.value: int((kinds == code).sum())
-                          for code, kind in enumerate(ObservationKind)}
+        rng, replay, ref = (replication_rng(cfg.master_seed, block) for _ in range(3))
+        counts, sums = collect_replication(cfg.model, cfg.policy, cfg.slots, rng)
+        want_counts, _, want_sums = _draw_chunk(
+            cfg.model, _kind_probabilities(cfg.policy), cfg.slots, 1, ref
+        )
+        assert counts.tolist() == want_counts[:, 0].tolist()
+        assert sums.tolist() == want_sums[:, 0].tolist()
+        kinds = replay_slots(cfg.model, cfg.policy, cfg.slots, replay)[0]
+        assert np.bincount(kinds, minlength=4).tolist() == counts.tolist()
         assert usable.tolist() == [True]
-        assert abs(delta1(*strata, cfg.model) - estimate[0]) <= 1e-12 * _scale(cfg)
+        value, seen = delta1(counts, sums, cfg.model)
+        assert seen and value == estimate[0]
+        if reps == 1:
+            assert run(cfg).mean_estimate == value
 
 
 # --- the block engine: its estimates, and its counts against slot uniforms ---
 
 
 def _array_estimates(config):
-    """``(estimates, totals)``: each replication's estimate from the array
-    estimators on strata bridged from the engine's own draw (``_draw_chunk``
-    on each block's stream; NaN where a stratum is missing) and the slot
-    count of each kind.  The bridge's ``w`` come from a generator of the
-    test's own: a stratum's sum does not depend on them."""
+    """``(estimates, totals)``: each replication's estimate from the public
+    estimators on its counts and the sums of strata bridged from the
+    engine's own draw (``_draw_chunk`` on each block's stream; NaN where a
+    stratum is missing) and the slot count of each kind.  The bridge's
+    ``w`` come from a generator of the test's own: a stratum's sum does not
+    depend on them."""
     estimator = {EstimatorKind.DELTA1: delta1, EstimatorKind.DELTA2: delta2}.get(
         config.estimator, sample_mean_x if config.scenario.target is Target.MU_X else sample_mean_y
     )
@@ -145,10 +152,9 @@ def _array_estimates(config):
         totals += counts.sum(axis=1)
         for column in range(n):
             strata = _strata(config.model, counts[:, column].tolist(), z[:, column], bridge)
-            try:
-                estimates.append(estimator(*strata, config.model))
-            except MissingStratum:
-                estimates.append(math.nan)
+            sums = [stratum.sum() for stratum in strata]
+            value, usable = estimator(counts[:, column], sums, config.model)
+            estimates.append(value if usable else math.nan)
     return np.array(estimates), dict(zip((k.value for k in ObservationKind), totals.tolist()))
 
 
@@ -218,9 +224,9 @@ def _identity_configs(count=84):
 
 def test_run_estimates_what_the_array_estimators_give_on_its_strata():
     # the estimator formulas on the block's counts and sums against the
-    # array estimators on strata bridged from the same draw: exclusions,
-    # ledger and replications used bit for bit, each replication's estimate
-    # and the aggregates within rounding
+    # same estimators on the sums of strata bridged from the same draw:
+    # exclusions, ledger and replications used bit for bit, each
+    # replication's estimate and the aggregates within rounding
     outcomes = {"report": 0, "excluded": 0, "all_excluded": 0}
     for index, cfg in enumerate(_identity_configs()):
         want, totals = _array_estimates(cfg)
@@ -323,9 +329,9 @@ def test_policies_at_the_tolerance_draw_the_clipped_shares(policy, shares):
     scenario = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(2.0, math.inf))
     cfg = SimulationConfig(scenario, model(), policy, EstimatorKind.DELTA2, 100, 300, 47)
     rng = replication_rng(cfg.master_seed, 0)
-    replayed = [collect_replication(cfg.model, policy, cfg.slots, rng)[1]
-                for _ in range(cfg.replications)]
-    tallies = [{kind: sum(c[kind] for c in replayed) for kind in replayed[0]}]
+    replayed = sum(collect_replication(cfg.model, policy, cfg.slots, rng)[0]
+                   for _ in range(cfg.replications))
+    tallies = [dict(zip((kind.value for kind in ObservationKind), replayed.tolist()))]
     if constraints_for(scenario).is_feasible(policy):
         tallies.append(run(cfg).slot_counts)
     kinds = replay_slots(cfg.model, policy, cfg.slots, rng)[0]
@@ -348,7 +354,9 @@ def _reference_run(config):
     chunks: each replication draws its slot uniforms, then its marginal X,
     marginal Y and joint samples, straight after the one before it in the
     block's stream; slot arrays with NaN gaps, boolean-mask gathering into
-    the stratum arrays and the estimators, then the same aggregation."""
+    the stratum arrays, each stratum's size and sum into the estimators (a
+    replication whose strata the estimator's mask rejects is excluded), then
+    the same aggregation."""
     policy, model = config.policy, config.model
     totals = {kind.value: 0 for kind in ObservationKind}
     estimates, excluded = [], 0
@@ -373,16 +381,19 @@ def _reference_run(config):
         for kind, mask in [("marginal_x", is_x), ("marginal_y", is_y), ("joint", is_j)]:
             totals[kind] += int(mask.sum())
         totals["idle"] += int((~(is_x | is_y | is_j)).sum())
-        try:
-            if config.estimator is EstimatorKind.DELTA1:
-                estimates.append(delta1(*strata, model))
-            elif config.estimator is EstimatorKind.DELTA2:
-                estimates.append(delta2(*strata, model))
-            elif config.scenario.target is Target.MU_X:
-                estimates.append(sample_mean_x(*strata, model))
-            else:
-                estimates.append(sample_mean_y(*strata, model))
-        except MissingStratum:
+        if config.estimator is EstimatorKind.DELTA1:
+            estimator = delta1
+        elif config.estimator is EstimatorKind.DELTA2:
+            estimator = delta2
+        elif config.scenario.target is Target.MU_X:
+            estimator = sample_mean_x
+        else:
+            estimator = sample_mean_y
+        counts = [stratum.size for stratum in strata[:3]]
+        value, usable = estimator(counts, [stratum.sum() for stratum in strata], model)
+        if usable:
+            estimates.append(float(value))
+        else:
             excluded += 1
     if not estimates:
         raise MissingStratum(
@@ -841,7 +852,8 @@ def _whitened(strata, model):
 
 def test_replays_bridge_runs_stratum_sums():
     # collect_replication and replay_slots are chunks of one: their counts
-    # by kind are the chunk's, each stratum sums to the chunk's stratum sum
+    # by kind are the chunk's, collect_replication's sums are the chunk's,
+    # each stratum of replay_slots' slots gathered by kind sums to them
     # within 1e-12 of the sum of its magnitudes, and the caller's stream
     # advances exactly as by the chunk.  Given its sum, a stratum of m iid
     # standard normals has squared deviations chi-square with m - 1 degrees
@@ -858,15 +870,15 @@ def test_replays_bridge_runs_stratum_sums():
     for index, (policy, m, slots) in enumerate(cases):
         rng, replay, ref = (replication_rng(index, 0) for _ in range(3))
         for _ in range(50):
-            strata, counts = collect_replication(m, policy, slots, rng)
+            counts, sums = collect_replication(m, policy, slots, rng)
             kinds, x, y = replay_slots(m, policy, slots, replay)
             want_counts, _, want_sums = _draw_chunk(m, _kind_probabilities(policy), slots, 1, ref)
             assert rng.bit_generator.state == replay.bit_generator.state == ref.bit_generator.state
-            assert list(counts.values()) == want_counts[:, 0].tolist()
-            assert np.bincount(kinds, minlength=4).tolist() == want_counts[:, 0].tolist()
-            gathered = (x[kinds == 0], y[kinds == 1], x[kinds == 2], y[kinds == 2])
-            assert all(np.array_equal(got, want) for got, want in zip(strata, gathered))
-            for stratum, want in zip(strata, want_sums[:, 0].tolist()):
+            assert counts.tolist() == want_counts[:, 0].tolist()
+            assert sums.tolist() == want_sums[:, 0].tolist()
+            assert np.bincount(kinds, minlength=4).tolist() == counts.tolist()
+            strata = (x[kinds == 0], y[kinds == 1], x[kinds == 2], y[kinds == 2])
+            for stratum, want in zip(strata, sums.tolist()):
                 assert abs(stratum.sum() - want) <= 1e-12 * np.abs(stratum).sum(), index
             for z in _whitened(strata, m):
                 if z.size >= 2:
