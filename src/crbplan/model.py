@@ -81,6 +81,14 @@ class ObservationModel:
     def sigma_y(self) -> float:
         return math.sqrt(self.var_y)
 
+    @cached_property
+    def strata_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (4, 1) columns of the strata's means and deviations."""
+        loc = np.array([[self.mu_x], [self.mu_y], [self.mu_x], [self.mu_y]])
+        scale = np.array([[self.sigma_x], [self.sigma_y], [self.sigma_x], [self.sigma_y]])
+        loc.flags.writeable = scale.flags.writeable = False
+        return loc, scale
+
 
 _MODEL_KEYS = ("mu_x", "mu_y", "var_x", "var_y", "rho")
 

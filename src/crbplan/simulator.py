@@ -48,7 +48,7 @@ from .model import (
     marginal_from_normals,
     replication_rng,
 )
-from .strategy import Actor, Scenario, _charged, _limit, _load, constraints_for
+from .strategy import Actor, Scenario, _limit, _load, constraints_for
 
 
 #: Most slots per replication.  :func:`run` holds no per-slot array, so its
@@ -136,6 +136,8 @@ class SimulationReport:
 
 
 _KIND_CODES = tuple(ObservationKind)
+_ACTORS = tuple(Actor)
+_STRATA = np.array([0, 1, 2, 2])  # the kind of each stratum's slots
 #: Slots per slab that :func:`write_trace` formats and writes at a time.
 _TRACE_SLAB = 2**14
 
@@ -174,13 +176,12 @@ def _draw_chunk(model: ObservationModel, probabilities, slots: int, n: int, rng)
     """
     counts = rng.multinomial(slots, probabilities, size=n).T
     z = rng.standard_normal((4, n))
-    z_sums = np.sqrt(counts[[0, 1, 2, 2]]) * z
+    strata = counts[_STRATA]  # each stratum's count
+    z_sums = np.sqrt(strata) * z
     # the joint Y column: rho S1 + sqrt(1 - rho^2) S2 of the whitened sums
     z_sums[3] = model.rho * z_sums[2] + math.sqrt(1.0 - model.rho * model.rho) * z_sums[3]
-    loc = np.array([[model.mu_x], [model.mu_y], [model.mu_x], [model.mu_y]])
-    scale = np.array([[model.sigma_x], [model.sigma_y], [model.sigma_x], [model.sigma_y]])
-    sums = loc * counts[[0, 1, 2, 2]] + scale * z_sums
-    return counts, z, sums
+    loc, scale = model.strata_columns
+    return counts, z, loc * strata + scale * z_sums
 
 
 def _strata(model: ObservationModel, counts, z, bridge):
@@ -290,19 +291,6 @@ def default_estimator(scenario: Scenario, policy: SamplingPolicy) -> EstimatorKi
     return next(usable, EstimatorKind.SAMPLE_MEAN)
 
 
-def _block_estimates(config: SimulationConfig):
-    """``(counts, estimates, usable)`` of each block of the run, in
-    replication order: block ``b``'s replications are drawn together from
-    stream ``b``, and the formula estimates them all at once."""
-    probabilities = _kind_probabilities(config.policy)
-    formula = ESTIMATORS[config.estimator, config.scenario.target][0]
-    for first in range(0, config.replications, REPLICATION_BLOCK):
-        rng = replication_rng(config.master_seed, first // REPLICATION_BLOCK)
-        n = min(REPLICATION_BLOCK, config.replications - first)
-        counts, _, sums = _draw_chunk(config.model, probabilities, config.slots, n, rng)
-        yield (counts, *formula(counts, sums, config.model))
-
-
 def _moments(values: np.ndarray) -> tuple[int, float, float]:
     """Count, mean and sum of squared deviations of ``values``."""
     if values.size == 0:
@@ -345,7 +333,9 @@ def run(config: SimulationConfig) -> SimulationReport:
     (``_draw_chunk``), and one estimator formula runs on its counts and
     sums.  The run keeps each block's count, mean and sum of squared
     deviations and combines them in replication order, so its memory grows
-    neither with the number of replications nor with the slots.
+    neither with the number of replications nor with the slots.  Its check
+    and ledger read the scenario's one system and its charged rows
+    (:func:`constraints_for`), which its audit and trace then reuse.
 
     Raises:
         InfeasiblePolicy: the policy violates the scenario's constraints.
@@ -357,11 +347,16 @@ def run(config: SimulationConfig) -> SimulationReport:
     if violated:
         raise InfeasiblePolicy(f"policy violates constraints: {violated}")
 
-    counted = np.zeros(4, np.int64)
-    moments = (0, 0.0, 0.0)
-    for counts, estimates, usable in _block_estimates(config):
-        counted += counts.sum(axis=1)
-        moments = _combine(moments, _moments(_finite(estimates[usable])))
+    probabilities = _kind_probabilities(config.policy)
+    formula = ESTIMATORS[config.estimator, config.scenario.target][0]
+    for first in range(0, config.replications, REPLICATION_BLOCK):
+        rng = replication_rng(config.master_seed, first // REPLICATION_BLOCK)
+        n = min(REPLICATION_BLOCK, config.replications - first)
+        counts, _, sums = _draw_chunk(config.model, probabilities, config.slots, n, rng)
+        estimates, usable = formula(counts, sums, config.model)
+        block = counts.sum(axis=1), _moments(_finite(estimates[usable]))
+        # the first block starts the fold and each later one joins it in order
+        counted, moments = (counted + block[0], _combine(moments, block[1])) if first else block
     used, mean_estimate, squares = moments
     counted = counted.tolist()
 
@@ -371,9 +366,9 @@ def run(config: SimulationConfig) -> SimulationReport:
         )
     variance_per_slot = config.slots * squares / (used - 1) if used >= 2 else math.nan
 
-    cost_per_slot = dict.fromkeys(Actor, 0.0)
+    cost_per_slot = dict.fromkeys(_ACTORS, 0.0)
     total_slots = config.slots * config.replications
-    for actor, row in _charged(cons).items():
+    for actor, row in cons.charged.items():
         cost_per_slot[actor] = _load(row.coeffs, *counted[:3]) / total_slots
 
     return SimulationReport(
@@ -428,7 +423,7 @@ def audit_resources(report: SimulationReport, scenario: Scenario) -> AuditResult
     """
     policy, slots = report.policy.as_tuple(), sum(report.slot_counts.values())
     checks = []
-    for actor, row in _charged(constraints_for(scenario)).items():
+    for actor, row in constraints_for(scenario).charged.items():
         budget, c = row.bound, row.coeffs
         expected = _load(c, *policy)
         variance = max(0.0, _load([v * v for v in c], *policy) - expected**2)
@@ -457,7 +452,7 @@ def write_trace(config: SimulationConfig, path) -> None:
     rng, n = replication_rng(config.master_seed, 0), min(REPLICATION_BLOCK, config.replications)
     counts, strata, bridge = _replication(config.model, config.policy, config.slots, rng, n)
     kinds = _kinds(counts, bridge)
-    charged = _charged(constraints_for(config.scenario))
+    charged = constraints_for(config.scenario).charged
     prices = [(*charged[a].coeffs, 0.0) if a in charged else (0.0,) * 4 for a in Actor]
     costs = [",".join(f"{price[code]:.9g}" for price in prices) for code in range(4)]
     names = [kind.value for kind in _KIND_CODES]

@@ -4,9 +4,10 @@ Each scenario induces a small linear constraint set over the slot-type
 probabilities (p_x, p_y, p_xy): the simplex, nonnegativity, per-sensor
 budgets, and (centralized only) a data-center budget; every row holds by the
 one scale-free rule of :func:`_limit`.  :data:`COST_TABLE` is the one cost
-model and each actor's budget row its one price: the simulator's ledger,
-audit and trace charge the row's coefficients (:func:`_charged`).  An
-observation costs 1 unit; each transmission or reception costs ``alpha``.
+model and each actor's budget row its one price: a system holds its charged
+rows once (:attr:`LinearConstraintSet.charged`), and the simulator's ledger,
+audit and trace all read them.  An observation costs 1 unit; each
+transmission or reception costs ``alpha``.
 
 Two planners cover the objective shapes:
 
@@ -32,6 +33,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -174,15 +176,22 @@ class LinearConstraintSet:
         return c, np.array([r.bound for r in self.rows], dtype=float)
 
     @cached_property
-    def _terms(self):
-        """Each row's name, coefficients, bound and absolute coefficients."""
-        return [(r.name, r.coeffs, r.bound, tuple(map(abs, r.coeffs))) for r in self.rows]
+    def charged(self) -> MappingProxyType[Actor, Constraint]:
+        """Each charged actor's budget row, the one price of its slots, read-only:
+        the coefficients are what a marginal-X, a marginal-Y and a joint slot
+        cost the actor, the bound is its budget, and idle slots are free."""
+        rows = {row.name: row for row in self.rows}
+        return MappingProxyType({a: rows[n] for a, (n, _) in _BUDGET_ROWS.items() if n in rows})
 
     def violations(self, policy: SamplingPolicy) -> list[str]:
         p_x, p_y, p_xy = policy.as_tuple()
-        q_x, q_y, q_xy = abs(p_x), abs(p_y), abs(p_xy)
-        return [name for name, c, b, a in self._terms
-                if not _load(c, p_x, p_y, p_xy) <= _limit(b, _load(a, q_x, q_y, q_xy))]
+        broken = []
+        for row in self.rows:  # |c_i p_i| is |c_i| |p_i| exactly: _holds bit for bit
+            c_x, c_y, c_xy = row.coeffs
+            t_x, t_y, t_xy = c_x * p_x, c_y * p_y, c_xy * p_xy
+            if not t_x + t_y + t_xy <= _limit(row.bound, abs(t_x) + abs(t_y) + abs(t_xy)):
+                broken.append(row.name)
+        return broken
 
     def is_feasible(self, policy: SamplingPolicy) -> bool:
         return not self.violations(policy)
@@ -257,6 +266,15 @@ def _layout(family: str):
 
 
 _LAYOUT = {family: _layout(family) for family in COST_TABLE}
+#: The rows of :data:`_LAYOUT` in Python floats: a row no budget reads, the same
+#: in every system, as its :class:`Constraint`; a budget row as (name, obs, comm, field).
+_ROWS = {
+    family: tuple(
+        (name, o, k, "e1" if b1 else "e2") if b1 or b2 or any(k) else Constraint(name, tuple(o), b)
+        for name, o, k, b, b1, b2 in zip(names, obs.tolist(), comm.tolist(), fixed.tolist(), *masks)
+    )
+    for family, (names, obs, comm, fixed, *masks) in _LAYOUT.items()
+}
 
 
 def _stack(family: str, alpha, e1, e2):
@@ -270,28 +288,27 @@ def _stack(family: str, alpha, e1, e2):
 
 @functools.lru_cache(maxsize=1)
 def constraints_for(scenario: Scenario) -> LinearConstraintSet:
-    """The scenario's full constraint system, built once for consecutive
-    calls with one scenario: a scenario and its system are both immutable,
-    so a simulation's run, audit and trace share one system.
+    """The scenario's full constraint system.  Only the system of the last
+    scenario asked for is kept, until a call with another scenario replaces
+    it: a scenario and its system are both immutable, so a simulation's run,
+    audit and trace build one system and read its charged rows once.
 
     Nonnegativity and the simplex, then one budget row per actor that
     :data:`COST_TABLE` charges: ``sum_kind (obs + alpha (tx + rx)) p_kind``
-    is at most ``e1`` for a sensor and ``e2`` for the data center.  In the
-    decentralized one-mean tasks (t1/t2) marginal-X slots add no
-    information about the Y mean, so ``p_x = 0`` is pinned as well.
+    (in floats, bit for bit as :func:`_stack`) is at most ``e1`` for a
+    sensor and ``e2`` for the data center.  In the decentralized one-mean
+    tasks (t1/t2) marginal-X slots add no information about the Y mean, so
+    ``p_x = 0`` is pinned as well.
     """
-    budget, family = scenario.budget, _family(scenario)
-    c, b = _stack(family, budget.alpha, budget.e1, budget.e2)
-    coeffs = map(tuple, c.tolist())
-    return LinearConstraintSet(tuple(map(Constraint, _LAYOUT[family][0], coeffs, b.tolist())))
-
-
-def _charged(constraints: LinearConstraintSet) -> dict[Actor, Constraint]:
-    """Each charged actor's budget row, the one price of its slots: the
-    coefficients are what a marginal-X, a marginal-Y and a joint slot cost
-    it, the bound is its budget, and idle slots are free."""
-    rows = {row.name: row for row in constraints.rows}
-    return {actor: rows[name] for actor, (name, _) in _BUDGET_ROWS.items() if name in rows}
+    budget, rows = scenario.budget, []
+    alpha = float(budget.alpha)
+    for row in _ROWS[_family(scenario)]:
+        if not isinstance(row, Constraint):  # a budget row, priced at alpha
+            name, (o1, o2, o3), (k1, k2, k3), field = row
+            coeffs = (o1 + alpha * k1, o2 + alpha * k2, o3 + alpha * k3)
+            row = Constraint(name, coeffs, float(getattr(budget, field)))
+        rows.append(row)
+    return LinearConstraintSet(tuple(rows))
 
 
 def _feasibility(scenario: Scenario, policies, e1=None, e2=None):

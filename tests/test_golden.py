@@ -23,7 +23,8 @@ sweep variable, task and setting, on rows that cross invalid, infeasible
 and zero-information policies, and on non-default figure flags.
 :data:`ORACLE_DIGEST` pins the score oracle's mean and standard errors.
 :data:`ESTIMATOR_DIGEST` pins each estimator's analytic variance, its
-strata rule and the default choice.
+strata rule and the default choice.  :data:`RUN_DIGEST` pins ``run`` and
+``audit_resources`` in full precision, where the CLI prints ``%.9g``.
 """
 
 import contextlib
@@ -43,6 +44,7 @@ from crbplan import (
     Scenario,
     Setting,
     SimulationConfig,
+    audit_resources,
     Target,
     Task,
     default_estimator,
@@ -333,3 +335,57 @@ ESTIMATOR_DIGEST = "caf4a60295252e45eee952d792e4859ff8f7ad1bc8f87f73f9836039d570
 def test_estimator_records_match_golden_digest():
     text = "\n".join(_estimator_records()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == ESTIMATOR_DIGEST
+
+
+def _run_records(n: int = 300, seed: int = 17) -> list[str]:
+    """``run`` and ``audit_resources`` on ``n`` seeded configurations of
+    every task, setting, estimator and target, at 1, 7 or 100 slots and
+    1, 2, 1024, 1025 or 2049 replications, with empty strata, infeasible
+    policies and runs where every replication is excluded mixed in: one
+    line each, the ``repr`` of the report and the audit in full precision,
+    or the error's type and message."""
+    rng = random.Random(seed)
+    lines = []
+    for case in range(n):
+        task = rng.choice(list(Task))
+        setting = rng.choice(list(Setting))
+        target = rng.choice(list(Target)) if task is Task.T3 else None
+        kinds = [EstimatorKind.SAMPLE_MEAN] if task is Task.T3 else list(EstimatorKind)
+        alpha = rng.choice([0.0, 0.1, rng.uniform(0.0, 3.0)])
+        e1 = math.inf if rng.random() < 0.4 else rng.uniform(0.5, 2.0 * alpha + 3.0)
+        e2 = None
+        if setting is Setting.CENTRALIZED:
+            e2 = math.inf if rng.random() < 0.4 else rng.uniform(0.5, 2.0 * alpha + 3.0)
+        scenario = Scenario(task, setting, ResourceBudget(alpha, e1, e2), target)
+        cuts = sorted(rng.random() for _ in range(3))
+        parts = [cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1]]
+        if task is not Task.T3 and setting is Setting.DECENTRALIZED:
+            parts[0] = 0.0  # no_marginal_x
+        policy = SamplingPolicy(*(0.0 if rng.random() < 0.2 else v for v in parts))
+        rho = rng.choice([0.0, rng.uniform(-0.99, 0.99)])
+        model = validate((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                          rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0), rho))
+        slots = rng.choice([1, 7, 100])
+        reps = rng.choice([1, 2, 1024, 1025, 2049])
+        config = SimulationConfig(scenario, model, policy, rng.choice(kinds), slots, reps, case)
+        try:
+            report = run(config)
+            outcome = f"{report!r} {audit_resources(report, scenario)!r}"
+        except (CrbPlanError, ValueError) as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{config!r} {outcome}")
+    return lines
+
+
+#: sha256 of :func:`_run_records`, recorded before ``run``, the audit and
+#: the trace began to share one constraint system and its charged rows.
+RUN_DIGEST = "1049fa1a8cca7d49bbb1d7669b56e79593c346708e3190a3becf372140268898"
+
+
+def test_run_records_match_golden_digest():
+    lines = _run_records()
+    assert sum(line.count("AuditResult(") for line in lines) >= 120
+    assert any("MissingStratum" in line for line in lines)
+    assert any("InfeasiblePolicy" in line for line in lines)
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_DIGEST

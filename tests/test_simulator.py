@@ -40,11 +40,10 @@ from crbplan import (
 )
 from crbplan import simulator
 from crbplan.model import REPLICATION_BLOCK
-from crbplan.estimators import analytic_variance
+from crbplan.estimators import ESTIMATORS, analytic_variance
 from crbplan.simulator import (
     _MAX_REPS,
     _MAX_SLOTS,
-    _block_estimates,
     _combine,
     _draw_chunk,
     _kind_probabilities,
@@ -52,7 +51,7 @@ from crbplan.simulator import (
     _strata,
     replay_slots,
 )
-from crbplan.strategy import COST_TABLE, _charged, _family, _load
+from crbplan.strategy import COST_TABLE, _family, _load
 
 
 def model(rho=0.5, mu_x=0.0, mu_y=0.0):
@@ -64,6 +63,19 @@ def t1_config(policy, rho=0.5, slots=1000, reps=2000, seed=7, estimator=None, e1
     m = model(rho)
     est = estimator or default_estimator(scenario, policy)
     return SimulationConfig(scenario, m, policy, est, slots, reps, seed)
+
+
+def _block_estimates(config):
+    """``(counts, estimates, usable)`` of each block of ``run``, in
+    replication order: block ``b``'s chunk drawn from stream ``b`` and the
+    estimator's formula on it."""
+    probabilities = _kind_probabilities(config.policy)
+    formula = ESTIMATORS[config.estimator, config.scenario.target][0]
+    for first in range(0, config.replications, REPLICATION_BLOCK):
+        rng = replication_rng(config.master_seed, first // REPLICATION_BLOCK)
+        n = min(REPLICATION_BLOCK, config.replications - first)
+        counts, _, sums = _draw_chunk(config.model, probabilities, config.slots, n, rng)
+        yield (counts, *formula(counts, sums, config.model))
 
 
 # --- determinism and replication independence ---
@@ -592,7 +604,7 @@ def test_expected_cost_equals_constraint_lhs():
     for setting, budget in budgets.items():
         for task in (Task.T1, Task.T2, Task.T3):
             scenario = Scenario(task, setting, budget)
-            rows = _charged(constraints_for(scenario))
+            rows = constraints_for(scenario).charged
             prices = _slot_prices(task, setting, budget.alpha)
             assert list(rows) == list(prices), (setting, task)
             for actor, price in prices.items():
@@ -607,13 +619,16 @@ def test_slot_costs_price_the_rows_counts():
     # in decentralized t1/t2 costs S_x its observation and S_y nothing, a
     # joint slot each sensor 1 + alpha, and no data-center row is charged
     scenario = Scenario(Task.T2, Setting.DECENTRALIZED, ResourceBudget(0.1, 2.0))
-    rows = _charged(constraints_for(scenario))
+    rows = constraints_for(scenario).charged
     assert {actor: row.coeffs for actor, row in rows.items()} == {
         Actor.SENSOR_X: (1.0, 0.0, 1.1),
         Actor.SENSOR_Y: (0.0, 1.0, 1.1),
     }
     centralized = Scenario(Task.T3, Setting.CENTRALIZED, ResourceBudget(0.1, 2.0, 2.0))
-    assert _charged(constraints_for(centralized))[Actor.DATA_CENTER].coeffs == (0.1, 0.1, 0.2)
+    assert constraints_for(centralized).charged[Actor.DATA_CENTER].coeffs == (0.1, 0.1, 0.2)
+    # every simulation of the scenario shares these rows: no caller may change them
+    with pytest.raises(TypeError):
+        constraints_for(centralized).charged[Actor.SENSOR_X] = rows[Actor.SENSOR_X]
 
 
 def test_ledger_matches_counts():
@@ -950,6 +965,18 @@ def test_trace_reproduces_replication(tmp_path):
         # idle slots observe nothing and are free
         idle_rows = [r for r in rows if r[1] == "idle"]
         assert idle_rows and all(r[2:] == ["", "", "0", "0", "0"] for r in idle_rows)
+
+
+def test_run_audit_and_trace_build_one_system(tmp_path):
+    # a simulation's run, audit and trace each read the one constraint
+    # system of the scenario once: it is built once and found twice
+    cfg = t1_config(SamplingPolicy(0, 0.4, 0.4), slots=50, reps=3)
+    constraints_for.cache_clear()
+    report = run(cfg)
+    audit_resources(report, cfg.scenario)
+    write_trace(cfg, tmp_path / "trace.csv")
+    info = constraints_for.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_trace_bytes_do_not_depend_on_the_slab(tmp_path, monkeypatch):

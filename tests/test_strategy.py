@@ -35,6 +35,7 @@ from crbplan import (
 from crbplan.fisher import _t3_schur, crb_array
 from crbplan.strategy import (
     _BASE_ROWS,
+    _LAYOUT,
     Constraint,
     LinearConstraintSet,
     _feasibility,
@@ -42,6 +43,7 @@ from crbplan.strategy import (
     _load,
     _solve,
     _stack,
+    _family,
     _t3_edge_points,
     _vertices,
     enumerate_vertices,
@@ -222,6 +224,35 @@ def test_derived_rows_equal_hand_written_rows_bit_for_bit(alpha, e1, e2, task, s
     assert rows[:4] == _BASE_ROWS
     derived = [(r.name, r.coeffs, r.bound) for r in rows[4:]]
     assert repr(derived) == repr(_hand_written_rows(scenario))
+
+
+def _stacked_rows(scenario):
+    """The scenario's rows as the planners build them, by :func:`_stack`."""
+    budget, family = scenario.budget, _family(scenario)
+    c, b = _stack(family, budget.alpha, budget.e1, budget.e2)
+    return tuple(map(Constraint, _LAYOUT[family][0], map(tuple, c.tolist()), b.tolist()))
+
+
+_EDGE_BUDGETS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(alpha=2.0**-1000, e1=0.0, e2=math.inf, task=Task.T3, setting=Setting.CENTRALIZED)
+@example(alpha=1e300, e1=math.inf, e2=0.0, task=Task.T1, setting=Setting.DECENTRALIZED)
+@given(
+    alpha=st.one_of(st.sampled_from([0.0, 0.1, 2.0**-1000, 1e300]),
+                    st.floats(0.0, 4.0), st.floats(0.0, 1e307)),
+    e1=_EDGE_BUDGETS,
+    e2=_EDGE_BUDGETS,
+    task=st.sampled_from(Task),
+    setting=st.sampled_from(Setting),
+)
+def test_simulator_and_planners_read_one_system(alpha, e1, e2, task, setting):
+    # constraints_for prices its rows in Python floats and the planners in
+    # numpy arrays, both from _LAYOUT: every name, coefficient and bound agrees
+    centralized = setting is Setting.CENTRALIZED
+    scenario = Scenario(task, setting, ResourceBudget(alpha, e1, e2 if centralized else None))
+    assert repr(constraints_for(scenario).rows) == repr(_stacked_rows(scenario))
 
 
 # --- prioritization threshold ---
