@@ -20,11 +20,12 @@ multinomial, and a stratum's sum of ``m`` iid standard normals is
 ``sqrt(m)`` times one standard normal, exactly in distribution, so no slot
 is drawn on its own and :func:`run` holds no per-slot array.
 :func:`collect_replication` returns them for a chunk of one replication.
-:func:`replay_slots` (a chunk of one) and :func:`write_trace` fill each
-stratum's values by a Gaussian bridge, the exact law of iid normals given
-their sum, from a stream :func:`run` never draws from, so every stratum of a
-replay sums to the sum :func:`run` estimated from, and lay the counts out in
-a uniformly random slot order from the same stream.
+One slot replay, ``_replication``, serves :func:`replay_slots` (a chunk of
+one) and :func:`write_trace` (block 0's chunk): it fills each stratum's
+values by a Gaussian bridge, the exact law of iid normals given their sum,
+from a stream :func:`run` never draws from, so every stratum of a replay
+sums to the sum :func:`run` estimated from, and lays the counts out in a
+uniformly random slot order from the same stream.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def _strata(model: ObservationModel, counts, z, bridge):
     bridges each whitened column (z1, z2) and then takes
     :func:`joint_from_normals`.
     """
-    sizes = [counts[0], counts[1], counts[2], counts[2]]
+    sizes = [counts[k] for k in _STRATA]
     w = np.split(bridge.standard_normal(sum(sizes)), np.cumsum(sizes[:3]))
     for w_k, m, z_k in zip(w, sizes, z.tolist()):
         if m:  # in place: no copy of the stratum
@@ -210,33 +211,25 @@ def _strata(model: ObservationModel, counts, z, bridge):
     )
 
 
-def _kinds(counts, bridge) -> np.ndarray:
-    """The kind code of each slot of a replication with these counts by
-    kind, in a uniformly random slot order drawn from ``bridge``."""
+def _replication(model: ObservationModel, policy: SamplingPolicy, slots: int, rng, n: int = 1):
+    """The first replication of a chunk of ``n`` drawn from ``rng``, slot by
+    slot: ``(kinds, x, y)``, an int array of kind codes indexing
+    :data:`_KIND_CODES` in a uniformly random slot order and per-slot
+    coordinate values, each stratum's bridged values (:func:`_strata`) in
+    the slots of its kind, NaN where a coordinate was not observed.  ``rng``
+    advances as by the chunk; the bridge stream that lays out the values and
+    the order is ``rng`` jumped far ahead, past anything :func:`run` draws
+    from it."""
+    counts, z, _ = _draw_chunk(model, _kind_probabilities(policy), slots, n, rng)
+    counts, bridge = counts[:, 0].tolist(), np.random.Generator(rng.bit_generator.jumped())
+    strata = _strata(model, counts, z[:, 0], bridge)
     kinds = np.repeat(np.arange(4, dtype=np.int8), counts)
     bridge.shuffle(kinds)
-    return kinds
-
-
-def _slot_values(kinds: np.ndarray, strata):
-    """``(x, y)`` per slot: each stratum's values in the slots of its kind,
-    in slot order; NaN where a coordinate was not observed."""
-    x, y = np.full((2, kinds.size), math.nan)
+    x, y = np.full((2, slots), math.nan)
     x[kinds == 0], y[kinds == 1] = strata[:2]
     joint = kinds == 2
     x[joint], y[joint] = strata[2:]
-    return x, y
-
-
-def _replication(model: ObservationModel, policy: SamplingPolicy, slots: int, rng, n: int = 1):
-    """The first replication of a chunk of ``n`` drawn from ``rng``:
-    ``(counts, strata, bridge)``, its slot counts by kind as a list, its
-    bridged strata and the bridge stream after them.  ``rng`` advances as
-    by the chunk; the bridge stream is ``rng`` jumped far ahead, past
-    anything :func:`run` draws from it."""
-    counts, z, _ = _draw_chunk(model, _kind_probabilities(policy), slots, n, rng)
-    counts, bridge = counts[:, 0].tolist(), np.random.Generator(rng.bit_generator.jumped())
-    return counts, _strata(model, counts, z[:, 0], bridge), bridge
+    return kinds, x, y
 
 
 def replay_slots(
@@ -245,7 +238,7 @@ def replay_slots(
     slots: int,
     rng: np.random.Generator,
 ):
-    """Generate one replication's slot stream in slot order.
+    """Generate one replication's slot stream in slot order: a chunk of one.
 
     Returns ``(kinds, x, y)``: an int array of codes indexing
     ``(marginal_x, marginal_y, joint, idle)`` and per-slot coordinate values
@@ -254,9 +247,7 @@ def replay_slots(
     as by it; the values are the Gaussian bridge of each stratum's sum
     (``_strata``), and the kinds lie in a uniformly random slot order.
     """
-    counts, strata, bridge = _replication(model, policy, slots, rng)
-    kinds = _kinds(counts, bridge)
-    return (kinds, *_slot_values(kinds, strata))
+    return _replication(model, policy, slots, rng)
 
 
 def collect_replication(
@@ -442,7 +433,8 @@ TRACE_HEADER = "slot,kind,x,y,cost_sx,cost_sy,cost_dc"
 def write_trace(config: SimulationConfig, path) -> None:
     """Dump replication 0's slot-by-slot stream as CSV (debugging aid).
 
-    Draws block 0 as :func:`run` does and replays its first replication as
+    Draws block 0 as :func:`run` does and replays its first replication, a
+    chunk of ``min(REPLICATION_BLOCK, replications)`` where
     :func:`replay_slots` replays a chunk of one: its counts in a uniformly
     random slot order, its values the Gaussian bridge of its stratum sums
     (``_strata``), so each stratum of the trace sums to the sum that
@@ -450,8 +442,7 @@ def write_trace(config: SimulationConfig, path) -> None:
     :data:`_TRACE_SLAB` slots at a time.
     """
     rng, n = replication_rng(config.master_seed, 0), min(REPLICATION_BLOCK, config.replications)
-    counts, strata, bridge = _replication(config.model, config.policy, config.slots, rng, n)
-    kinds = _kinds(counts, bridge)
+    kinds, x, y = _replication(config.model, config.policy, config.slots, rng, n)
     charged = constraints_for(config.scenario).charged
     prices = [(*charged[a].coeffs, 0.0) if a in charged else (0.0,) * 4 for a in Actor]
     costs = [",".join(f"{price[code]:.9g}" for price in prices) for code in range(4)]
@@ -460,17 +451,11 @@ def write_trace(config: SimulationConfig, path) -> None:
     def fmt(v: float) -> str:
         return "" if math.isnan(v) else f"{v:.9g}"
 
-    taken = [0, 0, 0]  # values of each stratum pair already written
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
         for start in range(0, config.slots, _TRACE_SLAB):
-            slab = kinds[start : start + _TRACE_SLAB]
-            seen = np.bincount(slab, minlength=4).tolist()
-            pieces = [stratum[taken[k] : taken[k] + seen[k]]
-                      for stratum, k in zip(strata, (0, 1, 2, 2))]
-            taken = [t + c for t, c in zip(taken, seen)]
-            x, y = (v.tolist() for v in _slot_values(slab, pieces))
+            slab = (v[start : start + _TRACE_SLAB].tolist() for v in (kinds, x, y))
             fh.write("".join(
                 f"{slot},{names[code]},{fmt(vx)},{fmt(vy)},{costs[code]}\n"
-                for slot, code, vx, vy in zip(itertools.count(start), slab.tolist(), x, y)
+                for slot, code, vx, vy in zip(itertools.count(start), *slab)
             ))

@@ -152,28 +152,9 @@ def _columns(x):
     return x[..., 0], x[..., 1], x[..., 2]
 
 
-def _holds(c, b, p):
-    """Whether each policy ``p`` (..., 3) satisfies every row of its system
-    ``c`` (..., k, 3), ``b`` (..., k) by :func:`_limit`, bit for bit as
-    :meth:`LinearConstraintSet.is_feasible`; a point with a non-finite
-    component fails.  A row with an infinite bound holds."""
-    p = p[..., None, :]  # against the rows
-    load = _load(_columns(c), *_columns(p))
-    abs_load = _load(_columns(np.abs(c)), *_columns(np.abs(p)))
-    holds = (load <= _limit(b, abs_load)).all(axis=-1)
-    x, y, xy = _columns(p[..., 0, :])
-    return holds & np.isfinite(x + y + xy)  # no inf, nan
-
-
 @dataclass(frozen=True)
 class LinearConstraintSet:
     rows: tuple[Constraint, ...]
-
-    @cached_property
-    def _arrays(self):
-        """The rows as arrays ``C`` (k x 3) and ``b``."""
-        c = np.array([r.coeffs for r in self.rows], dtype=float).reshape(-1, 3)
-        return c, np.array([r.bound for r in self.rows], dtype=float)
 
     @cached_property
     def charged(self) -> MappingProxyType[Actor, Constraint]:
@@ -186,7 +167,7 @@ class LinearConstraintSet:
     def violations(self, policy: SamplingPolicy) -> list[str]:
         p_x, p_y, p_xy = policy.as_tuple()
         broken = []
-        for row in self.rows:  # |c_i p_i| is |c_i| |p_i| exactly: _holds bit for bit
+        for row in self.rows:  # |c_i p_i| is |c_i| |p_i| exactly: _feasible bit for bit
             c_x, c_y, c_xy = row.coeffs
             t_x, t_y, t_xy = c_x * p_x, c_y * p_y, c_xy * p_xy
             if not t_x + t_y + t_xy <= _limit(row.bound, abs(t_x) + abs(t_y) + abs(t_xy)):
@@ -313,11 +294,13 @@ def constraints_for(scenario: Scenario) -> LinearConstraintSet:
 
 def _feasibility(scenario: Scenario, policies, e1=None, e2=None):
     """:meth:`LinearConstraintSet.is_feasible` of each policy (..., 3), with
-    the scenario's e1 or e2 replaced by the array of a budget sweep."""
+    the scenario's e1 or e2 replaced by the array of a budget sweep, one
+    system per row: :func:`_feasible`, and no component below 0."""
     budget = scenario.budget
     e1 = budget.e1 if e1 is None else e1
     e2 = budget.e2 if e2 is None else e2
-    return _holds(*_stack(_family(scenario), budget.alpha, e1, e2), policies)
+    c, b = _stack(_family(scenario), budget.alpha, e1, e2)
+    return _feasible(policies[..., None, :], c, b)[1][..., 0] & (policies >= 0.0).all(axis=-1)
 
 
 def joint_priority_threshold(alpha: float, setting: Setting) -> float:
@@ -397,16 +380,19 @@ def _same(a, b) -> bool:
 
 
 def _feasible(points, c, b):
-    """``points`` (n, m, 3) with negative coordinates clipped to 0, and the
-    mask of those that satisfy every row of their entry's system ``c`` (n,
-    k, 3), ``b`` (n, k), bit for bit as :func:`_holds`.  Clipping raises a
-    budget row's load, so it comes before the test, which then holds for the
-    policy actually returned.  A clipped point meets the three nonnegativity
-    rows, which come first in every system, and on the rows after them ``c
-    >= 0``, so ``|c|.|p|`` is ``c.p`` and only those rows are tested."""
+    """``points`` (..., m, 3) with negative coordinates clipped to 0, and the
+    mask of those that satisfy every row of their entry's system ``c`` (...,
+    k, 3), ``b`` (..., k): the one array feasibility test, which the planners
+    and the CLI (:func:`_feasibility`) share.  Clipping raises a budget row's
+    load, so it comes before the test, which then holds for the policy
+    actually returned.  A clipped point meets the three nonnegativity rows,
+    which come first in every system, and on the rows after them ``c >= 0``,
+    so ``|c|.|p|`` is ``c.p`` and only those rows are tested.  For finite
+    components those three rows hold under :func:`_limit` exactly where ``p
+    >= 0``, at -0.0 too: a caller that keeps ``p`` unclipped ANDs that in."""
     points = np.maximum(points, 0.0)
-    load = _load(_columns(c[:, None, 3:]), *_columns(points[..., None, :]))
-    holds = (load <= _limit(b[:, None, 3:], load)).all(axis=-1)
+    load = _load(_columns(c[..., None, 3:, :]), *_columns(points[..., None, :]))
+    holds = (load <= _limit(b[..., None, 3:], load)).all(axis=-1)
     x, y, xy = _columns(points)
     return points, holds & np.isfinite(x + y + xy)  # no inf, nan
 
@@ -483,9 +469,10 @@ def _vertices(c, b, tiny: bool):
 
 def enumerate_vertices(constraints: LinearConstraintSet) -> list[tuple[float, float, float]]:
     """All feasible vertices of a scenario's constraint polytope."""
-    c, b = constraints._arrays
+    c = np.array([r.coeffs for r in constraints.rows], dtype=float).reshape(1, -1, 3)
+    b = np.array([[r.bound for r in constraints.rows]], dtype=float)
     with np.errstate(all="ignore"):  # as in plan_stack; no alpha here, so rescale
-        return [tuple(v) for v in _vertices(c[None], b[None], True)[0].tolist()]
+        return [tuple(v) for v in _vertices(c, b, True)[0].tolist()]
 
 
 _NUMERATOR = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])[..., None]
@@ -536,7 +523,7 @@ def _t3_edge_points(vertices, rho, on_x: bool):
 _SINGULAR_EVERYWHERE = "target bound is infinite over the entire feasible region"
 
 
-def _solve(scenarios, models, c, b, candidates, valid, method: Method) -> list[PlanResult]:
+def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
     """For each scenario of a stack, the best of its ``valid`` ``candidates``
     (n, m, 3), feasible policies that include an optimum.
 
@@ -560,6 +547,7 @@ def _solve(scenarios, models, c, b, candidates, valid, method: Method) -> list[P
     """
     first, rho = scenarios[0], np.array([[m.rho] for m in models])
     t3, on_x = first.task is Task.T3, first.target is Target.MU_X
+    method = Method.FACE_ENUM if t3 else Method.VERTEX_ENUM
     if t3:
         info = _t3_schur(*_columns(candidates), rho, on_x)[0]
     else:
@@ -623,12 +611,12 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
             c, b, vertices = c[which], b[which], vertices[which]
         valid = np.isfinite(vertices[..., 0])
         if not t3:
-            return _solve(scenarios, models, c, b, vertices, valid, Method.VERTEX_ENUM)
+            return _solve(scenarios, models, c, b, vertices, valid)
         rho = np.array([m.rho for m in models])
         edges, inside = _feasible(_t3_edge_points(vertices, rho, target is Target.MU_X), c, b)
         candidates = np.concatenate([vertices, edges], axis=1)
         valid = np.concatenate([valid, inside], axis=1)
-        return _solve(scenarios, models, c, b, candidates, valid, Method.FACE_ENUM)
+        return _solve(scenarios, models, c, b, candidates, valid)
 
 
 def plan_linear(scenario: Scenario, model: ObservationModel) -> PlanResult:

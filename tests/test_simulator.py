@@ -990,20 +990,24 @@ def test_trace_bytes_do_not_depend_on_the_slab(tmp_path, monkeypatch):
 
 def test_trace_streams_in_slabs(tmp_path):
     # write_trace formats slabs of slots and holds no per-slot Python
-    # objects, so at 10^6 slots, every one joint, it peaks in tracemalloc
-    # below 64 bytes a slot (whole-replication rows took about 120)
+    # objects, so at 10^6 slots it peaks in tracemalloc below 64 bytes a
+    # slot (whole-replication rows took about 120): where every slot is
+    # joint, the most values a slot, and at a policy with all four kinds
     slots = 10**6
-    scenario = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(2.0, math.inf))
-    cfg = SimulationConfig(scenario, model(), SamplingPolicy(0, 0, 1.0), EstimatorKind.DELTA2,
-                           slots, 1, 59)
     path = tmp_path / "trace.csv"
-    tracemalloc.start()
-    try:
-        write_trace(cfg, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * slots, peak / slots
-    with open(path, encoding="utf-8") as fh:
-        assert sum(1 for _ in fh) == slots + 1
+    for task, policy, estimator in [
+        (Task.T1, (0.0, 0.0, 1.0), EstimatorKind.DELTA2),
+        (Task.T3, (0.3, 0.3, 0.3), EstimatorKind.SAMPLE_MEAN),
+    ]:
+        scenario = Scenario(task, Setting.DECENTRALIZED, ResourceBudget(2.0, math.inf))
+        cfg = SimulationConfig(scenario, model(), SamplingPolicy(*policy), estimator, slots, 1, 59)
+        tracemalloc.start()
+        try:
+            write_trace(cfg, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * slots, (task, peak / slots)
+        with open(path, encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == slots + 1
 

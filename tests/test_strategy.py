@@ -147,6 +147,18 @@ def test_constraints_origin_always_feasible():
         assert constraints_for(scenario).is_feasible(SamplingPolicy(0, 0, 0))
 
 
+def test_kept_system_holds_no_writable_array():
+    # constraints_for keeps the system for the next call with the scenario:
+    # a writable array cached on it would let one caller's write change the
+    # vertices the next caller finds
+    cons = constraints_for(cen(Task.T1, 1.0, 2.0, 3.0))
+    assert len(enumerate_vertices(cons)) == 4
+    values = [v for obj in (cons, *cons.rows) for v in vars(obj).values()]
+    arrays = [a for v in values for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert not [a for a in arrays if a.flags.writeable]
+
+
 def test_feasibility_rule_is_relative_to_each_coefficient():
     # a row holds to 1e-9 (|b| + |c|.|p|): rounding of its own load, at any scale
     cons = constraints_for(dec(Task.T1, 1.0, 1.0))
@@ -165,19 +177,42 @@ def test_feasibility_rule_is_relative_to_each_coefficient():
     assert "sensor_x_budget" in wide.violations(SamplingPolicy(1.0, 0.0, 0.0))
 
 
+_BUDGET = st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-14, math.inf]))
+#: a policy component: in [0, 1], or at and just around 0, where the
+#: nonnegativity rows and the sign test must agree
+_COMPONENT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-1e-13, -0.0, -5e-324, 5e-324]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    scenario=st.builds(
-        cen, st.sampled_from(Task), st.floats(0.0, 4.0), _budget_draw := st.one_of(
-            st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-14, math.inf])
-        ), _budget_draw,
-    ),
-    p=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    family=st.sampled_from([(False, Task.T1), (False, Task.T3), (True, Task.T1), (True, Task.T3)]),
+    alpha=st.floats(0.0, 4.0),
+    rows=st.lists(st.tuples(_BUDGET, _BUDGET, st.lists(_COMPONENT, min_size=3, max_size=3)),
+                  min_size=1, max_size=4),
+    sweep=st.sampled_from([None, "e1", "e2"]),
 )
-def test_feasibility_mask_is_is_feasible_vectorized(scenario, p):
-    p = [v / max(1.0, sum(p)) for v in p]
-    mask = _feasibility(scenario, np.array([p]))
-    assert mask.tolist() == [constraints_for(scenario).is_feasible(SamplingPolicy(*p))]
+def test_feasibility_mask_is_is_feasible_vectorized(family, alpha, rows, sweep):
+    # each row's policy at its own e1 or e2, one system per row as a bounds
+    # --sweep e1/e2 gives them, or every row at the first row's budget
+    centralized, task = family
+    if sweep == "e2" and not centralized:
+        sweep = "e1"
+
+    def scenario(e1, e2):
+        return cen(task, alpha, e1, e2) if centralized else dec(task, alpha, e1)
+
+    e1, e2 = rows[0][:2]
+    policies = [[v / max(1.0, sum(p)) for v in p] for *_, p in rows]
+    if sweep is None:
+        scenarios, swept = [scenario(e1, e2)] * len(rows), {}
+    else:
+        own = [row[0 if sweep == "e1" else 1] for row in rows]
+        scenarios = [scenario(v, e2) if sweep == "e1" else scenario(e1, v) for v in own]
+        swept = {sweep: np.array(own)}
+    mask = _feasibility(scenarios[0], np.array(policies), **swept)
+    assert mask.tolist() == [
+        constraints_for(s).is_feasible(SamplingPolicy(*p)) for s, p in zip(scenarios, policies)
+    ]
 
 
 def _hand_written_rows(scenario):
@@ -371,7 +406,7 @@ def test_solve_breaks_ties_by_p_x_before_p_y():
     c, b = _stack("centralized", 1.0, 10.0, 10.0)
     candidates = np.array([[[0.2, 0.3, 0.1], [0.0, 0.3 + 1e-14, 0.1]]])
     (result,) = _solve([scenario], [model(0.0)], c[None], b[None], candidates,
-                       np.full((1, 2), True), Method.VERTEX_ENUM)
+                       np.full((1, 2), True))
     assert result.policy.as_tuple() == (0.0, 0.3 + 1e-14, 0.1)
     assert result.tie
 
@@ -939,7 +974,8 @@ def test_plan_t3_candidates_reach_an_optimum_inside_a_facet(p, rho, target):
     gradient = n / den - num * 2.0 * (quad @ p) / den**2
     row = Constraint("tangent", tuple(-gradient), -gradient @ p)
     assert min(row.coeffs) > 0.0  # as every budget row, which _feasible reads so
-    c, b = (a[None] for a in LinearConstraintSet(_BASE_ROWS + (row,))._arrays)
+    rows = _BASE_ROWS + (row,)
+    c, b = np.array([[r.coeffs for r in rows]]), np.array([[r.bound for r in rows]])
     with np.errstate(all="ignore"):  # as plan_stack runs them
         vertices = _vertices(c, b, False)
         edges = _t3_edge_points(vertices, np.array([rho]), np.array([target is Target.MU_X]))
