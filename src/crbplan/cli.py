@@ -592,14 +592,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, but a command's arguments go to
-    its own parser alone; the top-level parser reports any left over."""
+    its own parser alone; the top-level parser reports any left over.  A
+    ``--flag`` followed by a negative number becomes ``--flag=value``:
+    argparse would read ``-5e-1`` or ``-inf`` as a flag."""
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:  # -h, or a missing or unknown command
         return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    tokens = []
+    for token in argv[1:]:
+        if token.startswith("-") and tokens[-1:] and tokens[-1].startswith("--") \
+                and "=" not in tokens[-1] and _is_float(token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args, extra = command.parse_known_args(tokens, argparse.Namespace(command=argv[0]))
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args

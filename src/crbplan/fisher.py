@@ -1,18 +1,12 @@
 """Fisher information, Cramer-Rao bounds, and a Monte Carlo score oracle.
 
-Closed forms, one 2x2 array per task from :func:`fim`:
-
-* t1 -- one unknown mean (Y), correlation known: scalar information
-  ``p_y / var_y + p_xy / ((1 - rho^2) var_y)`` in entry (0, 0).  Marginal X
-  slots carry no information about the Y mean.
-* t2 -- one unknown mean (Y) plus unknown correlation: diagonal 2x2 matrix;
-  the correlation entry is ``p_xy (1 + rho^2) / (1 - rho^2)^2``.
-* t3 -- both means unknown, everything else known: full symmetric 2x2 matrix
-  with cross term ``-rho p_xy / ((1 - rho^2) sigma_x sigma_y)``.
-
-Bounds are computed in standardized units, ``I = V^-1/2 J(rho, p) V^-1/2``
-with ``V = diag(var_x, var_y)``, and multiplied by the target's variance
-last, so they stay right at any variance whose bound is representable.
+One function, :func:`information`, is the standardized information about
+the target mean for every task: the target's own entry ``p_target + p_xy /
+(1 - rho^2)`` where the other mean is known (t1, and t2, whose matrix is
+diagonal), less ``cross^2 / other`` where it is not (t3).  :func:`crb`,
+:func:`crb_array`, :func:`fim`'s mean entries and the planners' rankings
+all read it.  A bound is the target's variance over it, applied last, so it
+stays right at any variance where it is representable.
 
 ``empirical_fim_with_stderr`` estimates the same matrices from simulated
 data using central finite differences of the exact log-density, so it never
@@ -110,119 +104,103 @@ class SamplingPolicy:
         return (self.p_x, self.p_y, self.p_xy)
 
 
-def fim_t3_entries(p_x, p_y, p_xy, rho: float):
-    """The standardized (unit-variance) t3 information ``(i11, i22, cross)``.
-
-    Joint slots couple the two means through the correlation; marginal slots
-    feed only their own diagonal entry.  Plain operators only, so the same
-    expressions serve floats and numpy arrays, bit for bit.
+def information(p_x, p_y, p_xy, rho, on_x: bool, known: bool):
+    """The standardized (unit-variance) information about the target mean,
+    mu_x if ``on_x`` and mu_y otherwise: ``own = p_target + p_xy / (1 -
+    rho^2)`` if the other mean is ``known``, else the Schur complement ``own
+    - cross^2 / other``, which does not underflow for tiny policies as the
+    determinant does.  Plain operators: floats and numpy arrays agree bit
+    for bit.  Where ``other`` is not positive the means decouple, and the
+    divisor is at least 1: neither kind divides by zero.
     """
     shrink = 1.0 - rho * rho
     joint = p_xy / shrink
-    return p_x + joint, p_y + joint, -rho * p_xy / shrink
+    own = (p_x if on_x else p_y) + joint
+    if known:
+        return own
+    other = (p_y if on_x else p_x) + joint
+    cross = -rho * p_xy / shrink
+    return own - (other > 0.0) * (cross * (cross / (abs(other) + (other <= 0.0))))
 
 
 def fim(task: Task, policy: SamplingPolicy, model: ObservationModel) -> np.ndarray:
-    """The task's per-slot Fisher information matrix, 2x2, in natural units.
+    """The task's per-slot Fisher information matrix, 2x2, in natural units:
+    each mean's entry is its :func:`information` with the other mean known,
+    over its variance.
 
     * t1 -- the Y mean alone, in entry (0, 0), every other entry 0 (the
-      score oracle's layout): marginal-Y slots contribute 1/var_y each, joint
-      slots 1/((1 - rho^2) var_y), marginal-X slots nothing.
-    * t2 -- (mu_y, rho): diagonal, the mean entry t1's and the correlation
-      entry fed only by joint slots, at (1 + rho^2) / (1 - rho^2)^2 each.
-      Without joint slots the correlation is unidentifiable and the matrix
-      singular.
-    * t3 -- (mu_x, mu_y): :func:`fim_t3_entries` divided by the variances.
+      score oracle's layout).
+    * t2 -- (mu_y, rho): diagonal, the correlation entry fed only by joint
+      slots, at (1 + rho^2) / (1 - rho^2)^2 each: singular without them.
+    * t3 -- (mu_x, mu_y), cross term ``-rho p_xy / ((1 - rho^2) sigma_x sigma_y)``.
     """
-    rho2 = model.rho * model.rho
-    shrink = 1.0 - rho2
+    p, rho = policy.as_tuple(), model.rho
+    shrink = 1.0 - rho * rho
+    mean_y = information(*p, rho, False, True) / model.var_y
     if task is Task.T3:
-        i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model.rho)
-        cross /= model.sigma_x * model.sigma_y
-        return np.array([[i11 / model.var_x, cross], [cross, i22 / model.var_y]])
-    mean = policy.p_y / model.var_y + policy.p_xy / (shrink * model.var_y)
-    rho_entry = policy.p_xy * (1.0 + rho2) / (shrink * shrink) if task is Task.T2 else 0.0
-    return np.array([[mean, 0.0], [0.0, rho_entry]])
-
-
-def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
-    """Per-slot Cramer-Rao bound on unbiased estimators of the Y mean.
-
-    Equals ``var_y (1 - rho^2) / ((1 - rho^2) p_y + p_xy)``, the reciprocal
-    of :func:`fim`'s t1 entry, with the variance applied last.
-
-    Raises:
-        DegeneratePolicy: p_y = p_xy = 0: no information about the Y mean.
-        BoundOverflow: the information is positive but the bound, standardized
-            or times var_y, is not representable (also where a subnormal
-            policy's information underflows to 0).
-    """
-    shrink = 1.0 - model.rho * model.rho
-    information = shrink * policy.p_y + policy.p_xy
-    if not information > 0.0 and not _t1_informative(policy.p_y, policy.p_xy, information):
-        raise DegeneratePolicy("p_y = p_xy = 0 yields no information about mu_y")
-    standardized = shrink / information if information > 0.0 else math.inf
-    bound = model.var_y * standardized
-    if standardized == math.inf and information > 0.0:  # the variance may bring it back
-        bound = (model.var_y * shrink) / information
-    return _representable(bound, model.var_y, standardized)
-
-
-def _t1_informative(p_y, p_xy, information):
-    """Whether the t1 information is positive: computed so, or nonnegative
-    components of which one is positive (the product underflows for
-    subnormal ones).  Plain operators: floats and numpy arrays alike."""
-    return (information > 0.0) | ((p_y >= 0.0) & (p_xy >= 0.0) & (p_y + p_xy > 0.0))
+        cross = -rho * policy.p_xy / shrink / (model.sigma_x * model.sigma_y)
+        return np.array([[information(*p, rho, True, True) / model.var_x, cross], [cross, mean_y]])
+    rho_entry = policy.p_xy * (1.0 + rho * rho) / (shrink * shrink) if task is Task.T2 else 0.0
+    return np.array([[mean_y, 0.0], [0.0, rho_entry]])
 
 
 TOO_SMALL = "bound overflows: the information is positive but too small to invert"
 
 
-def _representable(bound: float, var: float, standardized: float) -> float:
-    """``bound``, ``var`` applied to ``standardized`` at positive information;
-    raises :class:`BoundOverflow` where that bound is not representable."""
+def _overflow(var: float, info: float) -> BoundOverflow:
+    """The error of a bound ``var / info`` that is not representable at
+    positive information."""
+    standardized = 1.0 / info
+    return BoundOverflow(
+        f"bound overflows: variance {var:g} times standardized bound {standardized:g}"
+        if standardized < math.inf
+        else TOO_SMALL
+    )
+
+
+def crb(task: Task, target: Target, policy: SamplingPolicy, model: ObservationModel) -> float:
+    """The task's per-slot bound on ``target`` at ``policy``, the variance
+    over its :func:`information`; inf where there is none.  Tasks t1 and t2
+    bound the Y mean (``target`` unused).  A :class:`BoundOverflow` passes
+    through: that bound exists but is not representable.
+    """
+    t3 = task is Task.T3
+    on_x = t3 and target is Target.MU_X
+    info = information(policy.p_x, policy.p_y, policy.p_xy, model.rho, on_x, not t3)
+    if not info > 0.0:
+        return math.inf
+    var = model.var_x if on_x else model.var_y
+    bound = var / info
     if bound == math.inf:
-        raise BoundOverflow(
-            f"bound overflows: variance {var:g} times standardized bound {standardized:g}"
-            if standardized < math.inf
-            else TOO_SMALL
-        )
+        raise _overflow(var, info)
+    return bound
+
+
+def crb_t1(policy: SamplingPolicy, model: ObservationModel) -> float:
+    """:func:`crb` in t1: ``var_y / (p_y + p_xy / (1 - rho^2))``.
+
+    Raises:
+        DegeneratePolicy: p_y = p_xy = 0: no information about the Y mean.
+        BoundOverflow: as :func:`crb`.
+    """
+    bound = crb(Task.T1, Target.MU_Y, policy, model)
+    if bound == math.inf:
+        raise DegeneratePolicy("p_y = p_xy = 0 yields no information about mu_y")
     return bound
 
 
 def crb_t3(policy: SamplingPolicy, model: ObservationModel, target: Target) -> float:
-    """Per-slot bound on the requested mean when both means are unknown.
-
-    The target's entry of the inverse of :func:`fim`: its variance over
-    the Schur complement ``J_own - J_cross^2 / J_other`` of the standardized
-    matrix, which does not underflow for tiny policies as the determinant
-    does.  Without joint slots the means decouple: ``var / J_own``.
+    """:func:`crb` in t3: the target's entry of the inverse of :func:`fim`.
 
     Raises:
-        SingularMatrix: no information about the target mean at all (e.g.
-            p_x = p_xy = 0 with target MU_X).
-        BoundOverflow: ``schur`` is positive but ``1 / schur`` or the
-            variance over it is not representable.
+        SingularMatrix: no information about the target mean (e.g. p_x =
+            p_xy = 0 with target MU_X).
+        BoundOverflow: as :func:`crb`.
     """
-    i11, i22, cross = fim_t3_entries(policy.p_x, policy.p_y, policy.p_xy, model.rho)
-    on_x = target is Target.MU_X
-    own, other, var = (i11, i22, model.var_x) if on_x else (i22, i11, model.var_y)
-    schur = own - cross * (cross / other) if other > 0.0 else own
-    if not schur > 0.0:
+    bound = crb(Task.T3, target, policy, model)
+    if bound == math.inf:
         raise SingularMatrix(f"no slot type observes the {target.value} coordinate")
-    return _representable(var / schur, var, 1.0 / schur)
-
-
-def _t3_schur(p_x, p_y, p_xy, rho, on_x: bool):
-    """The Schur complement of :func:`crb_t3` over arrays, for the target
-    mu_x if ``on_x`` and mu_y otherwise, and the standardized bound
-    ``1 / schur``, inf where ``schur`` is not positive: :func:`crb_t3` at
-    unit variances, bit for bit."""
-    i11, i22, cross = fim_t3_entries(p_x, p_y, p_xy, rho)
-    own, other = (i11, i22) if on_x else (i22, i11)
-    with np.errstate(all="ignore"):  # 1/tiny is inf, as Python's float division gives
-        schur = np.where(other > 0.0, own - cross * (cross / other), own)
-        return schur, np.where(schur > 0.0, 1.0 / schur, math.inf)
+    return bound
 
 
 def crb_array(task: Task, target: Target, p_x, p_y, p_xy, rho, var_x=1.0, var_y=1.0):
@@ -233,40 +211,18 @@ def crb_array(task: Task, target: Target, p_x, p_y, p_xy, rho, var_x=1.0, var_y=
         BoundOverflow: at the first row whose information is positive but
             whose bound is not representable, with :func:`crb`'s message.
     """
-    var = var_x if task is Task.T3 and target is Target.MU_X else var_y
-    with np.errstate(all="ignore"):  # 1/tiny is inf, as Python's float division gives
-        if task is Task.T3:
-            schur, standardized = _t3_schur(p_x, p_y, p_xy, rho, target is Target.MU_X)
-            informative, bound = schur > 0.0, var / schur
-        else:
-            shrink = 1.0 - rho * rho
-            information = shrink * p_y + p_xy
-            informative = _t1_informative(p_y, p_xy, information)
-            standardized = np.where(information > 0.0, shrink / information, math.inf)
-            late = (standardized == math.inf) & (information > 0.0)  # as crb_t1
-            bound = np.where(late, (var * shrink) / information, var * standardized)
+    t3 = task is Task.T3
+    on_x = t3 and target is Target.MU_X
+    info = information(p_x, p_y, p_xy, rho, on_x, not t3)
+    var = var_x if on_x else var_y
+    with np.errstate(all="ignore"):  # var/tiny is inf, as Python's float division gives
+        bound = var / info
+    informative = info > 0.0
     over = informative & (bound == math.inf)
     if over.any():
         i = int(np.argmax(over))
-        _representable(math.inf, float(np.broadcast_to(var, over.shape)[i]), float(standardized[i]))
+        raise _overflow(*(float(np.broadcast_to(v, over.shape).flat[i]) for v in (var, info)))
     return np.where(informative, bound, math.inf)
-
-
-def crb(task: Task, target: Target, policy: SamplingPolicy, model: ObservationModel) -> float:
-    """The task's per-slot bound on ``target`` at ``policy``; inf where none exists.
-
-    Tasks t1 and t2 bound the Y mean (:func:`crb_t1`, ``target`` unused) and
-    t3 the target mean (:func:`crb_t3`); where those raise because the policy
-    carries no information about the mean, this returns ``math.inf``.  A
-    :class:`BoundOverflow` passes through: that bound exists but is not
-    representable.
-    """
-    try:
-        if task is Task.T3:
-            return crb_t3(policy, model, target)
-        return crb_t1(policy, model)
-    except (DegeneratePolicy, SingularMatrix):
-        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import BoundOverflow, InvalidScenario, SingularEverywhere
-from .fisher import (
-    TOO_SMALL,
-    SamplingPolicy,
-    Target,
-    Task,
-    _t3_schur,
-    crb,
-)
+from .fisher import TOO_SMALL, SamplingPolicy, Target, Task, crb, information
 from .model import ObservationModel
 
 #: Candidates this close, relative to the larger one, are the same policy.
@@ -349,11 +342,11 @@ def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> Pla
     * 1                      if e1 >= alpha + 1,
 
     with p_y saturating the remaining budget/simplex room (marginals-first
-    regime) or pinned to 0 (joint-first regime).  It scores the two or three
-    vertices where an optimum can lie and breaks ties by :func:`_solve`'s
-    rule: at rho = 0 or rho^2 = alpha/(alpha+1) several are optimal, the one
-    with the smallest p_xy (fewest communicated samples) is returned, and
-    ``tie`` is set.
+    regime) or pinned to 0 (joint-first regime).  It ranks the two or three
+    vertices where an optimum can lie as :func:`_solve` does, by their
+    :func:`information`, and breaks ties by its rule: at rho = 0 or rho^2 =
+    alpha/(alpha+1) several are optimal, the one with the smallest p_xy
+    (fewest communicated samples) is returned, and ``tie`` is set.
     """
     _check_alpha(alpha)
     if not e1 >= 0.0:
@@ -363,8 +356,7 @@ def plan_t1_closed_form(alpha: float, e1: float, model: ObservationModel) -> Pla
     if 1.0 < e1 < alpha + 1.0:
         p_xy = (e1 - 1.0) / alpha
         vertices.append((p_xy, 1.0 - p_xy))
-    shrink = 1.0 - model.rho * model.rho
-    values = [shrink * p_y + p_xy for p_xy, p_y in vertices]  # shrink times the information
+    values = [information(0.0, p_y, p_xy, model.rho, False, True) for p_xy, p_y in vertices]
     best = max(values)
     near = sorted(v for v, value in zip(vertices, values) if value >= best - _TIE_REL * best)
     tie = any(not _same(near[0], v) for v in near[1:])
@@ -527,13 +519,12 @@ def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
     """For each scenario of a stack, the best of its ``valid`` ``candidates``
     (n, m, 3), feasible policies that include an optimum.
 
-    Every candidate is ranked by its standardized information about the
-    target, t1/t2 by its weighted sum and t3 by the Schur complement: it
-    does not overflow where the bound does, and optimal policies do not
-    depend on the variances.  Information values within ``_TIE_REL`` of the
-    best tie (``tie`` says whether distinct candidates do), and the tie goes
-    to the smallest ``p_xy`` (the fewest communicated samples), then
-    ``p_x``, then ``p_y``.  ``_feasible`` has vetted every candidate, so the
+    Every candidate is ranked by its standardized :func:`information` about
+    the target: it does not overflow where the bound does, and optimal
+    policies do not depend on the variances.  Information values within
+    ``_TIE_REL`` of the best tie (``tie`` says whether distinct candidates
+    do), and the tie goes to the smallest ``p_xy`` (the fewest communicated
+    samples), then ``p_x``, then ``p_y``.  ``_feasible`` has vetted every candidate, so the
     pick only snaps onto [0, 1] and the simplex.  Where no candidate carries
     information but an exact solution of the scenario's rows ``c``, ``b``
     does, its bound overflows: the budget is too small for any policy to
@@ -548,11 +539,7 @@ def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
     first, rho = scenarios[0], np.array([[m.rho] for m in models])
     t3, on_x = first.task is Task.T3, first.target is Target.MU_X
     method = Method.FACE_ENUM if t3 else Method.VERTEX_ENUM
-    if t3:
-        info = _t3_schur(*_columns(candidates), rho, on_x)[0]
-    else:
-        weights = np.array([[[0.0], [1.0], [1.0 / (1.0 - r * r)]] for r in rho[:, 0].tolist()])
-        info = (candidates @ weights)[..., 0]
+    info = information(*_columns(candidates), rho, on_x, not t3)
     values = np.where(info > 0.0, -info, math.inf)
     best = np.fmin.reduce(values, axis=-1, where=valid, initial=math.inf)
     near = _compact(candidates, (values <= (best + _TIE_REL * np.abs(best))[:, None]) & valid)

@@ -205,8 +205,8 @@ _OVERFLOWS = {
         "plan", "--task", "t3", "--setting", "decentralized",
         "--alpha", "1", "--e1", "1e-310", "--rho", "0.5",
     )),
-    # every positive policy rounds past the budget row e1 = 5e-324, and
-    # (1 - rho^2) p_y underflows at p_y = 5e-324: the bound exists, too large
+    # every positive policy rounds past the budget row e1 = 5e-324, and the
+    # information at p_y = 5e-324 is positive: the bound exists, too large
     "plan_t1_centralized_subnormal": (_UNINVERTIBLE, (
         "plan", "--task", "t1", "--setting", "centralized",
         "--alpha", "0.5", "--e1", "5e-324", "--e2", "1", "--rho", "0.75",
@@ -1192,3 +1192,44 @@ def test_fuzz_plan_and_bounds_exit_0_2_or_3_without_traceback_or_warning(argv):
         assert "crb=inf" not in out.getvalue() and "crb=nan" not in out.getvalue()
     elif code == 3 or (code == 2 and err.getvalue().startswith("error:")):
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+#: A command line of each command that runs in milliseconds.
+_QUICK = {
+    "plan": "plan --task t3 --setting centralized --alpha 1 --e1 1 --e2 1 --rho 0.5",
+    "bounds": "bounds --task t3 --setting centralized --alpha 1 --e1 1 --e2 1 --rho 0.5 "
+              "--sweep p_y --start 0 --stop 0.2 --step 0.1",
+    "simulate": "simulate --task t3 --setting centralized --alpha 1 --e1 1 --e2 1 --rho 0.5 "
+                "--p-x 0.2 --p-y 0.2 --p-xy 0.2 --slots 5 --reps 3 --seed 1",
+    "sweep": "sweep --figure fig4b",
+}
+
+
+@pytest.mark.parametrize("value", ["-5e-1", "-1E-13", "-inf"])
+@pytest.mark.parametrize("command", sorted(_QUICK))
+def test_every_float_flag_reads_a_negative_number_in_any_notation(command, value):
+    # argparse reads "-5e-1" or "-inf" after a flag as a flag of its own
+    flags = [a.option_strings[0] for a in build_parser().commands[command]._actions
+             if a.type is float]
+    assert len(flags) >= 6
+    for flag in flags:
+        argv = [*_QUICK[command].split(), flag, value]  # the last one given wins
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert code in (0, 2, 3) and "usage:" not in err.getvalue(), (argv, err.getvalue())
+        assert code == 0 or err.getvalue().count("\n") == 1
+
+
+def test_a_negative_exponent_is_the_number_and_an_infinite_budget_is_refused(capsys):
+    common = "plan --task t1 --setting decentralized --alpha 2 --e1 2".split()
+    assert run_cli(*common, "--rho", "-5e-1") == 0
+    assert capsys.readouterr().out == "p_x=0 p_y=0.5 p_xy=0.5 crb=0.857142857 method=closed_form tie=false\n"
+    assert run_cli(*common, "--rho", "0.5", "--e1", "-inf") == 2
+    assert capsys.readouterr().err == "error: e1 must be >= 0, got -inf\n"
+    # a number with no flag before it is still an argument left over
+    with pytest.raises(SystemExit):
+        run_cli(*common, "--rho=0.5", "-5e-1")

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crbplan import (
     BoundOverflow,
@@ -18,7 +21,8 @@ from crbplan import (
     fim,
     validate,
 )
-from crbplan.fisher import crb_array
+from crbplan.fisher import crb_array, information
+from crbplan.model import RHO_LIMIT
 from crbplan.simulator import _kind_probabilities
 
 
@@ -214,7 +218,7 @@ def test_overflowing_bound_raises_through_crb(task):
     # a subnormal policy: the information is positive, its inverse overflows
     with pytest.raises(BoundOverflow, match="^bound overflows: the information is positive"):
         crb(task, Target.MU_Y, SamplingPolicy(0.0, 1e-310, 0.0), model(rho=0.0))
-    # ... also where (1 - rho^2) p_y underflows to 0, which once read as no information
+    # ... also at p_y = 5e-324, the smallest subnormal
     with pytest.raises(BoundOverflow, match="^bound overflows: the information is positive"):
         crb(task, Target.MU_Y, SamplingPolicy(0.0, 5e-324, 0.0), model(rho=0.75))
 
@@ -323,6 +327,75 @@ def test_crb_is_the_task_bound_or_inf():
     assert crb(Task.T1, Target.MU_Y, SamplingPolicy(0.4, 0, 0), model()) == math.inf
     assert crb(Task.T3, Target.MU_X, SamplingPolicy(0, 0.4, 0), model()) == math.inf
     assert crb(Task.T3, Target.MU_Y, SamplingPolicy(0, 0.4, 0), model()) == 2.5
+
+
+# --- the one information function ---
+
+_COMPONENT = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+    st.floats(-1e-12, 0.0),  # the band SamplingPolicy admits below 0
+    st.floats(0.0, 1.0),
+)
+_RHO = st.one_of(st.sampled_from([RHO_LIMIT, -RHO_LIMIT, 0.0]), st.floats(-RHO_LIMIT, RHO_LIMIT))
+
+
+@st.composite
+def _policies(draw):
+    p = [draw(_COMPONENT) for _ in range(3)]
+    total = sum(p)
+    return SamplingPolicy(*(v / total for v in p) if total > 1.0 else p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(policies=st.lists(_policies(), min_size=1, max_size=6), rho=_RHO,
+       on_x=st.booleans(), known=st.booleans())
+def test_information_is_the_inverse_entry_of_the_standardized_fim(policies, rho, on_x, known):
+    # reference: 1 / inv(J)[target] of the standardized t3 matrix J, inverted
+    # exactly; with the other mean known, J's diagonal entry itself
+    unit = model(rho=rho)
+    t = 0 if on_x else 1
+    for policy in policies:
+        got = information(*policy.as_tuple(), rho, on_x, known)
+        j = fim(Task.T3, policy, unit)
+        own, other, cross = (Fraction(float(v)) for v in (j[t, t], j[1 - t, 1 - t], j[0, 1]))
+        if known or other <= 0.0:  # a known or unobserved other mean decouples
+            assert got == own
+        else:
+            # relative to the target's own entry: as |rho| nears 1 the Schur
+            # complement cancels, and no float formula holds it relative to
+            # itself; a subnormal product may round by a few units
+            assert abs(Fraction(got) - (own - cross * cross / other)) <= 1e-12 * abs(own) + 1e-322
+        if known and not on_x:
+            assert got == fim(Task.T1, policy, unit)[0, 0]  # t1's entry
+    # the same expressions on arrays: bit for bit, and no NumPy warning
+    # (gradual underflow is the arithmetic's, as in Python floats)
+    columns = np.array([p.as_tuple() for p in policies]).T
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = information(*columns, np.full(len(policies), rho), on_x, known).tolist()
+    assert got == [information(*p.as_tuple(), rho, on_x, known) for p in policies]
+
+
+@settings(max_examples=300, deadline=None)
+@given(policies=st.lists(_policies(), min_size=1, max_size=6), rho=_RHO,
+       task=st.sampled_from(list(Task)), target=st.sampled_from(list(Target)),
+       var=st.tuples(*[st.sampled_from([1.0, 1e-5, 2.2e-311, 1e300, 1e308])] * 2))
+def test_crb_array_is_scalar_crb_bit_for_bit(policies, rho, task, target, var):
+    # each row's bound, or the first overflowing row's BoundOverflow message
+    m = model(rho=rho, var_x=var[0], var_y=var[1])
+    want = []
+    for policy in policies:
+        try:
+            want.append(crb(task, target, policy, m))
+        except BoundOverflow as exc:
+            want.append(str(exc))
+            break
+    columns = np.array([p.as_tuple() for p in policies]).T
+    try:
+        got = crb_array(task, target, *columns, rho, *var).tolist()
+    except BoundOverflow as exc:
+        got = want[:-1] + [str(exc)]
+    assert got == want
 
 
 # --- empirical oracle ---

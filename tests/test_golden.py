@@ -25,6 +25,10 @@ and zero-information policies, and on non-default figure flags.
 :data:`ESTIMATOR_DIGEST` pins each estimator's analytic variance, its
 strata rule and the default choice.  :data:`RUN_DIGEST` pins ``run`` and
 ``audit_resources`` in full precision, where the CLI prints ``%.9g``.
+``jsonl_sweep_fig1b``, :data:`PLANNER_DIGEST` and :data:`RUN_DIGEST` were
+re-recorded when the t1/t2 bound became ``var_y / (p_y + p_xy / (1 -
+rho^2))`` in place of ``var_y (1 - rho^2) / ((1 - rho^2) p_y + p_xy)``,
+which moved only the last bit of some bounds.
 """
 
 import contextlib
@@ -84,7 +88,7 @@ GOLDEN = {
     "bounds_t3_decentralized_p_x": "1ccc442850435c336a0f3472ba685391b6247125b75dd20ba12e62e74f9c8029",
     "bounds_t3_zero_information": "9e19879aba6c632846182ec8df6e0eb93a458370695fc74d281e616e77f748b9",
     "jsonl_bounds": "b25a02627404a2acae3665eddfab09e30d8206a756db12d0718d78271458f09f",
-    "jsonl_sweep_fig1b": "24d514260d524402638c24c45cb5d5b15cea9438f902c30dd6574f301ec53aa7",
+    "jsonl_sweep_fig1b": "703431fb9fa68beafd796096585add93c92b1b2f2bdd713e46fcb1ceeae171be",
     "jsonl_sweep_fig4b": "2522a997ec322219a62eaae0f582ffa953b30d9d7d4ad18166403eda2653ecbe",
     "preset_fig1b_alpha_rho": "6b537293eb6e53e5b68adb067ae9ff0d5d2e23384bd6b3f7c9931f3865380fb0",
     "preset_fig1c_alpha": "f44c931c84d13ac2a8d6c63c5bcdb09840c0971ab49b9596f3e56689b302ec6d",
@@ -246,8 +250,10 @@ def _planner_records(n: int = 500, seed: int = 11) -> list[str]:
     return lines
 
 
-#: sha256 of :func:`_planner_records`, recorded before the planners were batched.
-PLANNER_DIGEST = "89f2ba16c6302427db6e07044c1a22636ccdfc93fed930853d9c461f5f5ea360"
+#: sha256 of :func:`_planner_records`, recorded before the planners were batched
+#: and re-recorded when t1/t2 bounds began to read the one information function
+#: (last bits of ``crb`` only).
+PLANNER_DIGEST = "70744519de60ca53c6377a54ab170e07e2b0e31aeba6c38ed7cdb1c5c9953b0f"
 
 
 def test_planner_records_match_golden_digest():
@@ -378,8 +384,10 @@ def _run_records(n: int = 300, seed: int = 17) -> list[str]:
 
 
 #: sha256 of :func:`_run_records`, recorded before ``run``, the audit and
-#: the trace began to share one constraint system and its charged rows.
-RUN_DIGEST = "1049fa1a8cca7d49bbb1d7669b56e79593c346708e3190a3becf372140268898"
+#: the trace began to share one constraint system and its charged rows, and
+#: re-recorded when t1/t2 bounds began to read the one information function
+#: (last bits of ``analytic_crb`` only).
+RUN_DIGEST = "becc82c25857d240dc2ab711f1fd04f004434daa32de71b7fd861652ac004e47"
 
 
 def test_run_records_match_golden_digest():

@@ -32,7 +32,7 @@ from crbplan import (
     plan_t3,
     validate,
 )
-from crbplan.fisher import _t3_schur, crb_array
+from crbplan.fisher import crb_array
 from crbplan.strategy import (
     _BASE_ROWS,
     _LAYOUT,
@@ -708,8 +708,8 @@ def test_plan_linear_snaps_a_feasible_pick_at_large_alpha():
 
 @pytest.mark.parametrize("setting", list(Setting))
 def test_plan_linear_subnormal_budget_overflows(setting):
-    # (1 - rho^2) p_y underflows at p_y = 5e-324; centralized, every positive
-    # policy rounds past the budget row: the information is positive either way
+    # p_y = 5e-324 carries information; centralized, every positive policy
+    # rounds past the budget row: the information is positive either way
     e2 = 1.0 if setting is Setting.CENTRALIZED else None
     scenario = Scenario(Task.T1, setting, ResourceBudget(0.5, 5e-324, e2))
     with pytest.raises(BoundOverflow, match="too small to invert"):
@@ -856,7 +856,7 @@ def _full_cube_grid_bound(scenario, m):
     def best(px, py, pxy):
         keep = _feasibility(scenario, np.stack([px, py, pxy], axis=-1))
         px, py, pxy = px[keep], py[keep], pxy[keep]
-        values = _t3_schur(px, py, pxy, m.rho, scenario.target is Target.MU_X)[1]
+        values = crb_array(Task.T3, scenario.target, px, py, pxy, m.rho)
         near = np.flatnonzero(values <= values.min() + max(1e-9 * values.min(), 1e-15))
         i = near[np.lexsort((py[near], px[near], pxy[near]))[0]]
         return values[i], np.array([px[i], py[i], pxy[i]])
@@ -981,7 +981,7 @@ def test_plan_t3_candidates_reach_an_optimum_inside_a_facet(p, rho, target):
         edges = _t3_edge_points(vertices, np.array([rho]), np.array([target is Target.MU_X]))
         edges, inside = _feasible(edges, c, b)
     candidates = np.concatenate([vertices[0], edges[inside]])
-    assert _t3_schur(*candidates.T, rho, target is Target.MU_X)[1].min() <= num / den * (1.0 + 1e-12)
+    assert crb_array(Task.T3, target, *candidates.T, rho).min() <= num / den * (1.0 + 1e-12)
 
 
 @settings(max_examples=150, deadline=None)
