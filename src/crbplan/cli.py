@@ -230,7 +230,12 @@ def _evaluate(scenario: Scenario, model: ObservationModel, p: dict, rho=None, e1
         x, y, xy = (np.where(valid, v, 0.0) for v in (p_x, p_y, p_xy))  # invalid: no information
         rho = model.rho if rho is None else rho
         bound = crb_array(scenario.task, scenario.target, x, y, xy, rho, model.var_x, model.var_y)
-        feasible = valid & strategy._feasibility(scenario, np.stack([x, y, xy], axis=-1), e1, e2)
+        budget = scenario.budget
+        e1, e2 = budget.e1 if e1 is None else e1, budget.e2 if e2 is None else e2
+        c, b = strategy._stack(strategy._family(scenario), budget.alpha, e1, e2)
+        # one system per row of a budget sweep; _feasible reads p clipped at 0
+        points = np.stack([x, y, xy], axis=-1)[..., None, :]
+        feasible = valid & strategy._feasible(points, c, b)[1][..., 0]
     return bound.tolist(), feasible.tolist()
 
 

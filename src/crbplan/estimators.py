@@ -146,7 +146,6 @@ ESTIMATORS = {
 def analytic_variance(kind: EstimatorKind, target: Target, policy: SamplingPolicy,
                       model: ObservationModel) -> float | None:
     """The estimator's analytic variance per slot, ``v`` at the policy's
-    probabilities; None where its mask fails at the policy's components (a
-    component just below 0 that the policy admits counts as 0)."""
+    probabilities; None where its mask fails at the policy's components."""
     _, needs, variance = ESTIMATORS[kind, target]
     return variance(policy.as_tuple(), model) if needs(*policy.as_tuple()) else None

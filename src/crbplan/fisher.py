@@ -3,7 +3,7 @@
 One function, :func:`information`, is the standardized information about
 the target mean for every task: the target's own entry ``p_target + p_xy /
 (1 - rho^2)`` where the other mean is known (t1, and t2, whose matrix is
-diagonal), less ``cross^2 / other`` where it is not (t3).  :func:`crb`,
+diagonal), its Schur complement where it is not (t3).  :func:`crb`,
 :func:`crb_array`, :func:`fim`'s mean entries and the planners' rankings
 all read it.  A bound is the target's variance over it, applied last, so it
 stays right at any variance where it is representable.
@@ -24,9 +24,6 @@ import numpy as np
 from .errors import BoundOverflow, DegeneratePolicy, InvalidPolicy, SingularMatrix
 from .model import ObservationModel, sample_joint
 
-_POLICY_TOL = 1e-12
-
-
 class Task(Enum):
     """Estimation task: which model parameters are unknown."""
 
@@ -42,22 +39,32 @@ class Target(Enum):
     MU_Y = "mu_y"
 
 
-def _in_unit(v):
-    """A policy component's range check; plain operators, so floats and
-    numpy arrays alike (nan fails)."""
-    return (-_POLICY_TOL <= v) & (v <= 1.0 + _POLICY_TOL)
+def _limit(bound, abs_load):
+    """The one feasibility rule: a row ``c.p <= b`` holds at ``p`` when
+    ``c.p <= b + 1e-9 (|b| + |c|.|p|)``, a componentwise backward-error test
+    (Oettli and Prager): moving each coefficient and the bound by 1e-9 of
+    itself makes the row hold.  A zero or tiny bound then admits rounding of
+    the load only, at every scale of alpha.  Plain operators: floats and
+    numpy arrays alike."""
+    return bound + 1e-9 * (abs(bound) + abs_load)
 
 
 def policy_mask(p_x, p_y, p_xy):
-    """:class:`SamplingPolicy`'s checks over arrays of components."""
-    return _in_unit(p_x) & _in_unit(p_y) & _in_unit(p_xy) & (p_x + p_y + p_xy <= 1.0 + _POLICY_TOL)
+    """Whether ``(p_x, p_y, p_xy)`` is a policy: no nan or inf, and the three
+    nonnegativity rows and the simplex row that open every constraint
+    system hold under :func:`_limit`, that is every component ``>= 0``
+    (``-0.0`` too) and ``p_x + p_y + p_xy <= 1 + 1e-9 (1 + p_x + p_y +
+    p_xy)``.  Plain operators: floats and numpy arrays alike."""
+    total = p_x + p_y + p_xy
+    signs = (p_x >= 0.0) & (p_y >= 0.0) & (p_xy >= 0.0)  # false at nan
+    return signs & (total <= _limit(1.0, total)) & (total < math.inf)
 
 
 @dataclass(frozen=True)
 class SamplingPolicy:
     """Per-slot probabilities of marginal-X, marginal-Y, and joint sampling.
 
-    Each component lies in [0, 1] and p_x + p_y + p_xy <= 1; the remainder is
+    A policy is what :func:`policy_mask` admits; what its sum leaves of 1 is
     the probability of an idle slot.
     """
 
@@ -66,14 +73,12 @@ class SamplingPolicy:
     p_xy: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p_x", "p_y", "p_xy"):
-            v = getattr(self, name)
-            if not _in_unit(v):
-                raise InvalidPolicy(f"{name} must lie in [0, 1], got {v}")
-        if self.p_x + self.p_y + self.p_xy > 1.0 + _POLICY_TOL:
-            raise InvalidPolicy(
-                f"p_x + p_y + p_xy must be <= 1, got {self.p_x + self.p_y + self.p_xy}"
-            )
+        if not policy_mask(self.p_x, self.p_y, self.p_xy):
+            p = self.as_tuple()
+            for name, v in zip(("p_x", "p_y", "p_xy"), p):
+                if not 0.0 <= v < math.inf:
+                    raise InvalidPolicy(f"{name} must be finite and >= 0, got {v}")
+            raise InvalidPolicy(f"p_x + p_y + p_xy must be <= 1, got {p[0] + p[1] + p[2]}")
 
     @classmethod
     def clamped(cls, p_x: float, p_y: float, p_xy: float):
@@ -81,7 +86,7 @@ class SamplingPolicy:
         component, then rescale a sum above 1.
 
         The slack is the simplex row's under the one feasibility rule
-        (:func:`crbplan.strategy._limit`), ``1e-9 (1 + sum |p|)``, so every
+        (:func:`_limit`), ``1e-9 (1 + sum |p|)``, so every
         point the planners' feasibility test admits snaps.  Input off by more
         still raises: this cleans up floating-point residue from optimizers,
         it does not repair bad input.
@@ -106,21 +111,18 @@ class SamplingPolicy:
 
 def information(p_x, p_y, p_xy, rho, on_x: bool, known: bool):
     """The standardized (unit-variance) information about the target mean,
-    mu_x if ``on_x`` and mu_y otherwise: ``own = p_target + p_xy / (1 -
-    rho^2)`` if the other mean is ``known``, else the Schur complement ``own
-    - cross^2 / other``, which does not underflow for tiny policies as the
-    determinant does.  Plain operators: floats and numpy arrays agree bit
-    for bit.  Where ``other`` is not positive the means decouple, and the
-    divisor is at least 1: neither kind divides by zero.
-    """
-    shrink = 1.0 - rho * rho
-    joint = p_xy / shrink
-    own = (p_x if on_x else p_y) + joint
+    mu_x if ``on_x`` and mu_y otherwise, with ``joint = p_xy / (1 - rho^2)``:
+    ``p_target + joint`` if the other mean is ``known``, else the Schur
+    complement ``p_target + joint (p_other + p_xy) / (p_other + joint)``.  On
+    a policy's terms, all >= 0, it neither cancels as ``|rho|`` nears 1 nor
+    underflows where the result does not; at ``p_xy = 0`` the divisor gains
+    1.  Plain operators: floats and numpy arrays agree bit for bit."""
+    joint = p_xy / (1.0 - rho * rho)
+    own = p_x if on_x else p_y
     if known:
-        return own
-    other = (p_y if on_x else p_x) + joint
-    cross = -rho * p_xy / shrink
-    return own - (other > 0.0) * (cross * (cross / (abs(other) + (other <= 0.0))))
+        return own + joint
+    other = p_y if on_x else p_x
+    return own + joint * ((other + p_xy) / (other + joint + (p_xy == 0.0)))
 
 
 def fim(task: Task, policy: SamplingPolicy, model: ObservationModel) -> np.ndarray:

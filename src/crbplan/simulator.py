@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InfeasiblePolicy, MissingStratum
 from .estimators import ESTIMATORS, EstimatorKind, analytic_variance
-from .fisher import SamplingPolicy, Task, crb
+from .fisher import SamplingPolicy, Task, _limit, crb
 from .model import (
     GENERATOR_NAME,
     REPLICATION_BLOCK,
@@ -49,7 +49,7 @@ from .model import (
     marginal_from_normals,
     replication_rng,
 )
-from .strategy import Actor, Scenario, _limit, _load, constraints_for
+from .strategy import Actor, Scenario, _load, constraints_for
 
 
 #: Most slots per replication.  :func:`run` holds no per-slot array, so its
@@ -148,12 +148,12 @@ def _kind_probabilities(policy: SamplingPolicy) -> list[float]:
 
     The law of a slot whose uniform draw u takes the first kind whose edge,
     a cumulative sum of the policy, exceeds u (idle past the last): the
-    differences of the edges clipped to 1.  Components the policy tolerates
-    just below 0 count as 0 and a sum it tolerates just above 1 leaves idle
-    slots none, so every probability is at least 0 and the first three sum
-    to at most 1, as ``Generator.multinomial`` requires.
+    differences of the edges clipped to 1.  A policy's components are at
+    least 0, so the edges ascend, and a sum its simplex row admits just
+    above 1 leaves idle slots none: every probability is at least 0 and the
+    first three sum to at most 1, as ``Generator.multinomial`` requires.
     """
-    edges = [min(e, 1.0) for e in itertools.accumulate(max(p, 0.0) for p in policy.as_tuple())]
+    edges = [min(e, 1.0) for e in itertools.accumulate(policy.as_tuple())]
     return [high - low for low, high in zip([0.0, *edges], [*edges, 1.0])]
 
 
@@ -405,7 +405,7 @@ def audit_resources(report: SimulationReport, scenario: Scenario) -> AuditResult
     A check passes when ``slack = budget - mean_cost`` is no worse than
     minus three standard errors of the slot-type mixture (budgets constrain
     expectations, so sampling noise must be tolerated, not violations), less
-    the rounding that the one feasibility rule (``strategy._limit``) allows
+    the rounding that the one feasibility rule (``fisher._limit``) allows
     a row: ``mean_cost - 3 stderr <= budget + 1e-9 (|budget| + mean_cost)``.
     With row coefficients ``c`` and the policy's kind probabilities ``p``,
     the per-slot cost variance is ``c^2.p - (c.p)^2``; ``p`` is known by

@@ -3,7 +3,7 @@
 Each scenario induces a small linear constraint set over the slot-type
 probabilities (p_x, p_y, p_xy): the simplex, nonnegativity, per-sensor
 budgets, and (centralized only) a data-center budget; every row holds by the
-one scale-free rule of :func:`_limit`.  :data:`COST_TABLE` is the one cost
+one scale-free rule of ``fisher._limit``.  :data:`COST_TABLE` is the one cost
 model and each actor's budget row its one price: a system holds its charged
 rows once (:attr:`LinearConstraintSet.charged`), and the simulator's ledger,
 audit and trace all read them.  An observation costs 1 unit; each
@@ -38,7 +38,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import BoundOverflow, InvalidScenario, SingularEverywhere
-from .fisher import TOO_SMALL, SamplingPolicy, Target, Task, crb, information
+from .fisher import TOO_SMALL, SamplingPolicy, Target, Task, _limit, crb, information
 from .model import ObservationModel
 
 #: Candidates this close, relative to the larger one, are the same policy.
@@ -128,16 +128,6 @@ class Constraint:
 def _load(c, p_x, p_y, p_xy):
     """``c.p`` in one fixed order, so floats and numpy arrays agree bit for bit."""
     return c[0] * p_x + c[1] * p_y + c[2] * p_xy
-
-
-def _limit(bound, abs_load):
-    """The one feasibility rule: a row ``c.p <= b`` holds at ``p`` when
-    ``c.p <= b + 1e-9 (|b| + |c|.|p|)``, a componentwise backward-error test
-    (Oettli and Prager): moving each coefficient and the bound by 1e-9 of
-    itself makes the row hold.  A zero or tiny bound then admits rounding of
-    the load only, at every scale of alpha.  Plain operators: floats and
-    numpy arrays alike."""
-    return bound + 1e-9 * (abs(bound) + abs_load)
 
 
 def _columns(x):
@@ -285,17 +275,6 @@ def constraints_for(scenario: Scenario) -> LinearConstraintSet:
     return LinearConstraintSet(tuple(rows))
 
 
-def _feasibility(scenario: Scenario, policies, e1=None, e2=None):
-    """:meth:`LinearConstraintSet.is_feasible` of each policy (..., 3), with
-    the scenario's e1 or e2 replaced by the array of a budget sweep, one
-    system per row: :func:`_feasible`, and no component below 0."""
-    budget = scenario.budget
-    e1 = budget.e1 if e1 is None else e1
-    e2 = budget.e2 if e2 is None else e2
-    c, b = _stack(_family(scenario), budget.alpha, e1, e2)
-    return _feasible(policies[..., None, :], c, b)[1][..., 0] & (policies >= 0.0).all(axis=-1)
-
-
 def joint_priority_threshold(alpha: float, setting: Setting) -> float:
     """Critical |rho| above which joint observations beat marginals.
 
@@ -375,13 +354,14 @@ def _feasible(points, c, b):
     """``points`` (..., m, 3) with negative coordinates clipped to 0, and the
     mask of those that satisfy every row of their entry's system ``c`` (...,
     k, 3), ``b`` (..., k): the one array feasibility test, which the planners
-    and the CLI (:func:`_feasibility`) share.  Clipping raises a budget row's
+    and the CLI's ``bounds``/``sweep`` share.  Clipping raises a budget row's
     load, so it comes before the test, which then holds for the policy
     actually returned.  A clipped point meets the three nonnegativity rows,
     which come first in every system, and on the rows after them ``c >= 0``,
     so ``|c|.|p|`` is ``c.p`` and only those rows are tested.  For finite
     components those three rows hold under :func:`_limit` exactly where ``p
-    >= 0``, at -0.0 too: a caller that keeps ``p`` unclipped ANDs that in."""
+    >= 0``, at -0.0 too: a caller that keeps ``p`` unclipped ANDs in
+    ``policy_mask``, which tests them."""
     points = np.maximum(points, 0.0)
     load = _load(_columns(c[..., None, 3:, :]), *_columns(points[..., None, :]))
     holds = (load <= _limit(b[..., None, 3:], load)).all(axis=-1)
@@ -600,9 +580,10 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
         if not t3:
             return _solve(scenarios, models, c, b, vertices, valid)
         rho = np.array([m.rho for m in models])
-        edges, inside = _feasible(_t3_edge_points(vertices, rho, target is Target.MU_X), c, b)
+        # inside a segment between feasible vertices: feasible, and >= 0 as it rounds
+        edges = _t3_edge_points(vertices, rho, target is Target.MU_X)
         candidates = np.concatenate([vertices, edges], axis=1)
-        valid = np.concatenate([valid, inside], axis=1)
+        valid = np.concatenate([valid, np.isfinite(edges[..., 0])], axis=1)
         return _solve(scenarios, models, c, b, candidates, valid)
 
 

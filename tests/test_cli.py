@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crbplan.cli import _parse, _write_table, build_parser, derive_dependent, main
+from crbplan.cli import _PRESETS, _parse, _write_table, build_parser, derive_dependent, main
 from crbplan.fisher import Task
 from crbplan.strategy import ResourceBudget, Scenario, Setting, constraints_for
 
@@ -238,6 +238,39 @@ def test_bounds_row_without_information_still_reads_inf(capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == "sweep_var,value,crb,feasible\np_y,0,inf,true\n"
+
+
+_T1_FLAGS = "--task t1 --setting decentralized --alpha 2 --e1 2 --rho 0.5".split()
+
+
+@pytest.mark.parametrize("argv, component", [
+    (["simulate", *_T1_FLAGS, "--p-y=-1e-13", "--p-xy", "0.5", "--reps", "10", "--seed", "1"],
+     "p_y must be finite and >= 0, got -1e-13"),
+    (["bounds", *_T1_FLAGS[:-2], "--p-y=-1e-13", "--p-xy", "0.5",
+      "--sweep", "rho", "--start", "0", "--stop", "0.2", "--step", "0.1"],
+     "p_y must be finite and >= 0, got -1e-13"),
+    (["bounds", *_T1_FLAGS, "--p-xy=-0.0", "--p-y=-5e-324",
+      "--sweep", "e1", "--start", "1", "--stop", "2", "--step", "1"],
+     "p_y must be finite and >= 0, got -5e-324"),
+], ids=["simulate", "bounds_rho", "bounds_e1"])
+def test_a_component_below_0_is_refused_as_no_policy(argv, component, capsys):
+    # one rule: below 0 by any amount is no policy (-0.0 is 0)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {component}\n")
+
+
+def test_a_p_sweep_row_below_0_reads_inf_and_infeasible(capsys):
+    assert run_cli("bounds", *_T1_FLAGS, "--sweep", "p_y",
+                   "--start=-1e-13", "--stop", "0.2", "--step", "0.1") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "p_y,-1e-13,inf,false"
+
+
+def test_simulate_takes_a_sum_within_the_simplex_allowance(capsys):
+    # 1 + 1e-9 lies inside 1 + 1e-9 (1 + sum): a policy, and no slot is idle
+    assert run_cli("simulate", *_T1_FLAGS[:-4], "--e1", "inf", "--rho", "0.5", "--p-y", "0.3",
+                   "--p-xy", "0.700000001", "--slots", "10", "--reps", "10", "--seed", "1") == 0
+    assert "policy p_x=0 p_y=0.3 p_xy=0.700000001\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", list(_ZERO_BUDGETS.values()), ids=list(_ZERO_BUDGETS))
@@ -1178,6 +1211,15 @@ def _plan_or_bounds_argv(draw):
 )
 @given(argv=_plan_or_bounds_argv())
 def test_fuzz_plan_and_bounds_exit_0_2_or_3_without_traceback_or_warning(argv):
+    out = _exits_cleanly(argv)
+    if argv[0] == "plan":
+        assert "crb=inf" not in out and "crb=nan" not in out
+
+
+def _exits_cleanly(argv) -> str:
+    """Run ``argv`` with every warning, NumPy's among them, raised as an
+    error: exit 0, 2 or 3, no traceback, one line on stderr and nothing on
+    stdout for an error of the program's own.  Returns stdout."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1188,10 +1230,82 @@ def test_fuzz_plan_and_bounds_exit_0_2_or_3_without_traceback_or_warning(argv):
                 code = exc.code
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if code == 0 and argv[0] == "plan":
-        assert "crb=inf" not in out.getvalue() and "crb=nan" not in out.getvalue()
-    elif code == 3 or (code == 2 and err.getvalue().startswith("error:")):
+    if code == 3 or (code == 2 and err.getvalue().startswith("error:")):
         assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert out.getvalue() == "", argv
+    return out.getvalue() if code == 0 else ""
+
+
+#: a policy component's special values: at and just below 0, and past 1 up
+#: to and beyond the simplex allowance
+_P_EDGES = [0.0, -0.0, 5e-324, -5e-324, -1e-13, -1e-12, 1.0 + 1e-12, 1.0 + 2e-9, 1.0 + 3e-9,
+            math.nan, math.inf]
+
+
+@st.composite
+def _simulate_argv(draw):
+    # mostly valid flags, so that the policy rule and the run are reached;
+    # one time in four one flag is extreme, missing or refused
+    task = draw(st.sampled_from(["t1", "t2", "t3"]))
+    setting = draw(st.sampled_from(["decentralized", "centralized"]))
+    flags = {"--alpha": repr(draw(st.floats(0.0, 5.0))),
+             "--e1": draw(st.one_of(st.just("inf"), st.floats(0.0, 8.0).map(repr))),
+             "--rho": repr(draw(st.floats(-0.99, 0.99)))}
+    if setting == "centralized":
+        flags["--e2"] = draw(st.one_of(st.just("inf"), st.floats(0.0, 8.0).map(repr)))
+    if task == "t3":
+        flags["--target"] = draw(st.sampled_from(["mu-x", "mu-y"]))
+    if draw(st.booleans()):
+        flags["--estimator"] = draw(st.sampled_from(["delta1", "delta2", "sample_mean"]))
+    if draw(st.integers(0, 3)) == 0:  # one flag extreme, missing or refused
+        flag = draw(st.sampled_from(["--alpha", "--e1", "--e2", "--rho", "--var-x", "--target"]))
+        flags[flag] = draw(st.one_of(_number(-1.0, 1.0), _VARIANCE, st.just(None)))
+        flags = {k: v for k, v in flags.items() if v is not None}
+    # components in [0, 1/3] or at a special value, their sum now and then
+    # moved onto, inside or past the simplex allowance
+    p = [draw(st.one_of(*[st.floats(0.0, 1 / 3)] * 4, st.sampled_from(_P_EDGES)))
+         for _ in range(3)]
+    if draw(st.booleans()):
+        p[2] = 1.0 - p[0] - p[1] + draw(st.sampled_from([0.0, 1e-12, 1e-9, 1.9e-9, 2.1e-9]))
+    for flag, value in zip(("--p-x", "--p-y", "--p-xy"), p):
+        if draw(st.integers(0, 3)) and (flag != "--p-x" or task == "t3" or draw(st.booleans())):
+            flags[flag] = repr(value)
+    slots = draw(st.one_of(*[st.integers(1, 30)] * 9, st.sampled_from([0, -1])))
+    argv = ["simulate", "--task", task, "--setting", setting]
+    argv += [f"{k}={v}" for k, v in flags.items()]
+    return argv + ["--slots", str(slots), "--reps", str(draw(st.integers(1, 20))), "--seed", "7"]
+
+
+@settings(max_examples=150, deadline=None)
+@example(argv="simulate --task t1 --setting decentralized --alpha 2 --e1 2 --rho 0.5 "
+              "--p-y=-1e-13 --p-xy 0.5 --slots 5 --reps 3 --seed 1".split())
+@given(argv=_simulate_argv())
+def test_fuzz_simulate_exits_0_2_or_3_without_traceback_or_warning(argv):
+    _exits_cleanly(argv)
+
+
+@st.composite
+def _sweep_argv(draw):
+    # every preset, with the flags it reads and with some it refuses
+    argv = ["sweep", "--figure", draw(st.sampled_from(sorted(_PRESETS)))]
+    for flag, values in [
+        ("--alpha", _number(0.0, 5.0)),
+        ("--e1", _number(0.0, 8.0)),
+        ("--e2", _number(0.0, 8.0)),
+        ("--rho", _number(-1.0, 1.0)),
+        ("--var-x", _VARIANCE),
+        ("--var-y", _VARIANCE),
+        ("--format", st.sampled_from(["csv", "jsonl"])),
+    ]:
+        if draw(st.integers(0, 3)) == 0:
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_sweep_argv())
+def test_fuzz_sweep_exits_0_2_or_3_without_traceback_or_warning(argv):
+    _exits_cleanly(argv)
 
 
 #: A command line of each command that runs in milliseconds.

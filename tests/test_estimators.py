@@ -6,6 +6,7 @@ import pytest
 from crbplan import (
     DegeneratePolicy,
     EstimatorKind,
+    InvalidPolicy,
     SamplingPolicy,
     Target,
     crb_t1,
@@ -166,8 +167,10 @@ def test_table_row_reads_one_rule_at_counts_and_at_policies(key):
             assert variance == pytest.approx(sum(n) * v(n, m), rel=1e-12), n
             checked += 1
     assert checked > 100
-    # a component the policy admits just below 0 counts as 0
-    assert analytic_variance(*key, SamplingPolicy(-1e-13, -1e-13, -1e-13), m) is None
+    # a component at -0.0 counts as 0, and one below 0 makes no policy
+    assert analytic_variance(*key, SamplingPolicy(-0.0, -0.0, -0.0), m) is None
+    with pytest.raises(InvalidPolicy, match="^p_x must be finite and >= 0, got -1e-13$"):
+        SamplingPolicy(-1e-13, -1e-13, -1e-13)
 
 
 # --- delta2 ---

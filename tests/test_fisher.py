@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from crbplan import (
     BoundOverflow,
     DegeneratePolicy,
     InvalidPolicy,
+    LinearConstraintSet,
     SamplingPolicy,
     SingularMatrix,
     Target,
@@ -21,9 +23,10 @@ from crbplan import (
     fim,
     validate,
 )
-from crbplan.fisher import crb_array, information
+from crbplan.fisher import crb_array, information, policy_mask
 from crbplan.model import RHO_LIMIT
 from crbplan.simulator import _kind_probabilities
+from crbplan.strategy import _BASE_ROWS
 
 
 def model(rho=0.5, var_x=1.0, var_y=1.0, mu_x=0.0, mu_y=0.0):
@@ -62,6 +65,79 @@ def test_policy_clamped_snaps_solver_noise():
     assert p.p_x + p.p_y + p.p_xy <= 1.0
     with pytest.raises(InvalidPolicy):
         SamplingPolicy.clamped(-0.1, 0.5, 0.5)
+
+
+#: components at and around each edge of the rule: the sign, the simplex
+#: allowance 1 + 1e-9 (1 + sum), and the non-finite
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, -1e-13, -1e-12, 1.0, 1.0 + 1e-12, 1.0 + 2e-9,
+          math.nan, math.inf, -math.inf]
+#: how far a sum is moved past 1: inside and outside the allowance, about 2e-9
+_PAST_ONE = st.sampled_from([-1e-9, 0.0, 1e-12, 1e-9, 1.9e-9, 2e-9, 2.1e-9, 3e-9])
+
+
+class _Raw(tuple):
+    """Components that need not make a policy, as ``violations`` reads them."""
+
+    def as_tuple(self):
+        return tuple(self)
+
+
+def _accepts(p) -> bool:
+    try:
+        SamplingPolicy(*p)
+    except InvalidPolicy as exc:  # one line, naming a component or the sum
+        assert re.fullmatch(r"(p_x|p_y|p_xy) must be finite and >= 0, got \S+"
+                            r"|p_x \+ p_y \+ p_xy must be <= 1, got \S+", str(exc)), exc
+        return False
+    return True
+
+
+@st.composite
+def _components(draw):
+    p = [draw(st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 1.0))) for _ in range(3)]
+    if draw(st.booleans()):  # a sum on either side of the simplex allowance
+        p[2] = 1.0 - p[0] - p[1] + draw(_PAST_ONE)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_components(), min_size=1, max_size=8))
+def test_a_policy_is_what_the_nonnegativity_and_simplex_rows_admit(rows):
+    # one rule: SamplingPolicy accepts exactly where policy_mask holds, on
+    # floats and on arrays alike, and that is where no component is nan or
+    # inf and the three nonnegativity rows and the simplex row that open
+    # every constraint system hold
+    opening = LinearConstraintSet(_BASE_ROWS)
+    with np.errstate(all="ignore"):  # inf - inf is nan, as in Python floats
+        masks = policy_mask(*np.array(rows).T).tolist()
+    for p, in_array in zip(rows, masks):
+        rows_hold = not opening.violations(_Raw(p)) and all(math.isfinite(v) for v in p)
+        assert _accepts(p) == policy_mask(*p) == in_array == rows_hold, p
+
+
+def test_a_sum_past_1_is_a_policy_up_to_the_allowance_and_while_finite():
+    SamplingPolicy(0.0, 0.3, 0.7 + 1.9e-9)  # 1 + 1e-9 (1 + sum) is 1 + 2e-9 here
+    with pytest.raises(InvalidPolicy, match=r"^p_x \+ p_y \+ p_xy must be <= 1, got 1.0000000021$"):
+        SamplingPolicy(0.0, 0.3, 0.7 + 2.1e-9)
+    # the rows hold at an inf load, which the rule's finite sum refuses
+    with pytest.raises(InvalidPolicy, match=r"^p_x \+ p_y \+ p_xy must be <= 1, got inf$"):
+        SamplingPolicy(1e308, 1e308, 1e308)
+
+
+_RESIDUE = st.floats(-0.5e-9, 0.5e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), scale=st.sampled_from([1.0, 0.5, 0.0]),
+       residue=st.tuples(_RESIDUE, _RESIDUE, _RESIDUE))
+def test_clamped_output_within_its_slack_is_a_policy(a, b, scale, residue):
+    # solver residue of at most 0.5e-9 a component around a point of the
+    # simplex, its faces and corners included: within the slack, so it snaps
+    # (no InvalidPolicy), and SamplingPolicy accepts what comes out
+    base = (a, (1.0 - a) * b, 1.0 - a - (1.0 - a) * b)
+    policy = SamplingPolicy.clamped(*(scale * v + r for v, r in zip(base, residue)))
+    assert policy_mask(*policy.as_tuple()) and min(policy.as_tuple()) >= 0.0
+    assert SamplingPolicy(*policy.as_tuple()) == policy
 
 
 def test_policy_idle_probability():
@@ -332,9 +408,8 @@ def test_crb_is_the_task_bound_or_inf():
 # --- the one information function ---
 
 _COMPONENT = st.one_of(
-    st.just(0.0),
+    st.sampled_from([0.0, -0.0, 5e-324]),  # the boundary a policy's components meet
     st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
-    st.floats(-1e-12, 0.0),  # the band SamplingPolicy admits below 0
     st.floats(0.0, 1.0),
 )
 _RHO = st.one_of(st.sampled_from([RHO_LIMIT, -RHO_LIMIT, 0.0]), st.floats(-RHO_LIMIT, RHO_LIMIT))
@@ -352,20 +427,24 @@ def _policies(draw):
        on_x=st.booleans(), known=st.booleans())
 def test_information_is_the_inverse_entry_of_the_standardized_fim(policies, rho, on_x, known):
     # reference: 1 / inv(J)[target] of the standardized t3 matrix J, inverted
-    # exactly; with the other mean known, J's diagonal entry itself
+    # exactly on the float components and the code's 1 - rho^2 (so rho^2 is
+    # 1 less that); with the other mean known, J's diagonal entry itself
     unit = model(rho=rho)
     t = 0 if on_x else 1
+    shrink = Fraction(1.0 - rho * rho)
     for policy in policies:
         got = information(*policy.as_tuple(), rho, on_x, known)
-        j = fim(Task.T3, policy, unit)
-        own, other, cross = (Fraction(float(v)) for v in (j[t, t], j[1 - t, 1 - t], j[0, 1]))
-        if known or other <= 0.0:  # a known or unobserved other mean decouples
+        p = [Fraction(v) for v in policy.as_tuple()]
+        own, other = p[t] + p[2] / shrink, p[1 - t] + p[2] / shrink
+        if known:
+            assert got == fim(Task.T3, policy, unit)[t, t]
+        elif other == 0:  # an unobserved other mean decouples
             assert got == own
         else:
-            # relative to the target's own entry: as |rho| nears 1 the Schur
-            # complement cancels, and no float formula holds it relative to
-            # itself; a subnormal product may round by a few units
-            assert abs(Fraction(got) - (own - cross * cross / other)) <= 1e-12 * abs(own) + 1e-322
+            # relative to the result, as |rho| nears 1 too; a subnormal
+            # product may round by half a unit of 5e-324, twice
+            exact = own - (1 - shrink) * p[2] ** 2 / shrink**2 / other
+            assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact + Fraction(2e-323)
         if known and not on_x:
             assert got == fim(Task.T1, policy, unit)[0, 0]  # t1's entry
     # the same expressions on arrays: bit for bit, and no NumPy warning

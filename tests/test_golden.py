@@ -28,7 +28,11 @@ strata rule and the default choice.  :data:`RUN_DIGEST` pins ``run`` and
 ``jsonl_sweep_fig1b``, :data:`PLANNER_DIGEST` and :data:`RUN_DIGEST` were
 re-recorded when the t1/t2 bound became ``var_y / (p_y + p_xy / (1 -
 rho^2))`` in place of ``var_y (1 - rho^2) / ((1 - rho^2) p_y + p_xy)``,
-which moved only the last bit of some bounds.
+which moved only the last bit of some bounds.  ``jsonl_sweep_fig4b``,
+:data:`PLANNER_DIGEST` and :data:`RUN_DIGEST` were re-recorded again when
+the t3 information became ``p_target + joint (p_other + p_xy) / (p_other +
+joint)`` in place of ``own - cross^2 / other``, which moved only the last
+bits of some bounds.
 """
 
 import contextlib
@@ -43,6 +47,7 @@ import pytest
 from crbplan import (
     CrbPlanError,
     EstimatorKind,
+    InvalidPolicy,
     ResourceBudget,
     SamplingPolicy,
     Scenario,
@@ -89,7 +94,7 @@ GOLDEN = {
     "bounds_t3_zero_information": "9e19879aba6c632846182ec8df6e0eb93a458370695fc74d281e616e77f748b9",
     "jsonl_bounds": "b25a02627404a2acae3665eddfab09e30d8206a756db12d0718d78271458f09f",
     "jsonl_sweep_fig1b": "703431fb9fa68beafd796096585add93c92b1b2f2bdd713e46fcb1ceeae171be",
-    "jsonl_sweep_fig4b": "2522a997ec322219a62eaae0f582ffa953b30d9d7d4ad18166403eda2653ecbe",
+    "jsonl_sweep_fig4b": "2a6e169ef02d4176cd60312eabc2fe01bb8de77887160122ca23ccc6fbb0a21a",
     "preset_fig1b_alpha_rho": "6b537293eb6e53e5b68adb067ae9ff0d5d2e23384bd6b3f7c9931f3865380fb0",
     "preset_fig1c_alpha": "f44c931c84d13ac2a8d6c63c5bcdb09840c0971ab49b9596f3e56689b302ec6d",
     "preset_fig2a_alpha_e1": "9e5c405f5c7426b552accb890cf715496a1d0581cf20a23f7bf11b120e8279c6",
@@ -252,8 +257,8 @@ def _planner_records(n: int = 500, seed: int = 11) -> list[str]:
 
 #: sha256 of :func:`_planner_records`, recorded before the planners were batched
 #: and re-recorded when t1/t2 bounds began to read the one information function
-#: (last bits of ``crb`` only).
-PLANNER_DIGEST = "70744519de60ca53c6377a54ab170e07e2b0e31aeba6c38ed7cdb1c5c9953b0f"
+#: and when the t3 information lost its cancellation (last bits of ``crb`` only).
+PLANNER_DIGEST = "16ca52713baea6ad0838faa3995446a0ce231fafdec716bab5ed09238579b2e5"
 
 
 def test_planner_records_match_golden_digest():
@@ -301,7 +306,8 @@ def _estimator_records(n: int = 2400, seed: int = 13) -> list[str]:
     per slot (``%.9g``) on ``n`` seeded configurations of every task,
     estimator and target, with policy components of 0 and -1e-13 mixed in:
     one line each, an error by its name (``MissingStratum`` where every
-    replication lacked a stratum)."""
+    replication lacked a stratum, ``InvalidPolicy`` where the components
+    make no policy)."""
     rng = random.Random(seed)
     lines = []
     for case in range(n):
@@ -310,18 +316,23 @@ def _estimator_records(n: int = 2400, seed: int = 13) -> list[str]:
         kinds = [EstimatorKind.SAMPLE_MEAN] if task is Task.T3 else list(EstimatorKind)
         estimator = rng.choice(kinds)
         cuts = sorted(rng.random() for _ in range(3))
-        policy = SamplingPolicy(*(_component(rng, v) for v in
-                                  (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1])))
+        p = tuple(_component(rng, v) for v in (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1]))
         rho = rng.choice([0.0, rng.uniform(-0.99, 0.99)])
         model = validate((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
                           rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0), rho))
         scenario = Scenario(task, Setting.CENTRALIZED,
                             ResourceBudget(1.0, math.inf, math.inf), target)
         slots = rng.choice([2, 50])
-        config = SimulationConfig(scenario, model, policy, estimator, slots, 2, case)
         try:
+            policy = SamplingPolicy(*p)
+            config = SimulationConfig(scenario, model, policy, estimator, slots, 2, case)
             variance = run(config).analytic_estimator_variance
             variance = "None" if variance is None else f"{variance:.9g}"
+        except InvalidPolicy:
+            lines.append(
+                f"{scenario!r} {model!r} {p!r} {estimator.value} {slots} {case} InvalidPolicy"
+            )
+            continue
         except CrbPlanError as exc:
             variance = type(exc).__name__
         try:
@@ -334,8 +345,10 @@ def _estimator_records(n: int = 2400, seed: int = 13) -> list[str]:
 
 
 #: sha256 of :func:`_estimator_records`, recorded while the simulator still
-#: chose the formula and the analytic variance by branches on the estimator.
-ESTIMATOR_DIGEST = "caf4a60295252e45eee952d792e4859ff8f7ad1bc8f87f73f9836039d57032e2"
+#: chose the formula and the analytic variance by branches on the estimator,
+#: and re-recorded when a component of -1e-13 stopped making a policy (its
+#: lines end in ``InvalidPolicy`` where they ended in ``InfeasiblePolicy``).
+ESTIMATOR_DIGEST = "cc6075222d6ed1d049d67986c61e77bbc2d77b158e909f9ce074a51e13f46c83"
 
 
 def test_estimator_records_match_golden_digest():
@@ -386,8 +399,9 @@ def _run_records(n: int = 300, seed: int = 17) -> list[str]:
 #: sha256 of :func:`_run_records`, recorded before ``run``, the audit and
 #: the trace began to share one constraint system and its charged rows, and
 #: re-recorded when t1/t2 bounds began to read the one information function
-#: (last bits of ``analytic_crb`` only).
-RUN_DIGEST = "becc82c25857d240dc2ab711f1fd04f004434daa32de71b7fd861652ac004e47"
+#: and when the t3 information lost its cancellation (last bits of
+#: ``analytic_crb`` only).
+RUN_DIGEST = "d9df52e93b3eea9f199079512cc9e568594b2685dd2b1d90208ead9f0f65fc4a"
 
 
 def test_run_records_match_golden_digest():

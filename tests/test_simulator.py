@@ -322,21 +322,22 @@ def test_counts_match_slot_uniforms_in_distribution():
 
 
 @pytest.mark.parametrize("policy, shares", [
-    # a component the policy tolerates just below 0 draws no slot
-    (SamplingPolicy(-1e-12, 0.5, 0.5), (0.0, 0.5, 0.5, 0.0)),
-    (SamplingPolicy(-1e-12, 0.25, 0.25), (0.0, 0.25, 0.25, 0.5)),
+    # a component at -0.0 or at the smallest subnormal draws no slot
+    (SamplingPolicy(-0.0, 0.5, 0.5), (0.0, 0.5, 0.5, 0.0)),
+    (SamplingPolicy(5e-324, 0.25, 0.25), (0.0, 0.25, 0.25, 0.5)),
     # a component just above 1 takes every slot
     (SamplingPolicy(0.0, 0.0, 1.0 + 1e-12), (0.0, 0.0, 1.0, 0.0)),
-    # a sum just above 1 leaves no idle slot
+    # a sum just above 1, up to the simplex row's allowance, leaves no idle slot
     (SamplingPolicy(0.0, 0.3, 0.7 + 1e-12), (0.0, 0.3, 0.7, 0.0)),
+    (SamplingPolicy(0.0, 0.3, 0.7 + 1e-9), (0.0, 0.3, 0.7, 0.0)),
 ])
 def test_policies_at_the_tolerance_draw_the_clipped_shares(policy, shares):
     # numpy's multinomial refuses a probability below 0 or above 1 and a sum
-    # of the first three above 1 + 1e-12; the policy tolerates each within
-    # 1e-12, so the engine draws from the edges min(cumsum, 1), whose
-    # differences are these shares, and a kind of share 0 never occurs.
-    # The replays take any policy; run takes those the budget rows admit
-    # (a negative component fails its nonnegativity row)
+    # of the first three above 1 + 1e-12; a policy's sum may pass 1 by the
+    # simplex row's 1e-9 (1 + sum), so the engine draws from the edges
+    # min(cumsum, 1), whose differences are these shares, and a kind of
+    # share 0 never occurs.  The replays take any policy; run takes those
+    # the budget rows admit (a marginal-X share of 5e-324 fails no_marginal_x)
     assert _kind_probabilities(policy) == pytest.approx(shares, abs=1e-15)
     scenario = Scenario(Task.T1, Setting.DECENTRALIZED, ResourceBudget(2.0, math.inf))
     cfg = SimulationConfig(scenario, model(), policy, EstimatorKind.DELTA2, 100, 300, 47)

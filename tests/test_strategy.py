@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from crbplan import (
     BoundOverflow,
+    InvalidPolicy,
     InvalidScenario,
     Method,
     ResourceBudget,
@@ -32,13 +33,15 @@ from crbplan import (
     plan_t3,
     validate,
 )
-from crbplan.fisher import crb_array
+from crbplan.cli import _evaluate
+from crbplan.fisher import crb_array, policy_mask
+from crbplan.model import RHO_LIMIT
 from crbplan.strategy import (
     _BASE_ROWS,
     _LAYOUT,
+    _TINY,
     Constraint,
     LinearConstraintSet,
-    _feasibility,
     _feasible,
     _load,
     _solve,
@@ -178,8 +181,8 @@ def test_feasibility_rule_is_relative_to_each_coefficient():
 
 
 _BUDGET = st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-14, math.inf]))
-#: a policy component: in [0, 1], or at and just around 0, where the
-#: nonnegativity rows and the sign test must agree
+#: a policy component: in [0, 1], or at and just around 0, where a policy
+#: ends and the budget rows read the component clipped to 0
 _COMPONENT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-1e-13, -0.0, -5e-324, 5e-324]))
 
 
@@ -209,10 +212,22 @@ def test_feasibility_mask_is_is_feasible_vectorized(family, alpha, rows, sweep):
         own = [row[0 if sweep == "e1" else 1] for row in rows]
         scenarios = [scenario(v, e2) if sweep == "e1" else scenario(e1, v) for v in own]
         swept = {sweep: np.array(own)}
-    mask = _feasibility(scenarios[0], np.array(policies), **swept)
-    assert mask.tolist() == [
-        constraints_for(s).is_feasible(SamplingPolicy(*p)) for s, p in zip(scenarios, policies)
+    # the bounds feasibility column: the policy rule, and the budget rows; a
+    # tiny variance keeps every bound finite
+    p = dict(zip(("p_x", "p_y", "p_xy"), np.array(policies).T))
+    _, mask = _evaluate(scenarios[0], model(0.5, 1e-300, 1e-300), p, **swept)
+    assert mask == [
+        _is_policy(p) and constraints_for(s).is_feasible(SamplingPolicy(*p))
+        for s, p in zip(scenarios, policies)
     ]
+
+
+def _is_policy(p) -> bool:
+    try:
+        SamplingPolicy(*p)
+    except InvalidPolicy:
+        return False
+    return True
 
 
 def _hand_written_rows(scenario):
@@ -853,8 +868,11 @@ def _full_cube_grid_bound(scenario, m):
     full 101^3 cube: step 0.01, then three tenfold refinements of +-10
     steps around the incumbent, ties to the smallest (p_xy, p_x, p_y); inf
     where no grid point has a finite bound."""
+    budget = scenario.budget
+    c, b = _stack(_family(scenario), budget.alpha, budget.e1, budget.e2)
+
     def best(px, py, pxy):
-        keep = _feasibility(scenario, np.stack([px, py, pxy], axis=-1))
+        keep = _feasible(np.stack([px, py, pxy], axis=-1), c, b)[1]
         px, py, pxy = px[keep], py[keep], pxy[keep]
         values = crb_array(Task.T3, scenario.target, px, py, pxy, m.rho)
         near = np.flatnonzero(values <= values.min() + max(1e-9 * values.min(), 1e-15))
@@ -979,9 +997,64 @@ def test_plan_t3_candidates_reach_an_optimum_inside_a_facet(p, rho, target):
     with np.errstate(all="ignore"):  # as plan_stack runs them
         vertices = _vertices(c, b, False)
         edges = _t3_edge_points(vertices, np.array([rho]), np.array([target is Target.MU_X]))
-        edges, inside = _feasible(edges, c, b)
-    candidates = np.concatenate([vertices[0], edges[inside]])
+    candidates = np.concatenate([vertices[0], edges[np.isfinite(edges[..., 0])]])
     assert crb_array(Task.T3, target, *candidates.T, rho).min() <= num / den * (1.0 + 1e-12)
+
+
+_EXTREME_ALPHAS = [0.0, 5e-324, 1e-10, 1e10, 1e300]
+_EXTREME_BUDGETS = [0.0, math.inf, 5e-324, 1e-300, 1e300]
+
+
+@pytest.mark.parametrize("family", ["decentralized_two_means", "centralized"])
+def test_t3_edge_points_are_feasible_as_found(family):
+    # plan_stack ranks the edge points untested: a point strictly inside a
+    # segment between two feasible vertices of a convex polytope is
+    # feasible, and size (u + t d), t in (0, 1), stays >= 0 as it rounds.
+    # So _feasible returns each edge point unchanged and admits each finite one
+    rng = random.Random(family)
+
+    def draw(extremes, high):
+        return rng.choice(extremes) if rng.random() < 0.4 else rng.uniform(0.0, high)
+
+    found = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        alpha = np.array([draw(_EXTREME_ALPHAS, 5.0) for _ in range(n)])
+        e1, e2 = (np.array([draw(_EXTREME_BUDGETS, 12.0) for _ in range(n)]) for _ in range(2))
+        rho = np.array([rng.choice([0.0, RHO_LIMIT, rng.uniform(-RHO_LIMIT, RHO_LIMIT)])
+                        for _ in range(n)])
+        with np.errstate(all="ignore"):  # as plan_stack runs them
+            c, b = _stack(family, alpha, e1, e2)
+            vertices = _vertices(c, b, bool(alpha.min() < _TINY))
+            edges = _t3_edge_points(vertices, rho, rng.random() < 0.5)
+            points, holds = _feasible(edges, c, b)
+        finite = np.isfinite(edges[..., 0])
+        assert np.array_equal(points, edges, equal_nan=True)
+        assert np.array_equal(holds, finite)
+        found += int(finite.sum())
+    assert found > 500, found
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    task=st.sampled_from(list(Task)),
+    centralized=st.booleans(),
+    alpha=st.one_of(st.floats(0.0, 4.0), st.sampled_from(_EXTREME_ALPHAS)),
+    e1=st.one_of(_T3_BUDGETS, st.sampled_from(_EXTREME_BUDGETS)),
+    e2=st.one_of(_T3_BUDGETS, st.sampled_from(_EXTREME_BUDGETS)),
+    target=st.sampled_from(Target),
+    rho=st.one_of(st.floats(-RHO_LIMIT, RHO_LIMIT), st.sampled_from([0.0, RHO_LIMIT])),
+)
+def test_every_plan_is_a_policy(task, centralized, alpha, e1, e2, target, rho):
+    # each planner snaps its pick with SamplingPolicy.clamped and never
+    # raises InvalidPolicy: the pick met the simplex row, the policy rule
+    target = target if task is Task.T3 else None
+    scenario = cen(task, alpha, e1, e2, target) if centralized else dec(task, alpha, e1, target)
+    try:
+        policy = plan(scenario, model(rho)).policy
+    except (SingularEverywhere, BoundOverflow):
+        return
+    assert policy_mask(*policy.as_tuple()) and SamplingPolicy(*policy.as_tuple()) == policy
 
 
 @settings(max_examples=150, deadline=None)
