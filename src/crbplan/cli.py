@@ -24,6 +24,7 @@ import json
 import math
 import secrets
 import sys
+from dataclasses import replace
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -277,8 +278,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     else:
         p = dict(zip(_P_INDEX, (_policy_from_args(args) or SamplingPolicy()).as_tuple()))
         if sweep != "rho":  # the values ascend: only the first can be negative
-            budget = ResourceBudget(**{**vars(scenario.budget), sweep: values[0].item()})
-            Scenario(**{**vars(scenario), "budget": budget})  # refuses a decentralized e2 sweep
+            budget = replace(scenario.budget, **{sweep: values[0].item()})
+            replace(scenario, budget=budget)  # refuses a decentralized e2 sweep
         sweeps[sweep] = values
     # a correlation out of range ends the sweep; the rows before it still
     # raise their own errors first
@@ -328,6 +329,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         master_seed=seed,
     )
     report = simulator.run(config)
+    if report.replications_used < 2:  # run raises at 0; the empirical variance reads nan at 1
+        raise _ConfigError(f"only 1 of {args.reps} replications was usable: "
+                           "the empirical variance needs 2")
     if args.trace:
         simulator.write_trace(config, args.trace)
     if planned is not None:  # stdout stays empty until nothing is left to refuse

@@ -325,8 +325,8 @@ def run(config: SimulationConfig) -> SimulationReport:
     sums.  The run keeps each block's count, mean and sum of squared
     deviations and combines them in replication order, so its memory grows
     neither with the number of replications nor with the slots.  Its check
-    and ledger read the scenario's one system and its charged rows
-    (:func:`constraints_for`), which its audit and trace then reuse.
+    and ledger read the one system the scenario keeps and its charged rows
+    (:func:`constraints_for`), as its audit and trace do.
 
     Raises:
         InfeasiblePolicy: the policy violates the scenario's constraints.

@@ -4,10 +4,10 @@ Each scenario induces a small linear constraint set over the slot-type
 probabilities (p_x, p_y, p_xy): the simplex, nonnegativity, per-sensor
 budgets, and (centralized only) a data-center budget; every row holds by the
 one scale-free rule of ``fisher._limit``.  :data:`COST_TABLE` is the one cost
-model and each actor's budget row its one price: a system holds its charged
-rows once (:attr:`LinearConstraintSet.charged`), and the simulator's ledger,
-audit and trace all read them.  An observation costs 1 unit; each
-transmission or reception costs ``alpha``.
+model and each actor's budget row its one price: each scenario keeps one
+system (:attr:`Scenario.constraints`), and the simulator's ledger, audit and
+trace read its charged rows (:attr:`LinearConstraintSet.charged`).  An
+observation costs 1 unit; each transmission or reception costs ``alpha``.
 
 Two planners cover the objective shapes:
 
@@ -114,6 +114,19 @@ class Scenario:
         if self.target is None:
             default = Target.MU_X if self.task is Task.T3 else Target.MU_Y
             object.__setattr__(self, "target", default)
+
+    @cached_property
+    def constraints(self) -> LinearConstraintSet:
+        """The scenario's constraint system, priced by :func:`_stack` as the
+        planners price it: nonnegativity and the simplex, then one budget row
+        per actor that :data:`COST_TABLE` charges, ``sum_kind (obs + alpha
+        (tx + rx)) p_kind <= e1`` for a sensor and ``e2`` for the data
+        center, and in the decentralized one-mean tasks (t1/t2), where
+        marginal-X slots add nothing about the Y mean, ``p_x = 0``."""
+        family, budget = _family(self), self.budget
+        c, b = _stack(family, budget.alpha, budget.e1, budget.e2)
+        rows = map(Constraint, _LAYOUT[family][0], map(tuple, c.tolist()), b.tolist())
+        return LinearConstraintSet(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -230,15 +243,6 @@ def _layout(family: str):
 
 
 _LAYOUT = {family: _layout(family) for family in COST_TABLE}
-#: The rows of :data:`_LAYOUT` in Python floats: a row no budget reads, the same
-#: in every system, as its :class:`Constraint`; a budget row as (name, obs, comm, field).
-_ROWS = {
-    family: tuple(
-        (name, o, k, "e1" if b1 else "e2") if b1 or b2 or any(k) else Constraint(name, tuple(o), b)
-        for name, o, k, b, b1, b2 in zip(names, obs.tolist(), comm.tolist(), fixed.tolist(), *masks)
-    )
-    for family, (names, obs, comm, fixed, *masks) in _LAYOUT.items()
-}
 
 
 def _stack(family: str, alpha, e1, e2):
@@ -250,29 +254,9 @@ def _stack(family: str, alpha, e1, e2):
     return obs + alpha[..., None] * comm, np.where(on_e1, e1, np.where(on_e2, e2, fixed))
 
 
-@functools.lru_cache(maxsize=1)
 def constraints_for(scenario: Scenario) -> LinearConstraintSet:
-    """The scenario's full constraint system.  Only the system of the last
-    scenario asked for is kept, until a call with another scenario replaces
-    it: a scenario and its system are both immutable, so a simulation's run,
-    audit and trace build one system and read its charged rows once.
-
-    Nonnegativity and the simplex, then one budget row per actor that
-    :data:`COST_TABLE` charges: ``sum_kind (obs + alpha (tx + rx)) p_kind``
-    (in floats, bit for bit as :func:`_stack`) is at most ``e1`` for a
-    sensor and ``e2`` for the data center.  In the decentralized one-mean
-    tasks (t1/t2) marginal-X slots add no information about the Y mean, so
-    ``p_x = 0`` is pinned as well.
-    """
-    budget, rows = scenario.budget, []
-    alpha = float(budget.alpha)
-    for row in _ROWS[_family(scenario)]:
-        if not isinstance(row, Constraint):  # a budget row, priced at alpha
-            name, (o1, o2, o3), (k1, k2, k3), field = row
-            coeffs = (o1 + alpha * k1, o2 + alpha * k2, o3 + alpha * k3)
-            row = Constraint(name, coeffs, float(getattr(budget, field)))
-        rows.append(row)
-    return LinearConstraintSet(tuple(rows))
+    """The scenario's constraint system, which it keeps: :attr:`Scenario.constraints`."""
+    return scenario.constraints
 
 
 def joint_priority_threshold(alpha: float, setting: Setting) -> float:

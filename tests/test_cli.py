@@ -533,6 +533,17 @@ def test_simulate_refusal_prints_nothing_on_stdout(flags, message):
     assert _main_output(argv) == (2, "", message)
 
 
+_ONE_USABLE = ("simulate --task t1 --setting decentralized --alpha 2 --e1 2 --rho 0.5 "
+               "--slots 5 --reps 1 --seed 1")
+
+
+def test_simulate_with_one_usable_replication_exits_2():
+    # the empirical variance over one replication once printed nan with exit 0
+    assert _main_output(_ONE_USABLE.split()) == (
+        2, "", "error: only 1 of 1 replications was usable: the empirical variance needs 2\n"
+    )
+
+
 def test_simulate_slots_past_the_limit_exit_2(capsys):
     # 10**15 slots once ended in a failed allocation and a traceback
     assert run_cli(*SIM_ARGS, "--slots", str(10**15)) == 2  # the last --slots counts
@@ -1279,9 +1290,15 @@ def _simulate_argv(draw):
 @settings(max_examples=150, deadline=None)
 @example(argv="simulate --task t1 --setting decentralized --alpha 2 --e1 2 --rho 0.5 "
               "--p-y=-1e-13 --p-xy 0.5 --slots 5 --reps 3 --seed 1".split())
+@example(argv=_ONE_USABLE.split())
 @given(argv=_simulate_argv())
 def test_fuzz_simulate_exits_0_2_or_3_without_traceback_or_warning(argv):
-    _exits_cleanly(argv)
+    # a report holds no nan and its estimates no inf; an audit line may echo
+    # an unbounded budget=inf slack=inf
+    out = _exits_cleanly(argv)
+    assert "nan" not in out, (argv, out)
+    rows = [line for line in out.splitlines() if line.startswith(("mean ", "variance_", "crb "))]
+    assert not [line for line in rows if "inf" in line], (argv, out)
 
 
 @st.composite

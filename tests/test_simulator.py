@@ -38,7 +38,7 @@ from crbplan import (
     validate,
     write_trace,
 )
-from crbplan import simulator
+from crbplan import simulator, strategy
 from crbplan.model import REPLICATION_BLOCK
 from crbplan.estimators import ESTIMATORS, analytic_variance
 from crbplan.simulator import (
@@ -968,16 +968,22 @@ def test_trace_reproduces_replication(tmp_path):
         assert idle_rows and all(r[2:] == ["", "", "0", "0", "0"] for r in idle_rows)
 
 
-def test_run_audit_and_trace_build_one_system(tmp_path):
-    # a simulation's run, audit and trace each read the one constraint
-    # system of the scenario once: it is built once and found twice
+def test_run_audit_and_trace_build_one_system(tmp_path, monkeypatch):
+    # a simulation's run, audit and trace read the one constraint system
+    # its scenario keeps: it is priced once, and an equal but distinct
+    # scenario prices its own
+    stacks = []
+    priced = strategy._stack
+    monkeypatch.setattr(strategy, "_stack", lambda *a: stacks.append(a) or priced(*a))
     cfg = t1_config(SamplingPolicy(0, 0.4, 0.4), slots=50, reps=3)
-    constraints_for.cache_clear()
     report = run(cfg)
     audit_resources(report, cfg.scenario)
     write_trace(cfg, tmp_path / "trace.csv")
-    info = constraints_for.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert len(stacks) == 1
+    assert constraints_for(cfg.scenario) is constraints_for(cfg.scenario)
+    twin = replace(cfg.scenario)
+    assert twin == cfg.scenario and constraints_for(twin) is not constraints_for(cfg.scenario)
+    assert len(stacks) == 2
 
 
 def test_trace_bytes_do_not_depend_on_the_slab(tmp_path, monkeypatch):

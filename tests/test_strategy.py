@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,7 @@ from crbplan.strategy import (
     _BASE_ROWS,
     _LAYOUT,
     _TINY,
+    Actor,
     Constraint,
     LinearConstraintSet,
     _feasible,
@@ -151,15 +153,28 @@ def test_constraints_origin_always_feasible():
 
 
 def test_kept_system_holds_no_writable_array():
-    # constraints_for keeps the system for the next call with the scenario:
-    # a writable array cached on it would let one caller's write change the
-    # vertices the next caller finds
+    # a scenario keeps its system as long as it lives: a writable array
+    # cached on it would let one caller's write change the vertices the next
+    # caller finds
     cons = constraints_for(cen(Task.T1, 1.0, 2.0, 3.0))
     assert len(enumerate_vertices(cons)) == 4
     values = [v for obj in (cons, *cons.rows) for v in vars(obj).values()]
     arrays = [a for v in values for a in (v if isinstance(v, tuple) else (v,))
               if isinstance(a, np.ndarray)]
     assert not [a for a in arrays if a.flags.writeable]
+
+
+def test_kept_system_leaves_the_scenario_value_alone():
+    # the system lives on the scenario but is no field of it: reading it
+    # moves neither hash nor equality, and a copy builds a system of its own
+    scenario = cen(Task.T3, 2.0, 1.0, 3.0, Target.MU_Y)
+    before = hash(scenario)
+    cons = constraints_for(scenario)
+    assert hash(scenario) == before and scenario == replace(scenario)
+    copy = replace(scenario, budget=replace(scenario.budget, e2=4.0))
+    assert constraints_for(copy) is not cons
+    assert copy.constraints.charged[Actor.DATA_CENTER].bound == 4.0
+    assert cons.charged[Actor.DATA_CENTER].bound == 3.0
 
 
 def test_feasibility_rule_is_relative_to_each_coefficient():
@@ -298,8 +313,8 @@ _EDGE_BUDGETS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, math.inf])
     setting=st.sampled_from(Setting),
 )
 def test_simulator_and_planners_read_one_system(alpha, e1, e2, task, setting):
-    # constraints_for prices its rows in Python floats and the planners in
-    # numpy arrays, both from _LAYOUT: every name, coefficient and bound agrees
+    # the system a scenario keeps and the planners' arrays are both priced by
+    # _stack from _LAYOUT: every name, coefficient and bound agrees
     centralized = setting is Setting.CENTRALIZED
     scenario = Scenario(task, setting, ResourceBudget(alpha, e1, e2 if centralized else None))
     assert repr(constraints_for(scenario).rows) == repr(_stacked_rows(scenario))
