@@ -8,8 +8,11 @@ flags ahead of the command line, so explicit flags win.
 
 The ``sweep`` presets are data (:data:`_PRESETS`): curves, axis, grid and
 columns.  A ``bounds`` sweep and each evaluated preset curve are one array
-pass of the bound evaluator :func:`_evaluate`, and a planning preset plans
-all its curves as one stack (:func:`crbplan.strategy.plan_stack`).
+pass of the bound evaluator :func:`_evaluate` over an array :func:`_grid`,
+and a planning preset plans all its curves as one stack
+(:func:`crbplan.strategy.plan_stack`).  A CSV table is one ``%`` template
+(:func:`_write_table`): a column of cells all of exact type float, str or bool
+is written whole, as ``%.9g``, as is or as ``false``/``true``; others per cell.
 
 Exit codes: 0 success, 2 invalid configuration or malformed input
 (including a bound too large to represent), 3 the requested bound is
@@ -150,19 +153,25 @@ def _format_cell(value) -> str:
 
 def _write_table(table: dict[str, list], fmt: str, out: str | None) -> None:
     """Write ``table``, equal-length columns by name, as CSV or JSONL.  The
-    CSV body is one template: :data:`_FLOAT` for a column of cells of exact
-    type ``float``, else ``%s`` of each cell's :func:`_format_cell`."""
+    CSV body is one ``%`` template, each column classified once by the exact
+    set of its cells' types: ``{float}`` by :data:`_FLOAT`, ``{str}`` as is,
+    ``{bool}`` from ``("false", "true")`` and any other (None, int, mixed)
+    by :func:`_format_cell`.  ``out`` gets one binary write."""
     header, columns = list(table), list(table.values())
     if fmt == "jsonl":
         text = "\n".join(json.dumps(dict(zip(header, row))) for row in zip(*columns)) + "\n"
     else:
-        floats = [set(map(type, c)) == {float} for c in columns]
-        template = ",".join(_FLOAT if f else "%s" for f in floats) + "\n"
-        cells = zip(*(c if f else map(_format_cell, c) for f, c in zip(floats, columns)))
-        text = ",".join(header) + "\n" + template * len(columns[0]) % tuple(chain(*cells))
+        kinds = [set(map(type, c)) for c in columns]
+        template = ",".join(_FLOAT if k == {float} else "%s" for k in kinds) + "\n"
+        cells = [None] * (len(columns) * len(columns[0]))  # row-major, filled column by column
+        for j, (kind, column) in enumerate(zip(kinds, columns)):
+            cells[j::len(columns)] = (column if kind == {float} or kind == {str} else
+                                      map(("false", "true").__getitem__, column)
+                                      if kind == {bool} else map(_format_cell, column))
+        text = ",".join(header) + "\n" + template * len(columns[0]) % tuple(cells)
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
 
@@ -243,16 +252,16 @@ def _evaluate(scenario: Scenario, model: ObservationModel, p: dict, rho=None, e1
 _MAX_SWEEP_ROWS = 10**6
 
 
-def _grid(start: float, stop: float, step: float) -> list[float]:
-    """``start + i * step`` for i up to the rounded step count, less a last
-    point past ``stop`` by more than rounding: a ``bounds`` sweep and every
-    preset grid."""
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """``start + i * step``, the scalar sum bit for bit, for i up to the
+    rounded step count, less a last point past ``stop`` by more than
+    rounding: a ``bounds`` sweep and every preset grid."""
     steps = (stop - start) / step
     if not steps <= _MAX_SWEEP_ROWS - 1:  # also true when the quotient overflows
         raise _ConfigError(f"sweep of {steps:.3g} steps exceeds {_MAX_SWEEP_ROWS} rows")
-    values = [start + i * step for i in range(int(round(steps)) + 1)]
+    values = start + np.arange(int(round(steps)) + 1) * step
     if values[-1] > stop + 1e-12 * max(abs(start), abs(stop)):  # past rounding
-        values.pop()
+        values = values[:-1]
     return values
 
 
@@ -267,34 +276,34 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     start, stop, step = args.start, args.stop, args.step
     if step <= 0.0 or stop < start or not all(math.isfinite(v) for v in (start, stop, step)):
         raise _ConfigError(f"malformed sweep range [{start}, {stop}] step {step}")
-    values = np.array(_grid(start, stop, step))
+    values = _grid(start, stop, step)
+    rows = len(values)
+    if sweep == "rho":
+        # an out-of-range correlation ends the sweep; earlier rows raise first
+        inside = np.abs(values) <= RHO_LIMIT
+        rows = rows if inside.all() else int(np.argmin(inside))
+    grid = values[:rows]
     dependent = _DEPENDENT.get(sweep)
     if dependent is not None:
         if getattr(args, sweep) is not None or getattr(args, dependent) is not None:
             raise _ConfigError(f"a {sweep} sweep sets {sweep} and {dependent}: give neither flag")
         p = {name: getattr(args, name) or 0.0 for name in _P_INDEX}
-        p[sweep] = values
+        p[sweep] = grid
         p[dependent] = derive_dependent(scenario, p, dependent)
     else:
         p = dict(zip(_P_INDEX, (_policy_from_args(args) or SamplingPolicy()).as_tuple()))
         if sweep != "rho":  # the values ascend: only the first can be negative
             budget = replace(scenario.budget, **{sweep: values[0].item()})
             replace(scenario, budget=budget)  # refuses a decentralized e2 sweep
-        sweeps[sweep] = values
-    # a correlation out of range ends the sweep; the rows before it still
-    # raise their own errors first
-    inside = np.abs(values) <= RHO_LIMIT if sweep == "rho" else np.full(values.shape, True)
-    rows = len(values) if inside.all() else int(np.argmin(inside))
-    crbs, feasible = _evaluate(
-        scenario, model, {n: np.broadcast_to(v, values.shape)[:rows] for n, v in p.items()},
-        **{n: v[:rows] for n, v in sweeps.items()},
-    )
+        sweeps[sweep] = grid
+    p = {n: np.full(rows, v) for n, v in p.items()}  # each component broadcast once
+    crbs, feasible = _evaluate(scenario, model, p, **sweeps)
     if rows < len(values):
         try:
             ObservationModel(model.mu_x, model.mu_y, model.var_x, model.var_y, values[rows].item())
         except CrbPlanError as exc:
             raise _ConfigError(f"rho sweep leaves the valid range: {exc}") from exc
-    _write_table({"sweep_var": [sweep] * rows, "value": values[:rows].tolist(), "crb": crbs,
+    _write_table({"sweep_var": [sweep] * rows, "value": grid.tolist(), "crb": crbs,
                   "feasible": feasible}, args.format, args.out)
     return 0
 
@@ -390,11 +399,6 @@ def _preset_scenario(preset, fields: dict) -> Scenario:
     return Scenario(preset.task, preset.setting, budget, preset.target)
 
 
-def _budget_columns(scenarios: list[Scenario], models: list[ObservationModel]) -> dict:
-    return {"rho": [m.rho for m in models], "e1": [s.budget.e1 for s in scenarios],
-            "e2": [s.budget.e2 for s in scenarios]}
-
-
 def _each_curve(columns):
     """A preset's columns: ``columns`` of each curve's fields, concatenated."""
     @functools.wraps(columns)
@@ -407,7 +411,7 @@ def _each_curve(columns):
 @_each_curve
 def _threshold_columns(args, preset, fields):
     """The decentralized joint-priority threshold at each alpha."""
-    alphas = _grid(0.0, *preset.grid)
+    alphas = _grid(0.0, *preset.grid).tolist()
     return {"alpha": alphas,
             "rho_star": [joint_priority_threshold(a, Setting.DECENTRALIZED) for a in alphas]}
 
@@ -423,7 +427,7 @@ def _closed_form_columns(args, preset, fields):
            "above": math.sqrt(thr * thr + 0.5 * (1.0 - thr * thr))}[fields["regime"]]
     model = ObservationModel(0.0, 0.0, 1.0, 1.0, rho)
     stop, step = preset.grid
-    e1s = _grid(0.0, alpha + stop, step)
+    e1s = _grid(0.0, alpha + stop, step).tolist()
     results = [plan_t1_closed_form(alpha, e1, model) for e1 in e1s]
     return {"regime": [fields["regime"]] * len(e1s), "rho": [rho] * len(e1s), "e1": e1s,
             "p_y": [r.policy.p_y for r in results], "p_xy": [r.policy.p_xy for r in results],
@@ -436,11 +440,12 @@ def _eval_columns(args, preset, fields):
     (others 0, ``p_xy`` as large as the budget allows), in one array pass."""
     model = _build_model(args, fields["rho"])
     scenario = _preset_scenario(preset, fields)
-    grid = np.array(_grid(0.0, *preset.grid))
+    grid = _grid(0.0, *preset.grid)
     p = {"p_x": 0.0, "p_y": 0.0, **dict.fromkeys(preset.axis, grid)}
     p["p_xy"] = derive_dependent(scenario, p, "p_xy")
     crbs, feasible = _evaluate(scenario, model, p)
-    budgets = _budget_columns([scenario] * len(grid), [model] * len(grid))
+    budget, rows = scenario.budget, len(grid)
+    budgets = {"rho": [model.rho] * rows, "e1": [budget.e1] * rows, "e2": [budget.e2] * rows}
     policy = {n: np.broadcast_to(p[n], grid.shape).tolist() for n in _P_INDEX}
     return {**budgets, **policy, "crb": crbs, "feasible": feasible}
 
@@ -448,7 +453,7 @@ def _eval_columns(args, preset, fields):
 def _plan_columns(args, preset, curves):
     """The plan with the ``axis`` field on the grid, for each curve in turn,
     as one plan stack: it raises at its first overflowing entry."""
-    grid = _grid(0.0, *preset.grid)
+    grid = _grid(0.0, *preset.grid).tolist()
     rows_fields = [{**fields, preset.axis: v} for fields in curves for v in grid]
     by_rho = {rho: _build_model(args, rho) for rho in dict.fromkeys(f["rho"] for f in rows_fields)}
     models = [by_rho[f["rho"]] for f in rows_fields]
@@ -456,7 +461,9 @@ def _plan_columns(args, preset, curves):
     results = plan_stack(scenarios, models)
     policy = {n: [getattr(r.policy, n) for r in results] for n in _P_INDEX}
     crbs, ties = [r.objective_value for r in results], [r.tie for r in results]
-    return {**_budget_columns(scenarios, models), **policy, "crb": crbs, "tie": ties}
+    budgets = {"rho": [m.rho for m in models], "e1": [s.budget.e1 for s in scenarios],
+               "e2": [s.budget.e2 for s in scenarios]}
+    return {**budgets, **policy, "crb": crbs, "tie": ties}
 
 
 class _Preset(NamedTuple):

@@ -147,5 +147,10 @@ def analytic_variance(kind: EstimatorKind, target: Target, policy: SamplingPolic
                       model: ObservationModel) -> float | None:
     """The estimator's analytic variance per slot, ``v`` at the policy's
     probabilities; None where its mask fails at the policy's components."""
-    _, needs, variance = ESTIMATORS[kind, target]
+    return _variance_at(ESTIMATORS[kind, target], policy, model)
+
+
+def _variance_at(entry, policy: SamplingPolicy, model: ObservationModel) -> float | None:
+    """:func:`analytic_variance` of one :data:`ESTIMATORS` entry."""
+    _, needs, variance = entry
     return variance(policy.as_tuple(), model) if needs(*policy.as_tuple()) else None

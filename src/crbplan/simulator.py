@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasiblePolicy, MissingStratum
-from .estimators import ESTIMATORS, EstimatorKind, analytic_variance
+from .estimators import ESTIMATORS, EstimatorKind, _variance_at
 from .fisher import SamplingPolicy, Task, _limit, crb
 from .model import (
     GENERATOR_NAME,
@@ -339,12 +339,13 @@ def run(config: SimulationConfig) -> SimulationReport:
         raise InfeasiblePolicy(f"policy violates constraints: {violated}")
 
     probabilities = _kind_probabilities(config.policy)
-    formula = ESTIMATORS[config.estimator, config.scenario.target][0]
+    # read once: each lookup hashes two Enums in Python
+    estimator = ESTIMATORS[config.estimator, config.scenario.target]
     for first in range(0, config.replications, REPLICATION_BLOCK):
         rng = replication_rng(config.master_seed, first // REPLICATION_BLOCK)
         n = min(REPLICATION_BLOCK, config.replications - first)
         counts, _, sums = _draw_chunk(config.model, probabilities, config.slots, n, rng)
-        estimates, usable = formula(counts, sums, config.model)
+        estimates, usable = estimator[0](counts, sums, config.model)
         block = counts.sum(axis=1), _moments(_finite(estimates[usable]))
         # the first block starts the fold and each later one joins it in order
         counted, moments = (counted + block[0], _combine(moments, block[1])) if first else block
@@ -368,9 +369,7 @@ def run(config: SimulationConfig) -> SimulationReport:
         analytic_crb=crb(
             config.scenario.task, config.scenario.target, config.policy, config.model
         ),
-        analytic_estimator_variance=analytic_variance(
-            config.estimator, config.scenario.target, config.policy, config.model
-        ),
+        analytic_estimator_variance=_variance_at(estimator, config.policy, config.model),
         cost_per_slot=cost_per_slot,
         slot_counts={kind.value: n for kind, n in zip(_KIND_CODES, counted)},
         replications_used=used,

@@ -8,10 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crbplan.cli import _PRESETS, _parse, _write_table, build_parser, derive_dependent, main
+from crbplan.cli import (
+    _PRESETS, _format_cell, _grid, _parse, _write_table, build_parser, derive_dependent, main,
+)
+from crbplan.errors import CrbPlanError
 from crbplan.fisher import Task
 from crbplan.strategy import ResourceBudget, Scenario, Setting, constraints_for
 
@@ -1157,15 +1160,71 @@ def _tables(draw):
             for name, kind in zip(names, kinds)}
 
 
+_EXTREMES = {  # one column of each kind the writer formats whole, and two it does not
+    "value": [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300],
+    "name": ["p_y", "", "a,b", "%s", "100%", "\u00e9"],
+    "flag": [True, False, True, False, True, False],
+    "count": [0, -1, 10**30, 1, 2, 3],
+    "e2": [None, 1.5, None, -0.0, math.nan, None],
+}
+
+
 @settings(max_examples=200, deadline=None)
 @example(table={"a": [], "b": []}, fmt="csv")  # a header and no rows
 @example(table={"a": [], "b": []}, fmt="jsonl")
+@example(table=_EXTREMES, fmt="csv")
 @given(table=_tables(), fmt=st.sampled_from(["csv", "jsonl"]))
-def test_table_writer_matches_the_per_cell_reference(table, fmt):
+def test_table_writer_matches_the_per_cell_reference(table, fmt, tmp_path_factory):
+    expected = _reference_table(table, fmt).encode()
+    if fmt == "csv":  # the header, then each row's cells through _format_cell
+        rows = (",".join(map(_format_cell, row)) for row in zip(*table.values()))
+        assert "\n".join([",".join(table), *rows]).encode() + b"\n" == expected
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _write_table(table, fmt, None)
-    assert out.getvalue().encode() == _reference_table(table, fmt).encode()
+    assert out.getvalue().encode() == expected
+    path = tmp_path_factory.getbasetemp() / f"table.{fmt}"
+    _write_table(table, fmt, str(path))
+    assert path.read_bytes() == expected
+
+
+def _scalar_grid(start, stop, step):
+    """The grid as Python floats, one ``start + i * step`` each, less a last
+    point past the stop by more than rounding: the reference."""
+    values = [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
+    if values[-1] > stop + 1e-12 * max(abs(start), abs(stop)):
+        values.pop()
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@example(start=-0.0, step=0.01, count=100, slack=0.0)
+@example(start=-0.9, step=0.02, count=90, slack=0.0)
+@example(start=0.0, step=5e-324, count=7, slack=0.3)
+@given(
+    start=st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 0.0, -1e300, 1e300, 5e-324])),
+    step=st.one_of(st.floats(1e-12, 1e6), st.sampled_from([5e-324, 1e-300, 0.05, 1e300])),
+    count=st.integers(0, 2000),
+    slack=st.floats(-0.5, 0.5),
+)
+def test_grid_equals_the_scalar_sums_bit_for_bit(start, step, count, slack):
+    stop = start + (count + slack) * step
+    assume(math.isfinite(stop) and stop >= start)
+    values = _grid(start, stop, step)
+    assert values.dtype == np.float64
+    assert values.tobytes() == np.array(_scalar_grid(start, stop, step)).tobytes()
+
+
+def test_grid_caps_rows_at_a_million_and_the_cli_exits_2(capsys):
+    assert len(_grid(0.0, 999999.0, 1.0)) == 10**6
+    with pytest.raises(CrbPlanError, match="^sweep of 1e\\+06 steps exceeds 1000000 rows$"):
+        _grid(0.0, 1e6, 1.0)
+    code = run_cli(
+        "bounds", "--task", "t1", "--setting", "decentralized", "--alpha", "2", "--e1", "2",
+        "--rho", "0.5", "--sweep", "p_y", "--start", "0", "--stop", "1e6", "--step", "1",
+    )
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: sweep of 1e+06 steps exceeds 1000000 rows\n")
 
 
 # --- fuzzing ---
