@@ -7,12 +7,13 @@ alone states each flag's type, choices and default.  A JSON config file
 flags ahead of the command line, so explicit flags win.
 
 The ``sweep`` presets are data (:data:`_PRESETS`): curves, axis, grid and
-columns.  A ``bounds`` sweep and each evaluated preset curve are one array
-pass of the bound evaluator :func:`_evaluate` over an array :func:`_grid`,
-and a planning preset plans all its curves as one stack
-(:func:`crbplan.strategy.plan_stack`).  A CSV table is one ``%`` template
-(:func:`_write_table`): a column of cells all of exact type float, str or bool
-is written whole, as ``%.9g``, as is or as ``false``/``true``; others per cell.
+columns.  A ``bounds`` sweep, and an evaluating preset with all its curves,
+is one array pass of the bound evaluator :func:`_evaluate` over an array
+:func:`_grid`, which prices each constraint system once, as a planning
+preset plans all its curves as one stack (:func:`crbplan.strategy.plan_stack`).
+A CSV table is one ``%`` template (:func:`_write_table`): a column of cells
+all of exact type float, str or bool is written whole, as ``%.9g``, as is or
+as ``false``/``true``; others per cell.
 
 Exit codes: 0 success, 2 invalid configuration or malformed input
 (including a bound too large to represent), 3 the requested bound is
@@ -28,7 +29,6 @@ import math
 import secrets
 import sys
 from dataclasses import replace
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -201,52 +201,46 @@ _DEPENDENT = {"p_y": "p_xy", "p_x": "p_xy", "p_xy": "p_y"}
 _P_INDEX = {"p_x": 0, "p_y": 1, "p_xy": 2}
 
 
-def derive_dependent(scenario: Scenario, fixed: dict, dependent: str):
-    """Largest value of one probability the scenario's constraints allow.
+def _evaluate(scenario: Scenario, model: ObservationModel, p: dict, dependent: str | None = None,
+              rho=None, **budget):
+    """A table's rows in one array pass: the policy of each row's ``p``
+    (arrays of ``p_x``, ``p_y``, ``p_xy``) as arrays, and its bound and
+    feasibility as lists of Python floats and bools, at correlations ``rho``
+    and budgets ``alpha``, ``e1``, ``e2`` where a sweep or a preset's curves
+    give them per row.  The constraint systems are priced once, here.
 
-    Holds the other two components at ``fixed`` (numbers or arrays) and
-    pushes the dependent one against every row with a positive coefficient
-    on it (budget rows and the simplex), one masked ``fmin`` over the rows of
-    :func:`crbplan.strategy._stack`: an unbounded row's inf or nan (inf minus
-    an infinite load) changes no minimum.  Clamps to [0, 1] by ``where``,
-    which, unlike ``clip``, turns a ``-0.0`` into ``0.0``.
-    """
-    idx = _P_INDEX[dependent]
-    budget = scenario.budget
-    c, b = strategy._stack(strategy._family(scenario), budget.alpha, budget.e1, budget.e2)
-    j, k = (_P_INDEX[n] for n in _P_INDEX if n != dependent)
-    p_j, p_k = (np.asarray(fixed.get(n, 0.0))[..., None] for n in _P_INDEX if n != dependent)
-    with np.errstate(all="ignore"):  # far-off fixed values overflow a load
-        residual = b - (c[:, j] * p_j + c[:, k] * p_k)
-        cap = np.fmin.reduce(residual / c[:, idx], axis=-1, where=c[:, idx] > 0, initial=math.inf)
-    cap = np.where(cap < 1.0, cap, 1.0)
-    return np.where(cap > 0.0, cap, 0.0)
-
-
-def _evaluate(scenario: Scenario, model: ObservationModel, p: dict, rho=None, e1=None, e2=None):
-    """One curve as arrays: the bound and the feasibility of each row's
-    policy ``p`` (arrays of ``p_x``, ``p_y``, ``p_xy``), at correlations
-    ``rho`` and budgets ``e1``, ``e2`` where a sweep gives them.  A row whose
-    components make no valid :class:`SamplingPolicy` reads ``inf`` and
-    infeasible.  Each value equals the scalar :func:`crbplan.fisher.crb` and
-    :meth:`is_feasible`, bit for bit; the lists hold Python floats and bools.
+    The ``dependent`` component, if named, is the largest that the row's
+    system allows with the other two held: one masked ``fmin`` over its rows
+    with a positive coefficient on it (budget rows and the simplex), where an
+    unbounded row's inf or nan (inf minus an infinite load) changes no
+    minimum, clamped to [0, 1] by ``where``, which, unlike ``clip``, turns a
+    ``-0.0`` into ``0.0``.  A row whose components make no valid
+    :class:`SamplingPolicy` reads ``inf`` and infeasible.  Each value equals
+    the scalar :func:`crbplan.fisher.crb` and :meth:`is_feasible`, bit for bit.
 
     Raises:
         BoundOverflow: at the first valid row whose bound overflows.
     """
-    p_x, p_y, p_xy = np.broadcast_arrays(*(np.asarray(p[n], dtype=float) for n in _P_INDEX))
-    with np.errstate(all="ignore"):  # as Python floats: inf + -inf is nan, no warning
+    budget = {**vars(scenario.budget), **budget}
+    c, b = strategy._stack(strategy._family(scenario), budget["alpha"], budget["e1"], budget["e2"])
+    with np.errstate(all="ignore"):  # far-off values overflow a load; inf + -inf is nan
+        if dependent is not None:
+            i = _P_INDEX[dependent]
+            j, k = (_P_INDEX[n] for n in _P_INDEX if n != dependent)
+            p_j, p_k = (np.asarray(p[n])[..., None] for n in _P_INDEX if n != dependent)
+            room = b - (c[..., j] * p_j + c[..., k] * p_k)
+            cap = np.fmin.reduce(room / c[..., i], axis=-1, where=c[..., i] > 0, initial=math.inf)
+            cap = np.where(cap < 1.0, cap, 1.0)
+            p = {**p, dependent: np.where(cap > 0.0, cap, 0.0)}
+        p_x, p_y, p_xy = np.broadcast_arrays(*(np.asarray(p[n], dtype=float) for n in _P_INDEX))
         valid = policy_mask(p_x, p_y, p_xy)
         x, y, xy = (np.where(valid, v, 0.0) for v in (p_x, p_y, p_xy))  # invalid: no information
         rho = model.rho if rho is None else rho
         bound = crb_array(scenario.task, scenario.target, x, y, xy, rho, model.var_x, model.var_y)
-        budget = scenario.budget
-        e1, e2 = budget.e1 if e1 is None else e1, budget.e2 if e2 is None else e2
-        c, b = strategy._stack(strategy._family(scenario), budget.alpha, e1, e2)
-        # one system per row of a budget sweep; _feasible reads p clipped at 0
+        # a system per row of a budget sweep or preset; _feasible reads p clipped at 0
         points = np.stack([x, y, xy], axis=-1)[..., None, :]
         feasible = valid & strategy._feasible(points, c, b)[1][..., 0]
-    return bound.tolist(), feasible.tolist()
+    return (p_x, p_y, p_xy), bound.tolist(), feasible.tolist()
 
 
 _MAX_SWEEP_ROWS = 10**6
@@ -289,7 +283,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             raise _ConfigError(f"a {sweep} sweep sets {sweep} and {dependent}: give neither flag")
         p = {name: getattr(args, name) or 0.0 for name in _P_INDEX}
         p[sweep] = grid
-        p[dependent] = derive_dependent(scenario, p, dependent)
     else:
         p = dict(zip(_P_INDEX, (_policy_from_args(args) or SamplingPolicy()).as_tuple()))
         if sweep != "rho":  # the values ascend: only the first can be negative
@@ -297,7 +290,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             replace(scenario, budget=budget)  # refuses a decentralized e2 sweep
         sweeps[sweep] = grid
     p = {n: np.full(rows, v) for n, v in p.items()}  # each component broadcast once
-    crbs, feasible = _evaluate(scenario, model, p, **sweeps)
+    _, crbs, feasible = _evaluate(scenario, model, p, dependent, **sweeps)
     if rows < len(values):
         try:
             ObservationModel(model.mu_x, model.mu_y, model.var_x, model.var_y, values[rows].item())
@@ -399,55 +392,48 @@ def _preset_scenario(preset, fields: dict) -> Scenario:
     return Scenario(preset.task, preset.setting, budget, preset.target)
 
 
-def _each_curve(columns):
-    """A preset's columns: ``columns`` of each curve's fields, concatenated."""
-    @functools.wraps(columns)
-    def all_curves(args, preset, curves):
-        tables = [columns(args, preset, fields) for fields in curves]
-        return {name: list(chain.from_iterable(t[name] for t in tables)) for name in tables[0]}
-    return all_curves
-
-
-@_each_curve
-def _threshold_columns(args, preset, fields):
-    """The decentralized joint-priority threshold at each alpha."""
-    alphas = _grid(0.0, *preset.grid).tolist()
+def _threshold_columns(args, preset, curves):
+    """The decentralized joint-priority threshold at each alpha, per curve."""
+    alphas = _grid(0.0, *preset.grid).tolist() * len(curves)
     return {"alpha": alphas,
             "rho_star": [joint_priority_threshold(a, Setting.DECENTRALIZED) for a in alphas]}
 
 
-@_each_curve
-def _closed_form_columns(args, preset, fields):
+def _closed_form_columns(args, preset, curves):
     """The decentralized t1 closed-form plan at each e1 from 0 to alpha plus
     the grid's stop, with |rho| below, at or above the joint-priority
-    threshold by the curve's ``regime``; the plan reads no variance."""
-    alpha = fields["alpha"]
-    thr = joint_priority_threshold(alpha, Setting.DECENTRALIZED)
-    rho = {"below": math.sqrt(0.5 * thr * thr), "at": thr,
-           "above": math.sqrt(thr * thr + 0.5 * (1.0 - thr * thr))}[fields["regime"]]
-    model = ObservationModel(0.0, 0.0, 1.0, 1.0, rho)
+    threshold by each curve's ``regime``; the plan reads no variance."""
     stop, step = preset.grid
-    e1s = _grid(0.0, alpha + stop, step).tolist()
-    results = [plan_t1_closed_form(alpha, e1, model) for e1 in e1s]
-    return {"regime": [fields["regime"]] * len(e1s), "rho": [rho] * len(e1s), "e1": e1s,
-            "p_y": [r.policy.p_y for r in results], "p_xy": [r.policy.p_xy for r in results],
-            "tie": [r.tie for r in results]}
+    rows = []
+    for fields in curves:
+        alpha, regime = fields["alpha"], fields["regime"]
+        thr = joint_priority_threshold(alpha, Setting.DECENTRALIZED)
+        rho = {"below": math.sqrt(0.5 * thr * thr), "at": thr,
+               "above": math.sqrt(thr * thr + 0.5 * (1.0 - thr * thr))}[regime]
+        model = ObservationModel(0.0, 0.0, 1.0, 1.0, rho)
+        rows += [(regime, rho, e1, plan_t1_closed_form(alpha, e1, model))
+                 for e1 in _grid(0.0, alpha + stop, step).tolist()]
+    regimes, rhos, e1s, results = map(list, zip(*rows))
+    return {"regime": regimes, "rho": rhos, "e1": e1s, "p_y": [r.policy.p_y for r in results],
+            "p_xy": [r.policy.p_xy for r in results], "tie": [r.tie for r in results]}
 
 
-@_each_curve
-def _eval_columns(args, preset, fields):
+def _eval_columns(args, preset, curves):
     """The bound of the policy whose ``axis`` components run over the grid
-    (others 0, ``p_xy`` as large as the budget allows), in one array pass."""
-    model = _build_model(args, fields["rho"])
-    scenario = _preset_scenario(preset, fields)
-    grid = _grid(0.0, *preset.grid)
-    p = {"p_x": 0.0, "p_y": 0.0, **dict.fromkeys(preset.axis, grid)}
-    p["p_xy"] = derive_dependent(scenario, p, "p_xy")
-    crbs, feasible = _evaluate(scenario, model, p)
-    budget, rows = scenario.budget, len(grid)
-    budgets = {"rho": [model.rho] * rows, "e1": [budget.e1] * rows, "e2": [budget.e2] * rows}
-    policy = {n: np.broadcast_to(p[n], grid.shape).tolist() for n in _P_INDEX}
-    return {**budgets, **policy, "crb": crbs, "feasible": feasible}
+    (others 0, ``p_xy`` as large as the budget allows), for each curve in
+    turn, as one array pass: it checks every curve's flags first."""
+    models, scenarios = zip(*((_build_model(args, fields["rho"]), _preset_scenario(preset, fields))
+                              for fields in curves))
+    grid, budgets = _grid(0.0, *preset.grid), [s.budget for s in scenarios]
+    # each curve's values on its rows; a decentralized e2 of None prints empty
+    per_curve = {"rho": [m.rho for m in models],
+                 **{n: [getattr(b, n) for b in budgets] for n in ("alpha", "e1", "e2")}}
+    rows = {n: np.repeat(np.array(v, dtype=object), len(grid)) for n, v in per_curve.items()}
+    p = {"p_x": 0.0, "p_y": 0.0, **dict.fromkeys(preset.axis, np.tile(grid, len(curves)))}
+    policy, crbs, feasible = _evaluate(scenarios[0], models[0], p, "p_xy",
+                                       **{n: v.astype(float) for n, v in rows.items()})
+    return {**{n: rows[n].tolist() for n in ("rho", "e1", "e2")},
+            **{n: v.tolist() for n, v in zip(_P_INDEX, policy)}, "crb": crbs, "feasible": feasible}
 
 
 def _plan_columns(args, preset, curves):

@@ -5,17 +5,21 @@ import math
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from crbplan import strategy
 from crbplan.cli import (
-    _PRESETS, _format_cell, _grid, _parse, _write_table, build_parser, derive_dependent, main,
+    _P_INDEX, _PRESETS, _build_model, _evaluate, _format_cell, _grid, _parse, _preset_scenario,
+    _write_table, build_parser, main,
 )
 from crbplan.errors import CrbPlanError
 from crbplan.fisher import Task
+from crbplan.model import validate
 from crbplan.strategy import ResourceBudget, Scenario, Setting, constraints_for
 
 
@@ -314,7 +318,7 @@ def test_plan_infinite_alpha_exits_2(setting, capsys):
 
 def _derive_by_rows(cons, fixed, dependent):
     """The dependent component's cap as a loop over the constraint rows: the
-    reference that :func:`derive_dependent` must equal bit for bit."""
+    reference that :func:`_evaluate`'s derived component must equal bit for bit."""
     idx = ("p_x", "p_y", "p_xy").index(dependent)
     p = [fixed.get(n, 0.0) for n in ("p_x", "p_y", "p_xy")]
     j, k = (n for n in range(3) if n != idx)
@@ -333,29 +337,55 @@ def _derive_by_rows(cons, fixed, dependent):
 _COMPONENT = st.one_of(
     st.floats(-1.0, 2.0), st.floats(0.0, math.inf), st.sampled_from([0.0, -0.0, 5e-324, 1e308])
 )
+_E1 = st.one_of(st.floats(0.0, 8.0), st.sampled_from([-0.0, math.inf, 5e-324, 1e300]))
+_E2 = st.one_of(st.floats(0.0, 8.0), st.sampled_from([-0.0, math.inf]))
 
 
 @settings(max_examples=300, deadline=None)
 @example(  # a budget of -0.0 leaves a cap of -0.0, which prints as -0 unclamped
-    task=Task.T1, centralized=False, alpha=2.0, e1=-0.0, e2=0.0, dependent="p_xy",
-    swept=[0.0], other=None,
+    task=Task.T1, centralized=False, alpha=2.0, dependent="p_xy",
+    rows=[(0.0, -0.0, 0.0)], per_row=False, other=None,
+)
+@example(  # a row's own budget of -0.0, which no ResourceBudget has turned into 0.0
+    task=Task.T1, centralized=False, alpha=2.0, dependent="p_xy",
+    rows=[(0.0, 1.0, 0.0), (0.0, -0.0, 0.0)], per_row=True, other=None,
 )
 @given(
     task=st.sampled_from(list(Task)), centralized=st.booleans(),
     alpha=st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 5e-324, 1e300])),
-    e1=st.one_of(st.floats(0.0, 8.0), st.sampled_from([-0.0, math.inf, 5e-324, 1e300])),
-    e2=st.one_of(st.floats(0.0, 8.0), st.sampled_from([-0.0, math.inf])),
     dependent=st.sampled_from(["p_x", "p_y", "p_xy"]),
-    swept=st.lists(_COMPONENT, min_size=1, max_size=6), other=st.one_of(st.none(), _COMPONENT),
+    rows=st.lists(st.tuples(_COMPONENT, _E1, _E2), min_size=1, max_size=6),
+    per_row=st.booleans(), other=st.one_of(st.none(), _COMPONENT),
 )
-def test_derive_dependent_equals_the_row_loop(task, centralized, alpha, e1, e2, dependent,
-                                             swept, other):
+def test_derived_dependent_share_equals_the_row_loop(task, centralized, alpha, dependent, rows,
+                                                    per_row, other):
+    # each row's swept component and budgets (e1, e2): every row on the first
+    # row's system, or each on its own as a preset's curves or an e1/e2 sweep
+    # give them; each row's cap is the row loop's on that row's system
     setting = Setting.CENTRALIZED if centralized else Setting.DECENTRALIZED
-    scenario = Scenario(task, setting, ResourceBudget(alpha, e1, e2 if centralized else None))
-    first, second = (n for n in ("p_x", "p_y", "p_xy") if n != dependent)
-    fixed = {first: np.array(swept)} if other is None else {first: np.array(swept), second: other}
-    got = derive_dependent(scenario, fixed, dependent)
-    want = _derive_by_rows(constraints_for(scenario), fixed, dependent)
+
+    def scenario(e1, e2):
+        return Scenario(task, setting, ResourceBudget(alpha, e1, e2 if centralized else None))
+
+    first, second = (n for n in _P_INDEX if n != dependent)
+
+    def held(swept):
+        return {first: swept} if other is None else {first: swept, second: other}
+
+    swept = [v for v, _, _ in rows]
+    budgets = [b[1:] if per_row else rows[0][1:] for b in rows]
+    own = {}
+    if per_row:
+        own = {"e1": np.array([e1 for e1, _ in budgets])}
+        if centralized:
+            own["e2"] = np.array([e2 for _, e2 in budgets])
+    p = {**dict.fromkeys(_P_INDEX, 0.0), **held(np.array(swept))}
+    # a tiny variance keeps every bound finite
+    policy, _, _ = _evaluate(scenario(*budgets[0]), validate((0, 0, 1e-300, 1e-300, 0.5)), p,
+                             dependent, **own)
+    got = policy[_P_INDEX[dependent]]
+    want = np.array([_derive_by_rows(constraints_for(scenario(*b)), held(v), dependent)
+                     for v, b in zip(swept, budgets)])
     assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())  # -0.0 reads 0.0
 
 
@@ -794,6 +824,107 @@ def test_sweep_byte_identical(tmp_path):
     assert run_cli("sweep", "--figure", "fig2a", "--out", str(a)) == 0
     assert run_cli("sweep", "--figure", "fig2a", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+_EVALUATING = ("fig1b", "fig2a", "fig3", "fig4a", "fig4c")
+
+
+def _per_curve_columns(args, preset, curves):
+    """An evaluating preset's table as each curve in turn, by its own
+    :func:`_evaluate` call: the reference for the one pass over all curves."""
+    table = {}
+    for fields in curves:
+        model = _build_model(args, fields["rho"])
+        scenario = _preset_scenario(preset, fields)
+        grid = _grid(0.0, *preset.grid)
+        p = {"p_x": 0.0, "p_y": 0.0, **dict.fromkeys(preset.axis, grid)}
+        policy, crbs, feasible = _evaluate(scenario, model, p, "p_xy")
+        rows, budget = len(grid), scenario.budget
+        columns = {"rho": [model.rho] * rows, "e1": [budget.e1] * rows, "e2": [budget.e2] * rows,
+                   **{n: v.tolist() for n, v in zip(_P_INDEX, policy)},
+                   "crb": crbs, "feasible": feasible}
+        for name, column in columns.items():
+            table.setdefault(name, []).extend(column)
+    return table
+
+
+class _Checked(Exception):
+    """Every curve's flags passed."""
+
+
+def _check_curves(args, preset, curves):
+    for fields in curves:
+        _build_model(args, fields["rho"])
+        _preset_scenario(preset, fields)
+    raise _Checked
+
+
+def _cli_with(argv, figure, columns=None):
+    """Exit code, stdout and stderr of ``argv``, the preset ``figure``'s
+    columns replaced by ``columns`` if given."""
+    out, err = io.StringIO(), io.StringIO()
+    presets = {figure: _PRESETS[figure]._replace(columns=columns or _PRESETS[figure].columns)}
+    with mock.patch.dict(_PRESETS, presets), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_FLAG_VALUE = st.one_of(
+    st.floats(0.0, 8.0), st.floats(-0.99, 0.99),
+    st.sampled_from([0.0, -0.0, -1.0, 1.5, math.inf, math.nan, 5e-324, 1e-300, 1.6e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(figure="fig3", flags={"e1": -1.0, "var_x": 1.6e308}, fmt="csv")
+@given(
+    figure=st.sampled_from(_EVALUATING),
+    flags=st.fixed_dictionaries({}, optional=dict.fromkeys(
+        ("alpha", "e1", "e2", "rho", "var_x", "var_y"), _FLAG_VALUE)),
+    fmt=st.sampled_from(["csv", "jsonl"]),
+)
+def test_an_evaluating_preset_is_its_curves_in_turn(figure, flags, fmt):
+    # the one pass over all curves prints what evaluating each curve in turn
+    # prints, except that it checks every curve's flags before it evaluates
+    # any: a later curve's refused flags, not an earlier curve's overflow
+    argv = ["sweep", "--figure", figure, "--format", fmt]
+    argv += [f"--{k.replace('_', '-')}={v!r}" for k, v in flags.items()
+             if k in _PRESETS[figure].defaults]
+    got = _cli_with(argv, figure)
+    want = _cli_with(argv, figure, _per_curve_columns)
+    if got != want:
+        try:
+            _cli_with(argv, figure, _check_curves)
+        except _Checked:
+            pytest.fail(f"{argv}: {got} != {want}")
+        assert want[0] == 2 and want[2].startswith("error: bound overflows"), argv
+        assert got == _cli_with(argv, figure, _check_curves), argv
+
+
+def test_a_preset_checks_every_curve_before_evaluating(capsys):
+    # fig3's first curve overflows at this variance; its second has e1 = -1
+    assert run_cli("sweep", "--figure", "fig3", "--e1", "-1", "--var-x", "1.6e308") == 2
+    assert capsys.readouterr() == ("", "error: e1 must be >= 0, got -1.0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"sweep --figure {figure}" for figure in _EVALUATING),
+    *(f"bounds --task t3 --setting centralized --alpha 2 --e1 2 --e2 2 --rho 0.5 --sweep {v} "
+      f"--start 0 --stop 0.5 --step 0.25{' --p-y 0.2 --p-xy 0.2' * (v not in _P_INDEX)}"
+      for v in ("p_y", "p_x", "p_xy", "rho", "e1", "e2")),
+])
+def test_a_table_prices_its_constraint_systems_once(argv, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stack(*args)
+
+    stack = strategy._stack
+    monkeypatch.setattr(strategy, "_stack", counted)
+    assert main(argv.split()) == 0
+    assert len(calls) == 1
 
 
 # --- inputs a command would answer for another question, or ignore ---

@@ -230,7 +230,7 @@ def test_feasibility_mask_is_is_feasible_vectorized(family, alpha, rows, sweep):
     # the bounds feasibility column: the policy rule, and the budget rows; a
     # tiny variance keeps every bound finite
     p = dict(zip(("p_x", "p_y", "p_xy"), np.array(policies).T))
-    _, mask = _evaluate(scenarios[0], model(0.5, 1e-300, 1e-300), p, **swept)
+    _, _, mask = _evaluate(scenarios[0], model(0.5, 1e-300, 1e-300), p, **swept)
     assert mask == [
         _is_policy(p) and constraints_for(s).is_feasible(SamplingPolicy(*p))
         for s, p in zip(scenarios, policies)
