@@ -386,7 +386,10 @@ def _first_copies(points):
 
 @functools.cache
 def _triples(k: int):
-    return np.array(list(itertools.combinations(range(k), 3))).reshape(-1, 3)
+    """Every triple of k rows, and the mask (triples, 3) of the coordinates
+    that a triple's nonnegativity rows, the first three of every system, pin."""
+    triples = np.array(list(itertools.combinations(range(k), 3))).reshape(-1, 3)
+    return triples, (triples[:, :, None] == np.arange(3)).any(axis=1)
 
 
 @functools.cache
@@ -401,24 +404,26 @@ def _vertices(c, b, tiny: bool):
     Intersects every triple of finite-bound row planes with a nonzero LU
     determinant in one batched solve, with no cut-off: a nearly singular
     triple's point stays only if it is feasible, and then it is a harmless
-    extra candidate.  Of the copies of a vertex, the first stays.  Only the
-    data-center row's coefficients can be below ``_TINY``, and only when
-    alpha is (``tiny``): the determinants that use it would underflow, so
-    the solve scales it and its bound by one exact power of two (a bound
-    past every float becomes ``inf``, an unbounded row), and the
-    feasibility test reads the given rows.
+    extra candidate.  A coordinate that a triple's nonnegativity row sets to
+    0 is exactly 0, not the solve's residue.  Of the copies of a vertex, the
+    first stays.  Only the data-center row's coefficients can be below
+    ``_TINY``, and only when alpha is (``tiny``): the determinants that use
+    it would underflow, so the solve scales it and its bound by one exact
+    power of two (a bound past every float becomes ``inf``, an unbounded
+    row), and the feasibility test reads the given rows.
     """
     lhs, rhs = c, b
     if tiny:
         top = np.abs(c).max(axis=-1)
         shift = np.where(top < _TINY, -np.frexp(top)[1], 0)
         lhs, rhs = np.ldexp(c, shift[..., None]), np.ldexp(b, shift)
-    triples = _triples(b.shape[-1])
+    triples, pinned = _triples(b.shape[-1])
     lhs, rhs = lhs[:, triples], rhs[:, triples]
     points = np.full(rhs.shape, np.nan)
     # false at nan: an inf and a 0 pivot
     regular = (np.abs(np.linalg.det(lhs)) > 0.0) & np.isfinite(rhs).all(axis=-1)
     points[regular] = np.linalg.solve(lhs[regular], rhs[regular][..., None])[..., 0]
+    points = np.where(pinned, 0.0, points)  # exactly, where LU leaves residue
     vertices = _compact(*_feasible(points, c, b))
     return _compact(vertices, _first_copies(vertices) & np.isfinite(vertices[..., 0]))
 

@@ -32,7 +32,9 @@ which moved only the last bit of some bounds.  ``jsonl_sweep_fig4b``,
 :data:`PLANNER_DIGEST` and :data:`RUN_DIGEST` were re-recorded again when
 the t3 information became ``p_target + joint (p_other + p_xy) / (p_other +
 joint)`` in place of ``own - cross^2 / other``, which moved only the last
-bits of some bounds.
+bits of some bounds.  ``preset_fig2c_alpha`` and :data:`PLANNER_DIGEST` were
+re-recorded when a vertex's coordinate on a nonnegativity plane became
+exactly 0, which moved only ``p_x`` values below 1e-15 to 0.
 """
 
 import contextlib
@@ -99,7 +101,7 @@ GOLDEN = {
     "preset_fig1c_alpha": "f44c931c84d13ac2a8d6c63c5bcdb09840c0971ab49b9596f3e56689b302ec6d",
     "preset_fig2a_alpha_e1": "9e5c405f5c7426b552accb890cf715496a1d0581cf20a23f7bf11b120e8279c6",
     "preset_fig2b_e1_inf": "1a587e2e3f923c1bad28a3a48dbfd3f0221ac899414cde1caaa01520835dd439",
-    "preset_fig2c_alpha": "f89d122e0daa3eef28d8ea13ef63f2b1c13fa43a07ee6df5fa101baab7276b34",
+    "preset_fig2c_alpha": "f422e4b31c7fc44ecf2bd75d31b3ed61a8cf71cba7965ee4ab32e29298e05b91",
     "preset_fig3_budgets": "ec087768fb6f3ca6fff8d04fc893ae0adf83a3502bc2ac5347cd6e50d87acdc3",
     "preset_fig4a_budgets": "3a91acd9293c80600b25bf5c3357b62a06efc6a6a53ed4f73087595fcc2b4537",
     "preset_fig4b_alpha_0": "d1ef02c64c07612f7b73c182bb9b8a2c6c00a6abee432557844f18f04aecf1e9",
@@ -256,9 +258,11 @@ def _planner_records(n: int = 500, seed: int = 11) -> list[str]:
 
 
 #: sha256 of :func:`_planner_records`, recorded before the planners were batched
-#: and re-recorded when t1/t2 bounds began to read the one information function
-#: and when the t3 information lost its cancellation (last bits of ``crb`` only).
-PLANNER_DIGEST = "16ca52713baea6ad0838faa3995446a0ce231fafdec716bab5ed09238579b2e5"
+#: and re-recorded when t1/t2 bounds began to read the one information function,
+#: when the t3 information lost its cancellation (last bits of ``crb`` only), and
+#: when a vertex's coordinate on a nonnegativity plane became exactly 0 (``p_x``
+#: residue below 1e-15 in 18 centralized records).
+PLANNER_DIGEST = "7370a5dbd5a6f5497bd4431d2b83cc7324268ef4f13752c815a12606d591995a"
 
 
 def test_planner_records_match_golden_digest():

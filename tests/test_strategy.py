@@ -479,6 +479,25 @@ def test_plan_linear_proves_marginal_x_useless():
     assert math.isfinite(result.objective_value)
 
 
+@settings(max_examples=300, deadline=None)
+@example(task=Task.T1, alpha=2.0, e1=1.0, e2=2.0, rho=0.3)  # the solve left p_x = 1.85e-17
+@given(
+    task=st.sampled_from([Task.T1, Task.T2]),
+    alpha=st.one_of(st.floats(sys.float_info.min, 10.0), st.floats(sys.float_info.min, 1e300)),
+    e1=st.one_of(_BUDGETS, st.floats(0.0, 1e6)),
+    e2=st.one_of(_BUDGETS, st.floats(0.0, 1e6)),
+    rho=st.floats(-0.99, 0.99),
+)
+def test_centralized_one_mean_plans_take_no_marginal_x(task, alpha, e1, e2, rho):
+    # at every normal alpha the optimum lies on the p_x = 0 plane, and a
+    # vertex's coordinate on a nonnegativity plane is exactly 0, not LU residue
+    try:
+        result = plan_linear(cen(task, alpha, e1, e2), model(rho))
+    except BoundOverflow:  # a budget too small for any bound to round to
+        return
+    assert result.policy.p_x == 0.0
+
+
 def test_plan_linear_agreement_smoke():
     # closed form and vertex enumeration give the same bound everywhere
     for alpha in (0.5, 2.0):
