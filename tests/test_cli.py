@@ -357,8 +357,8 @@ _E2 = st.one_of(st.floats(0.0, 8.0), st.sampled_from([-0.0, math.inf]))
     rows=st.lists(st.tuples(_COMPONENT, _E1, _E2), min_size=1, max_size=6),
     per_row=st.booleans(), other=st.one_of(st.none(), _COMPONENT),
 )
-def test_derived_dependent_share_equals_the_row_loop(task, centralized, alpha, dependent, rows,
-                                                    per_row, other):
+def test_derive_dependent_equals_the_row_loop(task, centralized, alpha, dependent, rows,
+                                              per_row, other):
     # each row's swept component and budgets (e1, e2): every row on the first
     # row's system, or each on its own as a preset's curves or an e1/e2 sweep
     # give them; each row's cap is the row loop's on that row's system
