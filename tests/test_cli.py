@@ -914,7 +914,7 @@ def test_a_preset_checks_every_curve_before_evaluating(capsys):
       f"--start 0 --stop 0.5 --step 0.25{' --p-y 0.2 --p-xy 0.2' * (v not in _P_INDEX)}"
       for v in ("p_y", "p_x", "p_xy", "rho", "e1", "e2")),
 ])
-def test_a_table_prices_its_constraint_systems_once(argv, monkeypatch, capsys):
+def test_a_table_prices_its_constraint_systems_once(argv, monkeypatch):
     calls = []
 
     def counted(*args):
