@@ -1,8 +1,8 @@
 """Command-line front end: plan, bounds, simulate, and sweep.
 
 Every command is deterministic given its full flag set (including the seed)
-and writes byte-identical output files on repeated invocations.  The parser
-alone states each flag's type, choices and default.  A JSON config file
+and writes byte-identical output files on repeated invocations.  One flag table
+per command states each flag's type, choices and default.  A JSON config file
 (``--config``) holds flags of the command, keys with underscores, parsed as
 flags ahead of the command line, so explicit flags win.
 
@@ -39,14 +39,8 @@ from .estimators import EstimatorKind
 from .fisher import SamplingPolicy, Target, Task, crb_array, policy_mask
 from .model import RHO_LIMIT, ObservationModel, validate
 from .simulator import SimulationConfig, audit_resources, default_estimator
-from .strategy import (
-    ResourceBudget,
-    Scenario,
-    Setting,
-    joint_priority_threshold,
-    plan_stack,
-    plan_t1_closed_form,
-)
+from .strategy import (ResourceBudget, Scenario, Setting, joint_priority_threshold, plan_stack,
+                       plan_t1_closed_form)
 
 
 class _ConfigError(CrbPlanError):
@@ -56,22 +50,6 @@ class _ConfigError(CrbPlanError):
 # ---------------------------------------------------------------------------
 # Argument handling
 # ---------------------------------------------------------------------------
-
-
-def _add_common_flags(p: argparse.ArgumentParser, scenario: bool = True) -> None:
-    if scenario:  # a sweep preset fixes task, setting and target
-        p.add_argument("--task", choices=[t.value for t in Task])
-        p.add_argument("--setting", choices=[s.value for s in Setting])
-        p.add_argument("--target", choices=["mu-x", "mu-y"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--e1", type=float, help="sensor budget (use 'inf' for unbounded)")
-    p.add_argument("--e2", type=float, help="data-center budget, centralized only")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--var-x", type=float, dest="var_x", default=1.0)
-    p.add_argument("--var-y", type=float, dest="var_y", default=1.0)
-    p.add_argument("--config", help="JSON object of this command's flags, keys with underscores")
-    p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
@@ -182,10 +160,8 @@ def _write_table(table: dict[str, list], fmt: str, out: str | None) -> None:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    model = _build_model(args)
-    scenario = _build_scenario(args)
-    result = strategy.plan(scenario, model)
-    record = result.as_record()
+    model = _build_model(args)  # a missing --rho is named before a missing scenario flag
+    record = strategy.plan(_build_scenario(args), model).as_record()
     print(" ".join(f"{k}={_format_cell(v)}" for k, v in record.items()))
     if args.out:
         _write_table({k: [v] for k, v in record.items()}, args.format, args.out)
@@ -265,8 +241,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         # the sweep sets this flag, so it is optional; a given one is checked
         # and then overridden, and 0 stands in for a missing one
         args = argparse.Namespace(**{**vars(args), sweep: 0.0})
-    model = _build_model(args)
-    scenario = _build_scenario(args)
+    model, scenario = _build_model(args), _build_scenario(args)
     start, stop, step = args.start, args.stop, args.step
     if step <= 0.0 or stop < start or not all(math.isfinite(v) for v in (start, stop, step)):
         raise _ConfigError(f"malformed sweep range [{start}, {stop}] step {step}")
@@ -307,29 +282,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    model = _build_model(args)
-    scenario = _build_scenario(args)
+    model, scenario = _build_model(args), _build_scenario(args)
     policy, planned = _policy_from_args(args), None
     if policy is None:
         planned = strategy.plan(scenario, model)
         policy = planned.policy
-    estimator = (
-        EstimatorKind(args.estimator)
-        if args.estimator is not None
-        else default_estimator(scenario, policy)
-    )
-    seed = args.seed
-    if seed is None:
-        seed = secrets.randbits(63)
-    config = SimulationConfig(
-        scenario=scenario,
-        model=model,
-        policy=policy,
-        estimator=estimator,
-        slots=args.slots,
-        replications=args.reps,
-        master_seed=seed,
-    )
+    estimator = (default_estimator(scenario, policy) if args.estimator is None
+                 else EstimatorKind(args.estimator))
+    seed = secrets.randbits(63) if args.seed is None else args.seed
+    config = SimulationConfig(scenario=scenario, model=model, policy=policy, estimator=estimator,
+                              slots=args.slots, replications=args.reps, master_seed=seed)
     report = simulator.run(config)
     if report.replications_used < 2:  # run raises at 0; the empirical variance reads nan at 1
         raise _ConfigError(f"only 1 of {args.reps} replications was usable: "
@@ -341,38 +303,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{k}={_format_cell(v)}" for k, v in planned.as_record().items()
         ))
     print(f"seed={seed}")
-
     true_mean = model.mu_x if scenario.target is Target.MU_X else model.mu_y
-    print(
-        f"estimator={estimator.value} policy p_x={_format_cell(policy.p_x)} "
-        f"p_y={_format_cell(policy.p_y)} p_xy={_format_cell(policy.p_xy)}"
-    )
-    print(
-        f"replications used={report.replications_used} "
-        f"excluded={report.replications_excluded} slots={report.slots_per_replication}"
-    )
-    table = [
-        ("mean", true_mean, report.mean_estimate),
-        (
-            "variance_per_slot",
-            report.analytic_estimator_variance,
-            report.empirical_variance_per_slot,
-        ),
-        ("crb", report.analytic_crb, None),
-    ]
+    print(f"estimator={estimator.value} policy p_x={_format_cell(policy.p_x)} "
+          f"p_y={_format_cell(policy.p_y)} p_xy={_format_cell(policy.p_xy)}")
+    print(f"replications used={report.replications_used} "
+          f"excluded={report.replications_excluded} slots={report.slots_per_replication}")
     print(f"{'quantity':<20}{'analytic':>16}{'empirical':>16}")
-    for name, analytic, empirical in table:
-        print(
-            f"{name:<20}{_format_cell(analytic) or '-':>16}"
-            f"{_format_cell(empirical) or '-':>16}"
-        )
-    audit = audit_resources(report, scenario)
-    for check in audit.checks:
-        print(
-            f"audit {check.actor}: cost={_format_cell(check.mean_cost_per_slot)} "
-            f"budget={_format_cell(check.budget)} slack={_format_cell(check.slack)} "
-            f"stderr={_format_cell(check.stderr)} {'PASS' if check.passed else 'FAIL'}"
-        )
+    for name, analytic, empirical in [
+        ("mean", true_mean, report.mean_estimate),
+        ("variance_per_slot", report.analytic_estimator_variance,
+         report.empirical_variance_per_slot),
+        ("crb", report.analytic_crb, None),
+    ]:
+        print(f"{name:<20}{_format_cell(analytic) or '-':>16}{_format_cell(empirical) or '-':>16}")
+    for check in audit_resources(report, scenario).checks:
+        print(f"audit {check.actor}: cost={_format_cell(check.mean_cost_per_slot)} "
+              f"budget={_format_cell(check.budget)} slack={_format_cell(check.slack)} "
+              f"stderr={_format_cell(check.stderr)} {'PASS' if check.passed else 'FAIL'}")
     if args.out:
         _write_table({k: [v] for k, v in report.as_record().items()}, args.format, args.out)
     return 0
@@ -543,96 +490,148 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Flag(NamedTuple):
+    """A row of a command's flag table, in the terms of ``add_argument``."""
+
+    flag: str
+    type: Callable = str
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_SCENARIO_FLAGS = (  # a sweep preset fixes task, setting and target
+    _Flag("--task", choices=tuple(t.value for t in Task)),
+    _Flag("--setting", choices=tuple(s.value for s in Setting)),
+    _Flag("--target", choices=("mu-x", "mu-y")),
+)
+_COMMON_FLAGS = (
+    _Flag("--alpha", float), _Flag("--e1", float, help="sensor budget (use 'inf' for unbounded)"),
+    _Flag("--e2", float, help="data-center budget, centralized only"), _Flag("--rho", float),
+    _Flag("--var-x", float, default=1.0), _Flag("--var-y", float, default=1.0),
+    _Flag("--config", help="JSON object of this command's flags, keys with underscores"),
+    _Flag("--out", help="output file (default: stdout)"),
+    _Flag("--format", choices=("csv", "jsonl"), default="csv"),
+)
+_POLICY_FLAGS = tuple(_Flag("--" + name.replace("_", "-"), float) for name in _P_INDEX)
+#: Each command's help line and flag table, in the order of its Namespace.
+_COMMANDS = {
+    "plan": ("solve for the bound-minimizing policy", _SCENARIO_FLAGS + _COMMON_FLAGS),
+    "bounds": ("sweep one variable and emit the bound", _SCENARIO_FLAGS + _COMMON_FLAGS + (
+        _Flag("--sweep", choices=_SWEEPABLE, required=True), _Flag("--start", float, default=0.0),
+        _Flag("--stop", float, default=1.0), _Flag("--step", float, default=0.01),
+        *_POLICY_FLAGS)),
+    "simulate": ("Monte Carlo run with resource audit", _SCENARIO_FLAGS + _COMMON_FLAGS + (
+        _Flag("--mu-x", float, default=0.0), _Flag("--mu-y", float, default=0.0), *_POLICY_FLAGS,
+        _Flag("--estimator", choices=tuple(e.value for e in EstimatorKind)), _Flag("--seed", int),
+        _Flag("--slots", int, default=1000), _Flag("--reps", int, default=2000),
+        _Flag("--trace", help="write one replication's slot trace CSV here"))),
+    "sweep": ("emit plot-ready data for a named figure", tuple(  # a preset gives the variances
+        f._replace(default=None) if f.flag.startswith("--var") else f for f in _COMMON_FLAGS
+    ) + (_Flag("--figure", choices=tuple(sorted(_PRESETS)), required=True),)),
+}
+_HELP = _Flag("-h/--help")
+#: Each command's option strings in argparse's order: the help, then the table.
+_OPTIONS = {name: {"-h": _HELP, "--help": _HELP, **{f.flag: f for f in flags}}
+            for name, (_, flags) in _COMMANDS.items()}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line from main, not the usage block
+        raise _ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it as it
-    was, and a config file's values are parsed as flags.  Its ``commands``
-    maps each command to the command's own parser."""
-    parser = argparse.ArgumentParser(
-        prog="crbplan",
-        description=(
-            "Plan, bound, and simulate two-sensor correlated Gaussian sampling "
-            "under resource budgets."
-        ),
-    )
+    """The argparse parser of :data:`_COMMANDS`, built once per process for
+    ``-h`` and for a line with no known command."""
+    parser = _Parser(prog="crbplan", description="Plan, bound, and simulate two-sensor correlated "
+                     "Gaussian sampling under resource budgets.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_plan = sub.add_parser("plan", help="solve for the bound-minimizing policy")
-    _add_common_flags(p_plan)
-
-    p_bounds = sub.add_parser("bounds", help="sweep one variable and emit the bound")
-    _add_common_flags(p_bounds)
-    p_bounds.add_argument("--sweep", required=True, choices=_SWEEPABLE)
-    p_bounds.add_argument("--start", type=float, default=0.0)
-    p_bounds.add_argument("--stop", type=float, default=1.0)
-    p_bounds.add_argument("--step", type=float, default=0.01)
-    p_bounds.add_argument("--p-x", type=float, dest="p_x")
-    p_bounds.add_argument("--p-y", type=float, dest="p_y")
-    p_bounds.add_argument("--p-xy", type=float, dest="p_xy")
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo run with resource audit")
-    _add_common_flags(p_sim)
-    p_sim.add_argument("--mu-x", type=float, dest="mu_x", default=0.0)
-    p_sim.add_argument("--mu-y", type=float, dest="mu_y", default=0.0)
-    p_sim.add_argument("--p-x", type=float, dest="p_x")
-    p_sim.add_argument("--p-y", type=float, dest="p_y")
-    p_sim.add_argument("--p-xy", type=float, dest="p_xy")
-    p_sim.add_argument(
-        "--estimator", choices=[e.value for e in EstimatorKind]
-    )
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--slots", type=int, default=1000)
-    p_sim.add_argument("--reps", type=int, default=2000)
-    p_sim.add_argument("--trace", help="write one replication's slot trace CSV here")
-
-    p_sweep = sub.add_parser("sweep", help="emit plot-ready data for a named figure")
-    _add_common_flags(p_sweep, scenario=False)
-    p_sweep.set_defaults(var_x=None, var_y=None)  # a preset's defaults give them
-    p_sweep.add_argument("--figure", required=True, choices=sorted(_PRESETS))
-
-    parser.commands = sub.choices
+    for name, (text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for f in flags:
+            command.add_argument(f.flag, type=f.type, choices=f.choices, default=f.default,
+                                 required=f.required, help=f.help)
     return parser
 
 
-def _is_float(token: str) -> bool:
+def _option(options: dict, token: str):
+    """``token`` as argparse reads it: None for a value, a negative number
+    in any notation too, else its flag's row (None if unknown) and the value
+    after its ``=`` or a short flag's letters.  A prefix of two flags raises."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if name in options:
+        return options[name], value if eq else None
+    long = token[1] == "-"
+    matches = [o for o in options if (o.startswith(name) if long else o == token[:2])]
+    if len(matches) > 1:
+        raise _ConfigError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return options[matches[0]], (value if eq else None) if long else token[2:]
     try:
         float(token)
     except ValueError:
-        return False
-    return True
+        return None if " " in token else (None, None)
+    return None
 
 
 def _parse(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, but a command's arguments go to
-    its own parser alone; the top-level parser reports any left over.  A
-    ``--flag`` followed by a negative number becomes ``--flag=value``:
-    argparse would read ``-5e-1`` or ``-inf`` as a flag."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:  # -h, or a missing or unknown command
-        return parser.parse_args(argv)
-    tokens = []
-    for token in argv[1:]:
-        if token.startswith("-") and tokens[-1:] and tokens[-1].startswith("--") \
-                and "=" not in tokens[-1] and _is_float(token):
-            tokens[-1] += "=" + token
-        else:
-            tokens.append(token)
-    args, extra = command.parse_known_args(tokens, argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    """``build_parser().parse_args(argv)`` in one pass over the command's
+    flag table, as argparse reads it: ``--f v`` or ``--f=v``, a unique
+    prefix, the last of a repeated flag; a ``--`` and all after it are left
+    over.  ``-h`` and a line with no known command go to argparse.  A
+    refusal raises :class:`_ConfigError` with argparse's message."""
+    if not argv or argv[0] not in _COMMANDS:  # -h, or a missing or unknown command
+        return build_parser().parse_args(argv)
+    flags, options, tokens = _COMMANDS[argv[0]][1], _OPTIONS[argv[0]], argv[1:]
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(options, token) for token in tokens[:end]]
+    values, extras, i = {f.dest: f.default for f in flags}, [], 0
+    while i < end:
+        kind, i = kinds[i], i + 1
+        if kind is None or kind[0] is None:  # a value no flag took, or an unknown flag
+            extras.append(tokens[i - 1])
+            continue
+        flag, value = kind
+        if flag is _HELP:  # argparse prints the help and exits 0, or refuses a value
+            build_parser().parse_args([argv[0], tokens[i - 1]])
+        if value is None:
+            if i == end or kinds[i] is not None:
+                raise _ConfigError(f"argument {flag.flag}: expected one argument")
+            value, i = tokens[i], i + 1
+        try:
+            value = flag.type(value)
+        except ValueError:
+            raise _ConfigError(f"argument {flag.flag}: invalid {flag.type.__name__} value: "
+                               f"{value!r}") from None
+        if flag.choices is not None and value not in flag.choices:
+            raise _ConfigError(f"argument {flag.flag}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(map(repr, flag.choices))})")
+        values[flag.dest] = value
+    missing = [f.flag for f in flags if f.required and values[f.dest] is None]
+    if missing:
+        raise _ConfigError(f"the following arguments are required: {', '.join(missing)}")
+    if extras or end < len(tokens):  # argparse leaves "--" and all after it over
+        raise _ConfigError(f"unrecognized arguments: {' '.join([*extras, *tokens[end:]])}")
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(argv)
-    # looked up per call, so a function rebound on this module (a wrapper) runs
-    command = globals()[f"cmd_{args.command}"]
     try:
+        args = _parse(argv)
         if args.config:  # the file's flags first: the command line wins
             args = _parse([argv[0], *_config_flags(args), *argv[1:]])
-        return command(args)
+        # looked up per call, so a function rebound on this module (a wrapper) runs
+        return globals()[f"cmd_{args.command}"](args)
     except SingularEverywhere as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

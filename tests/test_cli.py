@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 
 from crbplan import strategy
 from crbplan.cli import (
-    _P_INDEX, _PRESETS, _build_model, _evaluate, _format_cell, _grid, _parse, _preset_scenario,
-    _write_table, build_parser, main,
+    _COMMANDS, _P_INDEX, _PRESETS, _Parser, _build_model, _evaluate, _format_cell, _grid, _parse,
+    _preset_scenario, _write_table, build_parser, main,
 )
 from crbplan.errors import CrbPlanError
 from crbplan.fisher import Task
@@ -506,12 +508,13 @@ def test_sweep_preset_grid_over_row_cap_exits_2(tmp_path, capsys):
 
 
 def test_bounds_unknown_sweep_variable_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(
-            "bounds", "--task", "t1", "--setting", "decentralized",
-            "--alpha", "2", "--e1", "2", "--rho", "0.5", "--sweep", "bogus",
-        )
-    assert exc.value.code == 2
+    code = run_cli(
+        "bounds", "--task", "t1", "--setting", "decentralized",
+        "--alpha", "2", "--e1", "2", "--rho", "0.5", "--sweep", "bogus",
+    )
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: argument --sweep: invalid choice: 'bogus' (choose "
+                                       "from 'p_y', 'p_x', 'p_xy', 'rho', 'e1', 'e2')\n")
 
 
 # --- simulate ---
@@ -715,10 +718,11 @@ def test_bounds_e1_sweep_flags_feasibility(tmp_path):
 # --- sweep ---
 
 
-def test_sweep_unknown_figure_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run_cli("sweep", "--figure", "fig9z")
-    assert exc.value.code == 2
+def test_sweep_unknown_figure_exits_2(capsys):
+    assert run_cli("sweep", "--figure", "fig9z") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: argument --figure: invalid choice: 'fig9z' (choose from 'fig1a',")
 
 
 def test_sweep_fig1a_threshold_curve(tmp_path):
@@ -1076,7 +1080,7 @@ def _main_output(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the flags
+        except SystemExit as exc:  # -h prints the help and exits 0
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
@@ -1116,18 +1120,31 @@ _PARSE_ERRORS = {
     "no_arguments": "",
     "unknown_command": "frobnicate",
     "double_dash": f"plan {_T1} -- extra",
+    "bad_float": f"bounds {_T1} --sweep p_y --step x",
+    "bad_int": f"simulate {_T1} --seed 7.9",
+    "no_value": f"plan {_T1} --alpha",
+    "ambiguous": f"plan {_T1} --var 2",
+    "ambiguous_with_value": f"simulate {_T1} --p-=0.1",
+    "missing_sweep": f"bounds {_T1}",
+    "help_prefix_after_flags": f"bounds {_T1} --he",
+    "help_with_a_value": "plan --help=x",
+    "stray_negative_number": f"plan {_T1} -5e-1",
 }
 
 
 @pytest.mark.parametrize("argv", list(_PARSE_ERRORS.values()), ids=list(_PARSE_ERRORS))
 def test_main_parses_as_the_top_level_parser(argv):
-    # main parses a command's arguments with the command's own parser; its
-    # exit code, stdout and stderr are those of build_parser().parse_args
+    # exit code and stdout are those of build_parser().parse_args with
+    # argparse's own error(); a refusal is its last stderr line, without the
+    # usage block before it and the "crbplan <cmd>: " prefix: one line
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv.split())
-    assert _main_output(argv.split()) == (exc.value.code, out.getvalue(), err.getvalue())
+    with mock.patch.object(_Parser, "error", argparse.ArgumentParser.error):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv.split())
+    last = err.getvalue().splitlines()[-1:]
+    message = "".join(f"error: {line.split(': error: ', 1)[1]}\n" for line in last)
+    assert _main_output(argv.split()) == (exc.value.code, out.getvalue(), message)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1139,6 +1156,79 @@ def test_parse_equals_the_top_level_parser(argv):
     assert list(vars(_parse(argv.split())).items()) == list(
         vars(build_parser().parse_args(argv.split())).items()
     )
+
+
+def _unique_prefixes(command, flag):
+    """The prefixes of ``flag`` that name it alone among the command's options."""
+    options = ["-h", "--help", *(f.flag for f in _COMMANDS[command][1])]
+    return [flag[:n] for n in range(3, len(flag) + 1)
+            if flag[:n] == flag or [o for o in options if o.startswith(flag[:n])] == [flag]]
+
+
+_NEGATIVE = st.sampled_from(["-5e-1", "-1E-13", "-inf", "-Infinity", "-0.0", "-2", "-.5"])
+
+
+def _flag_value(flag):
+    if flag.choices is not None:
+        return st.sampled_from(flag.choices)
+    if flag.type is float:
+        return st.one_of(st.floats(allow_nan=False).map(repr), _NEGATIVE)
+    if flag.type is int:
+        return st.integers(-10**6, 10**6).map(str)
+    return st.one_of(st.from_regex(r"[A-Za-z0-9_./]{1,12}", fullmatch=True), _NEGATIVE)
+
+
+@st.composite
+def _accepted_line(draw):
+    """A command line the parser accepts, and the same line as argparse
+    reads it: a value that starts with "-" joined to its flag by "=" (argparse
+    reads "--rho -5e-1" as two flags).  Most flags, in random order, as
+    "--f v" or "--f=v", by a unique prefix, some twice (the last one wins)."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = _COMMANDS[command][1]
+    chosen = [f for f in flags if f.required or draw(st.integers(0, 3))]
+    chosen = draw(st.permutations(chosen + draw(st.lists(st.sampled_from(flags), max_size=4))))
+    line, reference = [command], [command]
+    for flag in chosen:
+        name, value = draw(st.sampled_from(_unique_prefixes(command, flag.flag))), draw(_flag_value(flag))
+        if draw(st.booleans()):
+            line += [name, value]
+            reference += [f"{name}={value}"] if value.startswith("-") else [name, value]
+        else:
+            line.append(f"{name}={value}")
+            reference.append(f"{name}={value}")
+    return line, reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_accepted_line())
+def test_the_table_parse_equals_argparse_on_accepted_lines(lines):
+    # every attribute and its value, in the same order; repr tells -0.0 from 0.0
+    line, reference = lines
+    assert repr(list(vars(_parse(line)).items())) == repr(
+        list(vars(build_parser().parse_args(reference)).items())
+    )
+
+
+#: sha256 of each -h output at 80 columns, as the argparse parser built by
+#: add_argument calls printed it before the flag table; argparse's layout
+#: is that of Python 3.11
+_HELP_SHA256 = {
+    "": "96b0666a29a7f9d4985a67270629b060527eecf97c992f99cfffb0d7fc2f655e",
+    "plan": "8796cf775c04903aa04cdc15c9737555160841e125214597ad3546fde7a0db84",
+    "bounds": "e7eee7e7d46878e06bf887bf3461dc13044db38c7da20924a5fb3abb2641b3b4",
+    "simulate": "e87b7e8d15a4af2ff8e4aff68cae6e304b862653d8f552d0f0d63b564356843d",
+    "sweep": "5a712e046dbec63c538f45b7b9f74c4aaf1e77e84f4c447a9ee552d46fd09514",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout is 3.11's")
+@pytest.mark.parametrize("command", sorted(_HELP_SHA256))
+def test_help_bytes_are_those_of_the_parser_before_the_table(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _main_output([*command.split(), "-h"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[command]
 
 
 # --- config file ---
@@ -1419,20 +1509,18 @@ def test_fuzz_plan_and_bounds_exit_0_2_or_3_without_traceback_or_warning(argv):
 
 def _exits_cleanly(argv) -> str:
     """Run ``argv`` with every warning, NumPy's among them, raised as an
-    error: exit 0, 2 or 3, no traceback, one line on stderr and nothing on
-    stdout for an error of the program's own.  Returns stdout."""
+    error: exit 0, 2 or 3, no traceback, and on a refusal one ``error:``
+    line on stderr and nothing on stdout.  Returns stdout."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the flags
-                code = exc.code
+            code = main(argv)
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if code == 3 or (code == 2 and err.getvalue().startswith("error:")):
-        assert err.getvalue().count("\n") == 1, err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (
+            argv, err.getvalue())
         assert out.getvalue() == "", argv
     return out.getvalue() if code == 0 else ""
 
@@ -1530,18 +1618,15 @@ _QUICK = {
 @pytest.mark.parametrize("command", sorted(_QUICK))
 def test_every_float_flag_reads_a_negative_number_in_any_notation(command, value):
     # argparse reads "-5e-1" or "-inf" after a flag as a flag of its own
-    flags = [a.option_strings[0] for a in build_parser().commands[command]._actions
-             if a.type is float]
+    flags = [f.flag for f in _COMMANDS[command][1] if f.type is float]
     assert len(flags) >= 6
     for flag in flags:
         argv = [*_QUICK[command].split(), flag, value]  # the last one given wins
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage error
-                code = exc.code
-        assert code in (0, 2, 3) and "usage:" not in err.getvalue(), (argv, err.getvalue())
+            code = main(argv)
+        # every refusal of the parser names an "argument"
+        assert code in (0, 2, 3) and "argument" not in err.getvalue(), (argv, err.getvalue())
         assert code == 0 or err.getvalue().count("\n") == 1
 
 
@@ -1552,5 +1637,5 @@ def test_a_negative_exponent_is_the_number_and_an_infinite_budget_is_refused(cap
     assert run_cli(*common, "--rho", "0.5", "--e1", "-inf") == 2
     assert capsys.readouterr().err == "error: e1 must be >= 0, got -inf\n"
     # a number with no flag before it is still an argument left over
-    with pytest.raises(SystemExit):
-        run_cli(*common, "--rho=0.5", "-5e-1")
+    assert run_cli(*common, "--rho=0.5", "-5e-1") == 2
+    assert capsys.readouterr() == ("", "error: unrecognized arguments: -5e-1\n")
