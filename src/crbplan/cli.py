@@ -28,7 +28,7 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -490,8 +490,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Flag(NamedTuple):
-    """A row of a command's flag table, in the terms of ``add_argument``."""
+@dataclass
+class _Flag:
+    """A row of a command's flag table, in the terms of ``add_argument``;
+    ``dest``, its Namespace attribute, is the flag's name with underscores."""
 
     flag: str
     type: Callable = str
@@ -500,24 +502,21 @@ class _Flag(NamedTuple):
     required: bool = False
     help: str | None = None
 
-    @property
-    def dest(self) -> str:
-        return self.flag[2:].replace("-", "_")
+    def __post_init__(self):
+        self.dest = self.flag[2:].replace("-", "_")
 
 
 _SCENARIO_FLAGS = (  # a sweep preset fixes task, setting and target
     _Flag("--task", choices=tuple(t.value for t in Task)),
     _Flag("--setting", choices=tuple(s.value for s in Setting)),
-    _Flag("--target", choices=("mu-x", "mu-y")),
-)
+    _Flag("--target", choices=("mu-x", "mu-y")))
 _COMMON_FLAGS = (
     _Flag("--alpha", float), _Flag("--e1", float, help="sensor budget (use 'inf' for unbounded)"),
     _Flag("--e2", float, help="data-center budget, centralized only"), _Flag("--rho", float),
     _Flag("--var-x", float, default=1.0), _Flag("--var-y", float, default=1.0),
     _Flag("--config", help="JSON object of this command's flags, keys with underscores"),
     _Flag("--out", help="output file (default: stdout)"),
-    _Flag("--format", choices=("csv", "jsonl"), default="csv"),
-)
+    _Flag("--format", choices=("csv", "jsonl"), default="csv"))
 _POLICY_FLAGS = tuple(_Flag("--" + name.replace("_", "-"), float) for name in _P_INDEX)
 #: Each command's help line and flag table, in the order of its Namespace.
 _COMMANDS = {
@@ -532,13 +531,14 @@ _COMMANDS = {
         _Flag("--slots", int, default=1000), _Flag("--reps", int, default=2000),
         _Flag("--trace", help="write one replication's slot trace CSV here"))),
     "sweep": ("emit plot-ready data for a named figure", tuple(  # a preset gives the variances
-        f._replace(default=None) if f.flag.startswith("--var") else f for f in _COMMON_FLAGS
+        replace(f, default=None) if f.flag.startswith("--var") else f for f in _COMMON_FLAGS
     ) + (_Flag("--figure", choices=tuple(sorted(_PRESETS)), required=True),)),
 }
-_HELP = _Flag("-h/--help")
-#: Each command's option strings in argparse's order: the help, then the table.
-_OPTIONS = {name: {"-h": _HELP, "--help": _HELP, **{f.flag: f for f in flags}}
-            for name, (_, flags) in _COMMANDS.items()}
+_HELP = _Flag("-h/--help")  # its option strings, as argparse names it
+#: Each command's option strings in argparse's order (the help, then the
+#: table's), each read as its row and no value, and its Namespace defaults.
+_OPTIONS = {name: ({o: (f, None) for f in (_HELP, *flags) for o in f.flag.split("/")},
+                   {f.dest: f.default for f in flags}) for name, (_, flags) in _COMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -548,8 +548,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of :data:`_COMMANDS`, built once per process for
-    ``-h`` and for a line with no known command."""
+    """The argparse parser of :data:`_COMMANDS`, built once, for ``-h`` and unknown commands."""
     parser = _Parser(prog="crbplan", description="Plan, bound, and simulate two-sensor correlated "
                      "Gaussian sampling under resource budgets.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -565,17 +564,19 @@ def _option(options: dict, token: str):
     """``token`` as argparse reads it: None for a value, a negative number
     in any notation too, else its flag's row (None if unknown) and the value
     after its ``=`` or a short flag's letters.  A prefix of two flags raises."""
+    if token in options:
+        return options[token]
     if token[:1] != "-" or token == "-":
         return None
     name, eq, value = token.partition("=")
     if name in options:
-        return options[name], value if eq else None
+        return options[name][0], value if eq else None
     long = token[1] == "-"
     matches = [o for o in options if (o.startswith(name) if long else o == token[:2])]
     if len(matches) > 1:
         raise _ConfigError(f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
-        return options[matches[0]], (value if eq else None) if long else token[2:]
+        return options[matches[0]][0], (value if eq else None) if long else token[2:]
     try:
         float(token)
     except ValueError:
@@ -591,10 +592,10 @@ def _parse(argv) -> argparse.Namespace:
     refusal raises :class:`_ConfigError` with argparse's message."""
     if not argv or argv[0] not in _COMMANDS:  # -h, or a missing or unknown command
         return build_parser().parse_args(argv)
-    flags, options, tokens = _COMMANDS[argv[0]][1], _OPTIONS[argv[0]], argv[1:]
+    (options, defaults), tokens = _OPTIONS[argv[0]], argv[1:]
     end = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_option(options, token) for token in tokens[:end]]
-    values, extras, i = {f.dest: f.default for f in flags}, [], 0
+    kinds = [_option(options, token) if token[:1] == "-" else None for token in tokens[:end]]
+    values, extras, i = dict(defaults), [], 0
     while i < end:
         kind, i = kinds[i], i + 1
         if kind is None or kind[0] is None:  # a value no flag took, or an unknown flag
@@ -616,7 +617,7 @@ def _parse(argv) -> argparse.Namespace:
             raise _ConfigError(f"argument {flag.flag}: invalid choice: {value!r} "
                                f"(choose from {', '.join(map(repr, flag.choices))})")
         values[flag.dest] = value
-    missing = [f.flag for f in flags if f.required and values[f.dest] is None]
+    missing = [f.flag for f in _COMMANDS[argv[0]][1] if f.required and values[f.dest] is None]
     if missing:
         raise _ConfigError(f"the following arguments are required: {', '.join(missing)}")
     if extras or end < len(tokens):  # argparse leaves "--" and all after it over

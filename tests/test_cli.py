@@ -1190,7 +1190,8 @@ def _accepted_line(draw):
     chosen = draw(st.permutations(chosen + draw(st.lists(st.sampled_from(flags), max_size=4))))
     line, reference = [command], [command]
     for flag in chosen:
-        name, value = draw(st.sampled_from(_unique_prefixes(command, flag.flag))), draw(_flag_value(flag))
+        name = draw(st.sampled_from(_unique_prefixes(command, flag.flag)))
+        value = draw(_flag_value(flag))
         if draw(st.booleans()):
             line += [name, value]
             reference += [f"{name}={value}"] if value.startswith("-") else [name, value]
