@@ -183,7 +183,7 @@ def _evaluate(scenario: Scenario, model: ObservationModel, p: dict, dependent: s
     (arrays of ``p_x``, ``p_y``, ``p_xy``) as arrays, and its bound and
     feasibility as lists of Python floats and bools, at correlations ``rho``
     and budgets ``alpha``, ``e1``, ``e2`` where a sweep or a preset's curves
-    give them per row.  The constraint systems are priced once, here.
+    give them per row.  The constraint systems are priced and scaled once, here.
 
     The ``dependent`` component, if named, is the largest that the row's
     system allows with the other two held: one masked ``fmin`` over its rows
@@ -197,9 +197,9 @@ def _evaluate(scenario: Scenario, model: ObservationModel, p: dict, dependent: s
     Raises:
         BoundOverflow: at the first valid row whose bound overflows.
     """
-    budget = {**vars(scenario.budget), **budget}
-    c, b = strategy._stack(strategy._family(scenario), budget["alpha"], budget["e1"], budget["e2"])
+    alpha, e1, e2 = (budget.get(k, getattr(scenario.budget, k)) for k in ("alpha", "e1", "e2"))
     with np.errstate(all="ignore"):  # far-off values overflow a load; inf + -inf is nan
+        c, b = strategy._equilibrated(*strategy._stack(strategy._family(scenario), alpha, e1, e2))
         if dependent is not None:
             i = _P_INDEX[dependent]
             j, k = (_P_INDEX[n] for n in _P_INDEX if n != dependent)

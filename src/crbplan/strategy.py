@@ -2,12 +2,13 @@
 
 Each scenario induces a small linear constraint set over the slot-type
 probabilities (p_x, p_y, p_xy): the simplex, nonnegativity, per-sensor
-budgets, and (centralized only) a data-center budget; every row holds by the
-one scale-free rule of ``fisher._limit``.  :data:`COST_TABLE` is the one cost
-model and each actor's budget row its one price: each scenario keeps one
-system (:attr:`Scenario.constraints`), and the simulator's ledger, audit and
-trace read its charged rows (:attr:`LinearConstraintSet.charged`).  An
-observation costs 1 unit; each transmission or reception costs ``alpha``.
+budgets, and (centralized only) a data-center budget; every row, scaled by
+:func:`_equilibrated`, holds by the one rule of ``fisher._limit``.
+:data:`COST_TABLE` is the one cost model and each actor's budget row its one
+price: each scenario keeps one system (:attr:`Scenario.constraints`), and the
+simulator's ledger, audit and trace read its charged rows
+(:attr:`LinearConstraintSet.charged`).  An observation costs 1 unit; each
+transmission or reception costs ``alpha``.
 
 Two planners cover the objective shapes:
 
@@ -45,8 +46,6 @@ from .model import ObservationModel
 _SAME_REL = 1e-9
 #: Objective values this close, relative to the best, tie.
 _TIE_REL = 1e-12
-#: The vertex solve rescales a row whose coefficients are all below this.
-_TINY = 2.0**-960
 
 
 class Setting(Enum):
@@ -160,14 +159,21 @@ class LinearConstraintSet:
         rows = {row.name: row for row in self.rows}
         return MappingProxyType({a: rows[n] for a, (n, _) in _BUDGET_ROWS.items() if n in rows})
 
+    @cached_property
+    def _scaled(self):
+        """Each row's name, coefficients and bound, :func:`_equilibrated`."""
+        with np.errstate(over="ignore"):  # a bound past every float is inf
+            c, b = _equilibrated(np.array([r.coeffs for r in self.rows]).reshape(-1, 3),
+                                 np.array([r.bound for r in self.rows], dtype=float))
+        return tuple(zip([r.name for r in self.rows], c.tolist(), b.tolist()))
+
     def violations(self, policy: SamplingPolicy) -> list[str]:
         p_x, p_y, p_xy = policy.as_tuple()
         broken = []
-        for row in self.rows:  # |c_i p_i| is |c_i| |p_i| exactly: _feasible bit for bit
-            c_x, c_y, c_xy = row.coeffs
-            t_x, t_y, t_xy = c_x * p_x, c_y * p_y, c_xy * p_xy
-            if not t_x + t_y + t_xy <= _limit(row.bound, abs(t_x) + abs(t_y) + abs(t_xy)):
-                broken.append(row.name)
+        for name, (c_x, c_y, c_xy), bound in self._scaled:  # _feasible bit for bit, as
+            t_x, t_y, t_xy = c_x * p_x, c_y * p_y, c_xy * p_xy  # |c_i p_i| is |c_i| |p_i|
+            if not t_x + t_y + t_xy <= _limit(bound, abs(t_x) + abs(t_y) + abs(t_xy)):
+                broken.append(name)
         return broken
 
     def is_feasible(self, policy: SamplingPolicy) -> bool:
@@ -254,6 +260,16 @@ def _stack(family: str, alpha, e1, e2):
     return obs + alpha[..., None] * comm, np.where(on_e1, e1, np.where(on_e2, e2, fixed))
 
 
+def _equilibrated(c, b):
+    """The rows ``c`` (..., k, 3), ``b`` (..., k) that the vertex solve and every
+    feasibility test read: each scaled up, exactly, by the power of two that
+    puts its largest |coefficient| in [1, 2), so no product underflows at any
+    alpha.  A bound pushed past every float becomes ``inf``, an unbounded row."""
+    x, y, xy = _columns(np.abs(c))  # maxima over columns, not along the short last axis
+    shift = np.maximum(1 - np.frexp(np.maximum(np.maximum(x, y), xy))[1], 0)
+    return np.ldexp(c, shift[..., None]), np.ldexp(b, shift)
+
+
 def constraints_for(scenario: Scenario) -> LinearConstraintSet:
     """The scenario's constraint system, which it keeps: :attr:`Scenario.constraints`."""
     return scenario.constraints
@@ -337,15 +353,15 @@ def _same(a, b) -> bool:
 def _feasible(points, c, b):
     """``points`` (..., m, 3) with negative coordinates clipped to 0, and the
     mask of those that satisfy every row of their entry's system ``c`` (...,
-    k, 3), ``b`` (..., k): the one array feasibility test, which the planners
-    and the CLI's ``bounds``/``sweep`` share.  Clipping raises a budget row's
-    load, so it comes before the test, which then holds for the policy
-    actually returned.  A clipped point meets the three nonnegativity rows,
-    which come first in every system, and on the rows after them ``c >= 0``,
-    so ``|c|.|p|`` is ``c.p`` and only those rows are tested.  For finite
-    components those three rows hold under :func:`_limit` exactly where ``p
-    >= 0``, at -0.0 too: a caller that keeps ``p`` unclipped ANDs in
-    ``policy_mask``, which tests them."""
+    k, 3), ``b`` (..., k), :func:`_equilibrated`: the one array feasibility
+    test, which the planners and the CLI's ``bounds``/``sweep`` share.
+    Clipping raises a budget row's load, so it comes before the test, which
+    then holds for the policy actually returned.  A clipped point meets the
+    three nonnegativity rows, which come first in every system, and on the
+    rows after them ``c >= 0``, so ``|c|.|p|`` is ``c.p`` and only those rows
+    are tested.  For finite components those three rows hold under
+    :func:`_limit` exactly where ``p >= 0``, at -0.0 too: a caller that keeps
+    ``p`` unclipped ANDs in ``policy_mask``, which tests them."""
     points = np.maximum(points, 0.0)
     load = _load(_columns(c[..., None, 3:, :]), *_columns(points[..., None, :]))
     holds = (load <= _limit(b[..., None, 3:], load)).all(axis=-1)
@@ -397,28 +413,18 @@ def _pairs(v: int):
     return np.triu_indices(v, 1)
 
 
-def _vertices(c, b, tiny: bool):
+def _vertices(c, b):
     """Each system's distinct feasible vertices, (n, v, 3) and nan-padded,
-    of ``c`` (n, k, 3) and ``b`` (n, k).
+    of ``c`` (n, k, 3) and ``b`` (n, k), :func:`_equilibrated`.
 
     Intersects every triple of finite-bound row planes with a nonzero LU
     determinant in one batched solve, with no cut-off: a nearly singular
     triple's point stays only if it is feasible, and then it is a harmless
     extra candidate.  A coordinate that a triple's nonnegativity row sets to
     0 is exactly 0, not the solve's residue.  Of the copies of a vertex, the
-    first stays.  Only the data-center row's coefficients can be below
-    ``_TINY``, and only when alpha is (``tiny``): the determinants that use
-    it would underflow, so the solve scales it and its bound by one exact
-    power of two (a bound past every float becomes ``inf``, an unbounded
-    row), and the feasibility test reads the given rows.
-    """
-    lhs, rhs = c, b
-    if tiny:
-        top = np.abs(c).max(axis=-1)
-        shift = np.where(top < _TINY, -np.frexp(top)[1], 0)
-        lhs, rhs = np.ldexp(c, shift[..., None]), np.ldexp(b, shift)
+    first stays."""
     triples, pinned = _triples(b.shape[-1])
-    lhs, rhs = lhs[:, triples], rhs[:, triples]
+    lhs, rhs = c[:, triples], b[:, triples]
     points = np.full(rhs.shape, np.nan)
     # false at nan: an inf and a 0 pivot
     regular = (np.abs(np.linalg.det(lhs)) > 0.0) & np.isfinite(rhs).all(axis=-1)
@@ -430,10 +436,9 @@ def _vertices(c, b, tiny: bool):
 
 def enumerate_vertices(constraints: LinearConstraintSet) -> list[tuple[float, float, float]]:
     """All feasible vertices of a scenario's constraint polytope."""
-    c = np.array([r.coeffs for r in constraints.rows], dtype=float).reshape(1, -1, 3)
-    b = np.array([[r.bound for r in constraints.rows]], dtype=float)
-    with np.errstate(all="ignore"):  # as in plan_stack; no alpha here, so rescale
-        return [tuple(v) for v in _vertices(c, b, True)[0].tolist()]
+    _, c, b = zip(*constraints._scaled)
+    with np.errstate(all="ignore"):  # as in plan_stack
+        return [tuple(v) for v in _vertices(np.array([c]), np.array([b]))[0].tolist()]
 
 
 _NUMERATOR = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])[..., None]
@@ -557,12 +562,10 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
     systems: dict = {}  # c reads alpha only, b e1 and e2
     which = [systems.setdefault((v.alpha, v.e1, v.e2), len(systems))
              for v in (s.budget for s in scenarios)]
-    tiny = min(alpha for alpha, _, _ in systems) < _TINY
-    # far-off candidates overflow a load and fail, LU divides by subnormal
-    # pivots, and an edge with no root inside reads an inf or nan t
+    # scaled bounds and far-off loads overflow; an edge with no root inside reads an inf or nan t
     with np.errstate(all="ignore"):
-        c, b = _stack(family, *np.array(list(systems), float).T)
-        vertices = _vertices(c, b, tiny)
+        c, b = _equilibrated(*_stack(family, *np.array(list(systems), float).T))
+        vertices = _vertices(c, b)
         if len(systems) < len(which):  # each entry's system
             c, b, vertices = c[which], b[which], vertices[which]
         valid = np.isfinite(vertices[..., 0])

@@ -150,6 +150,30 @@ def test_plan_zero_budget_exits_3_like_t3(flags, capsys):
     assert captured.err == _SINGULAR
 
 
+_ZERO_DC = "--setting centralized --alpha 5e-324 --e1 0.537 --e2 0 --rho 0.5"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (f"plan --task t1 {_ZERO_DC}", 3, _SINGULAR),
+    (f"plan --task t3 {_ZERO_DC}", 3, _SINGULAR),
+    (f"simulate --task t1 {_ZERO_DC} --p-y 0.3 --p-xy 0.2 --seed 1", 2,
+     "error: policy violates constraints: ['dc_budget']\n"),
+], ids=["plan_t1", "plan_t3", "simulate"])
+def test_zero_dc_budget_buys_nothing_at_a_subnormal_alpha(argv, code, err, capsys):
+    # unscaled, the data-center load alpha (p_x + p_y + 2 p_xy) rounds to 0
+    # at alpha 5e-324; the solve and every test read the row scaled up
+    assert run_cli(*argv.split()) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_bounds_zero_dc_budget_at_a_subnormal_alpha_spends_nothing(capsys):
+    argv = f"bounds --task t1 {_ZERO_DC} --p-x 0 --sweep p_y --start 0 --stop 0.5 --step 0.25"
+    assert run_cli(*argv.split()) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "p_y,0,inf,true", "p_y,0.25,4,false", "p_y,0.5,2,false",
+    ]
+
+
 def test_plan_t3_subnormal_variance_scales_the_bound(capsys):
     code = run_cli(
         "plan", "--task", "t3", "--setting", "decentralized",
@@ -320,17 +344,22 @@ def test_plan_infinite_alpha_exits_2(setting, capsys):
 
 def _derive_by_rows(cons, fixed, dependent):
     """The dependent component's cap as a loop over the constraint rows: the
-    reference that :func:`_evaluate`'s derived component must equal bit for bit."""
+    reference that :func:`_evaluate`'s derived component must equal bit for bit.
+    Each row is first scaled up, exactly, by the power of two that puts its
+    largest |coefficient| in [1, 2), so no product underflows at a subnormal
+    alpha (a bound pushed past every float reads inf)."""
     idx = ("p_x", "p_y", "p_xy").index(dependent)
     p = [fixed.get(n, 0.0) for n in ("p_x", "p_y", "p_xy")]
     j, k = (n for n in range(3) if n != idx)
     cap = math.inf
     with np.errstate(all="ignore"):
         for row in cons.rows:
-            c = row.coeffs[idx]
-            if c <= 0.0 or math.isinf(row.bound):
+            shift = max(0, 1 - math.frexp(max(map(abs, row.coeffs)))[1])
+            coeffs, bound = np.ldexp(row.coeffs, shift), np.ldexp(row.bound, shift)
+            c = coeffs[idx]
+            if c <= 0.0 or math.isinf(bound):
                 continue
-            residual = row.bound - (0.0 + row.coeffs[j] * p[j] + row.coeffs[k] * p[k])
+            residual = bound - (0.0 + coeffs[j] * p[j] + coeffs[k] * p[k])
             cap = np.where(residual / c < cap, residual / c, cap)
     cap = np.where(cap < 1.0, cap, 1.0)
     return np.where(cap > 0.0, cap, 0.0)
@@ -351,6 +380,10 @@ _E2 = st.one_of(st.floats(0.0, 8.0), st.sampled_from([-0.0, math.inf]))
 @example(  # a row's own budget of -0.0, which no ResourceBudget has turned into 0.0
     task=Task.T1, centralized=False, alpha=2.0, dependent="p_xy",
     rows=[(0.0, 1.0, 0.0), (0.0, -0.0, 0.0)], per_row=True, other=None,
+)
+@example(  # unscaled, the data-center room 0 - 5e-324 * -0.5 rounds to 0; scaled, p_x is 0.5
+    task=Task.T1, centralized=True, alpha=5e-324, dependent="p_x",
+    rows=[(-0.5, 1.0, 0.0)], per_row=False, other=None,
 )
 @given(
     task=st.sampled_from(list(Task)), centralized=st.booleans(),
