@@ -24,6 +24,8 @@ Two planners cover the objective shapes:
   vertices plus its stationary points inside edges suffice.  The solver
   takes a stack of scenarios (:func:`plan_stack`) and the single planners
   are the stack of one.
+  A vertex that several row triples reach counts once, and a t3 budget
+  whose zero rows leave the target no information is refused from them.
 """
 
 from __future__ import annotations
@@ -391,13 +393,13 @@ def _below(m: int):
 def _first_copies(points):
     """Mask of the first copy of each point (..., m, 3); two points are copies
     when they differ by at most ``_SAME_REL`` of the larger one's largest
-    coordinate.  A nan point is a copy of none."""
+    coordinate.  A nan point copies nothing and is no first copy."""
     x, y, xy = _columns(points)  # maxima over columns, not along the short last axis
     size = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.abs(xy))
     gaps = (np.abs(c[..., :, None] - c[..., None, :]) for c in (x, y, xy))
     gap = functools.reduce(np.maximum, gaps)
     same = gap <= _SAME_REL * np.maximum(size[..., :, None], size[..., None, :])
-    return ~(same & _below(points.shape[-2])).any(axis=-1)
+    return ~(same & _below(points.shape[-2])).any(axis=-1) & np.isfinite(x)
 
 
 @functools.cache
@@ -414,15 +416,15 @@ def _pairs(v: int):
 
 
 def _vertices(c, b):
-    """Each system's distinct feasible vertices, (n, v, 3) and nan-padded,
-    of ``c`` (n, k, 3) and ``b`` (n, k), :func:`_equilibrated`.
+    """Each system's feasible LU points, (n, m, 3) and nan-padded, of ``c``
+    (n, k, 3) and ``b`` (n, k), :func:`_equilibrated`.
 
     Intersects every triple of finite-bound row planes with a nonzero LU
     determinant in one batched solve, with no cut-off: a nearly singular
     triple's point stays only if it is feasible, and then it is a harmless
     extra candidate.  A coordinate that a triple's nonnegativity row sets to
-    0 is exactly 0, not the solve's residue.  Of the copies of a vertex, the
-    first stays."""
+    0 is exactly 0, not the solve's residue.  A vertex that several triples
+    reach is listed once per triple (:func:`_first_copies` finds the first)."""
     triples, pinned = _triples(b.shape[-1])
     lhs, rhs = c[:, triples], b[:, triples]
     points = np.full(rhs.shape, np.nan)
@@ -430,15 +432,15 @@ def _vertices(c, b):
     regular = (np.abs(np.linalg.det(lhs)) > 0.0) & np.isfinite(rhs).all(axis=-1)
     points[regular] = np.linalg.solve(lhs[regular], rhs[regular][..., None])[..., 0]
     points = np.where(pinned, 0.0, points)  # exactly, where LU leaves residue
-    vertices = _compact(*_feasible(points, c, b))
-    return _compact(vertices, _first_copies(vertices) & np.isfinite(vertices[..., 0]))
+    return _compact(*_feasible(points, c, b))
 
 
 def enumerate_vertices(constraints: LinearConstraintSet) -> list[tuple[float, float, float]]:
-    """All feasible vertices of a scenario's constraint polytope."""
+    """All distinct feasible vertices of a scenario's constraint polytope."""
     _, c, b = zip(*constraints._scaled)
     with np.errstate(all="ignore"):  # as in plan_stack
-        return [tuple(v) for v in _vertices(np.array([c]), np.array([b]))[0].tolist()]
+        points = _vertices(np.array([c]), np.array([b]))
+    return [tuple(v) for v in _compact(points, _first_copies(points))[0].tolist()]
 
 
 _NUMERATOR = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])[..., None]
@@ -489,6 +491,13 @@ def _t3_edge_points(vertices, rho, on_x: bool):
 _SINGULAR_EVERYWHERE = "target bound is infinite over the entire feasible region"
 
 
+def _starved(c, b, on_x: bool) -> bool:
+    """Whether rows ``c`` (k, 3), ``b`` (k,) of bound 0 charge the target's own
+    marginal kind and the joint kind: then no policy carries information."""
+    charged = ((c > 0.0) & (b[:, None] <= 0.0)).any(axis=0)
+    return bool(charged[0 if on_x else 1] and charged[2])
+
+
 def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
     """For each scenario of a stack, the best of its ``valid`` ``candidates``
     (n, m, 3), feasible policies that include an optimum.
@@ -498,13 +507,13 @@ def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
     policies do not depend on the variances.  Information values within
     ``_TIE_REL`` of the best tie (``tie`` says whether distinct candidates
     do), and the tie goes to the smallest ``p_xy`` (the fewest communicated
-    samples), then ``p_x``, then ``p_y``.  ``_feasible`` has vetted every candidate, so the
-    pick only snaps onto [0, 1] and the simplex.  Where no candidate carries
-    information but an exact solution of the scenario's rows ``c``, ``b``
-    does, its bound overflows: the budget is too small for any policy to
-    round to.
-
-    A scenario where no policy carries information gets ``crb=inf``.
+    samples), then ``p_x``, then ``p_y``.  ``_feasible`` has vetted every
+    candidate, so the pick only snaps onto [0, 1] and the simplex.  Where no
+    candidate carries information, ``crb=inf`` if the rows ``c``, ``b`` are
+    :func:`_starved`.  t1/t2 candidates are all LU points: only a band below
+    the best is deduplicated, wide enough for a chain of ``m`` copies (each
+    moves a coordinate, at most about 1, by ``_SAME_REL``) of the best first
+    copy and of its ties.  t3 candidates are distinct vertices and edge points.
 
     Raises:
         BoundOverflow: at the first scenario where some policy carries
@@ -515,25 +524,32 @@ def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
     method = Method.FACE_ENUM if t3 else Method.VERTEX_ENUM
     info = information(*_columns(candidates), rho, on_x, not t3)
     values = np.where(info > 0.0, -info, math.inf)
-    best = np.fmin.reduce(values, axis=-1, where=valid, initial=math.inf)
-    near = _compact(candidates, (values <= (best + _TIE_REL * np.abs(best))[:, None]) & valid)
-    distinct = np.isfinite(near[..., 0])  # the vertices are distinct first copies
-    if t3 and near.shape[1] > 1:  # an edge point can copy a vertex
-        distinct &= _first_copies(near)
+    best = np.fmin.reduce(values, axis=-1, where=valid, initial=math.inf)[:, None]
+    # twice what m copies and the tie span: a t1/t2 copy moves p_y + p_xy / (1 - rho^2)
+    # by < 2 _SAME_REL / (1 - rho^2); -info, as a point without information can copy
+    band = _TIE_REL * np.abs(best) if t3 else (
+        4.0 * (candidates.shape[1] * _SAME_REL + _TIE_REL) / (1.0 - rho * rho))
+    near = _compact(candidates, (-info <= best + band) & valid)
+    distinct = _first_copies(near) if near.shape[1] > 1 else np.isfinite(near[..., 0])
     ties = distinct.sum(axis=-1) > 1
+    if not t3 and ties.any():  # distinct vertices near the best: the best of them, its ties
+        info = information(*_columns(near), rho, on_x, True)
+        values = np.where(info > 0.0, -info, math.inf)
+        best = np.fmin.reduce(values, axis=-1, where=distinct, initial=math.inf)[:, None]
+        distinct &= values <= best + _TIE_REL * np.abs(best)
+        ties = distinct.sum(axis=-1) > 1
+    if not t3 and near.shape[1] > 1:  # no copy is picked
+        near = np.where(distinct[..., None], near, np.nan)
     # the first of the least (p_xy, p_x, p_y), per scenario; nan padding sorts last
     x, y, xy = _columns(near)
     picks = near[np.arange(len(near)), np.lexsort((y, x, xy), axis=-1)[:, 0]]
     results = []
     for k, (scenario, model, pick) in enumerate(zip(scenarios, models, picks.tolist())):
-        if best[k] == math.inf:  # no candidate carries information
-            # a target's own marginal or the joint share can be positive
-            # unless a zero-bound row charges it
-            free = ~((c[k] > 0.0) & (b[k][:, None] <= 0.0)).any(axis=0)
-            if free[0 if on_x else 1] or free[2]:
-                raise BoundOverflow(TOO_SMALL)
         policy = SamplingPolicy.clamped(*pick)
         objective = crb(scenario.task, scenario.target, policy, model)
+        # the pick ties the best, so it informs iff some candidate does
+        if objective == math.inf and not _starved(c[k], b[k], on_x):
+            raise BoundOverflow(TOO_SMALL)
         results.append(PlanResult(policy, objective, method, bool(ties[k])))
     return results
 
@@ -551,10 +567,14 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
     ranking read rho, so they run per scenario.
 
     Raises:
-        InvalidScenario: the scenarios mix cost families, planners or targets.
+        InvalidScenario: unpaired models, or mixed cost families, planners or targets.
         BoundOverflow: as the single planners, for the first scenario where
             it applies.
     """
+    if len(scenarios) != len(models):
+        raise InvalidScenario(f"a plan stack needs one model per scenario, got {len(models)}")
+    if not scenarios:
+        return []
     key = [(_family(s), s.task is Task.T3, s.target) for s in scenarios]
     if key.count(key[0]) < len(key):
         raise InvalidScenario("a plan stack needs one cost family, planner and target")
@@ -566,6 +586,8 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
     with np.errstate(all="ignore"):
         c, b = _equilibrated(*_stack(family, *np.array(list(systems), float).T))
         vertices = _vertices(c, b)
+        if t3:  # edge points pair every two vertices: one copy of each
+            vertices = _compact(vertices, _first_copies(vertices))
         if len(systems) < len(which):  # each entry's system
             c, b, vertices = c[which], b[which], vertices[which]
         valid = np.isfinite(vertices[..., 0])
@@ -592,7 +614,8 @@ def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
 
     The bound is matrix-fractional in an information matrix affine in the
     policy, hence convex: the best vertex or stationary point inside an edge
-    (:func:`_t3_edge_points`) is optimal.
+    (:func:`_t3_edge_points`) is optimal.  A budget whose zero rows starve
+    the target (:func:`_starved`) is refused from its rows, unenumerated.
 
     Raises:
         SingularEverywhere: no policy carries information (e.g. a zero budget).
@@ -600,6 +623,11 @@ def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
     """
     if scenario.task is not Task.T3:
         raise InvalidScenario("plan_t3 handles task t3 only")
+    if 0.0 in (scenario.budget.e1, scenario.budget.e2):  # only budget rows charge the joint kind
+        _, c, b = zip(*scenario.constraints._scaled)
+        # where even the least positive share costs something in floats, a zero bound admits none
+        if _starved(np.array(c) * math.ulp(0.0), np.array(b), scenario.target is Target.MU_X):
+            raise SingularEverywhere(_SINGULAR_EVERYWHERE)
     result = plan_stack([scenario], [model])[0]
     if math.isinf(result.objective_value):
         raise SingularEverywhere(_SINGULAR_EVERYWHERE)

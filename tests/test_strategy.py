@@ -545,6 +545,21 @@ def test_plan_linear_centralized_large_budgets():
     assert result.policy.p_xy == pytest.approx(1.0)
 
 
+def test_plan_linear_returns_a_degenerate_vertex_exactly_once():
+    # (0, 0, 1) lies on five rows, so several row triples reach it, two of
+    # them with LU residue: (0, 5.55e-17, 1) and (1.1e-16, 1.1e-16,
+    # 0.9999999999999999); the plan is the first, exact copy, and its copies
+    # are no tie
+    scenario = cen(Task.T1, 2, 3, math.inf)
+    _, c, b = zip(*constraints_for(scenario)._scaled)
+    with np.errstate(all="ignore"):  # as plan_stack runs it
+        points = _vertices(np.array([c]), np.array([b]))[0]
+    assert np.isfinite(points).all() and len(points) == 15
+    assert len(enumerate_vertices(constraints_for(scenario))) == 4
+    result = plan_linear(scenario, model(0.9))
+    assert result.policy.as_tuple() == (0.0, 0.0, 1.0) and not result.tie
+
+
 def test_plan_linear_centralized_dc_bound():
     result = plan_linear(cen(Task.T1, 2, 10, 1), model(0.9))
     assert result.policy.p_xy == pytest.approx(0.25, abs=1e-9)
@@ -914,6 +929,17 @@ def test_plan_stack_equals_the_single_planners_bit_for_bit(task, setting):
             compared += len(scenarios)
             shared += len(scenarios) - len({s.budget for s in scenarios})
     assert compared > 100 and shared > 30
+
+
+def test_plan_stack_of_nothing_is_empty():
+    assert plan_stack([], []) == []
+
+
+def test_plan_stack_refuses_unpaired_models():
+    scenario, unpaired = cen(Task.T1, 2, 1, 1), "^a plan stack needs one model per scenario"
+    for scenarios, models in (([scenario] * 2, [model(0.5)]), ([scenario], [model(0.5)] * 2)):
+        with pytest.raises(InvalidScenario, match=unpaired):
+            plan_stack(scenarios, models)
 
 
 def test_plan_stack_rejects_mixed_stacks():
