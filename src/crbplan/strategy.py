@@ -510,7 +510,7 @@ def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
     samples), then ``p_x``, then ``p_y``.  ``_feasible`` has vetted every
     candidate, so the pick only snaps onto [0, 1] and the simplex.  Where no
     candidate carries information, ``crb=inf`` if the rows ``c``, ``b`` are
-    :func:`_starved`.  t1/t2 candidates are all LU points: only a band below
+    :func:`_starved`.  t1/t2 candidates can hold LU copies: only a band below
     the best is deduplicated, wide enough for a chain of ``m`` copies (each
     moves a coordinate, at most about 1, by ``_SAME_REL``) of the best first
     copy and of its ties.  t3 candidates are distinct vertices and edge points.
@@ -586,7 +586,8 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
     with np.errstate(all="ignore"):
         c, b = _equilibrated(*_stack(family, *np.array(list(systems), float).T))
         vertices = _vertices(c, b)
-        if t3:  # edge points pair every two vertices: one copy of each
+        # one copy of each vertex: t3 pairs them all, and a shared system pays once
+        if t3 or len(systems) < len(which):
             vertices = _compact(vertices, _first_copies(vertices))
         if len(systems) < len(which):  # each entry's system
             c, b, vertices = c[which], b[which], vertices[which]
