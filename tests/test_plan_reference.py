@@ -98,6 +98,7 @@ def _reference_solve(scenarios, models, c, b, candidates, valid):
 
 
 def _reference_stack(scenarios, models):
+    """``plan_stack`` on each system's distinct vertices."""
     family, t3, target = _family(scenarios[0]), scenarios[0].task is Task.T3, scenarios[0].target
     systems: dict = {}
     which = [systems.setdefault((v.alpha, v.e1, v.e2), len(systems))
@@ -116,6 +117,7 @@ def _reference_stack(scenarios, models):
 
 
 def _reference_plan(scenario, model):
+    """``plan``, and ``plan_t3``, refusing a budget only after enumerating it."""
     if scenario.task is not Task.T3 and scenario.setting is Setting.DECENTRALIZED:
         budget = scenario.budget
         result = plan_t1_closed_form(budget.alpha, budget.e1, model)
