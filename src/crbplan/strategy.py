@@ -24,8 +24,8 @@ Two planners cover the objective shapes:
   vertices plus its stationary points inside edges suffice.  The solver
   takes a stack of scenarios (:func:`plan_stack`) and the single planners
   are the stack of one.
-  A vertex that several row triples reach counts once, and a t3 budget
-  whose zero rows leave the target no information is refused from them.
+  A vertex that several row triples reach counts once, and a budget whose
+  zero rows leave the target no information is answered from them, for every planner.
 """
 
 from __future__ import annotations
@@ -491,16 +491,17 @@ def _t3_edge_points(vertices, rho, on_x: bool):
 _SINGULAR_EVERYWHERE = "target bound is infinite over the entire feasible region"
 
 
-def _starved(c, b, on_x: bool) -> bool:
-    """Whether rows ``c`` (k, 3), ``b`` (k,) of bound 0 charge the target's own
-    marginal kind and the joint kind: then no policy carries information."""
-    charged = ((c > 0.0) & (b[:, None] <= 0.0)).any(axis=0)
-    return bool(charged[0 if on_x else 1] and charged[2])
+def _starved(c, b, on_x: bool):
+    """Mask (n,) of the systems ``c`` (n, k, 3), ``b`` (n, k) whose rows of bound 0
+    charge the target's own marginal kind and the joint kind: none informs."""
+    charged = ((c > 0.0) & (b[..., None] <= 0.0)).any(axis=-2)
+    return charged[:, 0 if on_x else 1] & charged[:, 2]
 
 
-def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
-    """For each scenario of a stack, the best of its ``valid`` ``candidates``
-    (n, m, 3), feasible policies that include an optimum.
+def _solve(scenarios, models, method, candidates, valid, starved) -> list[PlanResult]:
+    """For each scenario of a stack, planned by ``method``, the best of its
+    ``valid`` ``candidates`` (n, m, 3), feasible policies that include an
+    optimum, or the zero policy at ``crb=inf`` where ``starved`` (a list).
 
     Every candidate is ranked by its standardized :func:`information` about
     the target: it does not overflow where the bound does, and optimal
@@ -508,20 +509,18 @@ def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
     ``_TIE_REL`` of the best tie (``tie`` says whether distinct candidates
     do), and the tie goes to the smallest ``p_xy`` (the fewest communicated
     samples), then ``p_x``, then ``p_y``.  ``_feasible`` has vetted every
-    candidate, so the pick only snaps onto [0, 1] and the simplex.  Where no
-    candidate carries information, ``crb=inf`` if the rows ``c``, ``b`` are
-    :func:`_starved`.  t1/t2 candidates can hold LU copies: only a band below
-    the best is deduplicated, wide enough for a chain of ``m`` copies (each
-    moves a coordinate, at most about 1, by ``_SAME_REL``) of the best first
-    copy and of its ties.  t3 candidates are distinct vertices and edge points.
+    candidate, so the pick only snaps onto [0, 1] and the simplex.  t1/t2
+    candidates can hold LU copies: only a band below the best is
+    deduplicated, wide enough for a chain of ``m`` copies (each moves a
+    coordinate, at most about 1, by ``_SAME_REL``) of the best first copy and
+    of its ties.  t3 candidates are distinct vertices and edge points.
 
     Raises:
-        BoundOverflow: at the first scenario where some policy carries
-            information but the best policy's bound overflows.
+        BoundOverflow: at the first entry that is not starved, where the best
+            policy carries no information or its bound overflows.
     """
-    first, rho = scenarios[0], np.array([[m.rho] for m in models])
-    t3, on_x = first.task is Task.T3, first.target is Target.MU_X
-    method = Method.FACE_ENUM if t3 else Method.VERTEX_ENUM
+    rho = np.array([[m.rho] for m in models])
+    t3, on_x = method is Method.FACE_ENUM, scenarios[0].target is Target.MU_X
     info = information(*_columns(candidates), rho, on_x, not t3)
     values = np.where(info > 0.0, -info, math.inf)
     best = np.fmin.reduce(values, axis=-1, where=valid, initial=math.inf)[:, None]
@@ -545,12 +544,11 @@ def _solve(scenarios, models, c, b, candidates, valid) -> list[PlanResult]:
     picks = near[np.arange(len(near)), np.lexsort((y, x, xy), axis=-1)[:, 0]]
     results = []
     for k, (scenario, model, pick) in enumerate(zip(scenarios, models, picks.tolist())):
-        policy = SamplingPolicy.clamped(*pick)
+        policy = SamplingPolicy() if starved[k] else SamplingPolicy.clamped(*pick)
         objective = crb(scenario.task, scenario.target, policy, model)
-        # the pick ties the best, so it informs iff some candidate does
-        if objective == math.inf and not _starved(c[k], b[k], on_x):
+        if objective == math.inf and not starved[k]:  # the pick ties the best: none informs
             raise BoundOverflow(TOO_SMALL)
-        results.append(PlanResult(policy, objective, method, bool(ties[k])))
+        results.append(PlanResult(policy, objective, method, bool(ties[k]) and not starved[k]))
     return results
 
 
@@ -564,12 +562,13 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
     Each distinct constraint system, a budget ``(alpha, e1, e2)``, is built
     and its vertices found once: each system's solve is independent of the
     rest of its batch, so sharing changes no bit.  Edge points and the
-    ranking read rho, so they run per scenario.
+    ranking read rho, so they run per scenario.  Where some budget is 0, a
+    :func:`_starved` system reads the zero policy at ``crb=inf``, unranked,
+    and a stack of them alone is answered before any vertex is solved.
 
     Raises:
         InvalidScenario: unpaired models, or mixed cost families, planners or targets.
-        BoundOverflow: as the single planners, for the first scenario where
-            it applies.
+        BoundOverflow: as the single planners, at the first scenario it applies to.
     """
     if len(scenarios) != len(models):
         raise InvalidScenario(f"a plan stack needs one model per scenario, got {len(models)}")
@@ -579,27 +578,33 @@ def plan_stack(scenarios, models) -> list[PlanResult]:
     if key.count(key[0]) < len(key):
         raise InvalidScenario("a plan stack needs one cost family, planner and target")
     (family, t3, target) = key[0]
+    method = Method.FACE_ENUM if t3 else Method.VERTEX_ENUM
     systems: dict = {}  # c reads alpha only, b e1 and e2
     which = [systems.setdefault((v.alpha, v.e1, v.e2), len(systems))
              for v in (s.budget for s in scenarios)]
+    c, b = _stack(family, *np.array(list(systems), float).T)
+    starved = [False] * len(which)
+    if any(0.0 in v[1:] for v in systems):  # only budget rows charge the joint kind
+        starved = _starved(c, b, target is Target.MU_X)[which].tolist()
+        if all(starved):
+            return [PlanResult(SamplingPolicy(), math.inf, method, False)] * len(which)
     # scaled bounds and far-off loads overflow; an edge with no root inside reads an inf or nan t
     with np.errstate(all="ignore"):
-        c, b = _equilibrated(*_stack(family, *np.array(list(systems), float).T))
-        vertices = _vertices(c, b)
+        vertices = _vertices(*_equilibrated(c, b))
         # one copy of each vertex: t3 pairs them all, and a shared system pays once
         if t3 or len(systems) < len(which):
             vertices = _compact(vertices, _first_copies(vertices))
         if len(systems) < len(which):  # each entry's system
-            c, b, vertices = c[which], b[which], vertices[which]
+            vertices = vertices[which]
         valid = np.isfinite(vertices[..., 0])
         if not t3:
-            return _solve(scenarios, models, c, b, vertices, valid)
+            return _solve(scenarios, models, method, vertices, valid, starved)
         rho = np.array([m.rho for m in models])
         # inside a segment between feasible vertices: feasible, and >= 0 as it rounds
         edges = _t3_edge_points(vertices, rho, target is Target.MU_X)
         candidates = np.concatenate([vertices, edges], axis=1)
         valid = np.concatenate([valid, np.isfinite(edges[..., 0])], axis=1)
-        return _solve(scenarios, models, c, b, candidates, valid)
+        return _solve(scenarios, models, method, candidates, valid, starved)
 
 
 def plan_linear(scenario: Scenario, model: ObservationModel) -> PlanResult:
@@ -615,8 +620,7 @@ def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
 
     The bound is matrix-fractional in an information matrix affine in the
     policy, hence convex: the best vertex or stationary point inside an edge
-    (:func:`_t3_edge_points`) is optimal.  A budget whose zero rows starve
-    the target (:func:`_starved`) is refused from its rows, unenumerated.
+    (:func:`_t3_edge_points`) is optimal.
 
     Raises:
         SingularEverywhere: no policy carries information (e.g. a zero budget).
@@ -624,11 +628,6 @@ def plan_t3(scenario: Scenario, model: ObservationModel) -> PlanResult:
     """
     if scenario.task is not Task.T3:
         raise InvalidScenario("plan_t3 handles task t3 only")
-    if 0.0 in (scenario.budget.e1, scenario.budget.e2):  # only budget rows charge the joint kind
-        _, c, b = zip(*scenario.constraints._scaled)
-        # where even the least positive share costs something in floats, a zero bound admits none
-        if _starved(np.array(c) * math.ulp(0.0), np.array(b), scenario.target is Target.MU_X):
-            raise SingularEverywhere(_SINGULAR_EVERYWHERE)
     result = plan_stack([scenario], [model])[0]
     if math.isinf(result.objective_value):
         raise SingularEverywhere(_SINGULAR_EVERYWHERE)

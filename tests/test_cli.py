@@ -158,10 +158,16 @@ _ZERO_DC = "--setting centralized --alpha 5e-324 --e1 0.537 --e2 0 --rho 0.5"
     (f"plan --task t3 {_ZERO_DC}", 3, _SINGULAR),
     (f"simulate --task t1 {_ZERO_DC} --p-y 0.3 --p-xy 0.2 --seed 1", 2,
      "error: policy violates constraints: ['dc_budget']\n"),
-], ids=["plan_t1", "plan_t3", "simulate"])
+    ("plan --task t3 --setting centralized --alpha 5e-324 --e1 5e-324 --e2 0 --rho 0.5", 3,
+     _SINGULAR),
+    ("plan --task t1 --setting centralized --alpha 0.25 --e1 5e-324 --e2 0 --rho 0.5", 3,
+     _SINGULAR),
+], ids=["plan_t1", "plan_t3", "simulate", "plan_t3_half_row", "plan_t1_half_row"])
 def test_zero_dc_budget_buys_nothing_at_a_subnormal_alpha(argv, code, err, capsys):
     # unscaled, the data-center load alpha (p_x + p_y + 2 p_xy) rounds to 0
-    # at alpha 5e-324; the solve and every test read the row scaled up
+    # at alpha 5e-324; the solve and every test read the row scaled up.  A
+    # row scaled to (0.5, 0.5, 1) prices a share of 5e-324 at 0, yet its zero
+    # bound charges every kind: no policy informs, whatever the rounding
     assert run_cli(*argv.split()) == code
     assert capsys.readouterr() == ("", err)
 

@@ -2,11 +2,11 @@
 
 The reference keeps the solver that removes every LU copy of a vertex
 before ranking (``_reference_vertices``) and ranks the distinct vertices
-(``_reference_solve``); it refuses a t3 budget without information only
-after enumerating its vertices.  The planners deduplicate only near the
-best and refuse such a budget from its rows, and must give the same
-policy ``repr``, bound, tie and method, or raise the same error with the
-same message.
+(``_reference_solve``).  It is about copies, not refusals, so it answers a
+budget whose zero rows starve the target up front, by the planners' rule.
+The planners deduplicate only near the best, and must give the same policy
+``repr``, bound, tie and method, or raise the same error with the same
+message.
 """
 
 import math
@@ -70,7 +70,7 @@ def _first_of_copies(points):
     return _compact(points, _first_copies(points) & np.isfinite(points[..., 0]))
 
 
-def _reference_solve(scenarios, models, c, b, candidates, valid):
+def _reference_solve(scenarios, models, candidates, valid):
     """The best of each entry's candidates, ranked over all of them."""
     first, rho = scenarios[0], np.array([[m.rho] for m in models])
     t3, on_x = first.task is Task.T3, first.target is Target.MU_X
@@ -88,36 +88,52 @@ def _reference_solve(scenarios, models, c, b, candidates, valid):
     results = []
     for k, (scenario, model, pick) in enumerate(zip(scenarios, models, picks.tolist())):
         if best[k] == math.inf:
-            free = ~((c[k] > 0.0) & (b[k][:, None] <= 0.0)).any(axis=0)
-            if free[0 if on_x else 1] or free[2]:
-                raise BoundOverflow(TOO_SMALL)
+            raise BoundOverflow(TOO_SMALL)
         policy = SamplingPolicy.clamped(*pick)
         objective = crb(scenario.task, scenario.target, policy, model)
         results.append(PlanResult(policy, objective, method, bool(ties[k])))
     return results
 
 
+def _reference_starved(scenario) -> bool:
+    """Whether the scenario's rows of bound 0 charge the target's own marginal
+    kind and the joint kind."""
+    zero = [r.coeffs for r in scenario.constraints.rows if r.bound == 0.0]
+    own = 0 if scenario.target is Target.MU_X else 1
+    return any(c[own] > 0.0 for c in zero) and any(c[2] > 0.0 for c in zero)
+
+
 def _reference_stack(scenarios, models):
-    """``plan_stack`` on each system's distinct vertices."""
+    """``plan_stack`` on each system's distinct vertices, each starved entry
+    answered up front with the zero policy at ``crb=inf``."""
+    starved = [_reference_starved(s) for s in scenarios]
+    method = Method.FACE_ENUM if scenarios[0].task is Task.T3 else Method.VERTEX_ENUM
+    fed = [(s, m) for s, m, skip in zip(scenarios, models, starved) if not skip]
+    solved = iter(_reference_enumerated(*zip(*fed)) if fed else [])
+    nothing = PlanResult(SamplingPolicy(), math.inf, method, False)
+    return [nothing if skip else next(solved) for skip in starved]
+
+
+def _reference_enumerated(scenarios, models):
+    """``plan_stack`` on each system's distinct vertices, for entries that are not starved."""
     family, t3, target = _family(scenarios[0]), scenarios[0].task is Task.T3, scenarios[0].target
     systems: dict = {}
     which = [systems.setdefault((v.alpha, v.e1, v.e2), len(systems))
              for v in (s.budget for s in scenarios)]
     with np.errstate(all="ignore"):
         c, b = _equilibrated(*_stack(family, *np.array(list(systems), float).T))
-        vertices = _reference_vertices(c, b)
-        c, b, vertices = c[which], b[which], vertices[which]
+        vertices = _reference_vertices(c, b)[which]
         valid = np.isfinite(vertices[..., 0])
         if not t3:
-            return _reference_solve(scenarios, models, c, b, vertices, valid)
+            return _reference_solve(scenarios, models, vertices, valid)
         edges = _t3_edge_points(vertices, np.array([m.rho for m in models]), target is Target.MU_X)
         candidates = np.concatenate([vertices, edges], axis=1)
         valid = np.concatenate([valid, np.isfinite(edges[..., 0])], axis=1)
-        return _reference_solve(scenarios, models, c, b, candidates, valid)
+        return _reference_solve(scenarios, models, candidates, valid)
 
 
 def _reference_plan(scenario, model):
-    """``plan``, and ``plan_t3``, refusing a budget only after enumerating it."""
+    """``plan``, and ``plan_t3``, on the reference stack."""
     if scenario.task is not Task.T3 and scenario.setting is Setting.DECENTRALIZED:
         budget = scenario.budget
         result = plan_t1_closed_form(budget.alpha, budget.e1, model)
@@ -141,7 +157,7 @@ def _outcome(call, *args):
 
 _SUBNORMAL = st.floats(5e-324, 2.0**-1022, exclude_max=True)
 _ALPHA = st.one_of(
-    st.sampled_from([0.0, 5e-324, 1e-300, 1e300]),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 0.25, 0.5]),
     _SUBNORMAL,
     st.floats(0.0, 8.0),
     st.floats(-8.0, 8.0).map(lambda e: 10.0**e),
@@ -205,7 +221,7 @@ def _cen(task, alpha, e1, e2, target=None):
 @example(case=(_cen(Task.T3, 0.0, 1.0, 0.0), validate((0, 0, 1, 1, 0.5))))
 @example(case=(_cen(Task.T3, 2.0, 2.0, 0.0, Target.MU_Y), validate((0, 0, 1, 1, 0.5))))
 # a vertex (5e-324, 0, 0) that the zero data-center row, scaled to (0.5, 0.5, 1),
-# prices at 0: the reference finds information there and the bound overflows
+# prices at 0: both answer the starved rows, SingularEverywhere, not BoundOverflow
 @example(case=(_cen(Task.T3, 5e-324, 5e-324, 0.0, Target.MU_X), validate((0, 0, 1, 1, 0.5))))
 @given(case=_single())
 def test_single_planners_equal_the_deduplicate_first_reference(case):
@@ -251,10 +267,8 @@ def test_solve_ranks_lu_copies_as_the_reference_ranks_first_copies(points, rho):
     # the copies of a near-best point lie in the band _solve deduplicates,
     # however far the chain of copies runs
     scenario, model = _cen(Task.T1, 1.0, math.inf, math.inf), validate((0, 0, 1, 1, rho))
-    c, b = _stack("centralized", 1.0, math.inf, math.inf)
     valid = np.isfinite(points[..., 0])
     distinct = _first_of_copies(points)
-    got = _outcome(_solve, [scenario], [model], c[None], b[None], points, valid)
-    want = _outcome(_reference_solve, [scenario], [model], c[None], b[None], distinct,
-                    np.isfinite(distinct[..., 0]))
+    got = _outcome(_solve, [scenario], [model], Method.VERTEX_ENUM, points, valid, [False])
+    want = _outcome(_reference_solve, [scenario], [model], distinct, np.isfinite(distinct[..., 0]))
     assert got == want

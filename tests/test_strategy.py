@@ -516,10 +516,9 @@ def test_solve_breaks_ties_by_p_x_before_p_y():
     # equal p_xy and values within _TIE_REL: the smaller p_x wins, although
     # its p_y is the larger
     scenario = cen(Task.T1, 1.0, 10.0, 10.0)
-    c, b = _stack("centralized", 1.0, 10.0, 10.0)
     candidates = np.array([[[0.2, 0.3, 0.1], [0.0, 0.3 + 1e-14, 0.1]]])
-    (result,) = _solve([scenario], [model(0.0)], c[None], b[None], candidates,
-                       np.full((1, 2), True))
+    (result,) = _solve([scenario], [model(0.0)], Method.VERTEX_ENUM, candidates,
+                       np.full((1, 2), True), [False])
     assert result.policy.as_tuple() == (0.0, 0.3 + 1e-14, 0.1)
     assert result.tie
 
@@ -687,12 +686,12 @@ def _brute_force_linear_bound(scenario, m):
     """The least bound over every intersection of three row planes that is
     feasible once clipped to p >= 0, one exact rational solve, rounded, and
     one fisher.crb call at a time.  A triple counts when its exact
-    determinant is not zero; a point satisfies a row when c.p - b <= 1e-9
-    (|b| + |c|.|p|).  Raises BoundOverflow when no bound is finite but some
+    determinant is not zero; a point satisfies the natural rows under the
+    ``_limit`` rule in exact rationals (:func:`_broken_natural_rows`), so no
+    load underflows.  Raises BoundOverflow when no bound is finite but some
     point carries information, or only an exact rational vertex does (no
     float point reaches it)."""
-    cons = constraints_for(scenario)
-    rows = [r for r in cons.rows if math.isfinite(r.bound)]
+    rows = [r for r in constraints_for(scenario).rows if math.isfinite(r.bound)]
     best, overflow = math.inf, None
     for triple in itertools.combinations(rows, 3):
         exact = _exact_vertex(triple)
@@ -702,10 +701,7 @@ def _brute_force_linear_bound(scenario, m):
             p = np.maximum([float(v) for v in exact], 0.0)
         except OverflowError:  # past every float: no policy
             continue
-        if all(
-            _load(r.coeffs, *p) - r.bound <= 1e-9 * (abs(r.bound) + np.abs(r.coeffs) @ np.abs(p))
-            for r in rows
-        ):
+        if not _broken_natural_rows(scenario, p.tolist()):
             policy = SamplingPolicy.clamped(*p)
             try:
                 best = min(best, crb(scenario.task, scenario.target, policy, m))
@@ -753,6 +749,10 @@ def _exact_vertex_informs(triple, rows):
 @example(task=Task.T1, centralized=True, alpha=1.0, e1=5e-324, e2=1.0, rho=0.0)  # p_y = 2.5e-324
 # a subnormal alpha: the data-center row's determinants underflow in floats
 @example(task=Task.T1, centralized=True, alpha=2.225073858507e-311, e1=1.0, e2=5e-324, rho=0.0)
+# the data-center load of (0, 2.44e-168, 0) underflows in floats: exactly, it
+# spends the zero e2, so no policy informs
+@example(task=Task.T1, centralized=True, alpha=2.44210700392082e-168, e1=2.44210700392082e-168,
+         e2=0.0, rho=0.0)
 @given(
     task=st.sampled_from([Task.T1, Task.T2]),
     centralized=st.booleans(),
@@ -1334,6 +1334,61 @@ def test_plan_raises_singular_everywhere_at_zero_budget_for_every_task(scenario)
         else plan_t1_closed_form(scenario.budget.alpha, 0.0, m)
     )
     assert direct.objective_value == math.inf
+
+
+def _exactly_starved(scenario) -> bool:
+    """Whether some zero-bound natural row has a positive coefficient, as an
+    exact rational, on both the target's own marginal kind and the joint kind."""
+    own = 0 if scenario.target is Target.MU_X else 1
+    return any(
+        row.bound == 0.0 and Fraction(row.coeffs[own]) > 0 and Fraction(row.coeffs[2]) > 0
+        for row in constraints_for(scenario).rows
+    )
+
+
+#: alphas whose data-center row scales to a coefficient of exactly 1/2
+#: (powers of two at most 1/2), next to the least subnormal and normal ones
+_STARVING_ALPHA = st.one_of(
+    st.sampled_from([5e-324, 0.25, 0.5]),
+    st.integers(1, 1074).map(lambda k: 2.0**-k),
+    st.floats(0.0, 8.0),
+)
+_STARVING_BUDGET = st.one_of(st.sampled_from([0.0, 5e-324, math.inf]), st.floats(0.0, 8.0))
+
+
+@settings(max_examples=300, deadline=None)
+@example(task=Task.T3, centralized=True, mu_x=True, alpha=5e-324, e1=5e-324, e2=0.0, rho=0.5)
+@example(task=Task.T1, centralized=True, mu_x=False, alpha=0.25, e1=5e-324, e2=0.0, rho=0.5)
+@given(
+    task=st.sampled_from(list(Task)), centralized=st.booleans(), mu_x=st.booleans(),
+    alpha=_STARVING_ALPHA, e1=_STARVING_BUDGET, e2=_STARVING_BUDGET, rho=st.floats(-0.99, 0.99),
+)
+def test_every_planner_reads_crb_inf_exactly_where_zero_rows_starve_the_target(
+        task, centralized, mu_x, alpha, e1, e2, rho):
+    # one rule for every planner: a starved budget is the zero policy at
+    # crb=inf, alone or in a stack with an informative budget, and plan and
+    # plan_t3 refuse it; any other budget plans a finite bound or overflows
+    setting = Setting.CENTRALIZED if centralized else Setting.DECENTRALIZED
+    target = Target.MU_X if mu_x and task is Task.T3 else None
+    scenario = Scenario(task, setting, ResourceBudget(alpha, e1, e2 if centralized else None),
+                        target)
+    informative = replace(scenario, budget=ResourceBudget(alpha, 1.0, 1.0 if centralized else None))
+    m = model(rho)
+    nothing = (SamplingPolicy(), math.inf, Method.FACE_ENUM if task is Task.T3 else
+               Method.VERTEX_ENUM, False)
+    if _exactly_starved(scenario):
+        for result in (plan_stack([scenario], [m])[0],
+                       plan_stack([informative, scenario], [m, m])[1]):
+            assert (result.policy, result.objective_value, result.method, result.tie) == nothing
+        with pytest.raises(SingularEverywhere, match="infinite over the entire feasible region"):
+            plan(scenario, m)
+        if task is Task.T3:
+            with pytest.raises(SingularEverywhere):
+                plan_t3(scenario, m)
+        return
+    for planner in (lambda: plan_stack([scenario], [m])[0], lambda: plan(scenario, m)):
+        with contextlib.suppress(BoundOverflow):
+            assert math.isfinite(planner().objective_value)
 
 
 def test_t2_planning_reuses_t1_solution():
